@@ -17,10 +17,16 @@
       connections over a generated compile/verify trace, against a store
       warmed by a different trace.
 
-    A run sets up several times (the median is [setup_s]), then repeats
-    timed passes over the workload's cells for [--seconds] and reports
-    each operation at its fastest.  With [--trace 1] it alternates
-    untraced and traced passes;
+    A run sets up several times, then repeats timed passes over the
+    workload's cells for [--seconds].  Between set-ups and between
+    operations (cells, or parts of the replay) it times a fixed reference
+    computation, and divides each time by the reference's time around it:
+    [setup_s] is the median set-up and [verdict_s] the median over the
+    untraced passes of a pass's operations, so divided, in seconds on a
+    host where the reference takes {!nominal_reference_s} — the times with
+    the host's speed of the moment divided out.  The raw times are
+    printed too.  With [--trace 1] it alternates untraced and traced
+    passes;
     a traced pass wraps every public layer call in an [Obs.Span], runs
     the engine with [profile] and [span], writes a Chrome trace, and
     reports the per-layer breakdown of the fastest traced pass.  Layers
@@ -89,6 +95,91 @@ let lcg seed =
 
 let module_size (m : Ir.modul) =
   List.fold_left (fun acc f -> acc + Ir.func_size f) 0 m.Ir.funcs
+
+(* ---------------- the host's speed ---------------- *)
+
+(* On a shared virtual machine the host's speed can change by a third
+   within seconds, in steps, and stay changed for minutes: no statistic
+   over a run's wall times hides that.  So the benchmark times a fixed
+   reference computation next to every operation and reports the
+   operation's time divided by the reference's time around it. *)
+
+let ref_table = Array.make (1 lsl 15) 0
+
+(** The reference: scattered reads and writes over a 256 KiB table with
+    branches and integer arithmetic.  It uses none of the library and
+    allocates nothing, so neither a change to the program nor the state
+    of its heap can change how long it takes. *)
+let reference () =
+  let mask = Array.length ref_table - 1 in
+  let x = ref 12345 and acc = ref 0 in
+  for _ = 1 to 800_000 do
+    x := ((!x * 1103515245) + 12345) land 0x3fffffff;
+    let i = (!x lsr 3) land mask in
+    let v = ref_table.(i) in
+    ref_table.(i) <- v + 1;
+    acc := if v land 1 = 0 then !acc + (v lxor !x) else !acc - (v lsr 1)
+  done;
+  !acc
+
+(** (start, duration) of every reference timing, newest first. *)
+let samples = ref []
+
+(** The reference's duration on an idle 2-vCPU VM: times divided by the
+    reference's duration around them are multiplied by this, so that they
+    read as seconds on such a host. *)
+let nominal_reference_s = 0.010
+
+(** Time the reference once. *)
+let calibrate () =
+  (* bring the table back into the cache the program evicted it from,
+     untimed *)
+  Array.iteri (fun i v -> ref_table.(i) <- v land 0xffff) ref_table;
+  let t0 = now () in
+  ignore (Sys.opaque_identity (reference ()));
+  samples := (t0, now () -. t0) :: !samples
+
+(** Time the reference [n] times in a row. *)
+let calibrate_n n = for _ = 1 to n do calibrate () done
+
+(** Time the reference if [gap] seconds have passed since the last time;
+    returns the time spent. *)
+let calibrate_every gap =
+  match !samples with
+  | (t, d) :: _ when now () -. (t +. d) < gap -> 0.0
+  | _ ->
+      let t0 = now () in
+      calibrate ();
+      now () -. t0
+
+(** The reference's duration around [t0, t1]: the mean of the median of
+    its timings in the quarter second before [t0] and the median of those
+    in the quarter second after [t1], or of the nearest timing on a side
+    with none (a run times the reference before its first operation and
+    after its last). *)
+let reference_around (t0, t1) =
+  let oldest_first = List.rev !samples in
+  let side near nearest =
+    match List.filter (fun (t, _) -> near t) oldest_first with
+    | [] -> snd nearest
+    | l -> median (List.map snd l)
+  in
+  let before =
+    side (fun t -> t < t0 && t >= t0 -. 0.25)
+      (List.fold_left (fun b (t, d) -> if t < t0 then (t, d) else b)
+         (List.hd oldest_first) oldest_first)
+  in
+  let after =
+    side (fun t -> t >= t1 && t <= t1 +. 0.25)
+      (Option.value ~default:(List.hd !samples)
+         (List.find_opt (fun (t, _) -> t >= t1) oldest_first))
+  in
+  (before +. after) /. 2.0
+
+(** The sum over [ops], (start, end) intervals, of each one's duration
+    divided by the reference's duration around it. *)
+let normalized ops =
+  List.fold_left (fun s iv -> s +. ((snd iv -. fst iv) /. reference_around iv)) 0.0 ops
 
 (* ---------------- cells and generated inputs ---------------- *)
 
@@ -221,7 +312,9 @@ let pass_names =
     "constfold"; "gvn"; "loadelim"; "simplify_cfg"; "jump_threading";
     "if_convert"; "licm"; "loop_delete"; "dce"; "schedule"; "annotate" ]
 
-type pass = { wall : float; traced : bool; a : acc }
+(** [norm]: the pass's operations, each divided by the reference's time
+    around it ({!normalized}). *)
+type pass = { wall : float; norm : float; traced : bool; a : acc }
 
 (** The exact duration of every fresh solve, from the trace sink's
     per-query spans (the profile's histogram only keeps power-of-two
@@ -292,9 +385,11 @@ let inprocess ~workload ~seed cells =
     let kept = ref [] in
     Gc.full_major ();
     if traced then trace_begin ();
-    let t_pass = now () in
+    calibrate_n 5;
+    let t_pass = now () and calib_s = ref 0.0 and ops = ref [] in
     List.iter
       (fun (c, inputs) ->
+        calib_s := !calib_s +. calibrate_every 0.1;
         let t0 = now () in
         let span =
           if traced then Some (Obs.Span.start ("cell." ^ c.prog.Programs.name))
@@ -339,6 +434,7 @@ let inprocess ~workload ~seed cells =
         a.symex <- a.symex +. (t3 -. t2);
         a.interp <- a.interp +. (t4 -. t3);
         a.lat_ms <- ((t4 -. t0) *. 1000.0) :: a.lat_ms;
+        ops := (t0, t4) :: !ops;
         List.iter
           (fun (_, (r : Interp.result)) ->
             a.runs <- a.runs + 1;
@@ -366,14 +462,15 @@ let inprocess ~workload ~seed cells =
           res;
         kept := { k_cell = c; k_build = m; k_result = res; k_runs = runs } :: !kept)
       !cells_in;
-    let wall = now () -. t_pass in
+    let wall = now () -. t_pass -. !calib_s in
+    calibrate_n 5;
     if traced then begin
       Obs.Trace.stop ();
       collect_solves a;
       Obs.Trace.write (trace_file workload)
     end
     else last := List.rev !kept;
-    { wall; traced; a }
+    { wall; norm = normalized !ops; traced; a }
   in
   let check () =
     let wrong = ref 0 and cycles = ref 0 and runs = ref 0 and size = ref 0 in
@@ -404,6 +501,9 @@ let inprocess ~workload ~seed cells =
 type entry = { e_cell : cell; e_rq : Protocol.request }
 
 let clients = 2
+
+(** Parts the timed replay is cut into (see {!serve_mix}). *)
+let segments = 4
 
 let request ~kind ~summaries c =
   {
@@ -571,14 +671,29 @@ let serve_mix ~workload ~seed =
     in
     Gc.full_major ();
     if traced then trace_begin ();
-    let (wall, sent) =
-      replay ~traced ~socket
-        (Array.mapi
-           (fun pos i ->
-             let e = requests.(i) in
-             { e with e_rq = { e.e_rq with Protocol.rq_id = pos } })
-           order)
+    let entries =
+      Array.mapi
+        (fun pos i ->
+          let e = requests.(i) in
+          { e with e_rq = { e.e_rq with Protocol.rq_id = pos } })
+        order
     in
+    (* the replay goes in segments, with the reference timed between them
+       while the daemon is idle *)
+    let n = Array.length entries in
+    let sent = Array.make n (0.0, None) in
+    let wall = ref 0.0 and ops = ref [] in
+    for k = 0 to segments - 1 do
+      let lo = k * n / segments and hi = (k + 1) * n / segments in
+      calibrate_n 5;
+      let t0 = now () in
+      let (w, r) = replay ~traced ~socket (Array.sub entries lo (hi - lo)) in
+      Array.blit r 0 sent lo (hi - lo);
+      wall := !wall +. w;
+      ops := (t0, t0 +. w) :: !ops
+    done;
+    calibrate_n 5;
+    let wall = !wall in
     if traced then Obs.Trace.stop ();
     let m = daemon_metrics socket in
     Serve.stop d;
@@ -684,7 +799,7 @@ let serve_mix ~workload ~seed =
       Obs.Trace.write (trace_file workload)
     end
     else last := !kept;
-    { wall; traced; a }
+    { wall; norm = normalized !ops; traced; a }
   in
   let check () =
     let wrong = ref 0 and cycles = ref 0 and runs = ref 0 and size = ref 0 in
@@ -870,27 +985,34 @@ let run ~workload ~seed ~seconds ~trace =
           (Printf.sprintf "unknown workload %S (one of: %s)" w
              (String.concat ", " workloads))
   in
-  (* at least 3 set-ups, up to 9 while they take under 2 s in all *)
+  (* at least 3 set-ups, up to 25 while they take under 1 s in all *)
   let setups = ref [] in
   while
     List.length !setups < 3
-    || (List.length !setups < 9 && List.fold_left ( +. ) 0.0 !setups < 2.0)
+    || (List.length !setups < 25
+       && List.fold_left (fun s (t0, t1) -> s +. (t1 -. t0)) 0.0 !setups < 1.0)
   do
+    calibrate_n 3;
     let t0 = now () in
     setup ();
-    setups := (now () -. t0) :: !setups
+    setups := (t0, now ()) :: !setups
   done;
+  calibrate_n 3;
   let setups = List.rev !setups in
   (* passes until the next one would overrun [seconds]; at least two (one
      of each kind when tracing) *)
   let t_start = now () in
   let passes = ref [] and longest = ref 0.0 in
+  (* the heap keeps growing for a few passes, so a peak read at the end
+     would depend on how many passes fit in the run: read it after two *)
+  let heap = ref 0.0 in
   while
     List.length !passes < 2 || now () -. t_start +. !longest <= seconds
   do
     let t0 = now () in
     let traced = trace && List.length !passes mod 2 = 1 in
     passes := pass ~traced :: !passes;
+    if List.length !passes = 2 then heap := peak_heap_mb ();
     longest := Float.max !longest (now () -. t0)
   done;
   let passes = List.rev !passes in
@@ -900,11 +1022,8 @@ let run ~workload ~seed ~seconds ~trace =
   let attempted = List.fold_left (fun n p -> n + p.a.attempted) 0 passes in
   let failed = List.fold_left (fun n p -> n + p.a.failed) 0 passes in
   let wrong = List.fold_left (fun n p -> n + p.a.wrong) chk.c_wrong passes in
-  (* the host's speed drifts in bursts that only ever slow work down, so
-     every operation (a cell, or a served request) counts at its fastest
-     over the untraced passes.  In-process cells run one after another:
-     their best times add up to a pass.  Served requests overlap, so
-     serve-mix takes its fastest pass. *)
+  (* the latency samples: each request or cell at its fastest over the
+     untraced passes *)
   let best_ms =
     match untraced with
     | [] -> []
@@ -915,14 +1034,14 @@ let run ~workload ~seed ~seconds ~trace =
   let metrics =
     if not trace then
       [
-        ("setup_s", "s", median setups);
+        ("setup_s", "s",
+         nominal_reference_s *. median (List.map (fun iv -> normalized [ iv ]) setups));
         ("verdict_s", "s",
-         if workload = "serve-mix" then untraced_wall
-         else List.fold_left ( +. ) 0.0 best_ms /. 1000.0);
+         nominal_reference_s *. median (List.map (fun p -> p.norm) untraced));
         ("run_cycles", "cycles",
          float_of_int chk.c_cycles /. float_of_int (max 1 chk.c_runs));
         ("code_size", "count", float_of_int chk.c_code_size);
-        ("peak_heap_mb", "MB", peak_heap_mb ());
+        ("peak_heap_mb", "MB", !heap);
       ]
     else begin
       (* the fastest traced pass: its layers sum to its wall *)
@@ -936,6 +1055,12 @@ let run ~workload ~seed ~seconds ~trace =
       per_layer p ~untraced_wall ~traced_wall:p.wall ~best_ms
     end
   in
+  Printf.printf
+    "  raw, at the host's speed of the moment: setup_s %.4f s, verdict_s %.4f s; \
+     reference: median %.4f s over %d timings\n"
+    (median (List.map (fun (t0, t1) -> t1 -. t0) setups))
+    (median (List.map (fun p -> p.wall) untraced))
+    (median (List.map snd !samples)) (List.length !samples);
   (* request latency amplifies the host's slow spells (a served request
      also queues behind the other connection's): across seeds its
      quartiles spread wider than any bound a gate could use, so it is
@@ -956,8 +1081,8 @@ let run ~workload ~seed ~seconds ~trace =
     (attempted / List.length passes) failed
     (float_of_int failed /. float_of_int (max 1 attempted))
     wrong;
-  Printf.printf "  setup_s: %s\n  pass walls (s): %s\n"
-    (String.concat " " (List.map (Printf.sprintf "%.3f") setups))
+  Printf.printf "  set-ups (s): %s\n  pass walls (s): %s\n"
+    (String.concat " " (List.map (fun (t0, t1) -> Printf.sprintf "%.3f" (t1 -. t0)) setups))
     (String.concat " "
        (List.map (fun p -> Printf.sprintf "%.3f%s" p.wall (if p.traced then "t" else "")) passes));
   Printf.printf "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": %s}\n%!"
