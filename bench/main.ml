@@ -289,7 +289,7 @@ let run_solve args =
             end;
             let hits =
               on.E.cache_hits + on.E.hits_canon + on.E.hits_subset
-              + on.E.hits_superset + on.E.hits_store
+              + on.E.hits_store
             in
             (* in single-program mode (the CI smoke) zero hits is a hard
                failure; over the full corpus it is reported but legal —
@@ -312,7 +312,7 @@ let run_solve args =
   in
   let rows =
     [ "program"; "level"; "queries"; "components"; "solves off"; "solves on";
-      "saved"; "exact"; "canon"; "subset"; "superset"; "agree" ]
+      "saved"; "canon"; "subset"; "agree" ]
     :: List.map
          (fun (name, lvl, (off : E.result), (on : E.result), agree) ->
            [
@@ -322,10 +322,8 @@ let run_solve args =
              string_of_int off.E.component_solves;
              string_of_int on.E.component_solves;
              string_of_int (off.E.component_solves - on.E.component_solves);
-             string_of_int on.E.hits_exact;
              string_of_int on.E.hits_canon;
              string_of_int on.E.hits_subset;
-             string_of_int on.E.hits_superset;
              string_of_bool agree;
            ])
          measurements
@@ -340,8 +338,7 @@ let run_solve args =
   let saved = total (fun (off : E.result) (on : E.result) ->
       off.E.component_solves - on.E.component_solves)
   and hits = total (fun _ (on : E.result) ->
-      on.E.cache_hits + on.E.hits_canon + on.E.hits_subset
-      + on.E.hits_superset + on.E.hits_store)
+      on.E.cache_hits + on.E.hits_canon + on.E.hits_subset + on.E.hits_store)
   in
   Printf.printf "total: %d raw solves saved, %d layer hits\n" saved hits;
   if hits = 0 then begin
@@ -389,12 +386,12 @@ let run_solve args =
     Printf.sprintf
       "  {\"program\": %S, \"level\": %S, \"queries\": %d, \"components\": \
        %d, \"component_solves_off\": %d, \"component_solves_on\": %d, \
-       \"cache_hits\": %d, \"hits_exact\": %d, \"hits_canon\": %d, \
-       \"hits_subset\": %d, \"hits_superset\": %d, \"hits_store\": %d, \
-       \"solver_ms_off\": %.3f, \"solver_ms_on\": %.3f, \"agree\": %b}"
+       \"cache_hits\": %d, \"hits_canon\": %d, \"hits_subset\": %d, \
+       \"hits_store\": %d, \"solver_ms_off\": %.3f, \"solver_ms_on\": %.3f, \
+       \"agree\": %b}"
       name lvl on.E.queries on.E.components off.E.component_solves
-      on.E.component_solves on.E.cache_hits on.E.hits_exact on.E.hits_canon
-      on.E.hits_subset on.E.hits_superset on.E.hits_store
+      on.E.component_solves on.E.cache_hits on.E.hits_canon on.E.hits_subset
+      on.E.hits_store
       (off.E.solver_time *. 1000.) (on.E.solver_time *. 1000.) agree
   in
   let store_json =

@@ -331,11 +331,9 @@ let verify_cmd =
       r.O.Engine.complete
       (if r.O.Engine.resumed then " resumed=true" else "");
     Printf.printf
-      "solver: components=%d solves=%d hits: exact=%d canon=%d subset=%d \
-       superset=%d store=%d\n"
-      r.O.Engine.components r.O.Engine.component_solves r.O.Engine.hits_exact
-      r.O.Engine.hits_canon r.O.Engine.hits_subset r.O.Engine.hits_superset
-      r.O.Engine.hits_store;
+      "solver: components=%d solves=%d hits: canon=%d subset=%d store=%d\n"
+      r.O.Engine.components r.O.Engine.component_solves r.O.Engine.hits_canon
+      r.O.Engine.hits_subset r.O.Engine.hits_store;
     if
       r.O.Engine.summary_instantiated + r.O.Engine.summary_opaque
       + r.O.Engine.summary_computed + r.O.Engine.summary_cached > 0

@@ -203,11 +203,9 @@ let print ?(top = 8) ?(out = stdout) t =
     (Report.ms r.Engine.time) (Report.ms t.t_compile) r.Engine.complete
     r.Engine.jobs;
   Printf.fprintf out
-    "solver: components=%d solves=%d hits: exact=%d canon=%d subset=%d \
-     superset=%d store=%d\n\n"
-    r.Engine.components r.Engine.component_solves r.Engine.hits_exact
-    r.Engine.hits_canon r.Engine.hits_subset r.Engine.hits_superset
-    r.Engine.hits_store;
+    "solver: components=%d solves=%d hits: canon=%d subset=%d store=%d\n\n"
+    r.Engine.components r.Engine.component_solves r.Engine.hits_canon
+    r.Engine.hits_subset r.Engine.hits_store;
   if
     r.Engine.summary_instantiated + r.Engine.summary_opaque
     + r.Engine.summary_computed + r.Engine.summary_cached
@@ -470,7 +468,7 @@ let to_json ?(times = true) (t : t) : string =
   "program": "%s",
   "level": "%s",
   "input_size": %d,
-  "totals": {"paths": %d, "instructions": %d, "forks": %d, "queries": %d, "cache_hits": %d, "components": %d, "component_solves": %d, "hits_exact": %d, "hits_canon": %d, "hits_subset": %d, "hits_superset": %d, "hits_store": %d, "summary_instantiated": %d, "summary_opaque": %d, "summary_computed": %d, "summary_cached": %d, "solver_time_ms": %s, "time_ms": %s, "compile_ms": %s, "complete": %b, "jobs": %d},
+  "totals": {"paths": %d, "instructions": %d, "forks": %d, "queries": %d, "cache_hits": %d, "components": %d, "component_solves": %d, "hits_canon": %d, "hits_subset": %d, "hits_store": %d, "summary_instantiated": %d, "summary_opaque": %d, "summary_computed": %d, "summary_cached": %d, "solver_time_ms": %s, "time_ms": %s, "compile_ms": %s, "complete": %b, "jobs": %d},
   "degradations": [%s],
   "functions": [
 %s
@@ -481,10 +479,9 @@ let to_json ?(times = true) (t : t) : string =
 }|}
     (json_escape t.program) (json_escape t.level) t.input_size r.Engine.paths
     r.Engine.instructions r.Engine.forks r.Engine.queries r.Engine.cache_hits
-    r.Engine.components r.Engine.component_solves r.Engine.hits_exact
-    r.Engine.hits_canon r.Engine.hits_subset r.Engine.hits_superset
-    r.Engine.hits_store r.Engine.summary_instantiated r.Engine.summary_opaque
-    r.Engine.summary_computed r.Engine.summary_cached
+    r.Engine.components r.Engine.component_solves r.Engine.hits_canon
+    r.Engine.hits_subset r.Engine.hits_store r.Engine.summary_instantiated
+    r.Engine.summary_opaque r.Engine.summary_computed r.Engine.summary_cached
     (ms r.Engine.solver_time) (ms r.Engine.time) (ms t.t_compile)
     r.Engine.complete r.Engine.jobs
     (String.concat ", " (List.map degradation_json r.Engine.degradations))

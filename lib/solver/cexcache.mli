@@ -1,24 +1,16 @@
-(** Counterexample cache: reuse past verdicts and models by set reasoning
+(** Counterexample cache: reuse past UNSAT verdicts by set reasoning
     instead of exact match (DESIGN.md, "Solver acceleration").
 
-    Two rules, both per solver context and in-memory:
-
-    - {b UNSAT subset}: if a previously-UNSAT assertion set is a subset of
-      the current query, the current query is UNSAT.  Sound because adding
-      conjuncts can only shrink the solution set; usable on the
-      model-producing path since an UNSAT answer carries no model.
-    - {b SAT superset / model screening}: if a stored model of some past
-      query satisfies every assertion of the current one (which in
-      particular holds when the past query was a superset), the current
-      query is SAT.  The verdict is sound, but {e which} stored model fires
-      depends on cache history — so this rule is reserved for verdict-only
-      entry points ([Solver.is_sat]), never for [Solver.check], whose
-      models must stay a pure function of the assertion set.
+    {b UNSAT subset}: if a previously-UNSAT assertion set is a subset of
+    the current query, the current query is UNSAT.  Sound because adding
+    conjuncts can only shrink the solution set; usable on the
+    model-producing path since an UNSAT answer carries no model.
 
     Assertion sets are identified by hash-consed term ids (structural
     equality is physical equality within one [Bv] generation), so subset
-    tests are exact — no digest-collision unsoundness is possible.  Both
-    stores are bounded; eviction only costs hits, never correctness. *)
+    tests are exact — no digest-collision unsoundness is possible.  The
+    index is per solver context, in memory and bounded; eviction only
+    costs hits, never correctness. *)
 
 type t
 
@@ -30,11 +22,3 @@ val note_unsat : t -> int array -> unit
 
 val implies_unsat : t -> int array -> bool
 (** Is some recorded UNSAT set a subset of this sorted term-id array? *)
-
-val note_model : t -> (int * int64) list -> unit
-(** Record a satisfying assignment for later screening. *)
-
-val screen : t -> Bv.t list -> bool
-(** Does some stored model evaluate every assertion to 1?  (Unassigned
-    variables read as 0, matching [Solver.model_value].)  [true] proves the
-    conjunction SAT. *)

@@ -7,15 +7,18 @@
 
     {ol
     {- constant pruning (smart constructors already folded constants);}
-    {- exact-match cache on the ordered term-id list;}
-    {- canonicalization: sort structurally + dedup ({!Canon.normalize}),
-       so permutations and duplicates of one assertion set share one
-       solve;}
-    {- independence partitioning ({!Canon.partition}): connected
-       components over shared variables are solved separately — on the
-       engine's queries, every component except the one touching the new
-       branch condition was already solved for the parent state and hits
-       the next layer;}
+    {- independence partitioning ({!Canon.partition}) of the deduplicated
+       assertions: connected components over shared variables are
+       answered separately — on the engine's queries, every component
+       except the one touching the new branch condition was already
+       answered for the parent state;}
+    {- per-component id table, keyed by the component's sorted
+       hash-consed term-id set: a hit returns the stored answer with no
+       digest sort, renaming or string key, so a query whose components
+       were all answered before costs about a hash lookup per component;}
+    {- on a miss, canonicalization of the component: a structural sort
+       ({!Canon.normalize}), so every permutation of one assertion set
+       yields one answer;}
     {- per-component canonical cache, keyed by the α-renamed serialization
        ({!Canon.rename}): structurally equal components share one entry
        even across different variable ids;}
@@ -25,6 +28,10 @@
        across runs and processes;}
     {- fresh bit-blast + SAT of the component (counted in
        [component_solves]).}}
+
+    Components are answered in the order of their least member under
+    {!Canon.compare_terms} — the order the canonical list of the whole
+    query would give them — and the first UNSAT one decides.
 
     All mutable solver state lives in an explicit {!ctx}.  Contexts are
     cheap to create and deliberately {e not} thread-safe: the parallel
@@ -38,10 +45,11 @@
     have: canonical-cache and store hits translate a canonical-space model
     through the current renaming, which is the fresh answer because
     bit-blasting is equivariant under α-renaming (identical CNF, identical
-    deterministic SAT run).  The one deliberately history-dependent rule —
-    screening stored models ({!Cexcache.screen}, the SAT-superset rule) —
-    is confined to the verdict-only {!is_sat} and never reaches {!check}.
-    Consequently caching may be disabled ([OVERIFY_SOLVER_CACHE=0] or
+    deterministic SAT run).  The id table stores exactly what the
+    canonical path returned, and a term id names one term within a [Bv]
+    generation (which a context never outlives: the engine creates its
+    contexts after [Bv.reset]), so it is memoization too.  Consequently
+    caching may be disabled ([OVERIFY_SOLVER_CACHE=0] or
     [create ~cache:false]) without changing any result: only the hit
     counters and solve counts move. *)
 
@@ -59,15 +67,13 @@ type stats = {
   mutable unsat_answers : int;
   mutable solver_time : float;  (** seconds spent in blasting + SAT *)
   mutable components : int;
-      (** independent components across all canonically solved queries *)
+      (** independent components across all non-trivial queries *)
   mutable component_solves : int;
       (** components that reached a fresh blast + SAT — the raw solver
           invocations the acceleration chain exists to avoid *)
-  mutable hits_exact : int;     (** exact-match (ordered) cache hits *)
-  mutable hits_canon : int;     (** per-component canonical cache hits *)
+  mutable hits_canon : int;
+      (** per-component hits of the id table or the canonical cache *)
   mutable hits_subset : int;    (** UNSAT-subset rule hits *)
-  mutable hits_superset : int;
-      (** stored-model screening hits (verdict-only, {!is_sat}) *)
   mutable hits_store : int;     (** persistent cross-run store hits *)
 }
 
@@ -75,17 +81,40 @@ type stats = {
     space so α-equivalent components share the entry. *)
 type centry = C_unsat | C_sat of int64 array
 
+(** One answered component: its least member under {!Canon.compare_terms}
+    (which orders the components of a query) and the answer the canonical
+    path returned for it. *)
+type ientry = { least : Bv.t; answer : result }
+
+(** Sorted term-id sets.  The hash reads every id: the polymorphic hash
+    reads only a bounded prefix, and components share long prefixes. *)
+module Ids = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b =
+    Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+  let hash ids =
+    Array.fold_left
+      (fun h id ->
+        let h = (h + id) * 0x3f58476d1ce4e5b9 in
+        h lxor (h lsr 31))
+      (Array.length ids) ids
+    land max_int
+end)
+
 type ctx = {
   stats : stats;
-  cache : (int list, result) Hashtbl.t;
-      (** exact-match cache: ordered term-id list -> result *)
+  itbl : ientry Ids.t;
+      (** id table: a component's sorted term-id set -> its answer *)
   canon : Canon.ctx;  (** digest/variable-set memos *)
   ctbl : (string, centry) Hashtbl.t;
       (** canonical per-component cache: α-renamed key -> verdict *)
   cex : Cexcache.t;
   reuse : bool;
       (** reuse layers enabled?  [false] keeps canonicalization and
-          partitioning (they define the result) but re-solves everything *)
+          partitioning (they define the result) but re-solves every
+          component *)
   store : Store.t option;
   faults : Overify_fault.Fault.t option;
       (** injected-fault schedule; a scheduled [timeout@N] makes the N-th
@@ -125,13 +154,11 @@ let create ?deadline ?cancel ?hist ?cache ?store ?faults () =
         solver_time = 0.0;
         components = 0;
         component_solves = 0;
-        hits_exact = 0;
         hits_canon = 0;
         hits_subset = 0;
-        hits_superset = 0;
         hits_store = 0;
       };
-    cache = Hashtbl.create 1024;
+    itbl = Ids.create 1024;
     canon = Canon.create ();
     ctbl = Hashtbl.create 1024;
     cex = Cexcache.create ();
@@ -155,18 +182,16 @@ let reset_stats ctx =
   s.solver_time <- 0.0;
   s.components <- 0;
   s.component_solves <- 0;
-  s.hits_exact <- 0;
   s.hits_canon <- 0;
   s.hits_subset <- 0;
-  s.hits_superset <- 0;
   s.hits_store <- 0
 
-(** Drop {e every} acceleration layer this context owns: the exact-match
-    cache, the canonical component cache, the counterexample cache and the
-    per-term canonicalization memos (the shared persistent store, if any,
-    belongs to the run, not the context, and is untouched). *)
+(** Drop {e every} acceleration layer this context owns: the id table, the
+    canonical component cache, the counterexample cache and the per-term
+    canonicalization memos (the shared persistent store, if any, belongs
+    to the run, not the context, and is untouched). *)
 let clear_cache ctx =
-  Hashtbl.reset ctx.cache;
+  Ids.reset ctx.itbl;
   Hashtbl.reset ctx.ctbl;
   Cexcache.clear ctx.cex;
   Canon.clear ctx.canon
@@ -202,11 +227,6 @@ let charge_solve ctx t0 ~timed_out =
           ~args:(if timed_out then [ ("timeout", "true") ] else [])
           ~ts:t0 ~dur:dt ()
 
-let sorted_ids (comp : Bv.t list) : int array =
-  let a = Array.of_list (List.map (fun (t : Bv.t) -> t.Bv.id) comp) in
-  Array.sort compare a;
-  a
-
 (** Blast + SAT one component (already in canonical order) and return its
     verdict with the model in canonical variable space. *)
 let solve_component ctx (comp : Bv.t list) (renamed : Canon.renamed) : centry =
@@ -221,76 +241,64 @@ let solve_component ctx (comp : Bv.t list) (renamed : Canon.renamed) : centry =
            match Blast.model_of_var bctx v with Some x -> x | None -> 0L)
          renamed.Canon.cvars)
 
-(** One component through the reuse layers, falling back to a fresh solve.
-    Every layer returns exactly what [solve_component] would (see the
-    determinism contract above), so the layers are pure memoization.
-    [fresh] is incremented when blasting actually happened. *)
-let check_component ctx ~fresh (comp : Bv.t list) : result =
+(** One id-table miss through the canonical layers, falling back to a
+    fresh solve.  [ids] is the component's sorted term-id set, [comp] the
+    component in canonical order.  Every layer returns exactly what
+    [solve_component] would (see the determinism contract above), so the
+    layers are pure memoization.  [fresh] is incremented when blasting
+    actually happened. *)
+let check_component ctx ~fresh (ids : int array) (comp : Bv.t list) : result =
   let renamed = Canon.rename ctx.canon comp in
-  let answer = function
-    | C_unsat -> Unsat
-    | C_sat values -> Sat (Canon.model_of_canon renamed values)
-  in
-  let record entry =
-    if ctx.reuse then Hashtbl.replace ctx.ctbl renamed.Canon.key entry;
-    (match ctx.store with
-    | Some st ->
-        Store.add st renamed.Canon.key
-          (match entry with
-          | C_unsat -> Store.E_unsat
-          | C_sat v -> Store.E_sat v)
-    | None -> ());
-    if ctx.reuse && entry = C_unsat then
-      Cexcache.note_unsat ctx.cex (sorted_ids comp)
-  in
-  if not ctx.reuse then begin
+  let key = renamed.Canon.key in
+  let solve () =
     let entry = solve_component ctx comp renamed in
     incr fresh;
-    (* still publish to an explicitly attached store: the store is a
+    (* publish to an attached store even with reuse off: the store is a
        cross-run artifact, not an in-run reuse layer *)
-    (match ctx.store with
-    | Some st ->
-        Store.add st renamed.Canon.key
+    Option.iter
+      (fun st ->
+        Store.add st key
           (match entry with
           | C_unsat -> Store.E_unsat
-          | C_sat v -> Store.E_sat v)
-    | None -> ());
-    answer entry
-  end
-  else
-    match Hashtbl.find_opt ctx.ctbl renamed.Canon.key with
-    | Some entry ->
-        ctx.stats.hits_canon <- ctx.stats.hits_canon + 1;
-        answer entry
-    | None ->
-        if Cexcache.implies_unsat ctx.cex (sorted_ids comp) then begin
-          ctx.stats.hits_subset <- ctx.stats.hits_subset + 1;
-          Hashtbl.replace ctx.ctbl renamed.Canon.key C_unsat;
-          Unsat
-        end
-        else begin
-          match
-            Option.bind ctx.store (fun st -> Store.find st renamed.Canon.key)
-          with
-          (* E_blob entries live under namespaced client keys (never a
-             canonical component key); finding one here means a key
-             collision we must treat as a miss, not a verdict *)
-          | Some ((Store.E_unsat | Store.E_sat _) as e) ->
-              ctx.stats.hits_store <- ctx.stats.hits_store + 1;
-              let entry =
-                match e with
-                | Store.E_unsat -> C_unsat
-                | Store.E_sat v -> C_sat v
-                | Store.E_blob _ -> assert false
-              in
-              Hashtbl.replace ctx.ctbl renamed.Canon.key entry;
-              answer entry
-          | Some (Store.E_blob _) | None ->
-              let entry = solve_component ctx comp renamed in
-              incr fresh;
-              record entry;
-              answer entry
-        end
+          | C_sat v -> Store.E_sat v))
+      ctx.store;
+    entry
+  in
+  let entry =
+    if not ctx.reuse then solve ()
+    else
+      match Hashtbl.find_opt ctx.ctbl key with
+      | Some entry ->
+          ctx.stats.hits_canon <- ctx.stats.hits_canon + 1;
+          entry
+      | None ->
+          let entry =
+            if Cexcache.implies_unsat ctx.cex ids then begin
+              ctx.stats.hits_subset <- ctx.stats.hits_subset + 1;
+              C_unsat
+            end
+            else
+              match Option.bind ctx.store (fun st -> Store.find st key) with
+              | Some Store.E_unsat ->
+                  ctx.stats.hits_store <- ctx.stats.hits_store + 1;
+                  C_unsat
+              | Some (Store.E_sat v) ->
+                  ctx.stats.hits_store <- ctx.stats.hits_store + 1;
+                  C_sat v
+              (* E_blob entries live under namespaced client keys (never a
+                 canonical component key); finding one here means a key
+                 collision we must treat as a miss, not a verdict *)
+              | Some (Store.E_blob _) | None ->
+                  let entry = solve () in
+                  if entry = C_unsat then Cexcache.note_unsat ctx.cex ids;
+                  entry
+          in
+          Hashtbl.replace ctx.ctbl key entry;
+          entry
+  in
+  match entry with
+  | C_unsat -> Unsat
+  | C_sat values -> Sat (Canon.model_of_canon renamed values)
 
 (** An injected stuck query ([stall@N]): blocks polling only the explicit
     cancellation flag — deliberately ignoring the solver deadline, which
@@ -334,79 +342,72 @@ let check (ctx : ctx) (assertions : Bv.t list) : result =
     Sat []
   end
   else begin
-    (* exact-match fast path: same assertions in the same order.  (The
-       canonical layers below make the result order-independent, so this
-       key is just the cheapest possible lookup, not a semantic
-       necessity.) *)
-    let key = List.map (fun (t : Bv.t) -> t.Bv.id) assertions in
-    match if ctx.reuse then Hashtbl.find_opt ctx.cache key else None with
-    | Some r ->
-        stats.cache_hits <- stats.cache_hits + 1;
-        stats.hits_exact <- stats.hits_exact + 1;
-        (match r with
-        | Sat _ -> stats.sat_answers <- stats.sat_answers + 1
-        | Unsat -> stats.unsat_answers <- stats.unsat_answers + 1);
-        r
-    | None ->
-        let t0 = Unix.gettimeofday () in
-        (match ctx.deadline with
-        | Some d when t0 > d -> raise Timeout
-        | _ -> ());
-        (* canonical solve: normalize, partition, solve each component.
-           This path runs identically with reuse on or off — it defines
-           the query's answer. *)
-        let comps =
-          Canon.partition ctx.canon (Canon.normalize ctx.canon assertions)
+    let t0 = Unix.gettimeofday () in
+    (match ctx.deadline with
+    | Some d when t0 > d -> raise Timeout
+    | _ -> ());
+    (* deduplicate by term id and partition; members keep ascending id
+       order, so a component's member ids are its sorted id set *)
+    let comps =
+      Canon.partition ctx.canon
+        (List.sort_uniq
+           (fun (a : Bv.t) (b : Bv.t) -> Int.compare a.Bv.id b.Bv.id)
+           assertions)
+    in
+    stats.components <- stats.components + List.length comps;
+    (* components in the order of their least members; an id-table hit
+       carries its least member, a miss is put in canonical order now,
+       whose head is its least member *)
+    let ordered =
+      List.sort
+        (fun (a, _) (b, _) -> Canon.compare_terms ctx.canon a b)
+        (List.map
+           (fun comp ->
+             let ids =
+               Array.of_list (List.map (fun (t : Bv.t) -> t.Bv.id) comp)
+             in
+             match if ctx.reuse then Ids.find_opt ctx.itbl ids else None with
+             | Some e -> (e.least, Either.Left e.answer)
+             | None ->
+                 let comp = Canon.normalize ctx.canon comp in
+                 (List.hd comp, Either.Right (ids, comp)))
+           comps)
+    in
+    let fresh = ref 0 in
+    let r =
+      try
+        (* first UNSAT component decides; models concatenate in
+           component order *)
+        let rec go acc = function
+          | [] -> Sat (List.concat (List.rev acc))
+          | (least, looked) :: rest -> (
+              let answer =
+                match looked with
+                | Either.Left answer ->
+                    stats.hits_canon <- stats.hits_canon + 1;
+                    answer
+                | Either.Right (ids, comp) ->
+                    let answer = check_component ctx ~fresh ids comp in
+                    if ctx.reuse then
+                      Ids.replace ctx.itbl ids { least; answer };
+                    answer
+              in
+              match answer with
+              | Unsat -> Unsat
+              | Sat m -> go (m :: acc) rest)
         in
-        stats.components <- stats.components + List.length comps;
-        let fresh = ref 0 in
-        let r =
-          try
-            (* first UNSAT component decides; models concatenate in
-               component order (both orders are canonical) *)
-            let rec go acc = function
-              | [] -> Sat (List.concat (List.rev acc))
-              | comp :: rest -> (
-                  match check_component ctx ~fresh comp with
-                  | Unsat -> Unsat
-                  | Sat m -> go (m :: acc) rest)
-            in
-            go [] comps
-          with Timeout ->
-            charge_solve ctx t0 ~timed_out:true;
-            raise Timeout
-        in
-        if !fresh > 0 then charge_solve ctx t0 ~timed_out:false
-        else stats.cache_hits <- stats.cache_hits + 1;
-        (match r with
-        | Sat m ->
-            stats.sat_answers <- stats.sat_answers + 1;
-            if ctx.reuse && !fresh > 0 then Cexcache.note_model ctx.cex m
-        | Unsat -> stats.unsat_answers <- stats.unsat_answers + 1);
-        if ctx.reuse then Hashtbl.replace ctx.cache key r;
-        r
+        go [] ordered
+      with Timeout ->
+        charge_solve ctx t0 ~timed_out:true;
+        raise Timeout
+    in
+    if !fresh > 0 then charge_solve ctx t0 ~timed_out:false
+    else stats.cache_hits <- stats.cache_hits + 1;
+    (match r with
+    | Sat _ -> stats.sat_answers <- stats.sat_answers + 1
+    | Unsat -> stats.unsat_answers <- stats.unsat_answers + 1);
+    r
   end
-
-(** Convenience: is the conjunction satisfiable?  Verdict-only, so this
-    entry point may additionally reuse stored models (the SAT-superset
-    rule): if a model recorded for any earlier query satisfies every
-    assertion here, the conjunction is SAT — no blasting at all.  The
-    verdict is sound and identical to [check]'s; only which counters move
-    depends on history, which is why the rule lives here and not in
-    [check]. *)
-let is_sat ctx assertions =
-  if
-    ctx.reuse && assertions <> []
-    && Cexcache.screen ctx.cex assertions
-  then begin
-    let s = ctx.stats in
-    s.queries <- s.queries + 1;
-    s.cache_hits <- s.cache_hits + 1;
-    s.hits_superset <- s.hits_superset + 1;
-    s.sat_answers <- s.sat_answers + 1;
-    true
-  end
-  else match check ctx assertions with Sat _ -> true | Unsat -> false
 
 (** Model lookup with default 0 (unconstrained variables may take any value;
     0 is what the model extraction produces for absent bits). *)

@@ -4,9 +4,11 @@
     and an optional persistent cross-run store.
 
     Layers, in order (each falls through to the next; see DESIGN.md,
-    "Solver acceleration"): constant pruning → exact-match cache →
-    canonicalization (sort + dedup, {!Canon}) → independence partitioning
-    into variable-disjoint components → per-component canonical cache
+    "Solver acceleration"): constant pruning → independence partitioning
+    of the deduplicated assertions into variable-disjoint components →
+    per-component id table (sorted hash-consed term-id set → answer; a
+    hit costs a hash lookup) → on a miss, canonicalization of the
+    component (structural sort, {!Canon}) → per-component canonical cache
     (α-renamed keys) → UNSAT-subset rule ({!Cexcache}) → persistent store
     ({!Store}, when attached) → fresh blast + SAT.
 
@@ -19,8 +21,8 @@
     are a pure function of the assertion {e set}, never of cache history
     or assertion order, which is what lets parallel and sequential
     exploration agree exactly on path witnesses, with caching on or off.
-    The single history-dependent rule (stored-model screening, the
-    SAT-superset rule) is confined to the verdict-only {!is_sat}. *)
+    Term ids name terms only within one [Bv] generation, so a context must
+    not outlive a [Bv.reset]. *)
 
 type result =
   | Unsat
@@ -37,14 +39,13 @@ type stats = {
   mutable unsat_answers : int;
   mutable solver_time : float;  (** seconds spent in blasting + SAT *)
   mutable components : int;
-      (** independent components over all canonically solved queries *)
+      (** independent components over all non-trivial queries *)
   mutable component_solves : int;
       (** components that reached a fresh blast + SAT — the raw solver
           invocations the chain exists to avoid *)
-  mutable hits_exact : int;     (** exact-match (ordered) cache hits *)
-  mutable hits_canon : int;     (** per-component canonical cache hits *)
+  mutable hits_canon : int;
+      (** per-component hits of the id table or the canonical cache *)
   mutable hits_subset : int;    (** UNSAT-subset rule hits *)
-  mutable hits_superset : int;  (** model-screening hits ({!is_sat} only) *)
   mutable hits_store : int;     (** persistent cross-run store hits *)
 }
 
@@ -92,8 +93,8 @@ val set_span : ctx -> Overify_obs.Obs.Span.t option -> unit
     collecting, the trace sink).  [None] (the default) emits nothing. *)
 
 val clear_cache : ctx -> unit
-(** Drop {e every} acceleration layer this context owns — the exact-match
-    cache, the canonical component cache, the counterexample cache and the
+(** Drop {e every} acceleration layer this context owns — the id table,
+    the canonical component cache, the counterexample cache and the
     canonicalization memos.  Other contexts and the shared persistent
     store are unaffected. *)
 
@@ -106,11 +107,6 @@ val check : ctx -> Bv.t list -> result
 (** Satisfiability of the conjunction of width-1 terms, through the
     acceleration chain.  The result (verdict {e and} model) is a pure
     function of the assertion set. *)
-
-val is_sat : ctx -> Bv.t list -> bool
-(** Verdict-only satisfiability.  May additionally answer SAT by screening
-    stored models (the SAT-superset rule), which {!check} must not use —
-    the verdict is identical either way. *)
 
 val model_value : (int * int64) list -> int -> int64
 (** Look up a variable in a model; unconstrained variables read as 0. *)

@@ -141,10 +141,8 @@ type worker_stat = {
   w_solver_time : float;
   w_components : int;
   w_component_solves : int;
-  w_hits_exact : int;
   w_hits_canon : int;
   w_hits_subset : int;
-  w_hits_superset : int;
   w_hits_store : int;
 }
 
@@ -158,10 +156,8 @@ type result = {
   solver_time : float;
   components : int;             (** independent subproblems seen *)
   component_solves : int;       (** raw blast+SAT solver invocations *)
-  hits_exact : int;             (** per-layer solver cache hits... *)
-  hits_canon : int;
+  hits_canon : int;             (** per-layer solver cache hits... *)
   hits_subset : int;
-  hits_superset : int;
   hits_store : int;             (** ...all sums over workers *)
   summary_instantiated : int;   (** call sites answered by a summary *)
   summary_opaque : int;         (** call sites whose summary was opaque *)
@@ -661,14 +657,17 @@ let run ?(config = default_config) (m : Ir.modul) : result =
         j
     | `Dfs | `Bfs -> 1
   in
+  (* the fingerprint prints the whole module (about a millisecond); only
+     a run that resumes or writes checkpoints needs it *)
   let ck_digest =
-    Checkpoint.fingerprint m ~input_size:config.input_size
-      ~check_bounds:config.check_bounds
+    lazy
+      (Checkpoint.fingerprint m ~input_size:config.input_size
+         ~check_bounds:config.check_bounds)
   in
   let snapshot =
     if config.resume then
       Option.bind config.checkpoint_dir (fun dir ->
-          Checkpoint.load ~dir ~digest:ck_digest)
+          Checkpoint.load ~dir ~digest:(Lazy.force ck_digest))
     else None
   in
   (* one persistent store for the whole run, shared by every worker (it
@@ -794,7 +793,7 @@ let run ?(config = default_config) (m : Ir.modul) : result =
         Some
           {
             ck_dir = dir;
-            ck_dig = ck_digest;
+            ck_dig = Lazy.force ck_digest;
             ck_every = max 1 config.checkpoint_every;
             ck_at = base_paths;
           }
@@ -889,10 +888,8 @@ let run ?(config = default_config) (m : Ir.modul) : result =
           w_solver_time = s.Solver.solver_time;
           w_components = s.Solver.components;
           w_component_solves = s.Solver.component_solves;
-          w_hits_exact = s.Solver.hits_exact;
           w_hits_canon = s.Solver.hits_canon;
           w_hits_subset = s.Solver.hits_subset;
-          w_hits_superset = s.Solver.hits_superset;
           w_hits_store = s.Solver.hits_store;
         })
       workers
@@ -928,12 +925,9 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     flush "solver.components" (sum (fun w -> (solver_stats w).Solver.components));
     flush "solver.component_solves"
       (sum (fun w -> (solver_stats w).Solver.component_solves));
-    flush "solver.hits.exact" (sum (fun w -> (solver_stats w).Solver.hits_exact));
     flush "solver.hits.canon" (sum (fun w -> (solver_stats w).Solver.hits_canon));
     flush "solver.hits.subset"
       (sum (fun w -> (solver_stats w).Solver.hits_subset));
-    flush "solver.hits.superset"
-      (sum (fun w -> (solver_stats w).Solver.hits_superset));
     flush "solver.hits.store" (sum (fun w -> (solver_stats w).Solver.hits_store));
     flush "summary.instantiated" (sum (fun w -> w.gctx.Executor.sum_hits));
     flush "summary.opaque" (sum (fun w -> w.gctx.Executor.sum_opaque));
@@ -1023,10 +1017,8 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     components = sum (fun w -> (solver_stats w).Solver.components);
     component_solves =
       sum (fun w -> (solver_stats w).Solver.component_solves);
-    hits_exact = sum (fun w -> (solver_stats w).Solver.hits_exact);
     hits_canon = sum (fun w -> (solver_stats w).Solver.hits_canon);
     hits_subset = sum (fun w -> (solver_stats w).Solver.hits_subset);
-    hits_superset = sum (fun w -> (solver_stats w).Solver.hits_superset);
     hits_store = sum (fun w -> (solver_stats w).Solver.hits_store);
     summary_instantiated = sum (fun w -> w.gctx.Executor.sum_hits);
     summary_opaque = sum (fun w -> w.gctx.Executor.sum_opaque);

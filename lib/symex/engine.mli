@@ -128,12 +128,10 @@ type worker_stat = {
   w_solver_time : float;
   w_components : int;
   w_component_solves : int;
-  w_hits_exact : int;       (** per-layer solver cache hits (see
+  w_hits_canon : int;       (** per-layer solver cache hits (see
                                 [Solver.stats]); the result's layer
                                 totals are their sums *)
-  w_hits_canon : int;
   w_hits_subset : int;
-  w_hits_superset : int;
   w_hits_store : int;
 }
 
@@ -149,10 +147,9 @@ type result = {
   components : int;      (** independent subproblems across all queries *)
   component_solves : int;
       (** raw blast+SAT invocations — what the acceleration chain saves *)
-  hits_exact : int;      (** solver cache hits per layer: exact-match, *)
-  hits_canon : int;      (** canonical component cache, *)
+  hits_canon : int;
+      (** solver cache hits per layer: id table or canonical cache, *)
   hits_subset : int;     (** UNSAT-subset rule, *)
-  hits_superset : int;   (** stored-model screening, *)
   hits_store : int;      (** and the persistent cross-run store *)
   summary_instantiated : int;
       (** call sites answered by instantiating a function summary *)

@@ -69,10 +69,8 @@ let volatile_keys =
     "\"cache_hits\": ";
     "\"components\": ";
     "\"component_solves\": ";
-    "\"hits_exact\": ";
     "\"hits_canon\": ";
     "\"hits_subset\": ";
-    "\"hits_superset\": ";
     "\"hits_store\": ";
   ]
 

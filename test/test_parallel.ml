@@ -189,12 +189,8 @@ let assert_worker_stats_sum name (r : Engine.result) =
       ( "component_solves",
         r.Engine.component_solves,
         fun w -> w.Engine.w_component_solves );
-      ("hits_exact", r.Engine.hits_exact, fun w -> w.Engine.w_hits_exact);
       ("hits_canon", r.Engine.hits_canon, fun w -> w.Engine.w_hits_canon);
       ("hits_subset", r.Engine.hits_subset, fun w -> w.Engine.w_hits_subset);
-      ( "hits_superset",
-        r.Engine.hits_superset,
-        fun w -> w.Engine.w_hits_superset );
       ("hits_store", r.Engine.hits_store, fun w -> w.Engine.w_hits_store);
     ];
   let t =

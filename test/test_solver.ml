@@ -438,6 +438,86 @@ let test_differential_oracle () =
   check bool "warm context reused earlier work" true
     (s.Solver.cache_hits > 0 || s.Solver.hits_canon > 0)
 
+(* ------------- acceleration chain: path-shaped differential -------------
+
+   Query sequences shaped like the executor's: each query conses a new
+   branch condition onto an earlier SAT query, both polarities of the
+   condition are asked (siblings share their whole prefix), and some
+   queries repeat or reorder assertions.  Every query is answered by one
+   warm context, where the components of earlier queries come back from
+   the id table, by a fresh context, and with reuse off; the three
+   answers, models included, must be equal. *)
+
+let gen_branch rng =
+  (* like an input-parsing program's branches: most conditions test one
+     input byte, a few relate two, so paths split into many components *)
+  let var () = Bv.var 8 (820 + Random.State.int rng 10) in
+  let const () = Bv.const 8 (Int64.of_int (Random.State.int rng 256)) in
+  let binops = [| Bv.Add; Bv.Sub; Bv.And; Bv.Xor |] in
+  let cmpops = [| Bv.Eq; Bv.Ne; Bv.Ult; Bv.Ule; Bv.Slt; Bv.Ugt |] in
+  let lhs =
+    if Random.State.bool rng then var ()
+    else
+      Bv.binop binops.(Random.State.int rng (Array.length binops)) (var ())
+        (const ())
+  in
+  let rhs = if Random.State.int rng 6 = 0 then var () else const () in
+  Bv.cmp cmpops.(Random.State.int rng (Array.length cmpops)) lhs rhs
+
+let test_path_shaped_differential () =
+  let rng = Random.State.make [| 0x5a7e |] in
+  let warm = Solver.create ~cache:true () in
+  (* SAT path conditions to extend, a bounded ring of the newest *)
+  let pool = Array.make 128 [] and pooled = ref 1 in
+  let shuffle q =
+    List.map snd
+      (List.sort
+         (fun (a, _) (b, _) -> Int.compare a b)
+         (List.map (fun t -> (Random.State.bits rng, t)) q))
+  in
+  let queries = ref 0 in
+  let ask path =
+    let q =
+      match Random.State.int rng 6 with
+      | 0 -> List.nth path (Random.State.int rng (List.length path)) :: path
+      | 1 -> List.rev path
+      | 2 -> shuffle path
+      | _ -> path
+    in
+    incr queries;
+    let rw = Solver.check warm q in
+    let rf = Solver.check (Solver.create ~cache:true ()) q in
+    let ro = Solver.check (Solver.create ~cache:false ()) q in
+    if rw <> rf || rw <> ro then
+      Alcotest.failf "query %d: warm, fresh and reuse-off answers differ on %s"
+        !queries
+        (String.concat " && " (List.map Bv.to_string q));
+    match rw with
+    | Solver.Sat m ->
+        if not (model_satisfies m q) then
+          Alcotest.failf "query %d: the model does not satisfy the query"
+            !queries;
+        pool.(!pooled mod 128) <- path;
+        incr pooled
+    | Solver.Unsat -> ()
+  in
+  for _ = 1 to 600 do
+    let parent = pool.(Random.State.int rng (min !pooled 128)) in
+    let parent = if List.length parent >= 12 then [] else parent in
+    let c = gen_branch rng in
+    let siblings = [ c :: parent; Bv.not_ c :: parent ] in
+    List.iter ask siblings;
+    (* now and then a sibling again, as a later path reaching the same
+       branch would: every component, SAT or UNSAT, is a repeat *)
+    if Random.State.int rng 4 = 0 then
+      ask (List.nth siblings (Random.State.int rng 2))
+  done;
+  let s = Solver.stats warm in
+  check bool "repeated components answered without a solve" true
+    (s.Solver.hits_canon > s.Solver.component_solves);
+  check bool "some queries answered entirely by reuse" true
+    (s.Solver.cache_hits > 0)
+
 (* ------------- independence partitioning: properties ------------- *)
 
 let sorted_uniq_vars cctx terms =
@@ -506,7 +586,7 @@ let test_partition_vs_conjunction () =
     end
   done
 
-(* ------------- cache semantics: subset/superset rules ------------- *)
+(* ------------- cache semantics: UNSAT-subset rule ------------- *)
 
 (* a recorded UNSAT core proves any superset UNSAT without blasting *)
 let test_unsat_subset_rule () =
@@ -528,24 +608,7 @@ let test_unsat_subset_rule () =
     (Solver.stats ctx).Solver.component_solves;
   check int "counted as a cache hit" 1 (Solver.stats ctx).Solver.cache_hits
 
-(* a stored model screens weaker SAT queries in the verdict-only is_sat:
-   every unsigned value > 100 is also > 50, so the model recorded for the
-   first query must satisfy the second *)
-let test_sat_superset_screening () =
-  let ctx = Solver.create ~cache:true () in
-  let x = Bv.var 8 701 in
-  (match Solver.check ctx [ Bv.cmp Bv.Ugt x (Bv.const 8 100L) ] with
-  | Solver.Sat _ -> ()
-  | Solver.Unsat -> Alcotest.fail "x>100 is sat");
-  let solves = (Solver.stats ctx).Solver.component_solves in
-  check bool "weaker query screened to SAT" true
-    (Solver.is_sat ctx [ Bv.cmp Bv.Ugt x (Bv.const 8 50L) ]);
-  check int "answered by stored-model screening" 1
-    (Solver.stats ctx).Solver.hits_superset;
-  check int "no new blast+SAT" solves
-    (Solver.stats ctx).Solver.component_solves
-
-(* clear_cache must drop EVERY layer: exact, canonical, counterexample *)
+(* clear_cache must drop EVERY layer: id table, canonical, counterexample *)
 let test_clear_cache_all_layers () =
   let ctx = Solver.create ~cache:true () in
   let x = Bv.var 8 702 in
@@ -561,7 +624,6 @@ let test_clear_cache_all_layers () =
   | Solver.Sat _ -> Alcotest.fail "unsat superset");
   let s = Solver.stats ctx in
   check int "no hits from any layer after clear" 0 s.Solver.cache_hits;
-  check int "no exact hits" 0 s.Solver.hits_exact;
   check int "no canonical hits" 0 s.Solver.hits_canon;
   check int "no subset hits" 0 s.Solver.hits_subset;
   check bool "everything re-solved" true (s.Solver.component_solves >= 2)
@@ -684,12 +746,12 @@ let () =
         [
           Alcotest.test_case "differential oracle (2,000 queries)" `Quick
             test_differential_oracle;
+          Alcotest.test_case "path-shaped differential" `Quick
+            test_path_shaped_differential;
           QCheck_alcotest.to_alcotest prop_partition_is_partition;
           Alcotest.test_case "partition vs conjunction (with shrinker)"
             `Quick test_partition_vs_conjunction;
           Alcotest.test_case "UNSAT-subset rule" `Quick test_unsat_subset_rule;
-          Alcotest.test_case "SAT stored-model screening" `Quick
-            test_sat_superset_screening;
           Alcotest.test_case "clear_cache drops every layer" `Quick
             test_clear_cache_all_layers;
         ] );
