@@ -183,8 +183,9 @@ let run_profile args =
     match pr.H.Profile.funcs with
     | f :: _ ->
         Printf.sprintf "%s (%d queries, %s insts)" f.H.Profile.fr_fn
-          f.H.Profile.fr_queries
-          (H.Report.fmt_int f.H.Profile.fr_insts)
+          f.H.Profile.fr_cost.Overify_obs.Obs.Counters.queries
+          (H.Report.fmt_int
+             f.H.Profile.fr_cost.Overify_obs.Obs.Counters.instructions)
     | [] -> "-"
   in
   let rows =
@@ -287,10 +288,7 @@ let run_solve args =
                 p.Overify_corpus.Programs.name
                 level.Overify_opt.Costmodel.name
             end;
-            let hits =
-              on.E.cache_hits + on.E.hits_canon + on.E.hits_subset
-              + on.E.hits_store
-            in
+            let hits = on.E.cache_hits + on.E.hits_canon + on.E.hits_store in
             (* in single-program mode (the CI smoke) zero hits is a hard
                failure; over the full corpus it is reported but legal —
                a program whose every query is a distinct single-component
@@ -312,7 +310,7 @@ let run_solve args =
   in
   let rows =
     [ "program"; "level"; "queries"; "components"; "solves off"; "solves on";
-      "saved"; "canon"; "subset"; "agree" ]
+      "saved"; "canon"; "agree" ]
     :: List.map
          (fun (name, lvl, (off : E.result), (on : E.result), agree) ->
            [
@@ -323,7 +321,6 @@ let run_solve args =
              string_of_int on.E.component_solves;
              string_of_int (off.E.component_solves - on.E.component_solves);
              string_of_int on.E.hits_canon;
-             string_of_int on.E.hits_subset;
              string_of_bool agree;
            ])
          measurements
@@ -338,7 +335,7 @@ let run_solve args =
   let saved = total (fun (off : E.result) (on : E.result) ->
       off.E.component_solves - on.E.component_solves)
   and hits = total (fun _ (on : E.result) ->
-      on.E.cache_hits + on.E.hits_canon + on.E.hits_subset + on.E.hits_store)
+      on.E.cache_hits + on.E.hits_canon + on.E.hits_store)
   in
   Printf.printf "total: %d raw solves saved, %d layer hits\n" saved hits;
   if hits = 0 then begin
@@ -386,12 +383,10 @@ let run_solve args =
     Printf.sprintf
       "  {\"program\": %S, \"level\": %S, \"queries\": %d, \"components\": \
        %d, \"component_solves_off\": %d, \"component_solves_on\": %d, \
-       \"cache_hits\": %d, \"hits_canon\": %d, \"hits_subset\": %d, \
-       \"hits_store\": %d, \"solver_ms_off\": %.3f, \"solver_ms_on\": %.3f, \
-       \"agree\": %b}"
+       \"cache_hits\": %d, \"hits_canon\": %d, \"hits_store\": %d, \
+       \"solver_ms_off\": %.3f, \"solver_ms_on\": %.3f, \"agree\": %b}"
       name lvl on.E.queries on.E.components off.E.component_solves
-      on.E.component_solves on.E.cache_hits on.E.hits_canon on.E.hits_subset
-      on.E.hits_store
+      on.E.component_solves on.E.cache_hits on.E.hits_canon on.E.hits_store
       (off.E.solver_time *. 1000.) (on.E.solver_time *. 1000.) agree
   in
   let store_json =

@@ -192,12 +192,13 @@ let faults_arg =
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
           "Inject deterministic faults (chaos testing): comma-separated \
-           site\\@N entries — timeout\\@N (N-th solver query times out), \
-           corrupt\\@N / partial\\@N (N-th solver-store save is corrupted \
-           / truncated), alloc\\@N (N-th allocation exhausts its budget), \
-           crash\\@N (N-th executor step raises a contained worker crash), \
-           kill\\@N (simulated SIGKILL — only a checkpoint survives) — or \
-           seed:S[:K] for K pseudo-random entries.  Defaults to \
+           site@N entries — timeout@N (N-th solver query times out), \
+           stall@N (N-th solver query blocks until its request is \
+           cancelled), corrupt@N / partial@N (N-th solver-store save is \
+           corrupted / truncated), alloc@N (N-th allocation exhausts its \
+           budget), crash@N (N-th executor step raises a contained worker \
+           crash), kill@N (simulated SIGKILL — only a checkpoint survives) \
+           — or seed:S[:K] for K pseudo-random entries.  Defaults to \
            $(b,OVERIFY_FAULTS) when set.")
 
 let summaries_arg =
@@ -330,10 +331,9 @@ let verify_cmd =
       r.O.Engine.blocks_covered r.O.Engine.blocks_total r.O.Engine.jobs
       r.O.Engine.complete
       (if r.O.Engine.resumed then " resumed=true" else "");
-    Printf.printf
-      "solver: components=%d solves=%d hits: canon=%d subset=%d store=%d\n"
+    Printf.printf "solver: components=%d solves=%d hits: canon=%d store=%d\n"
       r.O.Engine.components r.O.Engine.component_solves r.O.Engine.hits_canon
-      r.O.Engine.hits_subset r.O.Engine.hits_store;
+      r.O.Engine.hits_store;
     if
       r.O.Engine.summary_instantiated + r.O.Engine.summary_opaque
       + r.O.Engine.summary_computed + r.O.Engine.summary_cached > 0
@@ -776,8 +776,7 @@ let client_cmd =
       value & opt string "verify"
       & info [ "kind"; "k" ] ~docv:"KIND"
           ~doc:
-            "Request kind: verify, compile, tv, stats, metrics or \
-             shutdown.")
+            "Request kind: verify, compile, tv, metrics or shutdown.")
   in
   let program_arg =
     Arg.(
@@ -820,18 +819,15 @@ let client_cmd =
       value & flag
       & info [ "shutdown" ] ~doc:"Ask the daemon to shut down cleanly.")
   in
-  let stats =
-    Arg.(
-      value & flag & info [ "stats" ] ~doc:"Fetch the daemon's counters.")
-  in
   let metrics =
     Arg.(
       value & flag
       & info [ "metrics" ]
           ~doc:
             "Fetch the daemon's full telemetry registry (per-kind latency \
-             histograms, queue depth, dedup/store/summary hit counters, \
-             uptime, degradation counts) — supersedes $(b,--stats).")
+             histograms, queue depth, in-flight and recent-cache sizes, \
+             dedup/store/summary hit counters, uptime, degradation \
+             counts).")
   in
   let prometheus =
     Arg.(
@@ -901,7 +897,7 @@ let client_cmd =
              $(docv)ms × 2^k, jittered ×[0.5,1.5), capped at 10s.")
   in
   let run socket level kind program file size timeout jobs summaries
-      deterministic faults shutdown stats metrics prometheus watch interval
+      deterministic faults shutdown metrics prometheus watch interval
       count garbage result_only retries backoff =
     if socket = "" then begin
       Printf.eprintf "client: --socket is required\n";
@@ -969,7 +965,6 @@ let client_cmd =
       else begin
         let kind =
           if shutdown then O.Serve_protocol.Shutdown
-          else if stats then O.Serve_protocol.Stats
           else if metrics || prometheus then O.Serve_protocol.Metrics
           else
             match O.Serve_protocol.kind_of_name kind with
@@ -1049,7 +1044,7 @@ let client_cmd =
     Term.(
       const run $ socket_arg $ level $ kind_arg $ program_arg $ file_arg
       $ size $ timeout $ jobs $ summaries_arg $ deterministic $ faults_arg
-      $ shutdown $ stats $ metrics $ prometheus $ watch $ interval $ count
+      $ shutdown $ metrics $ prometheus $ watch $ interval $ count
       $ garbage $ result_only $ retries $ backoff)
 
 (* ---- postmortem subcommand ---- *)

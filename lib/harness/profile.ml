@@ -21,18 +21,12 @@ module Costmodel = Overify_opt.Costmodel
 module Pipeline = Overify_opt.Pipeline
 module Engine = Overify_symex.Engine
 module Obs = Overify_obs.Obs
+module Counters = Obs.Counters
 
 type func_row = {
   fr_fn : string;
-  fr_insts : int;
-  fr_forks : int;
-  fr_queries : int;
-  fr_cache_hits : int;
-  fr_solver_time : float;
-  fr_paths : int;
-  fr_sum_hits : int;    (** call sites answered by a function summary *)
-  fr_sum_opaque : int;  (** call sites whose callee summary was [Opaque] *)
-  fr_blocks : (int * Obs.Profile.site_stats) list;  (** ascending block id *)
+  fr_cost : Counters.t;  (** the sum of the function's block sites *)
+  fr_blocks : (int * Counters.t) list;  (** ascending block id *)
 }
 
 type t = {
@@ -50,60 +44,28 @@ type t = {
 
 (* ---------------- building ---------------- *)
 
-let rank_funcs rows =
-  List.sort
-    (fun a b ->
-      match compare b.fr_queries a.fr_queries with
-      | 0 -> (
-          match compare b.fr_insts a.fr_insts with
-          | 0 -> compare a.fr_fn b.fr_fn
-          | c -> c)
-      | c -> c)
-    rows
+(* queries, then instructions, both descending — deterministic keys *)
+let by_cost (a : Counters.t) (b : Counters.t) =
+  compare (b.Counters.queries, b.Counters.instructions)
+    (a.Counters.queries, a.Counters.instructions)
 
 let func_rows (p : Obs.Profile.t) : func_row list =
   let tbl = Hashtbl.create 16 in
-  let order = ref [] in
   List.iter
-    (fun ((fn, block), (s : Obs.Profile.site_stats)) ->
-      let row =
-        match Hashtbl.find_opt tbl fn with
-        | Some r -> r
-        | None ->
-            order := fn :: !order;
-            {
-              fr_fn = fn;
-              fr_insts = 0;
-              fr_forks = 0;
-              fr_queries = 0;
-              fr_cache_hits = 0;
-              fr_solver_time = 0.0;
-              fr_paths = 0;
-              fr_sum_hits = 0;
-              fr_sum_opaque = 0;
-              fr_blocks = [];
-            }
-      in
-      Hashtbl.replace tbl fn
-        {
-          row with
-          fr_insts = row.fr_insts + s.Obs.Profile.s_insts;
-          fr_forks = row.fr_forks + s.Obs.Profile.s_forks;
-          fr_queries = row.fr_queries + s.Obs.Profile.s_queries;
-          fr_cache_hits = row.fr_cache_hits + s.Obs.Profile.s_cache_hits;
-          fr_solver_time = row.fr_solver_time +. s.Obs.Profile.s_solver_time;
-          fr_paths = row.fr_paths + s.Obs.Profile.s_paths;
-          fr_sum_hits = row.fr_sum_hits + s.Obs.Profile.s_sum_hits;
-          fr_sum_opaque = row.fr_sum_opaque + s.Obs.Profile.s_sum_opaque;
-          fr_blocks = (block, s) :: row.fr_blocks;
-        })
+    (fun ((fn, block), s) ->
+      let blocks = Option.value ~default:[] (Hashtbl.find_opt tbl fn) in
+      Hashtbl.replace tbl fn ((block, s) :: blocks))
     (Obs.Profile.sites p);
-  rank_funcs
-    (List.rev_map
-       (fun fn ->
-         let r = Hashtbl.find tbl fn in
-         { r with fr_blocks = List.sort compare r.fr_blocks })
-       !order)
+  Hashtbl.fold
+    (fun fn blocks acc ->
+      let fr_blocks = List.sort (fun (a, _) (b, _) -> compare a b) blocks in
+      { fr_fn = fn; fr_cost = Counters.sum (List.map snd fr_blocks); fr_blocks }
+      :: acc)
+    tbl []
+  |> List.sort (fun a b ->
+         match by_cost a.fr_cost b.fr_cost with
+         | 0 -> compare a.fr_fn b.fr_fn
+         | c -> c)
 
 (** Build the report for an already-profiled run.  [result.profile] must be
     present (run the engine with [config.profile = true]). *)
@@ -173,19 +135,10 @@ let site_label fn block = Printf.sprintf "%s:L%d" fn block
     instructions — deterministic). *)
 let hot_blocks ?(top = 8) t =
   List.concat_map
-    (fun r ->
-      List.map
-        (fun (b, (s : Obs.Profile.site_stats)) -> (r.fr_fn, b, s))
-        r.fr_blocks)
+    (fun r -> List.map (fun (b, s) -> (r.fr_fn, b, s)) r.fr_blocks)
     t.funcs
-  |> List.sort (fun (fa, ba, (a : Obs.Profile.site_stats))
-                    (fb, bb, (b : Obs.Profile.site_stats)) ->
-         match compare b.Obs.Profile.s_queries a.Obs.Profile.s_queries with
-         | 0 -> (
-             match compare b.Obs.Profile.s_insts a.Obs.Profile.s_insts with
-             | 0 -> compare (fa, ba) (fb, bb)
-             | c -> c)
-         | c -> c)
+  |> List.sort (fun (fa, ba, a) (fb, bb, b) ->
+         match by_cost a b with 0 -> compare (fa, ba) (fb, bb) | c -> c)
   |> List.filteri (fun i _ -> i < top)
 
 let print ?(top = 8) ?(out = stdout) t =
@@ -203,9 +156,9 @@ let print ?(top = 8) ?(out = stdout) t =
     (Report.ms r.Engine.time) (Report.ms t.t_compile) r.Engine.complete
     r.Engine.jobs;
   Printf.fprintf out
-    "solver: components=%d solves=%d hits: canon=%d subset=%d store=%d\n\n"
+    "solver: components=%d solves=%d hits: canon=%d store=%d\n\n"
     r.Engine.components r.Engine.component_solves r.Engine.hits_canon
-    r.Engine.hits_subset r.Engine.hits_store;
+    r.Engine.hits_store;
   if
     r.Engine.summary_instantiated + r.Engine.summary_opaque
     + r.Engine.summary_computed + r.Engine.summary_cached
@@ -222,7 +175,12 @@ let print ?(top = 8) ?(out = stdout) t =
         (if d.Engine.d_where = "" then "" else " (" ^ d.Engine.d_where ^ ")"))
     r.Engine.degradations;
   let with_summaries =
-    List.exists (fun f -> f.fr_sum_hits + f.fr_sum_opaque > 0) t.funcs
+    List.exists
+      (fun f ->
+        f.fr_cost.Counters.summary_instantiated
+        + f.fr_cost.Counters.summary_opaque
+        > 0)
+      t.funcs
   in
   let rows =
     ([
@@ -232,21 +190,23 @@ let print ?(top = 8) ?(out = stdout) t =
     @ (if with_summaries then [ "sum hits"; "sum opq" ] else []))
     :: List.map
          (fun f ->
+           let c = f.fr_cost in
            [
              f.fr_fn;
-             Report.fmt_int f.fr_insts;
-             string_of_int f.fr_forks;
-             string_of_int f.fr_queries;
-             string_of_int f.fr_cache_hits;
-             Report.ms f.fr_solver_time;
+             Report.fmt_int c.Counters.instructions;
+             string_of_int c.Counters.forks;
+             string_of_int c.Counters.queries;
+             string_of_int c.Counters.cache_hits;
+             Report.ms c.Counters.solver_time;
              Printf.sprintf "%.1f"
-               (pct f.fr_solver_time r.Engine.solver_time);
-             string_of_int f.fr_paths;
+               (pct c.Counters.solver_time r.Engine.solver_time);
+             string_of_int c.Counters.paths;
              string_of_int (List.length f.fr_blocks);
            ]
            @
            if with_summaries then
-             [ string_of_int f.fr_sum_hits; string_of_int f.fr_sum_opaque ]
+             [ string_of_int c.Counters.summary_instantiated;
+               string_of_int c.Counters.summary_opaque ]
            else [])
          t.funcs
   in
@@ -258,13 +218,13 @@ let print ?(top = 8) ?(out = stdout) t =
       Report.table ~out
         ([ "site"; "insts"; "forks"; "queries"; "solver (ms)" ]
         :: List.map
-             (fun (fn, b, (s : Obs.Profile.site_stats)) ->
+             (fun (fn, b, (s : Counters.t)) ->
                [
                  site_label fn b;
-                 Report.fmt_int s.Obs.Profile.s_insts;
-                 string_of_int s.Obs.Profile.s_forks;
-                 string_of_int s.Obs.Profile.s_queries;
-                 Report.ms s.Obs.Profile.s_solver_time;
+                 Report.fmt_int s.Counters.instructions;
+                 string_of_int s.Counters.forks;
+                 string_of_int s.Counters.queries;
+                 Report.ms s.Counters.solver_time;
                ])
              hot));
   (match t.pass_rollup with
@@ -356,10 +316,13 @@ let print_diff ?(out = stdout) (a : t) (b : t) =
       (List.map (fun r -> r.fr_fn) a.funcs
       @ List.map (fun r -> r.fr_fn) b.funcs)
   in
+  let cost rows fn =
+    match find rows fn with Some r -> r.fr_cost | None -> Counters.create ()
+  in
   let key fn =
-    let q r = match find r fn with Some x -> x.fr_queries | None -> 0 in
-    let i r = match find r fn with Some x -> x.fr_insts | None -> 0 in
-    (max (q a.funcs) (q b.funcs), max (i a.funcs) (i b.funcs))
+    let ca = cost a.funcs fn and cb = cost b.funcs fn in
+    ( max ca.Counters.queries cb.Counters.queries,
+      max ca.Counters.instructions cb.Counters.instructions )
   in
   let names =
     List.sort
@@ -367,7 +330,6 @@ let print_diff ?(out = stdout) (a : t) (b : t) =
         match compare (key y) (key x) with 0 -> compare x y | c -> c)
       names
   in
-  let cell rows fn f = match find rows fn with Some r -> f r | None -> 0 in
   Report.table ~out
     ([
        "function";
@@ -378,21 +340,17 @@ let print_diff ?(out = stdout) (a : t) (b : t) =
      ]
     :: List.map
          (fun fn ->
-           let sa =
-             match find a.funcs fn with Some r -> r.fr_solver_time | None -> 0.0
-           in
-           let sb =
-             match find b.funcs fn with Some r -> r.fr_solver_time | None -> 0.0
-           in
+           let ca = cost a.funcs fn and cb = cost b.funcs fn in
            [
              fn;
-             Report.fmt_int (cell a.funcs fn (fun r -> r.fr_insts));
-             Report.fmt_int (cell b.funcs fn (fun r -> r.fr_insts));
-             string_of_int (cell a.funcs fn (fun r -> r.fr_forks));
-             string_of_int (cell b.funcs fn (fun r -> r.fr_forks));
-             string_of_int (cell a.funcs fn (fun r -> r.fr_queries));
-             string_of_int (cell b.funcs fn (fun r -> r.fr_queries));
-             Printf.sprintf "%+.1f" ((sb -. sa) *. 1000.);
+             Report.fmt_int ca.Counters.instructions;
+             Report.fmt_int cb.Counters.instructions;
+             string_of_int ca.Counters.forks;
+             string_of_int cb.Counters.forks;
+             string_of_int ca.Counters.queries;
+             string_of_int cb.Counters.queries;
+             Printf.sprintf "%+.1f"
+               ((cb.Counters.solver_time -. ca.Counters.solver_time) *. 1000.);
            ])
          names)
 
@@ -420,19 +378,19 @@ let json_escape s =
 let to_json ?(times = true) (t : t) : string =
   let r = t.result in
   let ms x = if times then Printf.sprintf "%.3f" (x *. 1000.) else "0.000" in
-  let block_json (blk, (s : Obs.Profile.site_stats)) =
+  let cost_json (c : Counters.t) =
     Printf.sprintf
-      {|{"block": %d, "instructions": %d, "forks": %d, "queries": %d, "cache_hits": %d, "solver_time_ms": %s, "paths": %d, "summary_hits": %d, "summary_opaque": %d}|}
-      blk s.Obs.Profile.s_insts s.Obs.Profile.s_forks s.Obs.Profile.s_queries
-      s.Obs.Profile.s_cache_hits
-      (ms s.Obs.Profile.s_solver_time)
-      s.Obs.Profile.s_paths s.Obs.Profile.s_sum_hits s.Obs.Profile.s_sum_opaque
+      {|"instructions": %d, "forks": %d, "queries": %d, "cache_hits": %d, "solver_time_ms": %s, "paths": %d, "summary_hits": %d, "summary_opaque": %d|}
+      c.Counters.instructions c.Counters.forks c.Counters.queries
+      c.Counters.cache_hits (ms c.Counters.solver_time) c.Counters.paths
+      c.Counters.summary_instantiated c.Counters.summary_opaque
+  in
+  let block_json (blk, c) =
+    Printf.sprintf {|{"block": %d, %s}|} blk (cost_json c)
   in
   let func_json f =
-    Printf.sprintf
-      {|    {"fn": "%s", "instructions": %d, "forks": %d, "queries": %d, "cache_hits": %d, "solver_time_ms": %s, "paths": %d, "summary_hits": %d, "summary_opaque": %d, "blocks": [%s]}|}
-      (json_escape f.fr_fn) f.fr_insts f.fr_forks f.fr_queries f.fr_cache_hits
-      (ms f.fr_solver_time) f.fr_paths f.fr_sum_hits f.fr_sum_opaque
+    Printf.sprintf {|    {"fn": "%s", %s, "blocks": [%s]}|}
+      (json_escape f.fr_fn) (cost_json f.fr_cost)
       (String.concat ", " (List.map block_json f.fr_blocks))
   in
   let pass_json (p : Obs.Pass.rollup) =
@@ -468,7 +426,7 @@ let to_json ?(times = true) (t : t) : string =
   "program": "%s",
   "level": "%s",
   "input_size": %d,
-  "totals": {"paths": %d, "instructions": %d, "forks": %d, "queries": %d, "cache_hits": %d, "components": %d, "component_solves": %d, "hits_canon": %d, "hits_subset": %d, "hits_store": %d, "summary_instantiated": %d, "summary_opaque": %d, "summary_computed": %d, "summary_cached": %d, "solver_time_ms": %s, "time_ms": %s, "compile_ms": %s, "complete": %b, "jobs": %d},
+  "totals": {"paths": %d, "instructions": %d, "forks": %d, "queries": %d, "cache_hits": %d, "components": %d, "component_solves": %d, "hits_canon": %d, "hits_store": %d, "summary_instantiated": %d, "summary_opaque": %d, "summary_computed": %d, "summary_cached": %d, "solver_time_ms": %s, "time_ms": %s, "compile_ms": %s, "complete": %b, "jobs": %d},
   "degradations": [%s],
   "functions": [
 %s
@@ -480,7 +438,7 @@ let to_json ?(times = true) (t : t) : string =
     (json_escape t.program) (json_escape t.level) t.input_size r.Engine.paths
     r.Engine.instructions r.Engine.forks r.Engine.queries r.Engine.cache_hits
     r.Engine.components r.Engine.component_solves r.Engine.hits_canon
-    r.Engine.hits_subset r.Engine.hits_store r.Engine.summary_instantiated
+    r.Engine.hits_store r.Engine.summary_instantiated
     r.Engine.summary_opaque r.Engine.summary_computed r.Engine.summary_cached
     (ms r.Engine.solver_time) (ms r.Engine.time) (ms t.t_compile)
     r.Engine.complete r.Engine.jobs

@@ -116,7 +116,7 @@ type summary = {
   s_p95_ms : float;
   s_p99_ms : float;
   s_max_ms : float;
-  s_stats_json : string;       (** the daemon's own counters after the replay *)
+  s_metrics_json : string;     (** the daemon's metrics after the replay *)
   s_replies : reply list;      (** trace order *)
 }
 
@@ -127,7 +127,7 @@ let percentile sorted q =
 
 (** Replay [trace] over [clients] concurrent connections (entry [i] goes
     to connection [i mod clients]); returns replies in trace order plus
-    the daemon's post-replay stats. *)
+    the daemon's post-replay metrics. *)
 let replay ~socket ?(clients = 4) (trace : entry list) : summary =
   let entries = Array.of_list trace in
   let n = Array.length entries in
@@ -185,14 +185,17 @@ let replay ~socket ?(clients = 4) (trace : entry list) : summary =
   in
   List.iter Thread.join threads;
   let wall = Unix.gettimeofday () -. t0 in
-  let stats_json =
+  let metrics_json =
     match Client.connect socket with
     | exception _ -> "{}"
     | conn ->
         let r =
           match
             Client.rpc conn
-              { Protocol.default_request with Protocol.rq_kind = Protocol.Stats }
+              {
+                Protocol.default_request with
+                Protocol.rq_kind = Protocol.Metrics;
+              }
           with
           | Ok json -> (
               match Protocol.extract_field json "result" with
@@ -230,13 +233,13 @@ let replay ~socket ?(clients = 4) (trace : entry list) : summary =
     s_p95_ms = percentile lat 0.95;
     s_p99_ms = percentile lat 0.99;
     s_max_ms = (if Array.length lat = 0 then 0.0 else lat.(Array.length lat - 1));
-    s_stats_json = stats_json;
+    s_metrics_json = metrics_json;
     s_replies = replies;
   }
 
-(** Pull an integer counter out of the daemon-stats document. *)
+(** Pull an integer counter out of the daemon-metrics document. *)
 let stat summary name =
-  match Json.parse summary.s_stats_json with
+  match Json.parse summary.s_metrics_json with
   | Ok j -> (
       match Option.bind (Json.mem j name) Json.int_ with
       | Some v -> v
@@ -251,7 +254,7 @@ let summary_to_json ?(label = "serve") s =
      \"max\": %.2f}, \"daemon\": %s}"
     (Json.escape label) s.s_requests s.s_ok s.s_errors s.s_transport_failures
     s.s_wall_s s.s_throughput_rps s.s_p50_ms s.s_p95_ms s.s_p99_ms s.s_max_ms
-    (if s.s_stats_json = "" then "{}" else s.s_stats_json)
+    (if s.s_metrics_json = "" then "{}" else s.s_metrics_json)
 
 (** Start an in-process daemon, replay a synthetic trace, stop it.
     Returns the summary and whether the run was healthy: zero transport
@@ -291,7 +294,7 @@ type overload = {
   o_watchdog_reason : bool;    (** the wedged job's answer names the watchdog *)
   o_slowloris_answered : bool; (** mid-frame staller got [bad_frame:timeout] *)
   o_idle_reaped : bool;        (** quiet connection closed with no bytes *)
-  o_stats_json : string;       (** daemon counters after the schedule *)
+  o_metrics_json : string;       (** daemon counters after the schedule *)
 }
 
 let envelope_error json =
@@ -329,10 +332,10 @@ let rpc_once ~socket rq =
       Client.close conn;
       (match r with Ok json -> Ok json | Error _ -> Error ())
 
-let fetch_stats ~socket =
+let fetch_metrics ~socket =
   match
     rpc_once ~socket
-      { Protocol.default_request with Protocol.rq_kind = Protocol.Stats }
+      { Protocol.default_request with Protocol.rq_kind = Protocol.Metrics }
   with
   | Ok json ->
       Option.value ~default:"{}" (Protocol.extract_field json "result")
@@ -343,11 +346,11 @@ let statj json name =
   | Ok j -> Option.value ~default:0 (Option.bind (Json.mem j name) Json.int_)
   | Error _ -> 0
 
-(** Poll the daemon's stats until [p] holds (or ~5 s passed). *)
+(** Poll the daemon's metrics until [p] holds (or ~5 s passed). *)
 let wait_for ~socket p =
   let rec go tries =
     if tries = 0 then false
-    else if p (fetch_stats ~socket) then true
+    else if p (fetch_metrics ~socket) then true
     else begin
       Thread.delay 0.01;
       go (tries - 1)
@@ -479,7 +482,7 @@ let run_overload ?(probes = 8) ?(accepted = 12) ?(occupier_timeout = 2.0)
         let r = rpc_once ~socket (compile_rq ~id:(100 + i) ~epsilon:(100 + i)) in
         classify ~lat:((Unix.gettimeofday () -. t0) *. 1000.0) r
       done;
-      let stats = fetch_stats ~socket in
+      let metrics = fetch_metrics ~socket in
       (* 6. slowloris + idle, against a short-fuse daemon *)
       let d2 = Serve.start ~idle_timeout:0.25 ~frame_timeout:0.25 () in
       let s2 = Serve.socket_path d2 in
@@ -514,7 +517,7 @@ let run_overload ?(probes = 8) ?(accepted = 12) ?(occupier_timeout = 2.0)
             Client.close conn;
             r
       in
-      let stats2 = fetch_stats ~socket:s2 in
+      let metrics2 = fetch_metrics ~socket:s2 in
       Serve.stop d2;
       let requests = probes + accepted + 2 in
       let lat = Array.of_list !lats in
@@ -532,7 +535,7 @@ let run_overload ?(probes = 8) ?(accepted = 12) ?(occupier_timeout = 2.0)
           o_watchdog_reason = watchdog_reason;
           o_slowloris_answered = slowloris_answered;
           o_idle_reaped = idle_reaped;
-          o_stats_json = stats;
+          o_metrics_json = metrics;
         }
       in
       let healthy =
@@ -542,13 +545,13 @@ let run_overload ?(probes = 8) ?(accepted = 12) ?(occupier_timeout = 2.0)
            = o.o_requests
         && o.o_ok = accepted + 1 (* the filler ran after recovery *)
         && o.o_deadline = 1 (* the wedged occupier *)
-        && o.o_overloaded = statj stats "requests_shed"
+        && o.o_overloaded = statj metrics "requests_shed"
         && o.o_hint_ms_min >= 25
-        && statj stats "watchdog_fired" = 1
-        && statj stats "cancelled" >= 1
-        && statj stats "deadline_exceeded" >= 1
+        && statj metrics "watchdog_fired" = 1
+        && statj metrics "cancelled" >= 1
+        && statj metrics "deadline_exceeded" >= 1
         && watchdog_reason && slowloris_answered && idle_reaped
-        && statj stats2 "idle_reaped" >= 1
+        && statj metrics2 "idle_reaped" >= 1
       in
       (o, healthy))
 
@@ -572,4 +575,4 @@ let overload_to_json ?(label = "overload") (o : overload) =
     (float_of_int o.o_overloaded /. float_of_int (max 1 o.o_requests))
     o.o_hint_ms_min (pct 0.50) (pct 0.95) (pct 0.99) o.o_watchdog_reason
     o.o_slowloris_answered o.o_idle_reaped
-    (if o.o_stats_json = "" then "{}" else o.o_stats_json)
+    (if o.o_metrics_json = "" then "{}" else o.o_metrics_json)

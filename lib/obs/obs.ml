@@ -1,7 +1,7 @@
 (** Observability for the verification toolchain: a metric registry
-    (counters / timers / histograms with labels), the symbolic-execution
-    attribution profile (per function and basic block), the per-pass compile
-    profile, and Chrome [trace_event] export.
+    (counters / timers with labels), the run cost counters, the
+    symbolic-execution attribution profile (per function and basic block),
+    the per-pass compile profile, and Chrome [trace_event] export.
 
     Design constraints (DESIGN.md, "Observability"):
 
@@ -9,14 +9,13 @@
       is guarded by a per-consumer [option] (the executor's [prof] field,
       the solver's [hist] field) or by the single global {!enabled} /
       {!Trace.enabled} flag — one branch, no allocation, no clock read.
-    - {e attribution sums to totals}: the symbolic-execution profile
-      accumulates the very same increments as the engine's whole-run
-      counters, so per-site values sum exactly to [Engine.result] (solver
-      time within float rounding).
-    - {e domain safety}: profile collectors are single-owner (one per
-      worker domain, merged after the join, like the engine's own
-      counters); the trace buffer is the one shared sink and takes a
-      mutex per event. *)
+    - {e attribution sums to totals}: profile sites are {!Counters} records
+      receiving the very same increments as the worker's own record, so
+      per-site values sum exactly to [Engine.result] (solver time within
+      float rounding).
+    - {e domain safety}: counter records and profile collectors are
+      single-owner (one per worker domain, combined after the join); the
+      trace buffer is the one shared sink and takes a mutex per event. *)
 
 (* ---------------- global switch ---------------- *)
 
@@ -94,19 +93,18 @@ end
 (* ---------------- metric registry ---------------- *)
 
 (** Generic registry of named metrics with labels — the non-hot-path
-    instrument (pass timers, TV obligation counters, solver rollups).  Hot
-    paths use the dedicated {!Profile} collector instead: a registry lookup
-    per dynamic instruction would dominate the executor. *)
+    instrument (pass timers, TV obligation counters, per-run cost
+    rollups).  Hot paths use {!Counters} records instead: a registry
+    lookup per dynamic instruction would dominate the executor. *)
 module Registry = struct
-  type kind = Counter | Timer | Histogram
+  type kind = Counter | Timer
 
   type cell = {
     name : string;
     labels : (string * string) list;
     kind : kind;
     mutable count : int;
-    mutable sum : float;       (** seconds for timers/histograms *)
-    hist : Hist.t option;
+    mutable sum : float;       (** seconds for timers *)
   }
 
   type t = {
@@ -126,16 +124,7 @@ module Registry = struct
       match Hashtbl.find_opt t.tbl (name, labels) with
       | Some c -> c
       | None ->
-          let c =
-            {
-              name;
-              labels;
-              kind;
-              count = 0;
-              sum = 0.0;
-              hist = (if kind = Histogram then Some (Hist.create ()) else None);
-            }
-          in
+          let c = { name; labels; kind; count = 0; sum = 0.0 } in
           Hashtbl.add t.tbl (name, labels) c;
           t.order <- c :: t.order;
           c
@@ -149,9 +138,6 @@ module Registry = struct
   let timer ?(registry = default) ?(labels = []) name =
     cell registry ~kind:Timer ~name ~labels
 
-  let histogram ?(registry = default) ?(labels = []) name =
-    cell registry ~kind:Histogram ~name ~labels
-
   (* recording is gated on the global switch, so call sites don't have to
      re-check it — a disabled registry cell never moves *)
   let incr c = if enabled () then c.count <- c.count + 1
@@ -161,13 +147,6 @@ module Registry = struct
     if enabled () then begin
       c.count <- c.count + 1;
       c.sum <- c.sum +. dt
-    end
-
-  let observe c dt =
-    if enabled () then begin
-      c.count <- c.count + 1;
-      c.sum <- c.sum +. dt;
-      match c.hist with Some h -> Hist.observe h dt | None -> ()
     end
 
   (** Time [f], charging the elapsed wall clock to [c].  [f] always runs;
@@ -192,46 +171,110 @@ module Registry = struct
     Mutex.unlock registry.mu
 end
 
+(* ---------------- run cost counters ---------------- *)
+
+(** The cost counters of a symbolic-execution run.  A worker's executor
+    and solver increment one shared record; profile sites, worker spans,
+    the registry and [Engine.result] are all built from such records, so
+    every grain of accounting sums to the same totals.  Records are
+    single-owner (one per worker domain), combined after the join. *)
+module Counters = struct
+  type t = {
+    mutable instructions : int;
+    mutable forks : int;
+    mutable paths : int;
+    mutable queries : int;
+    mutable cache_hits : int;
+    mutable solver_time : float;
+    mutable components : int;
+    mutable component_solves : int;
+    mutable hits_canon : int;
+    mutable hits_store : int;
+    mutable summary_instantiated : int;
+    mutable summary_opaque : int;
+  }
+
+  let create () =
+    {
+      instructions = 0;
+      forks = 0;
+      paths = 0;
+      queries = 0;
+      cache_hits = 0;
+      solver_time = 0.0;
+      components = 0;
+      component_solves = 0;
+      hits_canon = 0;
+      hits_store = 0;
+      summary_instantiated = 0;
+      summary_opaque = 0;
+    }
+
+  let copy t = { t with instructions = t.instructions }
+
+  (* [dst += k * src], field by field *)
+  let accumulate k dst src =
+    dst.instructions <- dst.instructions + (k * src.instructions);
+    dst.forks <- dst.forks + (k * src.forks);
+    dst.paths <- dst.paths + (k * src.paths);
+    dst.queries <- dst.queries + (k * src.queries);
+    dst.cache_hits <- dst.cache_hits + (k * src.cache_hits);
+    dst.solver_time <- dst.solver_time +. (float_of_int k *. src.solver_time);
+    dst.components <- dst.components + (k * src.components);
+    dst.component_solves <- dst.component_solves + (k * src.component_solves);
+    dst.hits_canon <- dst.hits_canon + (k * src.hits_canon);
+    dst.hits_store <- dst.hits_store + (k * src.hits_store);
+    dst.summary_instantiated <-
+      dst.summary_instantiated + (k * src.summary_instantiated);
+    dst.summary_opaque <- dst.summary_opaque + (k * src.summary_opaque)
+
+  let add dst src = accumulate 1 dst src
+
+  let diff a b =
+    let d = copy a in
+    accumulate (-1) d b;
+    d
+
+  let sum ts =
+    let t = create () in
+    List.iter (add t) ts;
+    t
+
+  let to_list t =
+    let i = float_of_int in
+    [
+      ("instructions", i t.instructions);
+      ("forks", i t.forks);
+      ("paths", i t.paths);
+      ("queries", i t.queries);
+      ("cache_hits", i t.cache_hits);
+      ("solver_time", t.solver_time);
+      ("components", i t.components);
+      ("component_solves", i t.component_solves);
+      ("hits_canon", i t.hits_canon);
+      ("hits_store", i t.hits_store);
+      ("summary_instantiated", i t.summary_instantiated);
+      ("summary_opaque", i t.summary_opaque);
+    ]
+end
+
 (* ---------------- symbolic-execution attribution profile ---------------- *)
 
 (** Per-(function, block) cost attribution for one symbolic-execution run.
     One collector per worker domain (single-owner, no locking); collectors
-    merge after the join exactly like the engine's own counters.
+    merge after the join exactly like the workers' counters.
 
     The executor keys every increment by the {e current} frame's function
     and block, and a one-entry memo makes the common case (consecutive
     instructions of one block) a pointer comparison instead of a hashtable
     lookup. *)
 module Profile = struct
-  type site_stats = {
-    mutable s_insts : int;        (** dynamic instructions *)
-    mutable s_forks : int;
-    mutable s_queries : int;      (** solver queries issued here *)
-    mutable s_cache_hits : int;
-    mutable s_solver_time : float; (** seconds of blasting + SAT *)
-    mutable s_paths : int;        (** paths that completed (exited) here *)
-    mutable s_sum_hits : int;     (** calls answered by a function summary *)
-    mutable s_sum_opaque : int;   (** calls whose callee summary was opaque *)
-  }
-
-  let zero_stats () =
-    {
-      s_insts = 0;
-      s_forks = 0;
-      s_queries = 0;
-      s_cache_hits = 0;
-      s_solver_time = 0.0;
-      s_paths = 0;
-      s_sum_hits = 0;
-      s_sum_opaque = 0;
-    }
-
   type t = {
-    sites : (string * int, site_stats) Hashtbl.t;
+    sites : (string * int, Counters.t) Hashtbl.t;
     qhist : Hist.t;               (** per-query blast+SAT latency *)
     mutable last_fn : string;
     mutable last_block : int;
-    mutable last_cell : site_stats;
+    mutable last_cell : Counters.t;
   }
 
   let create () =
@@ -240,7 +283,7 @@ module Profile = struct
       qhist = Hist.create ();
       last_fn = "";
       last_block = min_int;  (* never matches a real block id *)
-      last_cell = zero_stats ();
+      last_cell = Counters.create ();
     }
 
   let site t ~fn ~block =
@@ -250,7 +293,7 @@ module Profile = struct
         match Hashtbl.find_opt t.sites (fn, block) with
         | Some c -> c
         | None ->
-            let c = zero_stats () in
+            let c = Counters.create () in
             Hashtbl.add t.sites (fn, block) c;
             c
       in
@@ -262,16 +305,7 @@ module Profile = struct
 
   let merge_into dst src =
     Hashtbl.iter
-      (fun (fn, block) (s : site_stats) ->
-        let d = site dst ~fn ~block in
-        d.s_insts <- d.s_insts + s.s_insts;
-        d.s_forks <- d.s_forks + s.s_forks;
-        d.s_queries <- d.s_queries + s.s_queries;
-        d.s_cache_hits <- d.s_cache_hits + s.s_cache_hits;
-        d.s_solver_time <- d.s_solver_time +. s.s_solver_time;
-        d.s_paths <- d.s_paths + s.s_paths;
-        d.s_sum_hits <- d.s_sum_hits + s.s_sum_hits;
-        d.s_sum_opaque <- d.s_sum_opaque + s.s_sum_opaque)
+      (fun (fn, block) c -> Counters.add (site dst ~fn ~block) c)
       src.sites;
     Hist.merge_into dst.qhist src.qhist
 
@@ -279,42 +313,6 @@ module Profile = struct
   let sites t =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sites []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  type totals = {
-    t_insts : int;
-    t_forks : int;
-    t_queries : int;
-    t_cache_hits : int;
-    t_solver_time : float;
-    t_paths : int;
-    t_sum_hits : int;
-    t_sum_opaque : int;
-  }
-
-  let totals t =
-    List.fold_left
-      (fun acc (_, (s : site_stats)) ->
-        {
-          t_insts = acc.t_insts + s.s_insts;
-          t_forks = acc.t_forks + s.s_forks;
-          t_queries = acc.t_queries + s.s_queries;
-          t_cache_hits = acc.t_cache_hits + s.s_cache_hits;
-          t_solver_time = acc.t_solver_time +. s.s_solver_time;
-          t_paths = acc.t_paths + s.s_paths;
-          t_sum_hits = acc.t_sum_hits + s.s_sum_hits;
-          t_sum_opaque = acc.t_sum_opaque + s.s_sum_opaque;
-        })
-      {
-        t_insts = 0;
-        t_forks = 0;
-        t_queries = 0;
-        t_cache_hits = 0;
-        t_solver_time = 0.0;
-        t_paths = 0;
-        t_sum_hits = 0;
-        t_sum_opaque = 0;
-      }
-      (sites t)
 end
 
 (* ---------------- per-pass compile profile ---------------- *)
@@ -430,17 +428,6 @@ module Trace = struct
       Mutex.lock sink.mu;
       sink.events_rev <- ev :: sink.events_rev;
       Mutex.unlock sink.mu
-    end
-
-  (** Run [f] inside a complete ("X") span. *)
-  let with_span ?cat ?(args = []) name f =
-    if not !collecting then f ()
-    else begin
-      let t0 = Unix.gettimeofday () in
-      Fun.protect
-        ~finally:(fun () ->
-          emit ?cat ~args ~name ~ts:t0 ~dur:(Unix.gettimeofday () -. t0) ())
-        f
     end
 
   let events () =
@@ -587,9 +574,9 @@ end
     request touches, a span id, a parent, a label and attached counters.
     Opened at request admission in [lib/serve], threaded through
     [Engine.config.span] into summary build, per-worker exploration and
-    per-query solves — the same increments that make up [Engine.result],
-    so per-span counter sums equal engine totals exactly as the
-    {!Profile} per-site sums do.
+    per-query solves.  A worker span closes with its worker's
+    {!Counters} record, so per-span counter sums equal engine totals
+    exactly as the {!Profile} per-site sums do.
 
     A finished span lands in the {!Flight} ring and, when trace
     collection is on, in the {!Trace} sink (with [trace]/[span]/[parent]
@@ -603,7 +590,6 @@ module Span = struct
     sp_parent : int;  (** -1 = root *)
     sp_label : string;
     sp_start : float;
-    mutable sp_counters : (string * float) list;
   }
 
   let next_id = Atomic.make 1
@@ -627,10 +613,7 @@ module Span = struct
       sp_parent = (match parent with Some p -> p.sp_id | None -> -1);
       sp_label = label;
       sp_start = Unix.gettimeofday ();
-      sp_counters = [];
     }
-
-  let add_counter t k v = t.sp_counters <- (k, v) :: t.sp_counters
 
   let span_args t =
     [ ("trace", t.sp_trace); ("span", string_of_int t.sp_id);
@@ -657,11 +640,10 @@ module Span = struct
         ~name:t.sp_label ~ts ~dur ()
 
   (** Close the span: its interval is [sp_start .. now].  [counters]
-      (appended to any {!add_counter}ed ones, canonically sorted) are the
-      span's attributed costs. *)
+      (canonically sorted) are the span's attributed costs. *)
   let finish ?(counters = []) t =
     let now = Unix.gettimeofday () in
-    let counters = List.sort compare (List.rev_append t.sp_counters counters) in
+    let counters = List.sort compare counters in
     record_span t ~ts:t.sp_start ~dur:(now -. t.sp_start) ~counters
 
   (** One-shot child span with an explicit interval — the per-query
@@ -674,7 +656,6 @@ module Span = struct
         sp_parent = parent.sp_id;
         sp_label = label;
         sp_start = ts;
-        sp_counters = [];
       }
     in
     record_span t ~ts ~dur ~counters:(List.sort compare counters)

@@ -1,6 +1,7 @@
 (** Observability for the verification toolchain (DESIGN.md,
-    "Observability"): a metric registry, the symbolic-execution attribution
-    profile, the per-pass compile profile, and Chrome [trace_event] export.
+    "Observability"): a metric registry, the run cost counters, the
+    symbolic-execution attribution profile, the per-pass compile profile,
+    and Chrome [trace_event] export.
 
     Instrumentation is near-zero cost when disabled: hot paths are guarded
     by a per-consumer [option] or one global flag — a single branch, no
@@ -34,11 +35,11 @@ module Hist : sig
   val mean : t -> float
 end
 
-(** Named counters / timers / histograms with labels — the non-hot-path
-    instrument (pass timers, TV obligation counters).  Lookup takes a
-    mutex; hot paths use {!Profile} instead. *)
+(** Named counters and timers with labels — the non-hot-path instrument
+    (pass timers, TV obligation counters, per-run cost rollups).  Lookup
+    takes a mutex; hot paths use {!Counters} instead. *)
 module Registry : sig
-  type kind = Counter | Timer | Histogram
+  type kind = Counter | Timer
 
   type cell = {
     name : string;
@@ -46,7 +47,6 @@ module Registry : sig
     kind : kind;
     mutable count : int;
     mutable sum : float;
-    hist : Hist.t option;
   }
 
   type t
@@ -58,11 +58,9 @@ module Registry : sig
 
   val counter : ?registry:t -> ?labels:(string * string) list -> string -> cell
   val timer : ?registry:t -> ?labels:(string * string) list -> string -> cell
-  val histogram : ?registry:t -> ?labels:(string * string) list -> string -> cell
   val incr : cell -> unit
   val add : cell -> int -> unit
   val add_time : cell -> float -> unit
-  val observe : cell -> float -> unit
   val time : cell -> (unit -> 'a) -> 'a
   val dump : ?registry:t -> unit -> cell list
   (** All cells in canonical (name, labels) order. *)
@@ -70,52 +68,69 @@ module Registry : sig
   val clear : ?registry:t -> unit -> unit
 end
 
-(** Per-(function, basic block) cost attribution for one symbolic-execution
-    run.  Single-owner: one collector per worker domain, merged after the
-    join.  Increments mirror the engine's whole-run counters exactly, so
-    per-site values sum to [Engine.result] totals. *)
-module Profile : sig
-  type site_stats = {
-    mutable s_insts : int;
-    mutable s_forks : int;
-    mutable s_queries : int;
-    mutable s_cache_hits : int;
-    mutable s_solver_time : float;
-    mutable s_paths : int;
-    mutable s_sum_hits : int;    (** calls answered by a function summary *)
-    mutable s_sum_opaque : int;  (** calls whose callee summary was opaque *)
+(** The cost counters of a symbolic-execution run: one record type for
+    every grain the run is accounted at.  Each worker owns one record,
+    shared by its executor context and its solver context; profile sites
+    are records too, and worker spans, the registry and [Engine.result]
+    read the same records, so the grains agree by construction. *)
+module Counters : sig
+  type t = {
+    mutable instructions : int;  (** dynamic instructions *)
+    mutable forks : int;
+    mutable paths : int;         (** paths that completed (exited) *)
+    mutable queries : int;       (** solver queries *)
+    mutable cache_hits : int;    (** queries answered without blasting *)
+    mutable solver_time : float; (** seconds in queries that blasted *)
+    mutable components : int;    (** independent components queried *)
+    mutable component_solves : int;  (** fresh blast + SAT runs *)
+    mutable hits_canon : int;    (** id-table or canonical-cache hits *)
+    mutable hits_store : int;    (** persistent store hits *)
+    mutable summary_instantiated : int;
+        (** calls answered by a function summary *)
+    mutable summary_opaque : int;
+        (** calls whose callee summary was opaque *)
   }
 
+  val create : unit -> t
+  (** All zeros. *)
+
+  val copy : t -> t
+
+  val add : t -> t -> unit
+  (** [add dst src] adds [src] into [dst], field by field. *)
+
+  val diff : t -> t -> t
+  (** [diff a b] is a fresh [a - b], field by field. *)
+
+  val sum : t list -> t
+  (** A fresh record holding the field-wise sum. *)
+
+  val to_list : t -> (string * float) list
+  (** Every field as a (name, value) pair, in declaration order. *)
+end
+
+(** Per-(function, basic block) cost attribution for one symbolic-execution
+    run.  Single-owner: one collector per worker domain, merged after the
+    join.  Every site cell receives the same increments as the worker's
+    {!Counters.t}, so per-site values sum to [Engine.result] totals. *)
+module Profile : sig
   type t = {
-    sites : (string * int, site_stats) Hashtbl.t;
+    sites : (string * int, Counters.t) Hashtbl.t;
     qhist : Hist.t;   (** per-query blast+SAT latency *)
     mutable last_fn : string;
     mutable last_block : int;
-    mutable last_cell : site_stats;
+    mutable last_cell : Counters.t;
   }
 
   val create : unit -> t
 
-  val site : t -> fn:string -> block:int -> site_stats
+  val site : t -> fn:string -> block:int -> Counters.t
   (** The cell for (function, block), memoized for consecutive hits. *)
 
   val merge_into : t -> t -> unit
 
-  val sites : t -> ((string * int) * site_stats) list
+  val sites : t -> ((string * int) * Counters.t) list
   (** Canonical (function, block) order. *)
-
-  type totals = {
-    t_insts : int;
-    t_forks : int;
-    t_queries : int;
-    t_cache_hits : int;
-    t_solver_time : float;
-    t_paths : int;
-    t_sum_hits : int;
-    t_sum_opaque : int;
-  }
-
-  val totals : t -> totals
 end
 
 (** Per-pass compile profile: wall time and code-size delta per pass
@@ -176,9 +191,6 @@ module Trace : sig
     unit ->
     unit
 
-  val with_span :
-    ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-
   val events : unit -> event list
 
   val to_json : unit -> string
@@ -220,9 +232,9 @@ end
 
 (** Hierarchical wall-clock spans (trace id, parent, label, interval,
     attached counters), opened at request admission in [lib/serve] and
-    threaded through [Engine.config.span] down to per-query solves.  The
-    counters attached at each level are the same increments that make up
-    [Engine.result], so per-span sums equal engine totals.  Finished
+    threaded through [Engine.config.span] down to per-query solves.
+    Worker spans close with their worker's {!Counters.to_list}, so
+    per-span sums equal engine totals.  Finished
     spans land in the {!Flight} ring and — when collection is on — in the
     {!Trace} sink with [trace]/[span]/[parent] args. *)
 module Span : sig
@@ -232,7 +244,6 @@ module Span : sig
     sp_parent : int;  (** -1 = root *)
     sp_label : string;
     sp_start : float;
-    mutable sp_counters : (string * float) list;
   }
 
   val fresh_trace : unit -> string
@@ -243,11 +254,9 @@ module Span : sig
   (** Open a span.  The trace id is [trace] if given, else inherited from
       [parent], else fresh. *)
 
-  val add_counter : t -> string -> float -> unit
-
   val finish : ?counters:(string * float) list -> t -> unit
-  (** Close the span over [sp_start .. now]; [counters] are appended to
-      any [add_counter]ed ones and canonically sorted. *)
+  (** Close the span over [sp_start .. now]; [counters] (canonically
+      sorted) are its attributed costs. *)
 
   val emit :
     parent:t ->

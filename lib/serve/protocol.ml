@@ -2,13 +2,12 @@
 
 module Binfile = Overify_solver.Binfile
 
-type kind = Verify | Compile | Tv | Stats | Metrics | Shutdown
+type kind = Verify | Compile | Tv | Metrics | Shutdown
 
 let kind_name = function
   | Verify -> "verify"
   | Compile -> "compile"
   | Tv -> "tv"
-  | Stats -> "stats"
   | Metrics -> "metrics"
   | Shutdown -> "shutdown"
 
@@ -16,7 +15,6 @@ let kind_of_name = function
   | "verify" -> Some Verify
   | "compile" -> Some Compile
   | "tv" -> Some Tv
-  | "stats" -> Some Stats
   | "metrics" -> Some Metrics
   | "shutdown" -> Some Shutdown
   | _ -> None

@@ -33,7 +33,7 @@
     [Engine.result_to_json] produces, so the daemon and the one-shot CLI
     can be differentially tested. *)
 
-type kind = Verify | Compile | Tv | Stats | Metrics | Shutdown
+type kind = Verify | Compile | Tv | Metrics | Shutdown
 
 val kind_name : kind -> string
 val kind_of_name : string -> kind option

@@ -293,7 +293,7 @@ let run_request t (rq : Protocol.request) ~(trace : string)
                  (List.length (Tv.inconclusives report))
                  (Tv.counterexamples report = []))
             ()
-      | Protocol.Stats | Protocol.Metrics | Protocol.Shutdown ->
+      | Protocol.Metrics | Protocol.Shutdown ->
           (* handled inline by the connection handler, never queued *)
           assert false
     in
@@ -636,32 +636,7 @@ let watchdog_loop t =
   in
   loop ()
 
-(* ---------------- stats + shutdown (inline, no queue) ---------------- *)
-
-let stats_body t : Protocol.body =
-  let result =
-    with_lock t (fun () ->
-        Printf.sprintf
-          "{\"requests\": %d, \"executed\": %d, \"dedup_inflight\": %d, \
-           \"dedup_recent\": %d, \"dedup_hits\": %d, \"malformed\": %d, \
-           \"errors\": %d, \"requests_shed\": %d, \"cancelled\": %d, \
-           \"deadline_exceeded\": %d, \"watchdog_fired\": %d, \
-           \"idle_reaped\": %d, \"queue_depth\": %d, \"inflight\": %d, \
-           \"recent\": %d, \"store_entries\": %d, \"store_loaded\": %d}"
-          t.ct.c_requests t.ct.c_executed t.ct.c_dedup_inflight
-          t.ct.c_dedup_recent
-          (t.ct.c_dedup_inflight + t.ct.c_dedup_recent)
-          t.ct.c_malformed t.ct.c_errors t.ct.c_shed t.ct.c_cancelled
-          t.ct.c_deadline t.ct.c_watchdog t.ct.c_reaped
-          (Queue.length t.queue)
-          (Hashtbl.length t.inflight)
-          (Hashtbl.length t.recent)
-          (Store.length t.st_store)
-          (Store.loaded t.st_store))
-  in
-  Protocol.ok_body ~kind:"stats" ~result ()
-
-(* ---------------- metrics (supersedes stats) ---------------- *)
+(* ---------------- metrics (inline, no queue) ---------------- *)
 
 let hist_json (h : Obs.Hist.t) : string =
   Printf.sprintf
@@ -711,7 +686,8 @@ let metrics_doc t : string =
              tl.tl_lat)
       in
       Printf.sprintf
-        "{\"uptime_s\": %.3f, \"queue_depth\": %d, \"requests\": %d, \
+        "{\"uptime_s\": %.3f, \"queue_depth\": %d, \"inflight\": %d, \
+         \"recent\": %d, \"requests\": %d, \
          \"executed\": %d, \"dedup_inflight\": %d, \"dedup_recent\": %d, \
          \"dedup_hits\": %d, \"malformed\": %d, \"errors\": %d, \
          \"requests_shed\": %d, \"cancelled\": %d, \"deadline_exceeded\": \
@@ -724,7 +700,10 @@ let metrics_doc t : string =
          \"summary_computed\": %d, \"summary_cached\": %d, \"latency_ms\": \
          {%s}, \"registry\": %s}"
         (Unix.gettimeofday () -. tl.tl_started)
-        (Queue.length t.queue) t.ct.c_requests t.ct.c_executed
+        (Queue.length t.queue)
+        (Hashtbl.length t.inflight)
+        (Hashtbl.length t.recent)
+        t.ct.c_requests t.ct.c_executed
         t.ct.c_dedup_inflight t.ct.c_dedup_recent
         (t.ct.c_dedup_inflight + t.ct.c_dedup_recent)
         t.ct.c_malformed t.ct.c_errors t.ct.c_shed t.ct.c_cancelled
@@ -899,9 +878,6 @@ let handle_conn t fd =
                        ~elapsed_ms body)
                 in
                 match rq.Protocol.rq_kind with
-                | Protocol.Stats ->
-                    answer "none" (stats_body t);
-                    loop ()
                 | Protocol.Metrics ->
                     answer "none"
                       (metrics_body t ~format:rq.Protocol.rq_format);

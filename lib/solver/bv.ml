@@ -99,8 +99,8 @@ let live_terms () = Mutex.protect lock (fun () -> NTbl.length table)
 (** Re-intern terms that bypassed [mk] — i.e. came out of [Marshal] when
     loading a checkpoint.  An unmarshaled term carries stale [id]s: left
     alone it could collide with ids handed out by the live counter, and
-    every id-keyed layer — the solver's id table, the UNSAT-subset index
-    and the canonicalization memos — would conflate distinct terms.
+    every id-keyed layer — the solver's id table and the
+    canonicalization memos — would conflate distinct terms.
     [rebuilder ()] returns a memoizing bottom-up re-interning function;
     sharing within one batch is preserved (the memo is keyed on the stale
     ids, which are mutually consistent because they came from a single

@@ -22,8 +22,6 @@
     {- per-component canonical cache, keyed by the α-renamed serialization
        ({!Canon.rename}): structurally equal components share one entry
        even across different variable ids;}
-    {- UNSAT-subset rule ({!Cexcache}): a recorded UNSAT subset proves the
-       component UNSAT;}
     {- persistent store ({!Store}, optional): canonical verdicts reused
        across runs and processes;}
     {- fresh bit-blast + SAT of the component (counted in
@@ -59,24 +57,6 @@ type result =
 
 exception Timeout = Sat.Timeout
 
-type stats = {
-  mutable queries : int;
-  mutable cache_hits : int;
-      (** queries answered without any blasting (any layer) *)
-  mutable sat_answers : int;
-  mutable unsat_answers : int;
-  mutable solver_time : float;  (** seconds spent in blasting + SAT *)
-  mutable components : int;
-      (** independent components across all non-trivial queries *)
-  mutable component_solves : int;
-      (** components that reached a fresh blast + SAT — the raw solver
-          invocations the acceleration chain exists to avoid *)
-  mutable hits_canon : int;
-      (** per-component hits of the id table or the canonical cache *)
-  mutable hits_subset : int;    (** UNSAT-subset rule hits *)
-  mutable hits_store : int;     (** persistent cross-run store hits *)
-}
-
 (** One canonical component verdict; SAT models live in canonical variable
     space so α-equivalent components share the entry. *)
 type centry = C_unsat | C_sat of int64 array
@@ -103,14 +83,20 @@ module Ids = Hashtbl.Make (struct
     land max_int
 end)
 
+module Counters = Overify_obs.Obs.Counters
+
 type ctx = {
-  stats : stats;
+  counters : Counters.t;
+      (** the owner's cost counters: [queries], [cache_hits] (queries
+          answered without any blasting), [solver_time] (seconds in
+          queries that blasted), [components], [component_solves] (fresh
+          blast + SAT runs — what the chain exists to avoid),
+          [hits_canon] (id table or canonical cache) and [hits_store] *)
   itbl : ientry Ids.t;
       (** id table: a component's sorted term-id set -> its answer *)
   canon : Canon.ctx;  (** digest/variable-set memos *)
   ctbl : (string, centry) Hashtbl.t;
       (** canonical per-component cache: α-renamed key -> verdict *)
-  cex : Cexcache.t;
   reuse : bool;
       (** reuse layers enabled?  [false] keeps canonicalization and
           partitioning (they define the result) but re-solves every
@@ -119,19 +105,19 @@ type ctx = {
   faults : Overify_fault.Fault.t option;
       (** injected-fault schedule; a scheduled [timeout@N] makes the N-th
           query raise {!Timeout} before touching any cache layer *)
-  mutable deadline : float option;
+  deadline : float option;
       (** wall-clock deadline honoured by [check]; long-running
           blasting/SAT work raises {!Timeout} past it *)
-  mutable cancel : Overify_fault.Cancel.t option;
+  cancel : Overify_fault.Cancel.t option;
       (** cooperative cancellation token, polled at the top of every
           query (the serve daemon threads the request's token here so a
           past-deadline or watchdog-cancelled job stops before its next
           solve); also what an injected [stall@N] query blocks on *)
-  mutable hist : Overify_obs.Obs.Hist.t option;
+  hist : Overify_obs.Obs.Hist.t option;
       (** per-query blast+SAT latency histogram; observed only on real
           solves (queries answered from cache cost no solver time).
           [None] (the default) records nothing. *)
-  mutable span : Overify_obs.Obs.Span.t option;
+  span : Overify_obs.Obs.Span.t option;
       (** parent span for per-query solve spans: every real solve emits a
           one-shot ["solver.check"] child into the flight ring (and trace
           sink), so a request's span tree reaches individual queries.
@@ -143,64 +129,30 @@ let env_cache_default () =
   | Some "0" -> false
   | _ -> true
 
-let create ?deadline ?cancel ?hist ?cache ?store ?faults () =
+let create ?(counters = Counters.create ()) ?deadline ?cancel ?hist ?span
+    ?cache ?store ?faults () =
   {
-    stats =
-      {
-        queries = 0;
-        cache_hits = 0;
-        sat_answers = 0;
-        unsat_answers = 0;
-        solver_time = 0.0;
-        components = 0;
-        component_solves = 0;
-        hits_canon = 0;
-        hits_subset = 0;
-        hits_store = 0;
-      };
+    counters;
     itbl = Ids.create 1024;
     canon = Canon.create ();
     ctbl = Hashtbl.create 1024;
-    cex = Cexcache.create ();
     reuse = (match cache with Some b -> b | None -> env_cache_default ());
     store;
     faults;
     deadline;
     cancel;
     hist;
-    span = None;
+    span;
   }
 
-let stats ctx = ctx.stats
-
-let reset_stats ctx =
-  let s = ctx.stats in
-  s.queries <- 0;
-  s.cache_hits <- 0;
-  s.sat_answers <- 0;
-  s.unsat_answers <- 0;
-  s.solver_time <- 0.0;
-  s.components <- 0;
-  s.component_solves <- 0;
-  s.hits_canon <- 0;
-  s.hits_subset <- 0;
-  s.hits_store <- 0
-
 (** Drop {e every} acceleration layer this context owns: the id table, the
-    canonical component cache, the counterexample cache and the per-term
-    canonicalization memos (the shared persistent store, if any, belongs
-    to the run, not the context, and is untouched). *)
+    canonical component cache and the per-term canonicalization memos (the
+    shared persistent store, if any, belongs to the run, not the context,
+    and is untouched). *)
 let clear_cache ctx =
   Ids.reset ctx.itbl;
   Hashtbl.reset ctx.ctbl;
-  Cexcache.clear ctx.cex;
   Canon.clear ctx.canon
-
-let set_deadline ctx d = ctx.deadline <- d
-let set_cancel ctx c = ctx.cancel <- c
-
-let set_hist ctx h = ctx.hist <- h
-let set_span ctx s = ctx.span <- s
 
 (** Charge one real (uncached) solve to the counters, the latency
     histogram, the enclosing span (flight ring) and — when tracing — the
@@ -208,7 +160,7 @@ let set_span ctx s = ctx.span <- s
     consistent with [solver_time]. *)
 let charge_solve ctx t0 ~timed_out =
   let dt = Unix.gettimeofday () -. t0 in
-  ctx.stats.solver_time <- ctx.stats.solver_time +. dt;
+  ctx.counters.solver_time <- ctx.counters.solver_time +. dt;
   (match ctx.hist with
   | Some h -> Overify_obs.Obs.Hist.observe h dt
   | None -> ());
@@ -230,7 +182,7 @@ let charge_solve ctx t0 ~timed_out =
 (** Blast + SAT one component (already in canonical order) and return its
     verdict with the model in canonical variable space. *)
 let solve_component ctx (comp : Bv.t list) (renamed : Canon.renamed) : centry =
-  ctx.stats.component_solves <- ctx.stats.component_solves + 1;
+  ctx.counters.component_solves <- ctx.counters.component_solves + 1;
   let bctx = Blast.create ?deadline:ctx.deadline () in
   List.iter (Blast.assert_true bctx) comp;
   if not (Sat.solve ?deadline:ctx.deadline bctx.Blast.sat) then C_unsat
@@ -242,12 +194,11 @@ let solve_component ctx (comp : Bv.t list) (renamed : Canon.renamed) : centry =
          renamed.Canon.cvars)
 
 (** One id-table miss through the canonical layers, falling back to a
-    fresh solve.  [ids] is the component's sorted term-id set, [comp] the
-    component in canonical order.  Every layer returns exactly what
-    [solve_component] would (see the determinism contract above), so the
-    layers are pure memoization.  [fresh] is incremented when blasting
-    actually happened. *)
-let check_component ctx ~fresh (ids : int array) (comp : Bv.t list) : result =
+    fresh solve.  [comp] is the component in canonical order.  Every layer
+    returns exactly what [solve_component] would (see the determinism
+    contract above), so the layers are pure memoization.  [fresh] is
+    incremented when blasting actually happened. *)
+let check_component ctx ~fresh (comp : Bv.t list) : result =
   let renamed = Canon.rename ctx.canon comp in
   let key = renamed.Canon.key in
   let solve () =
@@ -269,29 +220,21 @@ let check_component ctx ~fresh (ids : int array) (comp : Bv.t list) : result =
     else
       match Hashtbl.find_opt ctx.ctbl key with
       | Some entry ->
-          ctx.stats.hits_canon <- ctx.stats.hits_canon + 1;
+          ctx.counters.hits_canon <- ctx.counters.hits_canon + 1;
           entry
       | None ->
           let entry =
-            if Cexcache.implies_unsat ctx.cex ids then begin
-              ctx.stats.hits_subset <- ctx.stats.hits_subset + 1;
-              C_unsat
-            end
-            else
-              match Option.bind ctx.store (fun st -> Store.find st key) with
-              | Some Store.E_unsat ->
-                  ctx.stats.hits_store <- ctx.stats.hits_store + 1;
-                  C_unsat
-              | Some (Store.E_sat v) ->
-                  ctx.stats.hits_store <- ctx.stats.hits_store + 1;
-                  C_sat v
-              (* E_blob entries live under namespaced client keys (never a
-                 canonical component key); finding one here means a key
-                 collision we must treat as a miss, not a verdict *)
-              | Some (Store.E_blob _) | None ->
-                  let entry = solve () in
-                  if entry = C_unsat then Cexcache.note_unsat ctx.cex ids;
-                  entry
+            match Option.bind ctx.store (fun st -> Store.find st key) with
+            | Some Store.E_unsat ->
+                ctx.counters.hits_store <- ctx.counters.hits_store + 1;
+                C_unsat
+            | Some (Store.E_sat v) ->
+                ctx.counters.hits_store <- ctx.counters.hits_store + 1;
+                C_sat v
+            (* E_blob entries live under namespaced client keys (never a
+               canonical component key); finding one here means a key
+               collision we must treat as a miss, not a verdict *)
+            | Some (Store.E_blob _) | None -> solve ()
           in
           Hashtbl.replace ctx.ctbl key entry;
           entry
@@ -317,8 +260,8 @@ let stall ctx =
 
 (** Check satisfiability of the conjunction of width-1 terms. *)
 let check (ctx : ctx) (assertions : Bv.t list) : result =
-  let stats = ctx.stats in
-  stats.queries <- stats.queries + 1;
+  let counters = ctx.counters in
+  counters.queries <- counters.queries + 1;
   (* cooperative cancellation point: every query starts with a token
      check (deadline-aware), so a cancelled job never begins another
      solve *)
@@ -333,14 +276,9 @@ let check (ctx : ctx) (assertions : Bv.t list) : result =
   let assertions =
     List.filter (fun (t : Bv.t) -> t.Bv.node <> Bv.Const 1L) assertions
   in
-  if List.exists (fun (t : Bv.t) -> t.Bv.node = Bv.Const 0L) assertions then begin
-    stats.unsat_answers <- stats.unsat_answers + 1;
+  if List.exists (fun (t : Bv.t) -> t.Bv.node = Bv.Const 0L) assertions then
     Unsat
-  end
-  else if assertions = [] then begin
-    stats.sat_answers <- stats.sat_answers + 1;
-    Sat []
-  end
+  else if assertions = [] then Sat []
   else begin
     let t0 = Unix.gettimeofday () in
     (match ctx.deadline with
@@ -354,7 +292,7 @@ let check (ctx : ctx) (assertions : Bv.t list) : result =
            (fun (a : Bv.t) (b : Bv.t) -> Int.compare a.Bv.id b.Bv.id)
            assertions)
     in
-    stats.components <- stats.components + List.length comps;
+    counters.components <- counters.components + List.length comps;
     (* components in the order of their least members; an id-table hit
        carries its least member, a miss is put in canonical order now,
        whose head is its least member *)
@@ -384,10 +322,10 @@ let check (ctx : ctx) (assertions : Bv.t list) : result =
               let answer =
                 match looked with
                 | Either.Left answer ->
-                    stats.hits_canon <- stats.hits_canon + 1;
+                    counters.hits_canon <- counters.hits_canon + 1;
                     answer
                 | Either.Right (ids, comp) ->
-                    let answer = check_component ctx ~fresh ids comp in
+                    let answer = check_component ctx ~fresh comp in
                     if ctx.reuse then
                       Ids.replace ctx.itbl ids { least; answer };
                     answer
@@ -402,10 +340,7 @@ let check (ctx : ctx) (assertions : Bv.t list) : result =
         raise Timeout
     in
     if !fresh > 0 then charge_solve ctx t0 ~timed_out:false
-    else stats.cache_hits <- stats.cache_hits + 1;
-    (match r with
-    | Sat _ -> stats.sat_answers <- stats.sat_answers + 1
-    | Unsat -> stats.unsat_answers <- stats.unsat_answers + 1);
+    else counters.cache_hits <- counters.cache_hits + 1;
     r
   end
 

@@ -9,8 +9,8 @@
     per-component id table (sorted hash-consed term-id set → answer; a
     hit costs a hash lookup) → on a miss, canonicalization of the
     component (structural sort, {!Canon}) → per-component canonical cache
-    (α-renamed keys) → UNSAT-subset rule ({!Cexcache}) → persistent store
-    ({!Store}, when attached) → fresh blast + SAT.
+    (α-renamed keys) → persistent store ({!Store}, when attached) → fresh
+    blast + SAT.
 
     All mutable solver state lives in an explicit {!ctx} threaded through
     {!check}.  A context is {e not} thread-safe; concurrent callers (the
@@ -31,43 +31,38 @@ type result =
 
 exception Timeout
 
-type stats = {
-  mutable queries : int;
-  mutable cache_hits : int;
-      (** queries answered without any blasting, by any layer *)
-  mutable sat_answers : int;
-  mutable unsat_answers : int;
-  mutable solver_time : float;  (** seconds spent in blasting + SAT *)
-  mutable components : int;
-      (** independent components over all non-trivial queries *)
-  mutable component_solves : int;
-      (** components that reached a fresh blast + SAT — the raw solver
-          invocations the chain exists to avoid *)
-  mutable hits_canon : int;
-      (** per-component hits of the id table or the canonical cache *)
-  mutable hits_subset : int;    (** UNSAT-subset rule hits *)
-  mutable hits_store : int;     (** persistent cross-run store hits *)
-}
-
 type ctx
-(** Acceleration layers + stats counters + wall-clock deadline. *)
+(** Acceleration layers + cost counters + wall-clock deadline. *)
 
 val create :
+  ?counters:Overify_obs.Obs.Counters.t ->
   ?deadline:float ->
   ?cancel:Overify_fault.Cancel.t ->
   ?hist:Overify_obs.Obs.Hist.t ->
+  ?span:Overify_obs.Obs.Span.t ->
   ?cache:bool ->
   ?store:Store.t ->
   ?faults:Overify_fault.Fault.t ->
   unit ->
   ctx
-(** Fresh context with empty caches and zeroed counters.  [deadline] is an
+(** Fresh context with empty caches.  [counters] (default: a fresh
+    record) receives the solver's costs: [queries], [cache_hits] (queries
+    answered without any blasting, by any layer), [solver_time] (seconds
+    of the queries that blasted), [components] (independent components
+    over all non-trivial queries), [component_solves] (fresh blast + SAT
+    runs — the raw solver invocations the chain exists to avoid),
+    [hits_canon] (per-component hits of the id table or the canonical
+    cache) and [hits_store] (persistent store hits); the engine passes
+    the worker's record, shared with its executor.  [deadline] is an
     absolute [Unix.gettimeofday] instant past which blasting or SAT work
     raises {!Timeout}.  [cancel] attaches a cooperative cancellation
     token, polled (deadline-aware) at the top of every {!check}: a set or
     past-deadline token makes the query raise
     {!Overify_fault.Cancel.Cancelled} before any other work.  [hist]
-    receives the latency of every real (uncached) solve.  [cache] enables
+    receives the latency of every real (uncached) solve.  [span] is the
+    parent of a one-shot ["solver.check"] span that every real solve
+    emits with its wall interval and [solver_time] counter into the
+    flight ring (and, when collecting, the trace sink).  [cache] enables
     the reuse layers (default: the [OVERIFY_SOLVER_CACHE] environment
     variable, off only when ["0"]); disabling it never changes an answer —
     canonicalization and partitioning still run, only reuse is skipped.
@@ -80,28 +75,10 @@ val create :
     if no token is attached — a stuck solver must not hang a process that
     has no way to cancel it). *)
 
-val stats : ctx -> stats
-val reset_stats : ctx -> unit
-
-val set_hist : ctx -> Overify_obs.Obs.Hist.t option -> unit
-(** Attach (or detach) the per-query latency histogram. *)
-
-val set_span : ctx -> Overify_obs.Obs.Span.t option -> unit
-(** Attach (or detach) the parent span: every real (uncached) solve then
-    emits a one-shot ["solver.check"] child span carrying its wall
-    interval and [solver_time] counter into the flight ring (and, when
-    collecting, the trace sink).  [None] (the default) emits nothing. *)
-
 val clear_cache : ctx -> unit
 (** Drop {e every} acceleration layer this context owns — the id table,
-    the canonical component cache, the counterexample cache and the
-    canonicalization memos.  Other contexts and the shared persistent
-    store are unaffected. *)
-
-val set_deadline : ctx -> float option -> unit
-
-val set_cancel : ctx -> Overify_fault.Cancel.t option -> unit
-(** Attach (or detach) the cooperative cancellation token. *)
+    the canonical component cache and the canonicalization memos.  Other
+    contexts and the shared persistent store are unaffected. *)
 
 val check : ctx -> Bv.t list -> result
 (** Satisfiability of the conjunction of width-1 terms, through the

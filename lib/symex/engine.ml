@@ -31,6 +31,7 @@ module Solver = Overify_solver.Solver
 module Obs = Overify_obs.Obs
 module Fault = Overify_fault.Fault
 module Cancel = Overify_fault.Cancel
+module Counters = Obs.Counters
 
 type config = {
   input_size : int;
@@ -71,11 +72,12 @@ type config = {
   span : Obs.Span.t option;
       (** parent span for request tracing: the run opens an
           ["engine.run"] child under it, with ["summary.build"] and
-          per-worker ["symex.worker<i>"] children whose attached counters
-          are the very same per-worker sums that define the result totals
-          — so per-span sums equal [result] exactly, like the profile's
-          per-site sums.  Solver contexts get per-query ["solver.check"]
-          leaves.  [None] (the default) traces nothing. *)
+          per-worker ["symex.worker<i>"] children that close with their
+          worker's counters — the records the result totals are summed
+          from, so per-span sums equal [result] exactly, like the
+          profile's per-site sums.  Solver contexts get per-query
+          ["solver.check"] leaves.  [None] (the default) traces
+          nothing. *)
   cancel : Overify_fault.Cancel.t option;
       (** cooperative cancellation token (see {!Overify_fault.Cancel}),
           checked at worklist pops, at the periodic budget points, around
@@ -133,19 +135,6 @@ type degradation = {
   d_paths : int;     (** paths affected (lower bound for budget kinds) *)
 }
 
-type worker_stat = {
-  w_instructions : int;
-  w_forks : int;
-  w_queries : int;
-  w_cache_hits : int;
-  w_solver_time : float;
-  w_components : int;
-  w_component_solves : int;
-  w_hits_canon : int;
-  w_hits_subset : int;
-  w_hits_store : int;
-}
-
 type result = {
   paths : int;                  (** completed (exited) paths *)
   bugs : bug list;
@@ -157,7 +146,6 @@ type result = {
   components : int;             (** independent subproblems seen *)
   component_solves : int;       (** raw blast+SAT solver invocations *)
   hits_canon : int;             (** per-layer solver cache hits... *)
-  hits_subset : int;
   hits_store : int;             (** ...all sums over workers *)
   summary_instantiated : int;   (** call sites answered by a summary *)
   summary_opaque : int;         (** call sites whose summary was opaque *)
@@ -179,9 +167,6 @@ type result = {
   blocks_covered : int;  (** basic blocks reached on some explored path *)
   blocks_total : int;    (** blocks of the functions reachable from main *)
   jobs : int;            (** worker domains used (1 for `Dfs/`Bfs) *)
-  worker_stats : worker_stat list;
-      (** per-worker solver/executor counters, in worker order; the
-          reported totals are by definition their sums *)
   profile : Obs.Profile.t option;
       (** per-(function, block) attribution, merged over workers; present
           iff [config.profile] was set *)
@@ -201,8 +186,8 @@ let input_of_model (input_vars : int array) model =
 
 (** Everything one worker (or the single sequential explorer) accumulates.
     Workers never share mutable state: the executor context (with its solver
-    context, coverage table and counters) and the result lists are private,
-    merged deterministically after the join. *)
+    context, coverage table and cost counters) and the result lists are
+    private, merged deterministically after the join. *)
 type worker = {
   gctx : Executor.gctx;
   mutable exits : (string * int64) list;   (** (witness, exit code), unordered *)
@@ -218,14 +203,13 @@ type worker = {
 let degrade w kind where npaths = w.degs <- (kind, where, npaths) :: w.degs
 
 let record_exit w input_vars (st : State.t) code =
+  let c = w.gctx.Executor.counters in
+  c.Counters.paths <- c.Counters.paths + 1;
   (match w.gctx.Executor.prof with
   | Some p ->
       (* the path completed at main's returning block *)
-      let fr = State.top st in
-      let cell =
-        Obs.Profile.site p ~fn:fr.State.fn.Ir.fname ~block:fr.State.cur_block
-      in
-      cell.Obs.Profile.s_paths <- cell.Obs.Profile.s_paths + 1
+      let cell = Executor.prof_site p st in
+      cell.Counters.paths <- cell.Counters.paths + 1
   | None -> ());
   let witness = input_of_model input_vars st.State.model in
   let code_v =
@@ -276,15 +260,16 @@ type ckpt = {
   mutable ck_at : int;  (** [paths] when the last snapshot was written *)
 }
 
-let snapshot_of_worker (w : worker) paths frontier : Checkpoint.snapshot =
+let snapshot_of_worker (w : worker) frontier : Checkpoint.snapshot =
+  let c = w.gctx.Executor.counters in
   {
-    Checkpoint.ck_paths = paths;
+    Checkpoint.ck_paths = c.Counters.paths;
     ck_exits = w.exits;
     ck_bugs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) w.bug_tbl [];
     ck_covered =
       Hashtbl.fold (fun k () acc -> k :: acc) w.gctx.Executor.covered [];
-    ck_insts = w.gctx.Executor.insts_executed;
-    ck_forks = w.gctx.Executor.forks;
+    ck_insts = c.Counters.instructions;
+    ck_forks = c.Counters.forks;
     ck_degs = w.degs;
     ck_frontier = frontier;
   }
@@ -304,13 +289,12 @@ exception Out_of_budget of string
     Checkpoints are written between pops — at that point the worklist is
     exactly the set of unexplored frontier states, so snapshot + rest of
     the run partitions the path tree and resume reproduces an
-    uninterrupted run's verdicts exactly.
-
-    Returns completed paths (including [base_paths] from a resumed
-    snapshot). *)
+    uninterrupted run's verdicts exactly.  Completed paths are counted in
+    the worker's counters (a resumed run seeds them from the snapshot). *)
 let run_sequential config (w : worker) init_states deadline input_vars
-    ~base_paths ~(ckpt : ckpt option) : int =
+    ~(ckpt : ckpt option) =
   let gctx = w.gctx in
+  let c = gctx.Executor.counters in
   let stack = ref [] in
   let queue = Queue.create () in
   let push st =
@@ -332,10 +316,9 @@ let run_sequential config (w : worker) init_states deadline input_vars
   (match config.searcher with
   | `Bfs -> List.iter push init_states
   | _ -> List.iter push (List.rev init_states));
-  let paths = ref base_paths in
   let budget_kind () =
-    if !paths >= config.max_paths then Some "path_budget"
-    else if gctx.Executor.insts_executed >= config.max_insts then
+    if c.Counters.paths >= config.max_paths then Some "path_budget"
+    else if c.Counters.instructions >= config.max_insts then
       Some "inst_budget"
     else if Unix.gettimeofday () > deadline then Some "wall_clock"
     else None
@@ -355,11 +338,11 @@ let run_sequential config (w : worker) init_states deadline input_vars
   in
   let maybe_checkpoint () =
     match ckpt with
-    | Some ck when !paths - ck.ck_at >= ck.ck_every ->
-        ck.ck_at <- !paths;
+    | Some ck when c.Counters.paths - ck.ck_at >= ck.ck_every ->
+        ck.ck_at <- c.Counters.paths;
         ignore
           (Checkpoint.save ~dir:ck.ck_dir ~digest:ck.ck_dig
-             (snapshot_of_worker w !paths (frontier ())))
+             (snapshot_of_worker w (frontier ())))
     | _ -> ()
   in
   let check_counter = ref 0 in
@@ -374,7 +357,6 @@ let run_sequential config (w : worker) init_states deadline input_vars
             match tr with
             | Executor.T_cont st' -> push st'
             | Executor.T_exit (st', code) ->
-                incr paths;
                 record_exit w input_vars st' code;
                 check_budget ()
             | Executor.T_drop (st', reason) -> record_drop w st' reason
@@ -414,8 +396,7 @@ let run_sequential config (w : worker) init_states deadline input_vars
   | Cancel.Cancelled reason ->
       (* cooperative cancellation: same shape as a tripped budget — keep
          every verdict proved so far, report the frontier as unexplored *)
-      degrade w "deadline_exceeded" reason (1 + List.length (frontier ())));
-  !paths
+      degrade w "deadline_exceeded" reason (1 + List.length (frontier ())))
 
 (* ---------------- parallel exploration ---------------- *)
 
@@ -436,14 +417,17 @@ exception Halt
     that path and the worker moves on; only an injected kill (or OOM /
     stack overflow) stops the whole run, and it is re-raised after the
     join so it behaves like process death to the caller. *)
-let run_parallel config n (workers : worker list) init_states deadline
-    input_vars ~base_paths : int =
+let run_parallel config (workers : worker list) init_states deadline
+    input_vars =
   let mutex = Mutex.create () in
   let wakeup = Condition.create () in
   let frontier = Queue.create () in
   let active = ref 0 in
   let stop = Atomic.make false in
-  let paths = Atomic.make base_paths in
+  (* worker 0's counters hold a resumed snapshot's paths *)
+  let paths =
+    Atomic.make (List.hd workers).gctx.Executor.counters.Counters.paths
+  in
   let insts = Atomic.make 0 in
   List.iter (fun st -> Queue.add st frontier) init_states;
   let halt () =
@@ -463,10 +447,10 @@ let run_parallel config n (workers : worker list) init_states deadline
        global budget is enforced without per-step contention *)
     let flushed = ref 0 in
     let flush_insts () =
-      let d = gctx.Executor.insts_executed - !flushed in
-      if d > 0 then begin
-        ignore (Atomic.fetch_and_add insts d);
-        flushed := gctx.Executor.insts_executed
+      let n = gctx.Executor.counters.Counters.instructions in
+      if n > !flushed then begin
+        ignore (Atomic.fetch_and_add insts (n - !flushed));
+        flushed := n
       end
     in
     let check_counter = ref 0 in
@@ -575,20 +559,19 @@ let run_parallel config n (workers : worker list) init_states deadline
   in
   worker_loop (List.hd workers);
   List.iter Domain.join spawned;
-  ignore n;
-  (if Atomic.get stop && not (List.exists (fun w -> w.killed <> None) workers)
-   then
-     let kind, where =
-       match config.cancel with
-       | Some c when Cancel.cancelled c -> ("deadline_exceeded", Cancel.reason c)
-       | _ ->
-           ( (if Atomic.get paths >= config.max_paths then "path_budget"
-              else if Atomic.get insts >= config.max_insts then "inst_budget"
-              else "wall_clock"),
-             "exploration budget" )
-     in
-     degrade (List.hd workers) kind where (Queue.length frontier));
-  Atomic.get paths
+  if Atomic.get stop && not (List.exists (fun w -> w.killed <> None) workers)
+  then begin
+    let kind, where =
+      match config.cancel with
+      | Some c when Cancel.cancelled c -> ("deadline_exceeded", Cancel.reason c)
+      | _ ->
+          ( (if Atomic.get paths >= config.max_paths then "path_budget"
+             else if Atomic.get insts >= config.max_insts then "inst_budget"
+             else "wall_clock"),
+            "exploration budget" )
+    in
+    degrade (List.hd workers) kind where (Queue.length frontier)
+  end
 
 (* ---------------- driver ---------------- *)
 
@@ -688,18 +671,18 @@ let run ?(config = default_config) (m : Ir.modul) : result =
   let glayout = Overify_summary.Summary.layout m in
   let make_worker i =
     let prof = if config.profile then Some (Obs.Profile.create ()) else None in
-    let solver =
-      Solver.create ~deadline ?cancel:config.cancel
-        ?hist:(Option.map (fun p -> p.Obs.Profile.qhist) prof)
-        ?cache:config.solver_cache ?store ?faults:config.faults ()
-    in
+    let counters = Counters.create () in
     let wspan =
       Option.map
         (fun parent ->
           Obs.Span.start ~parent (Printf.sprintf "symex.worker%d" i))
         eng_span
     in
-    Solver.set_span solver wspan;
+    let solver =
+      Solver.create ~counters ~deadline ?cancel:config.cancel
+        ?hist:(Option.map (fun p -> p.Obs.Profile.qhist) prof)
+        ?span:wspan ?cache:config.solver_cache ?store ?faults:config.faults ()
+    in
     let gctx =
       {
         Executor.modul = m;
@@ -708,9 +691,8 @@ let run ?(config = default_config) (m : Ir.modul) : result =
         input_vars;
         check_bounds = config.check_bounds;
         solver;
+        counters;
         faults = config.faults;
-        insts_executed = 0;
-        forks = 0;
         covered = Hashtbl.create 64;
         prof;
         glayout;
@@ -718,8 +700,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
         building = false;
         sym_deref = false;
         fork_conds = [];
-        sum_hits = 0;
-        sum_opaque = 0;
         span = wspan;
       }
     in
@@ -770,9 +750,9 @@ let run ?(config = default_config) (m : Ir.modul) : result =
      explores its saved frontier; the checkpoint was cut at a quiescent
      point, so snapshot + frontier partitions the path tree and the union
      of verdicts equals an uninterrupted run's *)
-  let (base_paths, init_states) =
+  let init_states =
     match snapshot with
-    | None -> (0, [ init_state ])
+    | None -> [ init_state ]
     | Some s ->
         let w0 = List.hd workers in
         w0.exits <- s.Checkpoint.ck_exits;
@@ -782,10 +762,12 @@ let run ?(config = default_config) (m : Ir.modul) : result =
         List.iter
           (fun k -> Hashtbl.replace w0.gctx.Executor.covered k ())
           s.Checkpoint.ck_covered;
-        w0.gctx.Executor.insts_executed <- s.Checkpoint.ck_insts;
-        w0.gctx.Executor.forks <- s.Checkpoint.ck_forks;
+        let c = w0.gctx.Executor.counters in
+        c.Counters.paths <- s.Checkpoint.ck_paths;
+        c.Counters.instructions <- s.Checkpoint.ck_insts;
+        c.Counters.forks <- s.Checkpoint.ck_forks;
         w0.degs <- s.Checkpoint.ck_degs;
-        (s.Checkpoint.ck_paths, s.Checkpoint.ck_frontier)
+        s.Checkpoint.ck_frontier
   in
   let ckpt =
     match (config.searcher, config.checkpoint_dir) with
@@ -795,19 +777,15 @@ let run ?(config = default_config) (m : Ir.modul) : result =
             ck_dir = dir;
             ck_dig = Lazy.force ck_digest;
             ck_every = max 1 config.checkpoint_every;
-            ck_at = base_paths;
+            ck_at = (List.hd workers).gctx.Executor.counters.Counters.paths;
           }
     | _ -> None
   in
-  let paths =
-    match config.searcher with
-    | `Dfs | `Bfs ->
-        run_sequential config (List.hd workers) init_states deadline input_vars
-          ~base_paths ~ckpt
-    | `Parallel j ->
-        run_parallel config j workers init_states deadline input_vars
-          ~base_paths
-  in
+  (match config.searcher with
+  | `Dfs | `Bfs ->
+      run_sequential config (List.hd workers) init_states deadline input_vars
+        ~ckpt
+  | `Parallel _ -> run_parallel config workers init_states deadline input_vars);
   (* an injected kill simulates process death: nothing below (merge,
      store save, counters) may run, exactly as if we had been SIGKILLed *)
   List.iter
@@ -873,66 +851,39 @@ let run ?(config = default_config) (m : Ir.modul) : result =
         (fun k () -> Hashtbl.replace covered k ())
         w.gctx.Executor.covered)
     workers;
-  let sum f = List.fold_left (fun acc w -> acc + f w) 0 workers in
-  let sumf f = List.fold_left (fun acc w -> acc +. f w) 0.0 workers in
-  let solver_stats w = Solver.stats w.gctx.Executor.solver in
-  let worker_stats =
-    List.map
-      (fun w ->
-        let s = solver_stats w in
-        {
-          w_instructions = w.gctx.Executor.insts_executed;
-          w_forks = w.gctx.Executor.forks;
-          w_queries = s.Solver.queries;
-          w_cache_hits = s.Solver.cache_hits;
-          w_solver_time = s.Solver.solver_time;
-          w_components = s.Solver.components;
-          w_component_solves = s.Solver.component_solves;
-          w_hits_canon = s.Solver.hits_canon;
-          w_hits_subset = s.Solver.hits_subset;
-          w_hits_store = s.Solver.hits_store;
-        })
-      workers
-  in
-  (* close the per-worker spans with the very counters that define the
-     result totals below, so per-span sums equal the engine's by
-     construction (the attribution invariant, per-span edition) *)
-  List.iter2
-    (fun w ws ->
+  (* close the per-worker spans with the very records the result totals
+     are summed from, so per-span sums equal the engine's by construction *)
+  List.iter
+    (fun w ->
       match w.gctx.Executor.span with
       | Some sp ->
           Obs.Span.finish sp
-            ~counters:
-              [ ("instructions", float_of_int ws.w_instructions);
-                ("forks", float_of_int ws.w_forks);
-                ("queries", float_of_int ws.w_queries);
-                ("cache_hits", float_of_int ws.w_cache_hits);
-                ("solver_time", ws.w_solver_time);
-                ("exits", float_of_int (List.length w.exits)) ]
+            ~counters:(Counters.to_list w.gctx.Executor.counters)
       | None -> ())
-    workers worker_stats;
+    workers;
+  let total =
+    Counters.sum (List.map (fun w -> w.gctx.Executor.counters) workers)
+  in
   (* persist whatever this run contributed to the cross-run store (only
      if we opened it — a borrowed [config.store] is saved by its owner) *)
   (match own_store with
   | Some st -> Overify_solver.Store.save st
   | None -> ());
-  (* per-layer solver counters through the metric registry (single-threaded
-     here, after the join, so no cross-domain races on the cells) *)
+  (* the run's costs through the metric registry (single-threaded here,
+     after the join, so no cross-domain races on the cells); solver time
+     is a timer, every other counter an integer *)
   if Obs.enabled () then begin
-    let flush name v =
-      if v > 0 then Obs.Registry.add (Obs.Registry.counter name) v
-    in
-    flush "solver.components" (sum (fun w -> (solver_stats w).Solver.components));
-    flush "solver.component_solves"
-      (sum (fun w -> (solver_stats w).Solver.component_solves));
-    flush "solver.hits.canon" (sum (fun w -> (solver_stats w).Solver.hits_canon));
-    flush "solver.hits.subset"
-      (sum (fun w -> (solver_stats w).Solver.hits_subset));
-    flush "solver.hits.store" (sum (fun w -> (solver_stats w).Solver.hits_store));
-    flush "summary.instantiated" (sum (fun w -> w.gctx.Executor.sum_hits));
-    flush "summary.opaque" (sum (fun w -> w.gctx.Executor.sum_opaque));
-    flush "summary.computed" summary_computed;
-    flush "summary.cached" summary_cached;
+    List.iter
+      (fun (name, v) ->
+        match "engine." ^ name with
+        | "engine.solver_time" as name ->
+            Obs.Registry.add_time (Obs.Registry.timer name) v
+        | name ->
+            if v > 0.0 then
+              Obs.Registry.add (Obs.Registry.counter name) (int_of_float v))
+      (Counters.to_list total
+      @ [ ("summary_computed", float_of_int summary_computed);
+          ("summary_cached", float_of_int summary_cached) ]);
     List.iter
       (fun d ->
         Obs.Registry.add
@@ -982,16 +933,7 @@ let run ?(config = default_config) (m : Ir.modul) : result =
               ~args:[ ("kind", k); ("count", string_of_int n) ]
               "fault.injected")
         faults_injected;
-      Obs.Span.finish sp
-        ~counters:
-          [ ("paths", float_of_int paths);
-            ("instructions",
-             float_of_int (sum (fun w -> w.gctx.Executor.insts_executed)));
-            ("forks", float_of_int (sum (fun w -> w.gctx.Executor.forks)));
-            ("queries",
-             float_of_int (sum (fun w -> (solver_stats w).Solver.queries)));
-            ("solver_time",
-             sumf (fun w -> (solver_stats w).Solver.solver_time)) ]
+      Obs.Span.finish sp ~counters:(Counters.to_list total)
   | None -> ());
   if Obs.Trace.enabled () then
     Obs.Trace.emit ~cat:"symex" ~name:"engine.run"
@@ -1002,26 +944,24 @@ let run ?(config = default_config) (m : Ir.modul) : result =
            | `Dfs -> "dfs"
            | `Bfs -> "bfs"
            | `Parallel j -> Printf.sprintf "parallel:%d" j);
-          ("paths", string_of_int paths);
+          ("paths", string_of_int total.Counters.paths);
           ("complete", string_of_bool complete);
         ]
       ~ts:t_start ~dur:time ();
   {
-    paths;
+    paths = total.Counters.paths;
     bugs;
-    instructions = sum (fun w -> w.gctx.Executor.insts_executed);
-    forks = sum (fun w -> w.gctx.Executor.forks);
-    queries = sum (fun w -> (solver_stats w).Solver.queries);
-    cache_hits = sum (fun w -> (solver_stats w).Solver.cache_hits);
-    solver_time = sumf (fun w -> (solver_stats w).Solver.solver_time);
-    components = sum (fun w -> (solver_stats w).Solver.components);
-    component_solves =
-      sum (fun w -> (solver_stats w).Solver.component_solves);
-    hits_canon = sum (fun w -> (solver_stats w).Solver.hits_canon);
-    hits_subset = sum (fun w -> (solver_stats w).Solver.hits_subset);
-    hits_store = sum (fun w -> (solver_stats w).Solver.hits_store);
-    summary_instantiated = sum (fun w -> w.gctx.Executor.sum_hits);
-    summary_opaque = sum (fun w -> w.gctx.Executor.sum_opaque);
+    instructions = total.Counters.instructions;
+    forks = total.Counters.forks;
+    queries = total.Counters.queries;
+    cache_hits = total.Counters.cache_hits;
+    solver_time = total.Counters.solver_time;
+    components = total.Counters.components;
+    component_solves = total.Counters.component_solves;
+    hits_canon = total.Counters.hits_canon;
+    hits_store = total.Counters.hits_store;
+    summary_instantiated = total.Counters.summary_instantiated;
+    summary_opaque = total.Counters.summary_opaque;
     summary_computed;
     summary_cached;
     time;
@@ -1048,7 +988,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
            if Hashtbl.mem reach f.Ir.fname then acc + Ir.num_blocks f else acc)
          0 m.Ir.funcs);
     jobs = njobs;
-    worker_stats;
     profile;
   }
 

@@ -35,10 +35,11 @@ type config = {
           inline.  Defaults to the [OVERIFY_SUMMARIES] environment
           variable. *)
   solver_cache : bool option;
-      (** enable the solver's reuse layers (exact, canonical,
-          counterexample, store); [None] defers to [OVERIFY_SOLVER_CACHE]
-          (default on).  The determinism contract makes answers identical
-          either way — only hit counters and solve counts move. *)
+      (** enable the solver's reuse layers (the per-component id table,
+          then the canonical component cache, then the attached store);
+          [None] defers to [OVERIFY_SOLVER_CACHE] (default on).  The
+          determinism contract makes answers identical either way — only
+          hit counters and solve counts move. *)
   cache_dir : string option;
       (** directory of a persistent cross-run solver store; loaded before
           exploration, shared by every worker, saved (atomically) after —
@@ -75,11 +76,12 @@ type config = {
           daemon opens one per admitted request): the run nests an
           ["engine.run"] child with ["summary.build"], per-worker
           ["symex.worker<i>"] and per-query ["solver.check"] descendants
-          in the flight ring / trace sink.  The counters attached to the
-          worker spans are the same per-worker sums that define the
-          [result] totals, so per-span sums equal engine totals exactly
-          as the profile's per-site sums do.  [None] (the default) traces
-          nothing and costs one [option] branch per site. *)
+          in the flight ring / trace sink.  Each worker span closes with
+          its worker's {!Overify_obs.Obs.Counters} record, and the
+          [result] totals are the sum of those records, so per-span sums
+          equal engine totals exactly as the profile's per-site sums do.
+          [None] (the default) traces nothing and costs one [option]
+          branch per site. *)
   cancel : Overify_fault.Cancel.t option;
       (** cooperative cancellation token (the [overify serve] daemon
           threads each request's admission-deadline token here): checked
@@ -120,21 +122,10 @@ type degradation = {
           length when the budget tripped) *)
 }
 
-type worker_stat = {
-  w_instructions : int;
-  w_forks : int;
-  w_queries : int;
-  w_cache_hits : int;
-  w_solver_time : float;
-  w_components : int;
-  w_component_solves : int;
-  w_hits_canon : int;       (** per-layer solver cache hits (see
-                                [Solver.stats]); the result's layer
-                                totals are their sums *)
-  w_hits_subset : int;
-  w_hits_store : int;
-}
-
+(** The counters from [instructions] to [summary_opaque] are the fields
+    of the sum of the workers' {!Overify_obs.Obs.Counters} records
+    (resumed runs included); per-worker values are the counters of the
+    ["symex.worker<i>"] spans when [config.span] is set. *)
 type result = {
   paths : int;           (** completed (exited) paths *)
   bugs : bug list;
@@ -149,7 +140,6 @@ type result = {
       (** raw blast+SAT invocations — what the acceleration chain saves *)
   hits_canon : int;
       (** solver cache hits per layer: id table or canonical cache, *)
-  hits_subset : int;     (** UNSAT-subset rule, *)
   hits_store : int;      (** and the persistent cross-run store *)
   summary_instantiated : int;
       (** call sites answered by instantiating a function summary *)
@@ -174,16 +164,11 @@ type result = {
   blocks_covered : int;  (** basic blocks reached on some explored path *)
   blocks_total : int;    (** blocks of the functions reachable from main *)
   jobs : int;            (** worker domains used (1 for [`Dfs]/[`Bfs]) *)
-  worker_stats : worker_stat list;
-      (** per-worker solver/executor counters, in worker order; the
-          reported totals ([instructions], [forks], [queries],
-          [cache_hits], [solver_time]) are their sums *)
   profile : Overify_obs.Obs.Profile.t option;
       (** per-(function, block) cost attribution, merged over workers;
-          present iff [config.profile].  Attributed instructions, forks,
-          queries and cache hits sum exactly to the whole-run totals;
-          attributed solver time sums to [solver_time] up to float
-          rounding. *)
+          present iff [config.profile].  Every integer counter of the
+          sites sums exactly to the whole-run total; attributed solver
+          time sums to [solver_time] up to float rounding. *)
 }
 
 val run : ?config:config -> Overify_ir.Ir.modul -> result

@@ -12,6 +12,7 @@ module Solver = Overify_solver.Solver
 module Obs = Overify_obs.Obs
 module Fault = Overify_fault.Fault
 module Summary = Overify_summary.Summary
+module Counters = Obs.Counters
 module IMap = State.IMap
 
 type gctx = {
@@ -21,20 +22,22 @@ type gctx = {
   input_vars : int array;          (** symbolic variable id per input byte *)
   check_bounds : bool;             (** hunt for memory-safety bugs *)
   solver : Solver.ctx;             (** this worker's private solver context *)
+  counters : Counters.t;
+      (** this worker's cost counters, shared with [solver]: the executor
+          adds instructions, forks and summary call outcomes, the solver
+          its query costs, the engine completed paths *)
   faults : Fault.t option;
       (** injected-fault schedule shared by all workers of a run; scheduled
           crash/kill faults tick per [step], alloc faults per [Alloca] *)
-  mutable insts_executed : int;    (** dynamic total over all paths *)
-  mutable forks : int;
   mutable covered : (string * int, unit) Hashtbl.t;
       (** basic blocks reached on some path (KLEE-style coverage);
           mutable so the summary builder can swap in per-trace tables *)
   prof : Obs.Profile.t option;
       (** cost attribution per (function, block); [None] (the default) is
           the un-instrumented fast path — every profiling site is one
-          branch on this option.  Increments mirror [insts_executed],
-          [forks] and the solver counters exactly, so attributed values
-          sum to the whole-run totals. *)
+          branch on this option.  Each site cell receives exactly the
+          increments [counters] does, so attributed values sum to the
+          whole-run totals. *)
   glayout : Summary.layout;
       (** writable-global byte-cell layout (summary variable space) *)
   mutable summaries : (string, Summary.fsum) Hashtbl.t option;
@@ -49,8 +52,6 @@ type gctx = {
       (** while building: conjuncts added under the both-sides-feasible
           branch discipline (Cbr), as opposed to the always-constrain
           condition discipline; cleared by the builder before each step *)
-  mutable sum_hits : int;    (** call sites answered by a summary *)
-  mutable sum_opaque : int;  (** call sites whose summary was opaque *)
   mutable span : Obs.Span.t option;
       (** this worker's span (request tracing): summary instantiations
           emit instant events under it, and the engine parents per-query
@@ -88,28 +89,19 @@ let width_of_ty ty = Ir.bits_of_ty ty
 
 type feas = Feasible of (int * int64) list | Infeasible
 
-(** One solver query, with its counter deltas (queries, cache hits, solver
-    time) attributed to [st]'s current site.  The delta view keeps the
-    attribution defined as "whatever the solver context recorded", so
-    per-site sums cannot drift from the whole-run totals; [Fun.protect]
-    charges partially-spent time even when the solver raises [Timeout]. *)
+(** One solver query, its whole counter delta attributed to [st]'s
+    current site.  The delta view keeps the attribution defined as
+    "whatever the solver recorded", so per-site sums cannot drift from the
+    whole-run totals; [Fun.protect] charges partially-spent time even when
+    the solver raises [Timeout]. *)
 let checked_query gctx (st : State.t) (assertions : Bv.t list) : Solver.result =
   match gctx.prof with
   | None -> Solver.check gctx.solver assertions
   | Some p ->
-      let s = Solver.stats gctx.solver in
-      let q0 = s.Solver.queries
-      and h0 = s.Solver.cache_hits
-      and t0 = s.Solver.solver_time in
+      let before = Counters.copy gctx.counters in
       Fun.protect
         ~finally:(fun () ->
-          let cell = prof_site p st in
-          cell.Obs.Profile.s_queries <-
-            cell.Obs.Profile.s_queries + (s.Solver.queries - q0);
-          cell.Obs.Profile.s_cache_hits <-
-            cell.Obs.Profile.s_cache_hits + (s.Solver.cache_hits - h0);
-          cell.Obs.Profile.s_solver_time <-
-            cell.Obs.Profile.s_solver_time +. (s.Solver.solver_time -. t0))
+          Counters.add (prof_site p st) (Counters.diff gctx.counters before))
         (fun () -> Solver.check gctx.solver assertions)
 
 (** Is [path /\ c] satisfiable?  Fast path: the state's model. *)
@@ -236,15 +228,14 @@ let enter_block gctx (st : State.t) target : State.t =
         | _ -> assert false)
       phis
   in
-  gctx.insts_executed <- gctx.insts_executed + List.length phis;
+  let c = gctx.counters in
+  c.Counters.instructions <- c.Counters.instructions + List.length phis;
   (match gctx.prof with
   | Some p when phis <> [] ->
       (* phi evaluation belongs to the block being entered *)
-      let cell =
-        Obs.Profile.site p ~fn:fr.State.fn.Ir.fname ~block:target
-      in
-      cell.Obs.Profile.s_insts <-
-        cell.Obs.Profile.s_insts + List.length phis
+      let cell = Obs.Profile.site p ~fn:fr.State.fn.Ir.fname ~block:target in
+      cell.Counters.instructions <-
+        cell.Counters.instructions + List.length phis
   | _ -> ());
   let st = { st with State.steps = st.State.steps + List.length phis } in
   State.with_top
@@ -332,22 +323,24 @@ let input_byte gctx (st : State.t) (idx : Bv.t) : Bv.t =
 (* ---------------- the step function ---------------- *)
 
 let charge gctx st =
-  gctx.insts_executed <- gctx.insts_executed + 1;
+  let c = gctx.counters in
+  c.Counters.instructions <- c.Counters.instructions + 1;
   (match gctx.prof with
   | Some p ->
       let cell = prof_site p st in
-      cell.Obs.Profile.s_insts <- cell.Obs.Profile.s_insts + 1
+      cell.Counters.instructions <- cell.Counters.instructions + 1
   | None -> ());
   { st with State.steps = st.State.steps + 1 }
 
 (** A genuine fork (more than one feasible continuation), attributed to the
     site that forked. *)
 let record_fork gctx st =
-  gctx.forks <- gctx.forks + 1;
+  let c = gctx.counters in
+  c.Counters.forks <- c.Counters.forks + 1;
   match gctx.prof with
   | Some p ->
       let cell = prof_site p st in
-      cell.Obs.Profile.s_forks <- cell.Obs.Profile.s_forks + 1
+      cell.Counters.forks <- cell.Counters.forks + 1
   | None -> ()
 
 (** Execute one instruction or terminator of [st]. *)
@@ -653,12 +646,14 @@ and exec_call gctx (st : State.t) dst name (args : Sval.t list) :
           | Some tbl when not gctx.building -> (
               match Hashtbl.find_opt tbl name with
               | Some (Summary.Summarized traces) ->
-                  gctx.sum_hits <- gctx.sum_hits + 1;
+                  let c = gctx.counters in
+                  c.Counters.summary_instantiated <-
+                    c.Counters.summary_instantiated + 1;
                   (match gctx.prof with
                   | Some p ->
                       let cell = prof_site p st in
-                      cell.Obs.Profile.s_sum_hits <-
-                        cell.Obs.Profile.s_sum_hits + 1
+                      cell.Counters.summary_instantiated <-
+                        cell.Counters.summary_instantiated + 1
                   | None -> ());
                   (match gctx.span with
                   | Some parent ->
@@ -672,12 +667,13 @@ and exec_call gctx (st : State.t) dst name (args : Sval.t list) :
                     (Array.of_list
                        (List.map (as_int_exn "summary arg") args))
               | Some (Summary.Opaque _) ->
-                  gctx.sum_opaque <- gctx.sum_opaque + 1;
+                  let c = gctx.counters in
+                  c.Counters.summary_opaque <- c.Counters.summary_opaque + 1;
                   (match gctx.prof with
                   | Some p ->
                       let cell = prof_site p st in
-                      cell.Obs.Profile.s_sum_opaque <-
-                        cell.Obs.Profile.s_sum_opaque + 1
+                      cell.Counters.summary_opaque <-
+                        cell.Counters.summary_opaque + 1
                   | None -> ());
                   inline ()
               | None -> inline ())

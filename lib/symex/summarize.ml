@@ -28,6 +28,7 @@ module Solver = Overify_solver.Solver
 module Store = Overify_solver.Store
 module Fault = Overify_fault.Fault
 module Summary = Overify_summary.Summary
+module Counters = Overify_obs.Obs.Counters
 
 let max_traces = 64
 let max_insts = 50_000
@@ -142,7 +143,7 @@ let build_one (gctx : Executor.gctx) (fn : Ir.func) : Summary.fsum =
       steps = 0;
     }
   in
-  let insts0 = gctx.Executor.insts_executed in
+  let insts0 = gctx.Executor.counters.Counters.instructions in
   let traces = ref [] in
   let ntraces = ref 0 in
   let seed_cov = Hashtbl.create 16 in
@@ -187,7 +188,7 @@ let build_one (gctx : Executor.gctx) (fn : Ir.func) : Summary.fsum =
   in
   try
     while !stack <> [] do
-      if gctx.Executor.insts_executed - insts0 > max_insts then
+      if gctx.Executor.counters.Counters.instructions - insts0 > max_insts then
         raise (Give_up "instruction budget");
       let st, cov, conjs =
         match !stack with

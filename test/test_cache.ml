@@ -1,7 +1,7 @@
 (** Solver-acceleration determinism suite at the engine level.
 
-    The solver's reuse layers (exact cache, canonical component cache,
-    counterexample cache, persistent store) are pure memoization: turning
+    The solver's reuse layers (id table, canonical component cache,
+    persistent store) are pure memoization: turning
     them off ([OVERIFY_SOLVER_CACHE=0] / [solver_cache = Some false]) must
     not change any verification result — verdicts, paths, exit codes, bugs
     and coverage are byte-identical, and the deterministic profile JSON is
@@ -70,7 +70,6 @@ let volatile_keys =
     "\"components\": ";
     "\"component_solves\": ";
     "\"hits_canon\": ";
-    "\"hits_subset\": ";
     "\"hits_store\": ";
   ]
 

@@ -1,10 +1,12 @@
 (** Observability suite: unit tests for the metric primitives ([Obs.Hist],
-    [Obs.Registry], [Obs.Pass], [Obs.Profile]), the central attribution
-    invariant (per-site costs sum to the whole-run [Engine.result] totals),
-    the shape and determinism of the [overify profile --json] report, and
-    the trace sink. *)
+    [Obs.Registry], [Obs.Pass], [Obs.Counters], [Obs.Profile]), the central
+    attribution invariant (per-site sums, per-worker-span sums and the
+    whole-run [Engine.result] totals agree on every counter), the shape and
+    determinism of the [overify profile --json] report, and the trace
+    sink. *)
 
 module Obs = Overify_obs.Obs
+module Counters = Obs.Counters
 module Engine = Overify_symex.Engine
 module Frontend = Overify_minic.Frontend
 module Costmodel = Overify_opt.Costmodel
@@ -136,41 +138,52 @@ let test_pass_rollup () =
       check int "dce dsize" (-10) dce.Obs.Pass.pr_dsize
   | l -> Alcotest.failf "expected 2 rollup rows, got %d" (List.length l)
 
-(* ------------- Profile collector ------------- *)
+(* ------------- Counters and the profile collector ------------- *)
 
 let test_profile_sites () =
   let p = Obs.Profile.create () in
   let s1 = Obs.Profile.site p ~fn:"main" ~block:3 in
-  s1.Obs.Profile.s_insts <- 10;
+  s1.Counters.instructions <- 10;
   (* memoized: the same (fn, block) is the same cell *)
   let s1' = Obs.Profile.site p ~fn:"main" ~block:3 in
   check bool "memoized cell" true (s1 == s1');
   let s2 = Obs.Profile.site p ~fn:"main" ~block:7 in
-  s2.Obs.Profile.s_queries <- 2;
+  s2.Counters.queries <- 2;
   let s3 = Obs.Profile.site p ~fn:"wc" ~block:3 in
-  s3.Obs.Profile.s_insts <- 5;
+  s3.Counters.instructions <- 5;
   check int "three sites" 3 (List.length (Obs.Profile.sites p));
-  let t = Obs.Profile.totals p in
-  check int "total insts" 15 t.Obs.Profile.t_insts;
-  check int "total queries" 2 t.Obs.Profile.t_queries;
+  let totals p = Counters.sum (List.map snd (Obs.Profile.sites p)) in
+  let t = totals p in
+  check int "total insts" 15 t.Counters.instructions;
+  check int "total queries" 2 t.Counters.queries;
   (* merge *)
   let q = Obs.Profile.create () in
-  (Obs.Profile.site q ~fn:"main" ~block:3).Obs.Profile.s_insts <- 100;
-  (Obs.Profile.site q ~fn:"new" ~block:0).Obs.Profile.s_forks <- 4;
+  (Obs.Profile.site q ~fn:"main" ~block:3).Counters.instructions <- 100;
+  (Obs.Profile.site q ~fn:"new" ~block:0).Counters.forks <- 4;
   Obs.Profile.merge_into p q;
-  let t = Obs.Profile.totals p in
-  check int "merged insts" 115 t.Obs.Profile.t_insts;
-  check int "merged forks" 4 t.Obs.Profile.t_forks;
-  check int "four sites after merge" 4 (List.length (Obs.Profile.sites p))
+  let t = totals p in
+  check int "merged insts" 115 t.Counters.instructions;
+  check int "merged forks" 4 t.Counters.forks;
+  check int "four sites after merge" 4 (List.length (Obs.Profile.sites p));
+  (* diff subtracts field by field *)
+  let d = Counters.diff t s1 in
+  check int "diff insts" 5 d.Counters.instructions;
+  check int "diff forks" 4 d.Counters.forks;
+  check bool "to_list names every field once, in a fixed order" true
+    (List.map fst (Counters.to_list t)
+    = [ "instructions"; "forks"; "paths"; "queries"; "cache_hits";
+        "solver_time"; "components"; "component_solves"; "hits_canon";
+        "hits_store"; "summary_instantiated"; "summary_opaque" ])
 
-(* ------------- attribution sums to engine totals ------------- *)
+(* ------------- the attribution invariant ------------- *)
 
 let compile_program ?(level = Costmodel.overify) (p : Programs.t) =
   (Pipeline.optimize level
      (Frontend.compile_sources [ Vclib.for_cost_model level; p.Programs.source ]))
     .Pipeline.modul
 
-let run_profiled ?(searcher = `Dfs) ?(input_size = 3) m =
+let run_profiled ?(searcher = `Dfs) ?(input_size = 3) ?(summaries = false)
+    ?span m =
   Engine.run
     ~config:
       {
@@ -179,62 +192,112 @@ let run_profiled ?(searcher = `Dfs) ?(input_size = 3) m =
         timeout = 30.0;
         searcher;
         profile = true;
+        summaries;
+        span;
       }
     m
 
-let assert_attribution_matches name (r : Engine.result) =
-  let p =
+let prefixed pre l =
+  String.length l >= String.length pre
+  && String.sub l 0 (String.length pre) = pre
+
+(* [Engine.result]'s totals under their counter names *)
+let result_counters (r : Engine.result) =
+  let i = float_of_int in
+  [
+    ("instructions", i r.Engine.instructions);
+    ("forks", i r.Engine.forks);
+    ("paths", i r.Engine.paths);
+    ("queries", i r.Engine.queries);
+    ("cache_hits", i r.Engine.cache_hits);
+    ("solver_time", r.Engine.solver_time);
+    ("components", i r.Engine.components);
+    ("component_solves", i r.Engine.component_solves);
+    ("hits_canon", i r.Engine.hits_canon);
+    ("hits_store", i r.Engine.hits_store);
+    ("summary_instantiated", i r.Engine.summary_instantiated);
+    ("summary_opaque", i r.Engine.summary_opaque);
+  ]
+
+(* One run, profiled and traced: for every counter, the per-site sums of
+   the profile, the sums over the symex.worker<i> spans and the result
+   totals agree — integers exactly, solver time (float deltas of one
+   accumulator) up to rounding.  Returns the result. *)
+let check_counters_agree ?searcher ?input_size ?summaries name m =
+  let trace = "t-agree-" ^ name in
+  let root = Obs.Span.start ~trace "request.verify" in
+  let r = run_profiled ?searcher ?input_size ?summaries ~span:root m in
+  Obs.Span.finish root;
+  let sites =
     match r.Engine.profile with
-    | Some p -> p
+    | Some p -> Counters.sum (List.map snd (Obs.Profile.sites p))
     | None -> Alcotest.failf "%s: no profile returned" name
   in
-  let t = Obs.Profile.totals p in
-  check int (name ^ ": instructions attributed") r.Engine.instructions
-    t.Obs.Profile.t_insts;
-  check int (name ^ ": forks attributed") r.Engine.forks t.Obs.Profile.t_forks;
-  check int (name ^ ": queries attributed") r.Engine.queries
-    t.Obs.Profile.t_queries;
-  check int (name ^ ": cache hits attributed") r.Engine.cache_hits
-    t.Obs.Profile.t_cache_hits;
-  check int (name ^ ": paths attributed") r.Engine.paths t.Obs.Profile.t_paths;
-  (* per-site solver charges are float deltas of the same accumulator —
-     equal up to rounding *)
-  if abs_float (t.Obs.Profile.t_solver_time -. r.Engine.solver_time)
-     > 1e-6 +. (1e-9 *. float_of_int r.Engine.queries)
-  then
-    Alcotest.failf "%s: solver time %.9f attributed as %.9f" name
-      r.Engine.solver_time t.Obs.Profile.t_solver_time
+  let workers =
+    List.filter
+      (fun x ->
+        x.Obs.Flight.fr_trace = trace && x.Obs.Flight.fr_kind = "span"
+        && prefixed "symex.worker" x.Obs.Flight.fr_label)
+      (Obs.Flight.records ())
+  in
+  check int (name ^ ": one span per worker") r.Engine.jobs
+    (List.length workers);
+  let span_sum k =
+    List.fold_left
+      (fun acc w ->
+        let v = List.assoc_opt k w.Obs.Flight.fr_counters in
+        acc +. Option.value ~default:nan v)
+      0.0 workers
+  in
+  List.iter
+    (fun (k, site) ->
+      let total = List.assoc k (result_counters r) and span = span_sum k in
+      if k = "solver_time" then begin
+        let tol = 1e-6 +. (1e-9 *. float_of_int r.Engine.queries) in
+        if abs_float (site -. total) > tol || abs_float (span -. total) > tol
+        then
+          Alcotest.failf "%s: solver time %.9f, sites %.9f, spans %.9f" name
+            total site span
+      end
+      else if site <> total || span <> total then
+        Alcotest.failf "%s: %s total %.0f, sites %.0f, spans %.0f" name k
+          total site span)
+    (Counters.to_list sites);
+  r
 
-(* every corpus program, sequential: sums must match exactly *)
-let test_attribution_corpus () =
+(* every corpus program sequentially, wc on two workers, and wc at -O0
+   with summaries instantiated at its call sites *)
+let test_counters_agree () =
   List.iter
     (fun (p : Programs.t) ->
-      let m = compile_program p in
-      let r = run_profiled ~input_size:2 m in
-      assert_attribution_matches p.Programs.name r)
-    Programs.programs
+      ignore
+        (check_counters_agree ~input_size:2 p.Programs.name
+           (compile_program p)))
+    Programs.programs;
+  let wc = Option.get (Programs.find "wc") in
+  let r =
+    check_counters_agree ~searcher:(`Parallel 2) "wc@parallel2"
+      (compile_program wc)
+  in
+  check int "two workers" 2 r.Engine.jobs;
+  let r =
+    check_counters_agree ~summaries:true "wc@O0+summaries"
+      (compile_program ~level:Costmodel.o0 wc)
+  in
+  check bool "summaries instantiated" true (r.Engine.summary_instantiated > 0)
 
 (* unoptimized wc has multiple active functions — attribution must span
-   them and still sum to the totals *)
+   them *)
 let test_attribution_multi_function () =
   let p = Option.get (Programs.find "wc") in
   let m = compile_program ~level:Costmodel.o0 p in
   let r = run_profiled ~input_size:3 m in
-  assert_attribution_matches "wc@O0" r;
   let prof = Option.get r.Engine.profile in
   let fns =
     List.sort_uniq compare
       (List.map (fun ((fn, _), _) -> fn) (Obs.Profile.sites prof))
   in
   check bool "several functions attributed" true (List.length fns > 1)
-
-(* the merged parallel profile obeys the same invariant *)
-let test_attribution_parallel () =
-  let p = Option.get (Programs.find "wc") in
-  let m = compile_program p in
-  let r = run_profiled ~searcher:(`Parallel 2) ~input_size:3 m in
-  check int "two workers" 2 r.Engine.jobs;
-  assert_attribution_matches "wc@parallel2" r
 
 (* profiling off: no collector is allocated or returned *)
 let test_profile_off_is_none () =
@@ -470,8 +533,8 @@ let engine_span_run ~trace () =
   Obs.Span.finish root;
   r
 
-(* the attribution invariant, per-span edition: worker-span counters sum
-   to the run's totals, and the engine.run span carries those totals *)
+(* the engine.run span carries the run's totals, and every span of the
+   request's tree nests inside its parent's interval *)
 let test_span_sums_match_engine () =
   let open Obs.Flight in
   Obs.Flight.clear ();
@@ -479,36 +542,12 @@ let test_span_sums_match_engine () =
   let rs =
     List.filter (fun x -> x.fr_trace = "t-sums") (Obs.Flight.records ())
   in
-  let prefixed pre l =
-    String.length l >= String.length pre && String.sub l 0 (String.length pre) = pre
-  in
-  let workers =
-    List.filter
-      (fun x -> x.fr_kind = "span" && prefixed "symex.worker" x.fr_label)
-      rs
-  in
-  check bool "worker spans present" true (workers <> []);
-  let sum name =
-    List.fold_left
-      (fun acc w ->
-        acc +. Option.value ~default:0.0 (List.assoc_opt name w.fr_counters))
-      0.0 workers
-  in
-  check int "instructions sum to total" r.Engine.instructions
-    (int_of_float (sum "instructions"));
-  check int "forks sum to total" r.Engine.forks (int_of_float (sum "forks"));
-  check int "queries sum to total" r.Engine.queries
-    (int_of_float (sum "queries"));
-  check int "cache hits sum to total" r.Engine.cache_hits
-    (int_of_float (sum "cache_hits"));
-  check bool "solver time sums to total" true
-    (abs_float (sum "solver_time" -. r.Engine.solver_time)
-    <= 1e-6 +. (1e-9 *. float_of_int r.Engine.queries));
   let eng = List.find (fun x -> x.fr_label = "engine.run") rs in
-  check int "engine span paths" r.Engine.paths
-    (int_of_float (List.assoc "paths" eng.fr_counters));
-  check int "engine span instructions" r.Engine.instructions
-    (int_of_float (List.assoc "instructions" eng.fr_counters));
+  List.iter
+    (fun (k, v) ->
+      check bool ("engine span " ^ k) true
+        (List.assoc_opt k eng.fr_counters = Some v))
+    (result_counters r);
   (* interval nesting holds across the whole recorded tree *)
   let spans = List.filter (fun x -> x.fr_kind = "span") rs in
   let by_id = Hashtbl.create 16 in
@@ -592,11 +631,9 @@ let () =
       ( "attribution",
         [
           Alcotest.test_case "corpus sums to totals" `Slow
-            test_attribution_corpus;
+            test_counters_agree;
           Alcotest.test_case "multi-function (wc@O0)" `Quick
             test_attribution_multi_function;
-          Alcotest.test_case "parallel merged profile" `Quick
-            test_attribution_parallel;
           Alcotest.test_case "off by default" `Quick test_profile_off_is_none;
         ] );
       ( "report",

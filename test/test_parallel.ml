@@ -150,74 +150,6 @@ let test_parallel_one_worker () =
   check int "jobs recorded" 1 par1.Engine.jobs;
   assert_agree "par1" dfs par1 ~what:"dfs vs parallel 1"
 
-(* ------------- per-worker stats aggregation ------------- *)
-
-(* the reported totals are defined as the sum of the per-worker solver and
-   executor counters; [result.worker_stats] exposes exactly those per-worker
-   values, so the sums must agree — exactly, including solver_time, since
-   both are the same left fold over the same worker list *)
-let sum_stats f (stats : Engine.worker_stat list) =
-  List.fold_left (fun acc w -> acc + f w) 0 stats
-
-let assert_worker_stats_sum name (r : Engine.result) =
-  check int
-    (name ^ ": instructions = sum of workers")
-    r.Engine.instructions
-    (sum_stats (fun w -> w.Engine.w_instructions) r.Engine.worker_stats);
-  check int
-    (name ^ ": forks = sum of workers")
-    r.Engine.forks
-    (sum_stats (fun w -> w.Engine.w_forks) r.Engine.worker_stats);
-  check int
-    (name ^ ": queries = sum of workers")
-    r.Engine.queries
-    (sum_stats (fun w -> w.Engine.w_queries) r.Engine.worker_stats);
-  check int
-    (name ^ ": cache_hits = sum of workers")
-    r.Engine.cache_hits
-    (sum_stats (fun w -> w.Engine.w_cache_hits) r.Engine.worker_stats);
-  (* the solver acceleration layers report per-worker too; their totals
-     are the same sums *)
-  List.iter
-    (fun (what, total, get) ->
-      check int
-        (Printf.sprintf "%s: %s = sum of workers" name what)
-        total
-        (sum_stats get r.Engine.worker_stats))
-    [
-      ("components", r.Engine.components, fun w -> w.Engine.w_components);
-      ( "component_solves",
-        r.Engine.component_solves,
-        fun w -> w.Engine.w_component_solves );
-      ("hits_canon", r.Engine.hits_canon, fun w -> w.Engine.w_hits_canon);
-      ("hits_subset", r.Engine.hits_subset, fun w -> w.Engine.w_hits_subset);
-      ("hits_store", r.Engine.hits_store, fun w -> w.Engine.w_hits_store);
-    ];
-  let t =
-    List.fold_left
-      (fun acc (w : Engine.worker_stat) -> acc +. w.Engine.w_solver_time)
-      0.0 r.Engine.worker_stats
-  in
-  if t <> r.Engine.solver_time then
-    Alcotest.failf "%s: solver_time %.9f <> worker sum %.9f" name
-      r.Engine.solver_time t
-
-let test_worker_stats_sum () =
-  let m = compile_src buggy_src in
-  let par = explore (`Parallel jobs) ~input_size:2 m in
-  check int "one stat row per worker" jobs
-    (List.length par.Engine.worker_stats);
-  assert_worker_stats_sum "parallel" par;
-  (* sequential searchers report the same shape with a single row *)
-  let dfs = explore `Dfs ~input_size:2 m in
-  check int "sequential run has one worker row" 1
-    (List.length dfs.Engine.worker_stats);
-  assert_worker_stats_sum "dfs" dfs;
-  (* and a corpus program, for counters big enough to catch double counting *)
-  let wc = compile (Option.get (Programs.find "wc")) in
-  let r = explore (`Parallel jobs) ~input_size:3 wc in
-  assert_worker_stats_sum "wc" r
-
 (* budgets are enforced globally: a tiny path budget stops a parallel run
    and marks it incomplete, same as sequential *)
 let test_parallel_budget () =
@@ -252,11 +184,6 @@ let () =
             test_parallel_reproducible;
           Alcotest.test_case "single-worker parallel" `Quick
             test_parallel_one_worker;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "worker stats sum to totals" `Quick
-            test_worker_stats_sum;
         ] );
       ( "budgets",
         [ Alcotest.test_case "global path budget" `Quick test_parallel_budget ] );

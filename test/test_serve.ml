@@ -14,6 +14,7 @@ module Json = Overify_serve.Json
 module Binfile = Overify_solver.Binfile
 module Store = Overify_solver.Store
 module Solver = Overify_solver.Solver
+module Counters = Overify_obs.Obs.Counters
 module Bv = Overify_solver.Bv
 module Engine = Overify_symex.Engine
 module Frontend = Overify_minic.Frontend
@@ -52,15 +53,16 @@ let daemon_stat d name =
   with_conn d @@ fun c ->
   match
     Client.rpc c
-      { Protocol.default_request with Protocol.rq_kind = Protocol.Stats }
+      { Protocol.default_request with Protocol.rq_kind = Protocol.Metrics }
   with
   | Ok json -> (
       let result = get_raw json "result" in
       match Json.parse result with
       | Ok j -> Option.value ~default:(-1) (Option.bind (Json.mem j name) Json.int_)
-      | Error e -> Alcotest.failf "stats result unparseable (%s): %s" e result)
+      | Error e ->
+          Alcotest.failf "metrics result unparseable (%s): %s" e result)
   | Error e ->
-      Alcotest.failf "stats rpc failed: %s" (Protocol.frame_error_name e)
+      Alcotest.failf "metrics rpc failed: %s" (Protocol.frame_error_name e)
 
 (* ------------- Json: parse/print ------------- *)
 
@@ -117,7 +119,7 @@ let request_gen : Protocol.request QCheck.Gen.t =
   let* rq_id = int_bound 1_000_000 in
   let* rq_kind =
     oneofl [ Protocol.Verify; Protocol.Compile; Protocol.Tv;
-             Protocol.Stats; Protocol.Metrics; Protocol.Shutdown ]
+             Protocol.Metrics; Protocol.Shutdown ]
   in
   let* rq_program = any_string in
   let* rq_source = any_string in
@@ -198,6 +200,7 @@ let test_request_rejects () =
   expect_err "not an object" "[1]";
   expect_err "missing kind" "{\"program\": \"wc\"}";
   expect_err "unknown kind" "{\"kind\": \"frobnicate\"}";
+  expect_err "retired stats kind" "{\"kind\": \"stats\"}";
   expect_err "unknown field" "{\"kind\": \"verify\", \"frob\": 1}";
   expect_err "bad type" "{\"kind\": \"verify\", \"input_size\": \"four\"}";
   expect_err "size range" "{\"kind\": \"verify\", \"input_size\": 65}";
@@ -258,7 +261,7 @@ let test_truncated_frame () =
   (with_conn d @@ fun c ->
    (* a valid frame cut mid-payload, then EOF *)
    let frame = Binfile.frame ~magic:Protocol.magic ~version:Protocol.version
-       "{\"kind\": \"stats\"}" in
+       "{\"kind\": \"metrics\"}" in
    let half = String.sub frame 0 (String.length frame - 7) in
    ignore (Client.send_bytes c half));
   (* connection dropped; daemon must keep serving *)
@@ -598,7 +601,8 @@ let test_metrics_golden_keys () =
      requests above pin executed / dedup / latency-count cells *)
   golden_walk result
     [
-      "{"; "\"uptime_s\":"; "\"queue_depth\":"; "\"requests\":";
+      "{"; "\"uptime_s\":"; "\"queue_depth\":"; "\"inflight\": 0";
+      "\"recent\": 1"; "\"requests\":";
       "\"executed\": 1"; "\"dedup_inflight\":"; "\"dedup_recent\":";
       "\"dedup_hits\": 1"; "\"malformed\": 0"; "\"errors\": 0";
       "\"requests_shed\": 0"; "\"cancelled\": 0";
@@ -830,19 +834,21 @@ let test_clear_cache_keeps_shared_store () =
      store without a fresh solve *)
   with_temp_dir @@ fun dir ->
   let st = Store.load ~dir () in
-  let c = Solver.create ~cache:true ~store:st () in
+  let counters = Counters.create () in
+  let c = Solver.create ~counters ~cache:true ~store:st () in
   let queries = store_queries () in
   let r1 = List.map (Solver.check c) queries in
   let entries = Store.length st in
   check bool "store gained entries" true (entries > 0);
   Solver.clear_cache c;
   check int "clear_cache left the shared store alone" entries (Store.length st);
-  Solver.reset_stats c;
+  let before = Counters.copy counters in
   let r2 = List.map (Solver.check c) queries in
+  let after = Counters.diff counters before in
   check bool "verdicts identical after clear" true (r1 = r2);
   check int "no fresh component solves after clear (store answered)" 0
-    (Solver.stats c).Solver.component_solves;
-  check bool "store layer hit" true ((Solver.stats c).Solver.hits_store > 0)
+    after.Counters.component_solves;
+  check bool "store layer hit" true (after.Counters.hits_store > 0)
 
 (* ------------- deadlines, admission control, watchdog ------------- *)
 

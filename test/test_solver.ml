@@ -5,6 +5,7 @@
 module Bv = Overify_solver.Bv
 module Sat = Overify_solver.Sat
 module Solver = Overify_solver.Solver
+module Counters = Overify_obs.Obs.Counters
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -267,58 +268,59 @@ let prop_blast_matches_eval =
 
 (* ------------- solver interface (explicit contexts) ------------- *)
 
+(* a context with its own counters record, returned alongside *)
+let counted ?cache ?store () =
+  let c = Counters.create () in
+  (Solver.create ~counters:c ?cache ?store (), c)
+
 let test_trivial_queries_no_sat () =
-  let ctx = Solver.create () in
+  let ctx, c = counted () in
   (match Solver.check ctx [ Bv.tt ] with
   | Solver.Sat _ -> ()
   | Solver.Unsat -> Alcotest.fail "true is sat");
   (match Solver.check ctx [ Bv.ff ] with
   | Solver.Unsat -> ()
   | Solver.Sat _ -> Alcotest.fail "false is unsat");
-  check int "2 queries counted" 2 (Solver.stats ctx).Solver.queries;
-  check int "1 sat answer" 1 (Solver.stats ctx).Solver.sat_answers;
-  check int "1 unsat answer" 1 (Solver.stats ctx).Solver.unsat_answers
+  check int "2 queries counted" 2 c.Counters.queries;
+  check int "no blasting" 0 c.Counters.component_solves
 
 (* the reuse-layer tests pin [~cache:true] so they hold even when the
    suite is re-run under OVERIFY_SOLVER_CACHE=0 (the @ci-cache-off pass) *)
 let test_cache_hits () =
-  let ctx = Solver.create ~cache:true () in
+  let ctx, c = counted ~cache:true () in
   let x = Bv.var 8 77 in
   let q = [ Bv.cmp Bv.Ugt x (Bv.const 8 100L) ] in
   ignore (Solver.check ctx q);
   ignore (Solver.check ctx q);
-  check int "second hit cached" 1 (Solver.stats ctx).Solver.cache_hits
+  check int "second hit cached" 1 c.Counters.cache_hits
 
 (* two contexts share nothing: a query cached in one is a miss in the
    other, and counters advance independently *)
 let test_ctx_isolation () =
-  let c1 = Solver.create ~cache:true ()
-  and c2 = Solver.create ~cache:true () in
+  let ctx1, c1 = counted ~cache:true ()
+  and ctx2, c2 = counted ~cache:true () in
   let x = Bv.var 8 78 in
   let q = [ Bv.cmp Bv.Ult x (Bv.const 8 10L) ] in
-  ignore (Solver.check c1 q);
-  ignore (Solver.check c1 q);
-  check int "c1 hit" 1 (Solver.stats c1).Solver.cache_hits;
-  check int "c2 untouched" 0 (Solver.stats c2).Solver.queries;
-  ignore (Solver.check c2 q);
-  check int "c2 miss despite c1's cache" 0 (Solver.stats c2).Solver.cache_hits;
-  check int "c1 unaffected by c2" 2 (Solver.stats c1).Solver.queries
+  ignore (Solver.check ctx1 q);
+  ignore (Solver.check ctx1 q);
+  check int "c1 hit" 1 c1.Counters.cache_hits;
+  check int "c2 untouched" 0 c2.Counters.queries;
+  ignore (Solver.check ctx2 q);
+  check int "c2 miss despite c1's cache" 0 c2.Counters.cache_hits;
+  check int "c1 unaffected by c2" 2 c1.Counters.queries
 
 let test_ctx_clear_cache () =
-  let c1 = Solver.create ~cache:true ()
-  and c2 = Solver.create ~cache:true () in
+  let ctx1, c1 = counted ~cache:true ()
+  and ctx2, c2 = counted ~cache:true () in
   let x = Bv.var 8 79 in
   let q = [ Bv.cmp Bv.Eq x (Bv.const 8 42L) ] in
-  ignore (Solver.check c1 q);
-  ignore (Solver.check c2 q);
-  Solver.clear_cache c1;
-  ignore (Solver.check c1 q);
-  check int "c1 re-solved after clear" 0 (Solver.stats c1).Solver.cache_hits;
-  ignore (Solver.check c2 q);
-  check int "c2 cache survived c1's clear" 1
-    (Solver.stats c2).Solver.cache_hits;
-  Solver.reset_stats c1;
-  check int "reset_stats zeroes" 0 (Solver.stats c1).Solver.queries
+  ignore (Solver.check ctx1 q);
+  ignore (Solver.check ctx2 q);
+  Solver.clear_cache ctx1;
+  ignore (Solver.check ctx1 q);
+  check int "c1 re-solved after clear" 0 c1.Counters.cache_hits;
+  ignore (Solver.check ctx2 q);
+  check int "c2 cache survived c1's clear" 1 c2.Counters.cache_hits
 
 (* each of two domains hammers its own context (on distinct variables, with
    terms built inside the domain to also exercise the hash-cons lock);
@@ -326,23 +328,23 @@ let test_ctx_clear_cache () =
 let test_ctx_concurrent_domains () =
   let n = 40 in
   let work var_base () =
-    let ctx = Solver.create ~cache:true () in
+    let ctx, c = counted ~cache:true () in
     for i = 0 to n - 1 do
       let x = Bv.var 8 (var_base + i) in
       let q = [ Bv.cmp Bv.Ugt x (Bv.const 8 (Int64.of_int (i mod 200))) ] in
       ignore (Solver.check ctx q);
       ignore (Solver.check ctx q)
     done;
-    Solver.stats ctx
+    c
   in
   let d = Domain.spawn (work 2_000) in
   let s1 = work 3_000 () in
   let s2 = Domain.join d in
-  check int "domain1 queries" (2 * n) s1.Solver.queries;
-  check int "domain2 queries" (2 * n) s2.Solver.queries;
-  check int "domain1 hits" n s1.Solver.cache_hits;
-  check int "domain2 hits" n s2.Solver.cache_hits;
-  check int "summed queries" (4 * n) (s1.Solver.queries + s2.Solver.queries)
+  check int "domain1 queries" (2 * n) s1.Counters.queries;
+  check int "domain2 queries" (2 * n) s2.Counters.queries;
+  check int "domain1 hits" n s1.Counters.cache_hits;
+  check int "domain2 hits" n s2.Counters.cache_hits;
+  check int "summed queries" (4 * n) (s1.Counters.queries + s2.Counters.queries)
 
 (* ------------- acceleration chain: differential oracle -------------
 
@@ -405,7 +407,7 @@ let model_satisfies model assertions =
 
 let test_differential_oracle () =
   let rng = Random.State.make [| 0xace5 |] in
-  let warm = Solver.create ~cache:true () in
+  let warm, s = counted ~cache:true () in
   for i = 1 to 2_000 do
     let assertions = gen_assertions rng in
     let expected = reference_is_sat assertions in
@@ -434,9 +436,8 @@ let test_differential_oracle () =
          cache history"
         i
   done;
-  let s = Solver.stats warm in
   check bool "warm context reused earlier work" true
-    (s.Solver.cache_hits > 0 || s.Solver.hits_canon > 0)
+    (s.Counters.cache_hits > 0 || s.Counters.hits_canon > 0)
 
 (* ------------- acceleration chain: path-shaped differential -------------
 
@@ -466,7 +467,7 @@ let gen_branch rng =
 
 let test_path_shaped_differential () =
   let rng = Random.State.make [| 0x5a7e |] in
-  let warm = Solver.create ~cache:true () in
+  let warm, s = counted ~cache:true () in
   (* SAT path conditions to extend, a bounded ring of the newest *)
   let pool = Array.make 128 [] and pooled = ref 1 in
   let shuffle q =
@@ -512,11 +513,10 @@ let test_path_shaped_differential () =
     if Random.State.int rng 4 = 0 then
       ask (List.nth siblings (Random.State.int rng 2))
   done;
-  let s = Solver.stats warm in
   check bool "repeated components answered without a solve" true
-    (s.Solver.hits_canon > s.Solver.component_solves);
+    (s.Counters.hits_canon > s.Counters.component_solves);
   check bool "some queries answered entirely by reuse" true
-    (s.Solver.cache_hits > 0)
+    (s.Counters.cache_hits > 0)
 
 (* ------------- independence partitioning: properties ------------- *)
 
@@ -586,47 +586,26 @@ let test_partition_vs_conjunction () =
     end
   done
 
-(* ------------- cache semantics: UNSAT-subset rule ------------- *)
+(* ------------- cache semantics: clear_cache ------------- *)
 
-(* a recorded UNSAT core proves any superset UNSAT without blasting *)
-let test_unsat_subset_rule () =
-  let ctx = Solver.create ~cache:true () in
-  let x = Bv.var 8 700 in
-  let a = Bv.cmp Bv.Ult x (Bv.const 8 5L) in
-  let b = Bv.cmp Bv.Ugt x (Bv.const 8 10L) in
-  let c = Bv.cmp Bv.Ne x (Bv.const 8 3L) in
-  (match Solver.check ctx [ a; b ] with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> Alcotest.fail "x<5 && x>10 should be unsat");
-  let solves = (Solver.stats ctx).Solver.component_solves in
-  (match Solver.check ctx [ a; b; c ] with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> Alcotest.fail "a superset of an unsat set must be unsat");
-  check int "answered by the UNSAT-subset rule" 1
-    (Solver.stats ctx).Solver.hits_subset;
-  check int "no new blast+SAT" solves
-    (Solver.stats ctx).Solver.component_solves;
-  check int "counted as a cache hit" 1 (Solver.stats ctx).Solver.cache_hits
-
-(* clear_cache must drop EVERY layer: id table, canonical, counterexample *)
+(* clear_cache must drop EVERY layer: id table and canonical cache *)
 let test_clear_cache_all_layers () =
-  let ctx = Solver.create ~cache:true () in
+  let ctx, c = counted ~cache:true () in
   let x = Bv.var 8 702 in
   let a = Bv.cmp Bv.Ult x (Bv.const 8 5L) in
   let b = Bv.cmp Bv.Ugt x (Bv.const 8 10L) in
   ignore (Solver.check ctx [ a ]);
   ignore (Solver.check ctx [ a; b ]);
   Solver.clear_cache ctx;
-  Solver.reset_stats ctx;
+  let before = Counters.copy c in
   ignore (Solver.check ctx [ a ]);
   (match Solver.check ctx [ a; b; Bv.cmp Bv.Ne x (Bv.const 8 3L) ] with
   | Solver.Unsat -> ()
   | Solver.Sat _ -> Alcotest.fail "unsat superset");
-  let s = Solver.stats ctx in
-  check int "no hits from any layer after clear" 0 s.Solver.cache_hits;
-  check int "no canonical hits" 0 s.Solver.hits_canon;
-  check int "no subset hits" 0 s.Solver.hits_subset;
-  check bool "everything re-solved" true (s.Solver.component_solves >= 2)
+  let s = Counters.diff c before in
+  check int "no hits from any layer after clear" 0 s.Counters.cache_hits;
+  check int "no canonical hits" 0 s.Counters.hits_canon;
+  check bool "everything re-solved" true (s.Counters.component_solves >= 2)
 
 (* ------------- persistent store ------------- *)
 
@@ -662,14 +641,12 @@ let test_store_round_trip () =
   Store.save st1;
   let st2 = Store.load ~dir () in
   check bool "entries survive the round trip" true (Store.loaded st2 > 0);
-  let c2 = Solver.create ~cache:true ~store:st2 () in
+  let c2, s2 = counted ~cache:true ~store:st2 () in
   let r2 = List.map (Solver.check c2) queries in
   check bool "identical results across runs (verdicts and models)" true
     (r1 = r2);
-  check int "no fresh solves on the warm run" 0
-    (Solver.stats c2).Solver.component_solves;
-  check bool "answered from the store" true
-    ((Solver.stats c2).Solver.hits_store > 0)
+  check int "no fresh solves on the warm run" 0 s2.Counters.component_solves;
+  check bool "answered from the store" true (s2.Counters.hits_store > 0)
 
 (* corrupted or version-mismatched store files must load as empty stores —
    a cache starts cold, it never crashes the run or poisons answers *)
@@ -688,12 +665,12 @@ let test_store_rejects_invalid () =
   Out_channel.with_open_bin file (fun oc -> output_string oc "garbage");
   let st_bad = Store.load ~dir () in
   check int "corrupted file loads as an empty store" 0 (Store.loaded st_bad);
-  let c_bad = Solver.create ~cache:true ~store:st_bad () in
+  let c_bad, s_bad = counted ~cache:true ~store:st_bad () in
   (match Solver.check c_bad (List.hd (store_queries ())) with
   | Solver.Sat _ -> ()
   | Solver.Unsat -> Alcotest.fail "x>200 is sat even with a corrupt store");
   check bool "corrupt store produced no hits" true
-    ((Solver.stats c_bad).Solver.hits_store = 0);
+    (s_bad.Counters.hits_store = 0);
   (* right magic, wrong version *)
   Out_channel.with_open_bin file (fun oc ->
       output_string oc "OVERIFY-SOLVER-STORE";
@@ -751,7 +728,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_partition_is_partition;
           Alcotest.test_case "partition vs conjunction (with shrinker)"
             `Quick test_partition_vs_conjunction;
-          Alcotest.test_case "UNSAT-subset rule" `Quick test_unsat_subset_rule;
           Alcotest.test_case "clear_cache drops every layer" `Quick
             test_clear_cache_all_layers;
         ] );
