@@ -12,8 +12,6 @@
       dune exec bench/main.exe -- summary [-n N] [-t SECONDS] [-p PROGRAM] [-o FILE]
       dune exec bench/main.exe -- validate [-n N] [-t SECONDS]
       dune exec bench/main.exe -- profile [-n N] [-t SECONDS]
-      dune exec bench/main.exe -- bechamel     # micro-benchmarks
-      dune exec bench/main.exe -- diff OLD.json NEW.json [-t FRACTION]
 
     Absolute numbers will differ from the paper (our substrate is a
     simulator, their testbed was KLEE+STP on x86); the shapes — who wins,
@@ -779,190 +777,6 @@ let run_validate args =
   let cex = H.Validation.run ~budget () in
   if cex > 0 then exit 1
 
-(* ---- Bechamel micro-benchmarks: one Test.make per table/figure driver,
-   at miniature settings so each iteration is sub-second ---- *)
-
-let bechamel () =
-  let open Bechamel in
-  let wc =
-    match H.Table1.wc () with
-    | Ok p -> p
-    | Error msg -> failwith ("bechamel needs the wc program: " ^ msg)
-  in
-  let compile_overify () =
-    ignore (H.Experiment.compile Overify_opt.Costmodel.overify wc)
-  in
-  let table1_tiny () =
-    let c = H.Experiment.compile Overify_opt.Costmodel.overify wc in
-    ignore (H.Experiment.verify ~input_size:2 ~timeout:5.0 c)
-  in
-  let table2_cell () =
-    let c = H.Experiment.compile Overify_opt.Costmodel.o3 wc in
-    ignore (H.Experiment.measure_cycles ~runs:2 ~size:8 c)
-  in
-  let table3_cell () =
-    ignore (H.Experiment.compile Overify_opt.Costmodel.o3 wc)
-  in
-  let figure4_cell () =
-    let p = Option.get (Overify_corpus.Programs.find "tr") in
-    let c = H.Experiment.compile Overify_opt.Costmodel.overify p in
-    ignore (H.Experiment.verify ~input_size:2 ~timeout:5.0 c)
-  in
-  let tests =
-    [
-      Test.make ~name:"compile-overify-wc" (Staged.stage compile_overify);
-      Test.make ~name:"table1-verify-wc-n2" (Staged.stage table1_tiny);
-      Test.make ~name:"table2-exec-cycles" (Staged.stage table2_cell);
-      Test.make ~name:"table3-compile-stats" (Staged.stage table3_cell);
-      Test.make ~name:"figure4-verify-tr-n2" (Staged.stage figure4_cell);
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:20 ~quota:(Time.second 1.0) ~kde:(Some 10) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let a = analyze results in
-      Hashtbl.iter
-        (fun name ols ->
-          match Bechamel.Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-28s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "%-28s (no estimate)\n%!" name)
-        a)
-    tests
-
-(* ---- bench diff: compare two BENCH_*.json files ---- *)
-
-module Bjson = Overify.Serve_json
-
-(** Flatten a BENCH json document to (path, number) cells.  Array
-    elements that are objects are keyed by their string-valued fields
-    (sorted), so rows match across reordering; other elements by index. *)
-let bench_cells (j : Bjson.t) : (string * float) list =
-  let out = ref [] in
-  let ident kvs =
-    match
-      List.filter_map
-        (fun (k, v) ->
-          match v with Bjson.Str s -> Some (k ^ "=" ^ s) | _ -> None)
-        kvs
-    with
-    | [] -> None
-    | l -> Some (String.concat "," (List.sort compare l))
-  in
-  let rec go prefix = function
-    | Bjson.Num n -> out := (prefix, n) :: !out
-    | Bjson.Obj kvs ->
-        List.iter
-          (fun (k, v) ->
-            go (if prefix = "" then k else prefix ^ "." ^ k) v)
-          kvs
-    | Bjson.Arr els ->
-        List.iteri
-          (fun i el ->
-            let key =
-              match el with
-              | Bjson.Obj kvs -> (
-                  match ident kvs with
-                  | Some id -> "[" ^ id ^ "]"
-                  | None -> Printf.sprintf "[%d]" i)
-              | _ -> Printf.sprintf "[%d]" i
-            in
-            go (prefix ^ key) el)
-          els
-    | _ -> ()
-  in
-  go "" j;
-  List.rev !out
-
-(** Fields where a bigger number means a slower/costlier run — the ones
-    a regression gate cares about.  Verdict counts (paths, bugs) and
-    hit counters legitimately move in either direction. *)
-let cost_cell path =
-  let seg =
-    match String.rindex_opt path '.' with
-    | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-    | None -> path
-  in
-  let contains sub =
-    let n = String.length sub and m = String.length seg in
-    let rec at i = i + n <= m && (String.sub seg i n = sub || at (i + 1)) in
-    n <= m && at 0
-  in
-  List.exists contains
-    [ "time"; "ms"; "instructions"; "insts"; "forks"; "queries"; "solves";
-      "cycles" ]
-
-let run_diff args =
-  let threshold = ref 0.25 in
-  let files = ref [] in
-  let rec go = function
-    | "-t" :: v :: rest ->
-        threshold := float_of_string v;
-        go rest
-    | a :: rest ->
-        files := a :: !files;
-        go rest
-    | [] -> ()
-  in
-  go args;
-  match List.rev !files with
-  | [ old_path; new_path ] -> (
-      let read path =
-        match Bjson.parse (In_channel.with_open_text path In_channel.input_all) with
-        | Ok j -> j
-        | Error msg ->
-            Printf.eprintf "bench diff: %s: %s\n" path msg;
-            exit 2
-      in
-      let old_cells = Hashtbl.create 256 in
-      List.iter
-        (fun (p, v) -> Hashtbl.replace old_cells p v)
-        (bench_cells (read old_path));
-      let thr = !threshold in
-      let compared = ref 0 and improved = ref 0 in
-      let regressions = ref [] in
-      List.iter
-        (fun (path, nv) ->
-          match Hashtbl.find_opt old_cells path with
-          | None -> ()
-          | Some ov ->
-              incr compared;
-              if cost_cell path then
-                (* both a relative and a small absolute bar, so float
-                   jitter on near-zero timings does not trip the gate *)
-                if nv > (ov *. (1.0 +. thr)) +. 1e-9 && nv -. ov > 1e-3 then
-                  regressions := (path, ov, nv) :: !regressions
-                else if ov > (nv *. (1.0 +. thr)) +. 1e-9 && ov -. nv > 1e-3
-                then incr improved)
-        (bench_cells (read new_path));
-      List.iter
-        (fun (path, ov, nv) ->
-          Printf.printf "REGRESSION %s: %g -> %g (%+.1f%%)\n" path ov nv
-            ((nv -. ov) /. (if ov = 0.0 then 1.0 else ov) *. 100.0))
-        (List.rev !regressions);
-      Printf.printf
-        "bench diff: %d cells compared, %d regressions, %d improvements \
-         (threshold +%.0f%%)\n"
-        !compared
-        (List.length !regressions)
-        !improved (thr *. 100.0);
-      if !regressions <> [] then exit 1)
-  | _ ->
-      prerr_endline "usage: bench diff OLD.json NEW.json [-t FRACTION]";
-      exit 2
-
 let () =
   let args = Array.to_list Sys.argv in
   match args with
@@ -979,8 +793,6 @@ let () =
   | _ :: "overload" :: rest -> run_overload rest
   | _ :: "validate" :: rest -> run_validate rest
   | _ :: "profile" :: rest -> run_profile rest
-  | _ :: "diff" :: rest -> run_diff rest
-  | _ :: "bechamel" :: _ -> bechamel ()
   | _ ->
       (* default: regenerate everything at quick settings *)
       run_table1 [];

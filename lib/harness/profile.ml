@@ -356,21 +356,6 @@ let print_diff ?(out = stdout) (a : t) (b : t) =
 
 (* ---------------- JSON ---------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (** Machine-readable report.  [times:false] (for golden/determinism tests
     and cross-run diffing) zeroes every wall-clock field and omits the
     latency histogram, leaving only deterministic attribution: two runs of
@@ -390,13 +375,13 @@ let to_json ?(times = true) (t : t) : string =
   in
   let func_json f =
     Printf.sprintf {|    {"fn": "%s", %s, "blocks": [%s]}|}
-      (json_escape f.fr_fn) (cost_json f.fr_cost)
+      (Obs.json_escape f.fr_fn) (cost_json f.fr_cost)
       (String.concat ", " (List.map block_json f.fr_blocks))
   in
   let pass_json (p : Obs.Pass.rollup) =
     Printf.sprintf
       {|    {"pass": "%s", "applications": %d, "changed": %d, "time_ms": %s, "size_delta": %d}|}
-      (json_escape p.Obs.Pass.pr_pass)
+      (Obs.json_escape p.Obs.Pass.pr_pass)
       p.Obs.Pass.pr_apps p.Obs.Pass.pr_changed
       (ms p.Obs.Pass.pr_time)
       p.Obs.Pass.pr_dsize
@@ -417,8 +402,8 @@ let to_json ?(times = true) (t : t) : string =
   in
   let degradation_json (d : Engine.degradation) =
     Printf.sprintf {|{"kind": "%s", "where": "%s", "paths": %d}|}
-      (json_escape d.Engine.d_kind)
-      (json_escape d.Engine.d_where)
+      (Obs.json_escape d.Engine.d_kind)
+      (Obs.json_escape d.Engine.d_where)
       d.Engine.d_paths
   in
   Printf.sprintf
@@ -435,7 +420,8 @@ let to_json ?(times = true) (t : t) : string =
 %s
   ]%s
 }|}
-    (json_escape t.program) (json_escape t.level) t.input_size r.Engine.paths
+    (Obs.json_escape t.program) (Obs.json_escape t.level) t.input_size
+    r.Engine.paths
     r.Engine.instructions r.Engine.forks r.Engine.queries r.Engine.cache_hits
     r.Engine.components r.Engine.component_solves r.Engine.hits_canon
     r.Engine.hits_store r.Engine.summary_instantiated

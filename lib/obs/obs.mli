@@ -13,6 +13,13 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 
+val json_escape : string -> string
+(** Escape a raw byte string for embedding between JSON quotes: quote,
+    backslash, [\n], [\t] and [\r] by name, other control characters as
+    [\u00XX]; bytes >= 0x80 pass through.  The one escaper behind every
+    hand-written JSON document (verdicts, profiles, TV reports, traces
+    and the serve protocol). *)
+
 (** Log-scale latency histogram; bucket [i] counts observations under
     [1us * 2^i].  Merging is bucket-wise, hence deterministic. *)
 module Hist : sig

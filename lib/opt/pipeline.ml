@@ -57,9 +57,6 @@ let check_fn what fn =
              (String.concat "\n" errs)
              (Overify_ir.Printer.func_to_string fn))
 
-let trace_passes =
-  match Sys.getenv_opt "OVERIFY_PASS_TIMES" with Some _ -> true | None -> false
-
 (** Everything one compilation threads through the pass applications.  [cur]
     tracks the whole module between applications, but only when an observer
     is attached — the plain compile path pays nothing for the stream. *)
@@ -104,9 +101,8 @@ let profile_app ctx ~pass ~fn ~t0 ~size_before ~size_after ~changed =
         ]
       ~ts:t0 ~dur:dt ()
 
-(** Is any per-application bookkeeping (profile, trace, env tracing) on? *)
-let timing_on ctx =
-  ctx.prof <> None || trace_passes || Obs.Trace.enabled ()
+(** Is any per-application bookkeeping (profile, trace) on? *)
+let timing_on ctx = ctx.prof <> None || Obs.Trace.enabled ()
 
 (** Apply one function pass, feeding the observer on change. *)
 let apply_fn ctx what (f : Ir.func -> Ir.func * bool) (fn : Ir.func) :
@@ -121,16 +117,9 @@ let apply_fn ctx what (f : Ir.func -> Ir.func * bool) (fn : Ir.func) :
         (fn'', changed || fn'' <> fn')
     | _ -> (fn', changed)
   in
-  if timing then begin
+  if timing then
     profile_app ctx ~pass:what ~fn:fn.Ir.fname ~t0
       ~size_before:(Ir.func_size fn) ~size_after:(Ir.func_size fn') ~changed;
-    if trace_passes then begin
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt > 0.05 then
-        Printf.eprintf "[pass] %-16s %-20s %6.2fs size=%d\n%!" what
-          fn.Ir.fname dt (Ir.func_size fn')
-    end
-  end;
   if changed then begin
     check_fn what fn';
     if ctx.observe <> None then begin

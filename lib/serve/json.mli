@@ -5,8 +5,8 @@
     it — requests arrive as JSON payloads inside {!Protocol} frames.  This
     is a small recursive-descent parser over the byte string plus the
     matching printer; it round-trips every document the client encoder
-    produces (strings are raw bytes, control characters escaped as
-    [\u00XX], exactly the discipline of [Engine.json_escape]). *)
+    produces (strings are raw bytes, escaped by
+    {!Overify_obs.Obs.json_escape} like every other document). *)
 
 type t =
   | Null
@@ -24,9 +24,7 @@ val to_string : t -> string
 (** Print compactly, object keys in list order. *)
 
 val escape : string -> string
-(** Escape a raw byte string for embedding between quotes: quote,
-    backslash, and control characters (as [\uXXXX]); bytes >= 0x80 pass
-    through. *)
+(** {!Overify_obs.Obs.json_escape}. *)
 
 (* Accessors ([None] on shape mismatch). *)
 

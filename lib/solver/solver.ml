@@ -155,9 +155,10 @@ let clear_cache ctx =
   Canon.clear ctx.canon
 
 (** Charge one real (uncached) solve to the counters, the latency
-    histogram, the enclosing span (flight ring) and — when tracing — the
-    trace sink.  Also called on the timeout path so attributed time stays
-    consistent with [solver_time]. *)
+    histogram and the enclosing span, whose one-shot ["solver.check"]
+    child reaches the flight ring and — when tracing — the trace sink.
+    Also called on the timeout path so attributed time stays consistent
+    with [solver_time]. *)
 let charge_solve ctx t0 ~timed_out =
   let dt = Unix.gettimeofday () -. t0 in
   ctx.counters.solver_time <- ctx.counters.solver_time +. dt;
@@ -166,18 +167,12 @@ let charge_solve ctx t0 ~timed_out =
   | None -> ());
   match ctx.span with
   | Some parent ->
-      (* the one-shot span emit covers both sinks (trace args carry
-         trace/span/parent ids, joining the daemon timeline) *)
       Overify_obs.Obs.Span.emit ~parent ~ts:t0 ~dur:dt
         ~counters:
           (("solver_time", dt)
           :: (if timed_out then [ ("timed_out", 1.0) ] else []))
         "solver.check"
-  | None ->
-      if Overify_obs.Obs.Trace.enabled () then
-        Overify_obs.Obs.Trace.emit ~cat:"solver" ~name:"solver.check"
-          ~args:(if timed_out then [ ("timeout", "true") ] else [])
-          ~ts:t0 ~dur:dt ()
+  | None -> ()
 
 (** Blast + SAT one component (already in canonical order) and return its
     verdict with the model in canonical variable space. *)

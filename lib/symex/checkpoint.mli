@@ -1,10 +1,10 @@
 (** Periodic run snapshots for kill/resume.
 
-    A snapshot captures, at a quiescent point of the sequential
-    exploration loop (between worklist pops, when the worklist is exactly
-    the set of unexplored frontier states), everything needed to continue
-    the run: the frontier, the accumulated verdicts (exits, bugs,
-    coverage), the executor counters and the degradations so far.
+    A snapshot captures, at a quiescent point of a one-worker exploration
+    (between frontier pops, when the frontier is exactly the set of
+    unexplored states), everything needed to continue the run: the
+    frontier, the accumulated verdicts (exits, bugs, coverage), the
+    executor counters and the degradations so far.
 
     On-disk discipline is the same as {!Overify_solver.Store}: a
     {!Overify_solver.Binfile} frame (magic + version + length + [Marshal]
@@ -28,7 +28,7 @@ type snapshot = {
   ck_forks : int;
   ck_degs : (string * string * int) list;
       (** raw (kind, where, paths) degradation events *)
-  ck_frontier : State.t list;  (** unexplored states, worklist order *)
+  ck_frontier : State.t list;  (** unexplored states, frontier order *)
 }
 
 val fingerprint :

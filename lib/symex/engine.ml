@@ -3,14 +3,13 @@
     reports the statistics the paper's evaluation uses (t_verify, number of
     paths, number of interpreted instructions, solver counters).
 
-    Exploration runs either sequentially ([`Dfs]/[`Bfs]) or on [n] OCaml
-    domains ([`Parallel n]) with a work-sharing scheduler: a lock-protected
-    shared frontier of states, each worker owning a private solver/blast
-    context, and global budgets enforced through atomics.  Results are
-    deterministic modulo scheduling — for a run that completes exploration,
-    [paths], [exit_codes], [bugs] and [blocks_covered] are canonically
-    sorted/merged so that every searcher (and every worker count) reports
-    byte-identical values.
+    Every searcher runs one work-sharing loop ({!explore}): [n] workers over
+    one lock-protected frontier, [n = 1] for [`Dfs]/[`Bfs], each worker
+    owning a private solver/blast context, and global budgets enforced
+    through atomics.  Results are deterministic modulo scheduling — for a
+    run that completes exploration, [paths], [exit_codes], [bugs] and
+    [blocks_covered] are canonically sorted/merged so that every searcher
+    (and every worker count) reports byte-identical values.
 
     {2 Hardening}
 
@@ -20,10 +19,11 @@
     exhaustion stops exploration but keeps everything proved so far.
     Every such event is recorded in [result.degradations] — what was hit,
     where, and how many paths it cost — and [complete] is now simply
-    "no degradations".  The only exception that still escapes [run] is
+    "no degradations".  The only exceptions that still escape [run] are
     {!Fault.Killed}, the injected analogue of SIGKILL, which the
-    checkpoint/resume machinery (sequential searchers, [checkpoint_dir])
-    exists to survive. *)
+    checkpoint/resume machinery (one-worker runs, [checkpoint_dir]) exists
+    to survive, and genuine resource collapse ([Out_of_memory],
+    [Stack_overflow]). *)
 
 module Ir = Overify_ir.Ir
 module Bv = Overify_solver.Bv
@@ -62,10 +62,10 @@ type config = {
       (** injected-fault schedule (solver timeouts, store corruption,
           alloc exhaustion, worker crashes, kill); [None] = no chaos *)
   checkpoint_dir : string option;
-      (** write periodic frontier snapshots here (sequential searchers
-          only); enables [resume] *)
+      (** write periodic frontier snapshots here (one-worker runs only);
+          enables [resume] *)
   checkpoint_every : int;
-      (** snapshot every N completed paths (sequential searchers) *)
+      (** snapshot every N completed paths (one-worker runs) *)
   resume : bool;
       (** seed the run from [checkpoint_dir]'s snapshot when one exists
           and matches this program/config; otherwise start fresh *)
@@ -76,8 +76,9 @@ type config = {
           worker's counters — the records the result totals are summed
           from, so per-span sums equal [result] exactly, like the
           profile's per-site sums.  Solver contexts get per-query
-          ["solver.check"] leaves.  [None] (the default) traces
-          nothing. *)
+          ["solver.check"] leaves.  [None] (the default) opens
+          ["engine.run"] as a root span while {!Obs.Trace} is collecting
+          (CLI [--trace]) and otherwise traces nothing. *)
   cancel : Overify_fault.Cancel.t option;
       (** cooperative cancellation token (see {!Overify_fault.Cancel}),
           checked at worklist pops, at the periodic budget points, around
@@ -132,7 +133,9 @@ type degradation = {
           [executor_error], [alloc_exhausted], [path_dropped],
           [deadline_exceeded] (cooperative cancellation) *)
   d_where : string;  (** site/reason detail (may be empty) *)
-  d_paths : int;     (** paths affected (lower bound for budget kinds) *)
+  d_paths : int;
+      (** paths affected; for a stop (budgets, cancellation) the states
+          left on the frontier plus those abandoned mid-run *)
 }
 
 type result = {
@@ -184,10 +187,10 @@ let input_of_model (input_vars : int array) model =
 
 (* ---------------- per-worker accumulation ---------------- *)
 
-(** Everything one worker (or the single sequential explorer) accumulates.
-    Workers never share mutable state: the executor context (with its solver
-    context, coverage table and cost counters) and the result lists are
-    private, merged deterministically after the join. *)
+(** Everything one worker accumulates.  Workers never share mutable state
+    besides the frontier: the executor context (with its solver context,
+    coverage table and cost counters) and the result lists are private,
+    merged deterministically after the join. *)
 type worker = {
   gctx : Executor.gctx;
   mutable exits : (string * int64) list;   (** (witness, exit code), unordered *)
@@ -195,9 +198,10 @@ type worker = {
       (** (kind, function) -> smallest witness input seen *)
   mutable degs : (string * string * int) list;
       (** raw degradation events (kind, where, paths), merged after join *)
-  mutable killed : string option;
-      (** parallel only: an injected kill seen by this worker; re-raised
-          after the join (a kill must look like process death) *)
+  mutable killed : exn option;
+      (** [Fault.Killed], [Out_of_memory] or [Stack_overflow] caught by
+          this worker; re-raised after the join (a kill must look like
+          process death) *)
 }
 
 let degrade w kind where npaths = w.degs <- (kind, where, npaths) :: w.degs
@@ -251,7 +255,7 @@ let record_drop w (st : State.t) reason =
   let fname = (State.top st).State.fn.Ir.fname in
   degrade w kind (Printf.sprintf "%s: %s" fname reason) 1
 
-(* ---------------- checkpointing (sequential searchers) ---------------- *)
+(* ---------------- checkpointing (one-worker runs) ---------------- *)
 
 type ckpt = {
   ck_dir : string;
@@ -274,304 +278,205 @@ let snapshot_of_worker (w : worker) frontier : Checkpoint.snapshot =
     ck_frontier = frontier;
   }
 
-(* ---------------- sequential exploration ---------------- *)
+(* ---------------- exploration ---------------- *)
 
-exception Out_of_budget of string
-(** Which budget tripped: [path_budget] / [inst_budget] / [wall_clock]. *)
+exception Halt
+(** Raised inside a worker to abandon its state once the run has stopped
+    (its own budget check, or another worker's stop). *)
 
-(** Classic single-worklist loop, DFS (stack) or BFS (queue), with
-    per-path failure containment: an exception thrown while driving one
-    state abandons that state (recording a degradation) and the loop
-    carries on with the rest of the worklist.  Only {!Fault.Killed} (the
-    injected SIGKILL) and genuine resource collapse (OOM, stack overflow)
-    still escape.
+(** The exploration loop of every searcher.  [workers] (worker 0 on the
+    calling domain, the rest on spawned domains) share one frontier under
+    one mutex: a stack, or a queue under [`Bfs].  A worker drives a popped
+    state until it forks or ends, pushes the step's continuations in
+    transition order and pops its next state, so one worker visits states
+    in exactly the DFS/BFS order.  [active] counts the workers not
+    waiting for a state (all of them at the start); an empty frontier
+    with none active is global quiescence.
 
-    Checkpoints are written between pops — at that point the worklist is
-    exactly the set of unexplored frontier states, so snapshot + rest of
-    the run partitions the path tree and resume reproduces an
-    uninterrupted run's verdicts exactly.  Completed paths are counted in
-    the worker's counters (a resumed run seeds them from the snapshot). *)
-let run_sequential config (w : worker) init_states deadline input_vars
+    Budgets are global: completed paths and executed instructions are
+    counted in atomics seeded from worker 0's counters (which hold a
+    resumed snapshot's counts) and checked at every completed path and
+    every 2048 steps.  The first stop — a budget, a cancellation or a kill
+    — wins and is recorded where it fires; every worker then abandons its
+    state.  A budget or cancellation stop becomes one degradation whose
+    [d_paths] counts the frontier left plus the abandoned states.
+
+    Containment: an exception while driving a state abandons that state
+    (recording a degradation) and the worker carries on.  [Fault.Killed],
+    [Out_of_memory] and [Stack_overflow] stop the run and are re-raised
+    unchanged after the join.
+
+    With one worker, checkpoints are cut between pops, where the frontier
+    is exactly the set of unexplored subtree roots: snapshot + rest of the
+    run partitions the path tree, so resume reproduces an uninterrupted
+    run's verdicts.  A drained run deletes its snapshot; a stopped one
+    keeps the last, so it can be resumed with a bigger budget. *)
+let explore config (workers : worker list) init_states deadline input_vars
     ~(ckpt : ckpt option) =
-  let gctx = w.gctx in
-  let c = gctx.Executor.counters in
-  let stack = ref [] in
-  let queue = Queue.create () in
-  let push st =
-    match config.searcher with
-    | `Bfs -> Queue.add st queue
-    | _ -> stack := st :: !stack
+  let w0 = List.hd workers in
+  let c0 = w0.gctx.Executor.counters in
+  let bfs = config.searcher = `Bfs in
+  let stack = Stack.create () and queue = Queue.create () in
+  let push st = if bfs then Queue.add st queue else Stack.push st stack in
+  let take () = if bfs then Queue.take_opt queue else Stack.pop_opt stack in
+  let frontier () =
+    List.of_seq (if bfs then Queue.to_seq queue else Stack.to_seq stack)
   in
-  let pop () =
-    match config.searcher with
-    | `Bfs -> Queue.take_opt queue
-    | _ -> (
-        match !stack with
-        | st :: rest ->
-            stack := rest;
-            Some st
-        | [] -> None)
+  (* a stack pops its last push first: seed in reverse to keep the order *)
+  List.iter push (if bfs then init_states else List.rev init_states);
+  let mutex = Mutex.create () and wakeup = Condition.create () in
+  let active = ref (List.length workers) in
+  let stop = Atomic.make false in
+  let stopped_by = ref None in
+  let abandoned = Atomic.make 0 in
+  let paths = Atomic.make c0.Counters.paths in
+  let insts = Atomic.make c0.Counters.instructions in
+  (* [mutex] held; [why] is the degradation, [None] for a kill *)
+  let stop_locked why =
+    if not (Atomic.get stop) then begin
+      stopped_by := why;
+      Atomic.set stop true
+    end;
+    Condition.broadcast wakeup
   in
-  (* DFS pops the head, so seed in reverse to preserve frontier order *)
-  (match config.searcher with
-  | `Bfs -> List.iter push init_states
-  | _ -> List.iter push (List.rev init_states));
+  let halt why =
+    Mutex.lock mutex;
+    stop_locked why;
+    Mutex.unlock mutex
+  in
   let budget_kind () =
-    if c.Counters.paths >= config.max_paths then Some "path_budget"
-    else if c.Counters.instructions >= config.max_insts then
-      Some "inst_budget"
+    if Atomic.get paths >= config.max_paths then Some "path_budget"
+    else if Atomic.get insts >= config.max_insts then Some "inst_budget"
     else if Unix.gettimeofday () > deadline then Some "wall_clock"
     else None
   in
-  let check_budget () =
-    (* cancellation outranks budgets: a deadline set at admission may
-       predate the engine's own wall clock *)
-    Cancel.check config.cancel;
-    match budget_kind () with
-    | Some k -> raise (Out_of_budget k)
-    | None -> ()
-  in
-  let frontier () =
-    match config.searcher with
-    | `Bfs -> List.of_seq (Queue.to_seq queue)
-    | _ -> !stack
-  in
   let maybe_checkpoint () =
     match ckpt with
-    | Some ck when c.Counters.paths - ck.ck_at >= ck.ck_every ->
-        ck.ck_at <- c.Counters.paths;
+    | Some ck when c0.Counters.paths - ck.ck_at >= ck.ck_every ->
+        ck.ck_at <- c0.Counters.paths;
         ignore
           (Checkpoint.save ~dir:ck.ck_dir ~digest:ck.ck_dig
-             (snapshot_of_worker w (frontier ())))
+             (snapshot_of_worker w0 (frontier ())))
     | _ -> ()
-  in
-  let check_counter = ref 0 in
-  let rec advance st =
-    incr check_counter;
-    if !check_counter land 2047 = 0 then check_budget ();
-    match Executor.step gctx st with
-    | [ Executor.T_cont st' ] -> advance st'
-    | transitions ->
-        List.iter
-          (fun tr ->
-            match tr with
-            | Executor.T_cont st' -> push st'
-            | Executor.T_exit (st', code) ->
-                record_exit w input_vars st' code;
-                check_budget ()
-            | Executor.T_drop (st', reason) -> record_drop w st' reason
-            | Executor.T_bug (st', kind) -> record_bug w input_vars st' kind)
-          transitions
-  in
-  (try
-     let running = ref true in
-     while !running do
-       maybe_checkpoint ();
-       (* worklist-pop cancellation point *)
-       Cancel.check config.cancel;
-       match pop () with
-       | None -> running := false
-       | Some st -> (
-           try advance st with
-           | (Out_of_budget _ | Cancel.Cancelled _ | Fault.Killed _
-             | Out_of_memory | Stack_overflow) as e ->
-               raise e
-           | Solver.Timeout ->
-               degrade w "solver_timeout" "solver query gave up" 1
-           | Executor.Symex_error msg -> record_error w msg
-           | Fault.Crash msg -> degrade w "worker_crash" msg 1
-           | e -> degrade w "worker_crash" (Printexc.to_string e) 1)
-     done;
-     (* exploration drained completely: a finished run must not be
-        resumable into a duplicate *)
-     match ckpt with
-     | Some ck -> Checkpoint.delete ~dir:ck.ck_dir
-     | None -> ()
-   with
-  | Out_of_budget k ->
-      (* everything still on the worklist (plus the in-flight state) is
-         unexplored; the last periodic snapshot, if any, remains on disk
-         so a budget-exhausted run can also be resumed *)
-      degrade w k "exploration budget" (1 + List.length (frontier ()))
-  | Cancel.Cancelled reason ->
-      (* cooperative cancellation: same shape as a tripped budget — keep
-         every verdict proved so far, report the frontier as unexplored *)
-      degrade w "deadline_exceeded" reason (1 + List.length (frontier ())))
-
-(* ---------------- parallel exploration ---------------- *)
-
-exception Halt
-(** Raised inside a worker to abandon its current state chain after a global
-    stop (budget exhausted or an injected kill). *)
-
-(** Work-sharing scheduler over [n] domains.  The frontier is a shared
-    queue under one mutex; a worker drives each popped state depth-first,
-    keeps the first continuation of every fork for itself and publishes the
-    rest.  [active] counts workers currently driving a state, so the
-    termination condition (empty frontier and nobody active) is detected
-    without polling.  Budgets are global: completed paths and executed
-    instructions are aggregated in atomics, and any worker tripping a limit
-    sets [stop] for everyone.
-
-    Containment matches the sequential loop: a per-path exception degrades
-    that path and the worker moves on; only an injected kill (or OOM /
-    stack overflow) stops the whole run, and it is re-raised after the
-    join so it behaves like process death to the caller. *)
-let run_parallel config (workers : worker list) init_states deadline
-    input_vars =
-  let mutex = Mutex.create () in
-  let wakeup = Condition.create () in
-  let frontier = Queue.create () in
-  let active = ref 0 in
-  let stop = Atomic.make false in
-  (* worker 0's counters hold a resumed snapshot's paths *)
-  let paths =
-    Atomic.make (List.hd workers).gctx.Executor.counters.Counters.paths
-  in
-  let insts = Atomic.make 0 in
-  List.iter (fun st -> Queue.add st frontier) init_states;
-  let halt () =
-    Atomic.set stop true;
-    Mutex.lock mutex;
-    Condition.broadcast wakeup;
-    Mutex.unlock mutex
-  in
-  let out_of_budget () =
-    Atomic.get paths >= config.max_paths
-    || Atomic.get insts >= config.max_insts
-    || Unix.gettimeofday () > deadline
   in
   let worker_loop (w : worker) =
     let gctx = w.gctx in
-    (* instruction counts are flushed to the shared atomic in batches so the
-       global budget is enforced without per-step contention *)
-    let flushed = ref 0 in
-    let flush_insts () =
-      let n = gctx.Executor.counters.Counters.instructions in
-      if n > !flushed then begin
-        ignore (Atomic.fetch_and_add insts (n - !flushed));
-        flushed := n
-      end
+    let c = gctx.Executor.counters in
+    (* instructions reach the shared atomic in batches, so the global
+       budget costs no per-step contention *)
+    let flushed = ref c.Counters.instructions in
+    let check () =
+      ignore (Atomic.fetch_and_add insts (c.Counters.instructions - !flushed));
+      flushed := c.Counters.instructions;
+      if Atomic.get stop then raise Halt;
+      (* cancellation outranks budgets: a deadline set at admission may
+         predate the engine's own wall clock *)
+      Cancel.check config.cancel;
+      match budget_kind () with
+      | Some k ->
+          halt (Some (k, "exploration budget"));
+          raise Halt
+      | None -> ()
     in
-    let check_counter = ref 0 in
-    let pop () =
+    let on_transition = function
+      | Executor.T_cont st' -> Some st'
+      | Executor.T_exit (st', code) ->
+          Atomic.incr paths;
+          record_exit w input_vars st' code;
+          check ();
+          None
+      | Executor.T_drop (st', reason) ->
+          record_drop w st' reason;
+          None
+      | Executor.T_bug (st', kind) ->
+          record_bug w input_vars st' kind;
+          None
+    in
+    let steps = ref 0 in
+    (* drive [st] until it forks or ends; returns its continuations *)
+    let rec advance st =
+      incr steps;
+      if !steps land 2047 = 0 then check ();
+      match Executor.step gctx st with
+      | [ Executor.T_cont st' ] -> advance st'
+      | transitions -> List.filter_map on_transition transitions
+    in
+    (* push the finished state's continuations, then pop the next state;
+       the worklist-pop cancellation point *)
+    let next conts =
       Mutex.lock mutex;
+      List.iter push conts;
+      if conts <> [] then Condition.broadcast wakeup;
+      decr active;
+      maybe_checkpoint ();
+      (match Cancel.check config.cancel with
+      | () -> ()
+      | exception Cancel.Cancelled reason ->
+          stop_locked (Some ("deadline_exceeded", reason)));
       let rec go () =
         if Atomic.get stop then None
         else
-          match Queue.take_opt frontier with
+          match take () with
           | Some st ->
               incr active;
               Some st
+          | None when !active = 0 ->
+              Condition.broadcast wakeup;
+              None
           | None ->
-              if !active = 0 then begin
-                (* global quiescence: every path fully explored *)
-                Condition.broadcast wakeup;
-                None
-              end
-              else begin
-                Condition.wait wakeup mutex;
-                go ()
-              end
+              Condition.wait wakeup mutex;
+              go ()
       in
       let r = go () in
       Mutex.unlock mutex;
       r
     in
-    let publish sts =
-      if sts <> [] then begin
-        Mutex.lock mutex;
-        List.iter (fun st -> Queue.add st frontier) sts;
-        Condition.broadcast wakeup;
-        Mutex.unlock mutex
-      end
-    in
-    let retire () =
-      Mutex.lock mutex;
-      decr active;
-      if !active = 0 && Queue.is_empty frontier then Condition.broadcast wakeup;
-      Mutex.unlock mutex
-    in
-    let rec advance st =
-      incr check_counter;
-      if !check_counter land 255 = 0 then begin
-        flush_insts ();
-        if Atomic.get stop then raise Halt;
-        Cancel.check config.cancel;
-        if out_of_budget () then begin
-          halt ();
-          raise Halt
-        end
-      end;
-      match Executor.step gctx st with
-      | [ Executor.T_cont st' ] -> advance st'
-      | transitions ->
-          let conts = ref [] in
-          List.iter
-            (fun tr ->
-              match tr with
-              | Executor.T_cont st' -> conts := st' :: !conts
-              | Executor.T_exit (st', code) ->
-                  ignore (Atomic.fetch_and_add paths 1);
-                  record_exit w input_vars st' code;
-                  if out_of_budget () then begin
-                    halt ();
-                    raise Halt
-                  end
-              | Executor.T_drop (st', reason) -> record_drop w st' reason
-              | Executor.T_bug (st', kind) -> record_bug w input_vars st' kind)
-            transitions;
-          (* continue with the first fork child; share the rest *)
-          (match List.rev !conts with
-          | [] -> ()
-          | first :: rest ->
-              publish rest;
-              advance first)
-    in
-    let rec work () =
-      match pop () with
+    let rec work conts =
+      match next conts with
       | None -> ()
       | Some st ->
-          (try advance st with
-          | Halt -> ()
-          | Cancel.Cancelled _ ->
-              (* the global degrade entry after the join carries the
-                 reason; here just stop everyone *)
-              halt ()
-          | Solver.Timeout -> degrade w "solver_timeout" "solver query gave up" 1
-          | Executor.Symex_error msg -> record_error w msg
-          | Fault.Crash msg -> degrade w "worker_crash" msg 1
-          | Fault.Killed msg ->
-              w.killed <- Some msg;
-              halt ()
-          | (Out_of_memory | Stack_overflow) as e ->
-              w.killed <- Some (Printexc.to_string e);
-              halt ()
-          | e -> degrade w "worker_crash" (Printexc.to_string e) 1);
-          flush_insts ();
-          retire ();
-          work ()
+          work
+            (try advance st with
+            | Halt ->
+                Atomic.incr abandoned;
+                []
+            | Cancel.Cancelled reason ->
+                Atomic.incr abandoned;
+                halt (Some ("deadline_exceeded", reason));
+                []
+            | Solver.Timeout ->
+                degrade w "solver_timeout" "solver query gave up" 1;
+                []
+            | Executor.Symex_error msg ->
+                record_error w msg;
+                []
+            | Fault.Crash msg ->
+                degrade w "worker_crash" msg 1;
+                []
+            | (Fault.Killed _ | Out_of_memory | Stack_overflow) as e ->
+                w.killed <- Some e;
+                halt None;
+                []
+            | e ->
+                degrade w "worker_crash" (Printexc.to_string e) 1;
+                [])
     in
-    work ()
+    work []
   in
   let spawned =
     List.map (fun w -> Domain.spawn (fun () -> worker_loop w)) (List.tl workers)
   in
-  worker_loop (List.hd workers);
+  worker_loop w0;
   List.iter Domain.join spawned;
-  if Atomic.get stop && not (List.exists (fun w -> w.killed <> None) workers)
-  then begin
-    let kind, where =
-      match config.cancel with
-      | Some c when Cancel.cancelled c -> ("deadline_exceeded", Cancel.reason c)
-      | _ ->
-          ( (if Atomic.get paths >= config.max_paths then "path_budget"
-             else if Atomic.get insts >= config.max_insts then "inst_budget"
-             else "wall_clock"),
-            "exploration budget" )
-    in
-    degrade (List.hd workers) kind where (Queue.length frontier)
-  end
+  (* a kill simulates process death: nothing after the join (merge, store
+     save, counters) may run, exactly as if we had been SIGKILLed *)
+  List.iter (fun w -> Option.iter raise w.killed) workers;
+  match !stopped_by with
+  | Some (kind, where) ->
+      degrade w0 kind where (List.length (frontier ()) + Atomic.get abandoned)
+  | None ->
+      (* drained: a finished run must not be resumable into a duplicate *)
+      Option.iter (fun ck -> Checkpoint.delete ~dir:ck.ck_dir) ckpt
 
 (* ---------------- driver ---------------- *)
 
@@ -581,11 +486,14 @@ let run ?(config = default_config) (m : Ir.modul) : result =
   Bv.reset ();
   let t_start = Unix.gettimeofday () in
   let deadline = t_start +. config.timeout in
-  (* request tracing: one engine child under the caller's span, opened
-     here so every sub-span (summary build, workers, solver queries)
-     nests inside its interval *)
+  (* request tracing: one engine child under the caller's span (or a root
+     while the trace sink collects), opened here so every sub-span
+     (summary build, workers, solver queries) nests inside its interval *)
   let eng_span =
-    Option.map (fun parent -> Obs.Span.start ~parent "engine.run") config.span
+    match config.span with
+    | Some parent -> Some (Obs.Span.start ~parent "engine.run")
+    | None when Obs.Trace.enabled () -> Some (Obs.Span.start "engine.run")
+    | None -> None
   in
   (* globals *)
   let mem = ref Memory.empty in
@@ -770,8 +678,8 @@ let run ?(config = default_config) (m : Ir.modul) : result =
         s.Checkpoint.ck_frontier
   in
   let ckpt =
-    match (config.searcher, config.checkpoint_dir) with
-    | (`Dfs | `Bfs), Some dir ->
+    match config.checkpoint_dir with
+    | Some dir when njobs = 1 ->
         Some
           {
             ck_dir = dir;
@@ -781,17 +689,7 @@ let run ?(config = default_config) (m : Ir.modul) : result =
           }
     | _ -> None
   in
-  (match config.searcher with
-  | `Dfs | `Bfs ->
-      run_sequential config (List.hd workers) init_states deadline input_vars
-        ~ckpt
-  | `Parallel _ -> run_parallel config workers init_states deadline input_vars);
-  (* an injected kill simulates process death: nothing below (merge,
-     store save, counters) may run, exactly as if we had been SIGKILLed *)
-  List.iter
-    (fun w ->
-      match w.killed with Some msg -> raise (Fault.Killed msg) | None -> ())
-    workers;
+  explore config workers init_states deadline input_vars ~ckpt;
   (* ---- deterministic merge: canonical order for everything a completed
      exploration reports, so `Dfs, `Bfs and `Parallel n agree exactly ---- *)
   let exit_codes =
@@ -935,19 +833,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
         faults_injected;
       Obs.Span.finish sp ~counters:(Counters.to_list total)
   | None -> ());
-  if Obs.Trace.enabled () then
-    Obs.Trace.emit ~cat:"symex" ~name:"engine.run"
-      ~args:
-        [
-          ("searcher",
-           match config.searcher with
-           | `Dfs -> "dfs"
-           | `Bfs -> "bfs"
-           | `Parallel j -> Printf.sprintf "parallel:%d" j);
-          ("paths", string_of_int total.Counters.paths);
-          ("complete", string_of_bool complete);
-        ]
-      ~ts:t_start ~dur:time ();
   {
     paths = total.Counters.paths;
     bugs;
@@ -993,22 +878,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
 
 (* ---------------- structured JSON ---------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** Machine-readable run result with a fixed key order (goldenable: the
     degraded-run JSON shape is asserted by test_obs).  [deterministic]
     zeroes everything that is not a verdict: wall-clock times,
@@ -1047,7 +916,7 @@ let result_to_json ?(deterministic = false) (r : result) : string =
           (fun d ->
             Printf.sprintf
               "{\"kind\": \"%s\", \"where\": \"%s\", \"paths\": %d}"
-              (json_escape d.d_kind) (json_escape d.d_where) d.d_paths)
+              (Obs.json_escape d.d_kind) (Obs.json_escape d.d_where) d.d_paths)
           r.degradations));
   add "\"faults_injected\": [%s], "
     (String.concat ", "
@@ -1060,8 +929,8 @@ let result_to_json ?(deterministic = false) (r : result) : string =
           (fun b ->
             Printf.sprintf
               "{\"kind\": \"%s\", \"function\": \"%s\", \"input\": \"%s\"}"
-              (json_escape b.kind) (json_escape b.at_function)
-              (json_escape b.input))
+              (Obs.json_escape b.kind) (Obs.json_escape b.at_function)
+              (Obs.json_escape b.input))
           r.bugs));
   add "}";
   Buffer.contents buf

@@ -9,10 +9,12 @@ type config = {
   timeout : float;       (** wall-clock seconds (also bounds solver work) *)
   check_bounds : bool;   (** fork out-of-bounds bug paths *)
   searcher : [ `Dfs | `Bfs | `Parallel of int ];
-      (** [`Parallel n] explores on [n] OCaml domains with a work-sharing
-          scheduler; each worker owns a private solver context and budgets
-          are enforced globally.  [`Parallel 1] is the work-sharing
-          scheduler on a single domain. *)
+      (** Every searcher runs one work-sharing loop: [n] workers over one
+          shared frontier, a stack except under [`Bfs] (a queue).
+          [`Dfs]/[`Bfs] use one worker; [`Parallel n] runs the DFS
+          discipline on [n] OCaml domains, each worker owning a private
+          solver context, with budgets enforced globally.  [`Parallel 1]
+          is therefore [`Dfs], byte for byte. *)
   profile : bool;
       (** attribute cost (instructions, forks, solver queries and time,
           path completions) to (function, block) sites; the merged
@@ -59,12 +61,12 @@ type config = {
           branch per site. *)
   checkpoint_dir : string option;
       (** write periodic atomic frontier snapshots to this directory
-          (sequential searchers only; [`Parallel n] never snapshots but
-          can still [resume]), enabling kill/resume *)
+          (one-worker runs only; [`Parallel n] with [n > 1] never
+          snapshots but can still [resume]), enabling kill/resume *)
   checkpoint_every : int;
       (** snapshot cadence in completed paths (default 64); the snapshot
-          is cut at a quiescent loop point, so it partitions the path
-          tree exactly *)
+          is cut between frontier pops, so it partitions the path tree
+          exactly *)
   resume : bool;
       (** seed the run from [checkpoint_dir]'s snapshot if one exists and
           its fingerprint (program, input size, bounds flag) matches;
@@ -80,8 +82,10 @@ type config = {
           its worker's {!Overify_obs.Obs.Counters} record, and the
           [result] totals are the sum of those records, so per-span sums
           equal engine totals exactly as the profile's per-site sums do.
-          [None] (the default) traces nothing and costs one [option]
-          branch per site. *)
+          [None] (the default) opens ["engine.run"] as a root span while
+          {!Overify_obs.Obs.Trace} is collecting (CLI [--trace]), so CLI
+          traces carry the same tree; otherwise it traces nothing and
+          costs one [option] branch per site. *)
   cancel : Overify_fault.Cancel.t option;
       (** cooperative cancellation token (the [overify serve] daemon
           threads each request's admission-deadline token here): checked
@@ -118,8 +122,9 @@ type degradation = {
           cancellation reason) *)
   d_where : string;  (** site/reason detail; may be empty for budgets *)
   d_paths : int;
-      (** paths affected; for budget kinds a lower bound (the frontier
-          length when the budget tripped) *)
+      (** paths affected.  For a stop (budgets, [deadline_exceeded]) a
+          lower bound: the states left on the frontier plus the states
+          workers abandoned mid-run when the stop fired *)
 }
 
 (** The counters from [instructions] to [summary_opaque] are the fields
@@ -178,7 +183,15 @@ val run : ?config:config -> Overify_ir.Ir.modul -> result
     [paths], [bugs], [exit_codes] and [blocks_covered] do not depend on the
     searcher or the number of workers — [`Dfs], [`Bfs] and [`Parallel n]
     agree exactly.  (Counters such as [queries] and [cache_hits] do vary,
-    since each worker caches independently.)
+    since each worker caches independently.)  One worker explores in a
+    fixed order, so [`Dfs], [`Bfs] and [`Parallel 1] runs are
+    reproducible byte for byte even when a budget cuts them, and
+    [`Parallel 1] equals [`Dfs].
+
+    Budgets are global: completed paths and instructions (a resumed run
+    counting its snapshot's) are checked at every completed path and
+    every 2048 steps of each worker.  The first stop (a budget, a
+    cancellation or a kill) wins and every worker abandons its state.
 
     Failure containment: per-path exceptions (including injected
     {!Overify_fault.Fault.Crash}) and per-query solver timeouts degrade
@@ -186,8 +199,10 @@ val run : ?config:config -> Overify_ir.Ir.modul -> result
     completed subset keeps the determinism contract (an abandoned path
     never changes another path's verdict).  The only exceptions that
     escape are {!Overify_fault.Fault.Killed} (simulated process death —
-    resume from the checkpoint), [Out_of_memory], [Stack_overflow] and
-    setup errors ([Invalid_argument] for a module without [main]). *)
+    resume from the checkpoint), [Out_of_memory] and [Stack_overflow],
+    each re-raised unchanged after the workers join, and setup errors
+    ([Invalid_argument] for a module without [main] or [`Parallel n]
+    with [n < 1]). *)
 
 val result_to_json : ?deterministic:bool -> result -> string
 (** Machine-readable result (fixed key order, goldenable), including the

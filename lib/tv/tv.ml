@@ -430,21 +430,6 @@ let string_of_verdict = function
 
 (* ---------------- JSON report ---------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let record_to_json r =
   let o = r.outcome in
   let extra =
@@ -454,13 +439,13 @@ let record_to_json r =
           (match k with Syntactic -> "syntactic" | Exhaustive -> "exhaustive")
     | Counterexample w ->
         Printf.sprintf {|, "input": "%s", "detail": "%s"|} (hex_of_string w.input)
-          (json_escape w.detail)
+          (Obs.json_escape w.detail)
     | Inconclusive reason ->
-        Printf.sprintf {|, "reason": "%s"|} (json_escape reason)
+        Printf.sprintf {|, "reason": "%s"|} (Obs.json_escape reason)
   in
   Printf.sprintf
     {|    {"pass": "%s", "fn": "%s", "verdict": "%s"%s, "paths": %d, "queries": %d, "solver_time": %.3f, "time": %.3f, "excused_pre_traps": %d, "fallback_runs": %d}|}
-    (json_escape r.pass) (json_escape r.fn)
+    (Obs.json_escape r.pass) (Obs.json_escape r.fn)
     (verdict_name o.verdict)
     extra o.paths o.queries o.solver_time o.time o.excused_pre_traps
     o.fallback_runs
@@ -468,7 +453,7 @@ let record_to_json r =
 let summary_to_json s =
   Printf.sprintf
     {|    {"pass": "%s", "applications": %d, "proved": %d, "counterexamples": %d, "inconclusive": %d, "queries": %d, "time": %.3f}|}
-    (json_escape s.ps_pass) s.ps_applications s.ps_proved s.ps_refuted
+    (Obs.json_escape s.ps_pass) s.ps_applications s.ps_proved s.ps_refuted
     s.ps_inconclusive s.ps_queries s.ps_time
 
 let report_to_json report =
@@ -486,7 +471,7 @@ let report_to_json report =
 %s
   ]
 }|}
-    (json_escape report.level)
+    (Obs.json_escape report.level)
     (List.length report.records)
     (List.length (counterexamples report))
     (List.length (inconclusives report))

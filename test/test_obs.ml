@@ -477,7 +477,7 @@ let test_trace_capture () =
   check bool "has engine span" true
     (List.exists (fun e -> e.Obs.Trace.ev_name = "engine.run") evs);
   check bool "has solver spans" true
-    (List.exists (fun e -> e.Obs.Trace.ev_cat = "solver") evs);
+    (List.exists (fun e -> e.Obs.Trace.ev_name = "solver.check") evs);
   let json = Obs.Trace.to_json () in
   check bool "chrome envelope" true (contains json "\"traceEvents\"");
   check bool "complete events" true (contains json "\"ph\": \"X\"")

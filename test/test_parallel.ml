@@ -142,13 +142,35 @@ let test_parallel_reproducible () =
   let r2 = explore (`Parallel jobs) ~input_size:2 m in
   assert_agree "repeat" r1 r2 ~what:"parallel vs parallel"
 
-(* `Parallel 1 is the work-sharing scheduler on one domain — same results *)
+(* `Parallel 1 is `Dfs: the same loop in the same order, so they agree on
+   complete runs and on runs cut by a path budget well below the total,
+   degradations included *)
 let test_parallel_one_worker () =
   let m = compile_src buggy_src in
   let dfs = explore `Dfs ~input_size:2 m in
   let par1 = explore (`Parallel 1) ~input_size:2 m in
   check int "jobs recorded" 1 par1.Engine.jobs;
-  assert_agree "par1" dfs par1 ~what:"dfs vs parallel 1"
+  assert_agree "par1" dfs par1 ~what:"dfs vs parallel 1";
+  let wc = compile ~level:Costmodel.o0 (Option.get (Programs.find "wc")) in
+  let cut searcher =
+    Engine.run
+      ~config:
+        {
+          Engine.default_config with
+          input_size = 3;
+          timeout = 20.0;
+          max_paths = 100;
+          searcher;
+        }
+      wc
+  in
+  let dfs = cut `Dfs and par1 = cut (`Parallel 1) in
+  check bool "path budget cuts the run" false dfs.Engine.complete;
+  check Alcotest.string "budget-cut deterministic JSON"
+    (Engine.result_to_json ~deterministic:true dfs)
+    (Engine.result_to_json ~deterministic:true par1);
+  check bool "budget-cut exit codes" true
+    (dfs.Engine.exit_codes = par1.Engine.exit_codes)
 
 (* budgets are enforced globally: a tiny path budget stops a parallel run
    and marks it incomplete, same as sequential *)

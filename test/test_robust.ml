@@ -381,6 +381,65 @@ let test_torn_checkpoint_ignored () =
   check bool "fresh start, not resumed" false resumed.Engine.resumed;
   check bool "completes" true resumed.Engine.complete
 
+(* a resumed run's instruction budget includes the snapshot's
+   instructions whatever the worker count.  Given room for one more
+   instruction, `Parallel 1 stops exactly where `Dfs does, and
+   `Parallel 2 stops on inst_budget within one budget-check interval
+   (2048 steps, one instruction each at -O0) per worker *)
+let test_resumed_inst_budget () =
+  let c = compile "wc" in
+  let m = c.H.Experiment.modul in
+  let dir = tmpdir "overify_ck_insts" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg =
+    {
+      (budget_config ~max_paths:400 ~dir) with
+      Engine.input_size = 3;
+      checkpoint_every = 64;
+    }
+  in
+  check bool "budget run degraded" false
+    (Engine.run ~config:cfg m).Engine.complete;
+  let snap =
+    match
+      Checkpoint.load ~dir
+        ~digest:(Checkpoint.fingerprint m ~input_size:3 ~check_bounds:true)
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "snapshot did not load"
+  in
+  let jobs = 2 and interval = 2048 in
+  check bool "snapshot holds more than the allowed overshoot" true
+    (snap.Checkpoint.ck_insts > jobs * interval);
+  let max_insts = snap.Checkpoint.ck_insts + 1 in
+  let resume searcher =
+    Engine.run
+      ~config:
+        {
+          cfg with
+          Engine.max_paths = Engine.default_config.Engine.max_paths;
+          max_insts;
+          resume = true;
+          searcher;
+        }
+      m
+  in
+  let dfs = resume `Dfs and par1 = resume (`Parallel 1) in
+  check bool "dfs: inst_budget reported" true (has_kind "inst_budget" dfs);
+  check Alcotest.string "parallel 1 = dfs"
+    (Engine.result_to_json ~deterministic:true dfs)
+    (Engine.result_to_json ~deterministic:true par1);
+  check int "parallel 1 = dfs: instructions" dfs.Engine.instructions
+    par1.Engine.instructions;
+  check bool "parallel 1 = dfs: exit codes" true
+    (dfs.Engine.exit_codes = par1.Engine.exit_codes);
+  let par = resume (`Parallel jobs) in
+  check bool "resumed flag" true par.Engine.resumed;
+  check bool "inst_budget reported" true (has_kind "inst_budget" par);
+  if par.Engine.instructions > max_insts + (jobs * interval) then
+    Alcotest.failf "stopped at %d instructions, budget %d"
+      par.Engine.instructions max_insts
+
 (* ------------- the headline: kill, resume, identical verdicts ------------- *)
 
 let test_kill_resume_identical () =
@@ -454,6 +513,8 @@ let () =
             test_checkpoint_left_by_budget_run;
           Alcotest.test_case "torn snapshot ignored" `Quick
             test_torn_checkpoint_ignored;
+          Alcotest.test_case "resumed runs count snapshot instructions"
+            `Quick test_resumed_inst_budget;
         ] );
       ( "kill-resume",
         [
