@@ -12,59 +12,78 @@ let succs_of_term = function
 
 let succs (b : block) = succs_of_term b.term
 
-(** Predecessor table: block id -> list of predecessor block ids, in
-    iteration order of [fn.blocks]. *)
-let preds (fn : func) : (int, int list) Hashtbl.t =
-  let tbl = Hashtbl.create (List.length fn.blocks) in
-  List.iter (fun b -> Hashtbl.replace tbl b.bid []) fn.blocks;
+(** One past the largest label of [fn]: labels are below [fn.next] in
+    well-formed IR, but the bound also covers every block id and branch
+    target, so the label-indexed arrays below stay total on IR under
+    construction. *)
+let label_bound (fn : func) =
+  List.fold_left
+    (fun n b ->
+      List.fold_left (fun n s -> max n (s + 1)) (max n (b.bid + 1)) (succs b))
+    fn.next fn.blocks
+
+let block_array (fn : func) : block option array =
+  let a = Array.make (label_bound fn) None in
+  List.iter (fun b -> a.(b.bid) <- Some b) fn.blocks;
+  a
+
+(** Predecessor table: label -> predecessor block ids, in block order.
+    Walking the blocks backwards and consing gives that order directly. *)
+let preds (fn : func) : int list array =
+  let tbl = Array.make (label_bound fn) [] in
+  let is_block = Bytes.make (Array.length tbl) '\000' in
+  List.iter (fun b -> Bytes.set is_block b.bid '\001') fn.blocks;
   List.iter
     (fun b ->
       List.iter
         (fun s ->
-          match Hashtbl.find_opt tbl s with
-          | Some l -> Hashtbl.replace tbl s (b.bid :: l)
-          | None -> ())
+          if Bytes.get is_block s <> '\000' then tbl.(s) <- b.bid :: tbl.(s))
         (succs b))
-    fn.blocks;
-  Hashtbl.iter (fun k l -> Hashtbl.replace tbl k (List.rev l)) tbl;
+    (List.rev fn.blocks);
   tbl
 
-let preds_of tbl bid = try Hashtbl.find tbl bid with Not_found -> []
+let preds_of tbl bid =
+  if bid >= 0 && bid < Array.length tbl then tbl.(bid) else []
 
-(** Blocks reachable from the entry. *)
-let reachable (fn : func) : IntSet.t =
-  let btbl = block_tbl fn in
-  let seen = ref IntSet.empty in
-  let rec go bid =
-    if not (IntSet.mem bid !seen) then begin
-      seen := IntSet.add bid !seen;
-      match Hashtbl.find_opt btbl bid with
-      | Some b -> List.iter go (succs b)
-      | None -> ()
-    end
+(** Reverse postorder of the labels reachable from [entry] (entry first),
+    by a DFS on an explicit stack that visits successors in order: the
+    order a recursive DFS gives, at any depth.  A branch target without a
+    block is visited as a node without successors, so the stack never holds
+    more than one such label, on top of at most one frame per block. *)
+let rpo_of_array (blocks : block option array) (entry : int) : int list =
+  let seen = Bytes.make (Array.length blocks) '\000' in
+  let depth =
+    Array.fold_left (fun n b -> match b with Some _ -> n + 1 | None -> n) 1 blocks
   in
-  go (entry fn).bid;
-  !seen
-
-(** Postorder of reachable blocks (entry last). *)
-let postorder (fn : func) : int list =
-  let btbl = block_tbl fn in
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  let rec go bid =
-    if not (Hashtbl.mem seen bid) then begin
-      Hashtbl.replace seen bid ();
-      (match Hashtbl.find_opt btbl bid with
-      | Some b -> List.iter go (succs b)
-      | None -> ());
-      order := bid :: !order
-    end
+  let node = Array.make depth 0 and todo = Array.make depth [] in
+  let sp = ref 0 and order = ref [] in
+  let push l =
+    Bytes.set seen l '\001';
+    node.(!sp) <- l;
+    todo.(!sp) <- (match blocks.(l) with Some b -> succs b | None -> []);
+    incr sp
   in
-  go (entry fn).bid;
-  List.rev !order
+  push entry;
+  while !sp > 0 do
+    let top = !sp - 1 in
+    match todo.(top) with
+    | [] ->
+        order := node.(top) :: !order;
+        decr sp
+    | s :: rest ->
+        todo.(top) <- rest;
+        if Bytes.get seen s = '\000' then push s
+  done;
+  !order
 
 (** Reverse postorder of reachable blocks (entry first). *)
-let rpo (fn : func) : int list = List.rev (postorder fn)
+let rpo (fn : func) : int list = rpo_of_array (block_array fn) (entry fn).bid
+
+(** Postorder of reachable blocks (entry last). *)
+let postorder (fn : func) : int list = List.rev (rpo fn)
+
+(** Blocks reachable from the entry. *)
+let reachable (fn : func) : IntSet.t = IntSet.of_list (rpo fn)
 
 (** Drop blocks not reachable from the entry, and prune phi incoming entries
     coming from removed blocks. *)

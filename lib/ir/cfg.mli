@@ -8,17 +8,30 @@ val succs_of_term : Ir.term -> int list
 
 val succs : Ir.block -> int list
 
-val preds : Ir.func -> (int, int list) Hashtbl.t
-(** Predecessor table: block id -> predecessors, in block order. *)
+val block_array : Ir.func -> Ir.block option array
+(** Label-indexed blocks; [None] for labels without a block.  The array
+    covers [fn.next], every block id and every branch target, like every
+    label-indexed array in the analyses. *)
 
-val preds_of : (int, int list) Hashtbl.t -> int -> int list
+val preds : Ir.func -> int list array
+(** Predecessor table: label -> predecessor block ids, in block order
+    ([[]] for labels without a block). *)
+
+val preds_of : int list array -> int -> int list
+(** Predecessors of a label; [[]] outside the table. *)
 
 val reachable : Ir.func -> IntSet.t
 (** Blocks reachable from the entry. *)
 
+val rpo_of_array : Ir.block option array -> int -> int list
+(** [rpo_of_array (block_array fn) entry] is [rpo fn], for an analysis
+    that already holds the block array. *)
+
 val postorder : Ir.func -> int list
 val rpo : Ir.func -> int list
-(** Reverse postorder of reachable blocks (entry first). *)
+(** Reverse postorder of reachable blocks (entry first).  Both come from one
+    explicit-stack DFS that visits successors in order, so they match a
+    recursive DFS at any depth. *)
 
 val remove_unreachable : Ir.func -> Ir.func * bool
 (** Drop unreachable blocks and prune phi entries from removed edges. *)

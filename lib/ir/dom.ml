@@ -1,27 +1,40 @@
 (** Dominator tree and dominance frontiers, computed with the iterative
     algorithm of Cooper, Harvey and Kennedy ("A simple, fast dominance
-    algorithm"). *)
+    algorithm") on arrays indexed by reverse-postorder position. *)
 
 module IntSet = Cfg.IntSet
 
 type t = {
-  idom : (int, int) Hashtbl.t;        (** immediate dominator; entry absent *)
-  children : (int, int list) Hashtbl.t;
-  rpo_index : (int, int) Hashtbl.t;
-  entry : int;
-  tin : (int, int) Hashtbl.t;   (** Euler-tour entry time in the dom tree *)
-  tout : (int, int) Hashtbl.t;  (** … exit time: O(1) dominance queries *)
+  order : int array;          (** RPO position -> label *)
+  index : int array;          (** label -> RPO position; -1 if unreachable *)
+  idom : int array;           (** RPO position of the immediate dominator;
+                                  the entry is its own, -1 outside the tree *)
+  children : int list array;  (** labels, in reverse RPO *)
+  tin : int array;            (** Euler-tour entry time; 0 outside the tree *)
+  tout : int array;           (** … exit time: O(1) dominance queries *)
 }
 
 let compute (fn : Ir.func) : t =
-  let order = Cfg.rpo fn in
-  let n = List.length order in
-  let index = Hashtbl.create n in
-  List.iteri (fun i bid -> Hashtbl.replace index bid i) order;
-  let preds = Cfg.preds fn in
-  let entry = (Ir.entry fn).bid in
-  (* idom.(i) over rpo indices; -1 = undefined *)
-  let arr = Array.of_list order in
+  let blocks = Cfg.block_array fn in
+  let order = Array.of_list (Cfg.rpo_of_array blocks (Ir.entry fn).bid) in
+  let n = Array.length order in
+  let index = Array.make (Array.length blocks) (-1) in
+  Array.iteri (fun i bid -> index.(bid) <- i) order;
+  (* reachable predecessors, as RPO positions; a branch target without a
+     block gets none, so it stays outside the tree *)
+  let rpreds = Array.make n [] in
+  Array.iteri
+    (fun i bid ->
+      match blocks.(bid) with
+      | Some b ->
+          List.iter
+            (fun s ->
+              match blocks.(s) with
+              | Some _ -> rpreds.(index.(s)) <- i :: rpreds.(index.(s))
+              | None -> ())
+            (Cfg.succs b)
+      | None -> ())
+    order;
   let idom = Array.make n (-1) in
   idom.(0) <- 0;
   let intersect a b =
@@ -35,108 +48,100 @@ let compute (fn : Ir.func) : t =
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iteri
-      (fun i bid ->
-        if i > 0 then begin
-          let ps =
-            List.filter_map (fun p -> Hashtbl.find_opt index p)
-              (Cfg.preds_of preds bid)
-          in
-          let processed = List.filter (fun p -> idom.(p) >= 0) ps in
-          match processed with
-          | [] -> ()
-          | first :: rest ->
-              let new_idom = List.fold_left intersect first rest in
-              if idom.(i) <> new_idom then begin
-                idom.(i) <- new_idom;
-                changed := true
-              end
-        end)
-      order
+    for i = 1 to n - 1 do
+      let new_idom =
+        List.fold_left
+          (fun acc p ->
+            if idom.(p) < 0 then acc else if acc < 0 then p else intersect acc p)
+          (-1) rpreds.(i)
+      in
+      if new_idom >= 0 && idom.(i) <> new_idom then begin
+        idom.(i) <- new_idom;
+        changed := true
+      end
+    done
   done;
-  let idom_tbl = Hashtbl.create n in
-  let children = Hashtbl.create n in
-  List.iter (fun bid -> Hashtbl.replace children bid []) order;
-  Array.iteri
-    (fun i bid ->
-      if i > 0 && idom.(i) >= 0 then begin
-        let parent = arr.(idom.(i)) in
-        Hashtbl.replace idom_tbl bid parent;
-        Hashtbl.replace children parent
-          (bid :: (try Hashtbl.find children parent with Not_found -> []))
-      end)
-    arr;
-  (* Euler-tour numbering of the dominator tree for O(1) queries; the tree
-     can be thousands deep after heavy peeling, so use an explicit stack *)
-  let tin = Hashtbl.create n and tout = Hashtbl.create n in
+  let children = Array.make n [] in
+  for i = 1 to n - 1 do
+    let p = idom.(i) in
+    if p >= 0 then children.(p) <- order.(i) :: children.(p)
+  done;
+  (* Euler-tour numbering of the dominator tree, children in list order;
+     the tree can be thousands deep after heavy peeling, so use an explicit
+     stack: [i] enters position i, [-i-1] leaves it *)
+  let tin = Array.make n 0 and tout = Array.make n 0 in
   let clock = ref 0 in
-  let stack = ref [ `Enter entry ] in
+  let stack = ref [ 0 ] in
   while !stack <> [] do
     match !stack with
     | [] -> ()
-    | `Enter bid :: rest ->
+    | i :: rest when i >= 0 ->
         incr clock;
-        Hashtbl.replace tin bid !clock;
+        tin.(i) <- !clock;
         stack :=
-          List.map (fun c -> `Enter c)
-            (try Hashtbl.find children bid with Not_found -> [])
-          @ (`Leave bid :: rest)
-    | `Leave bid :: rest ->
+          List.rev_append
+            (List.rev_map (fun c -> index.(c)) children.(i))
+            ((-i - 1) :: rest)
+    | i :: rest ->
         incr clock;
-        Hashtbl.replace tout bid !clock;
+        tout.(-i - 1) <- !clock;
         stack := rest
   done;
-  { idom = idom_tbl; children; rpo_index = index; entry; tin; tout }
+  { order; index; idom; children; tin; tout }
 
-let idom t bid = Hashtbl.find_opt t.idom bid
+(* RPO position of a label, -1 if it has none *)
+let pos t bid =
+  if bid >= 0 && bid < Array.length t.index then t.index.(bid) else -1
 
-let children t bid = try Hashtbl.find t.children bid with Not_found -> []
+let rpo_index t bid =
+  let i = pos t bid in
+  if i < 0 then None else Some i
+
+let idom t bid =
+  let i = pos t bid in
+  if i <= 0 || t.idom.(i) < 0 then None else Some t.order.(t.idom.(i))
+
+let children t bid =
+  let i = pos t bid in
+  if i < 0 then [] else t.children.(i)
 
 (** Does [a] dominate [b]?  (Reflexive; O(1) via Euler-tour intervals.) *)
 let dominates t a b =
-  if a = b then true
-  else
-    match
-      ( Hashtbl.find_opt t.tin a, Hashtbl.find_opt t.tout a,
-        Hashtbl.find_opt t.tin b )
-    with
-    | (Some ia, Some oa, Some ib) -> ia <= ib && ib <= oa
-    | _ -> false
+  a = b
+  ||
+  let ia = pos t a and ib = pos t b in
+  ia >= 0 && ib >= 0
+  && t.tin.(ia) > 0
+  && t.tin.(ia) <= t.tin.(ib)
+  && t.tin.(ib) <= t.tout.(ia)
 
-(** Dominance frontier of every block. *)
-let frontiers (fn : Ir.func) (t : t) : (int, IntSet.t) Hashtbl.t =
+(** Dominance frontier of every block, label-indexed. *)
+let frontiers (fn : Ir.func) (t : t) : IntSet.t array =
   let preds = Cfg.preds fn in
-  let df = Hashtbl.create 16 in
-  let add bid x =
-    let cur = try Hashtbl.find df bid with Not_found -> IntSet.empty in
-    Hashtbl.replace df bid (IntSet.add x cur)
-  in
+  let df = Array.make (Array.length preds) IntSet.empty in
   List.iter
     (fun (b : Ir.block) ->
-      let ps = Cfg.preds_of preds b.bid in
-      if List.length ps >= 2 then
-        List.iter
-          (fun p ->
-            if Hashtbl.mem t.rpo_index p then begin
-              (* walk up from each predecessor to idom(b), adding b to the
-                 frontier of every block passed; note the walk must NOT stop
-                 at b itself — a loop header belongs to its own frontier *)
-              let runner = ref p in
-              let stop = idom t b.bid in
-              let continue = ref true in
-              while !continue do
-                if Some !runner = stop then continue := false
-                else begin
-                  add !runner b.bid;
-                  match idom t !runner with
-                  | Some p' -> runner := p'
-                  | None -> continue := false
-                end
-              done
-            end)
-          ps)
+      match preds.(b.bid) with
+      | _ :: _ :: _ as ps ->
+          let stop =
+            match idom t b.bid with Some d -> pos t d | None -> -1
+          in
+          List.iter
+            (fun p ->
+              (* walk up from each reachable predecessor to idom(b), adding
+                 b to the frontier of every block passed; note the walk
+                 must NOT stop at b itself — a loop header belongs to its
+                 own frontier *)
+              let runner = ref (pos t p) in
+              while !runner >= 0 && !runner <> stop do
+                let r = t.order.(!runner) in
+                df.(r) <- IntSet.add b.bid df.(r);
+                runner := if !runner = 0 then -1 else t.idom.(!runner)
+              done)
+            ps
+      | _ -> ())
     fn.blocks;
   df
 
 let frontier_of df bid =
-  try Hashtbl.find df bid with Not_found -> IntSet.empty
+  if bid >= 0 && bid < Array.length df then df.(bid) else IntSet.empty

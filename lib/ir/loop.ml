@@ -18,78 +18,89 @@ type t = {
 
 let mem l bid = IntSet.mem bid l.blocks
 
-(** All natural loops of [fn], outermost first (by increasing block count is
-    not guaranteed; order is by header RPO). *)
+(** All natural loops of [fn], ordered by header RPO (outermost first is
+    not guaranteed). *)
 let find (fn : Ir.func) : t list =
   let dom = Dom.compute fn in
   let preds = Cfg.preds fn in
-  let btbl = Ir.block_tbl fn in
-  let reachable = Cfg.reachable fn in
-  (* collect back edges *)
-  let back = Hashtbl.create 8 in
+  let blocks = Cfg.block_array fn in
+  (* back edges u -> h (h dominates u) from reachable u; latches in
+     reverse block order *)
+  let latches = Array.make (Array.length blocks) [] in
   List.iter
     (fun (b : Ir.block) ->
-      if IntSet.mem b.bid reachable then
+      if Dom.rpo_index dom b.bid <> None then
         List.iter
           (fun s ->
-            if Dom.dominates dom s b.bid then
-              Hashtbl.replace back s
-                (b.bid :: (try Hashtbl.find back s with Not_found -> [])))
+            if Dom.dominates dom s b.bid then latches.(s) <- b.bid :: latches.(s))
           (Cfg.succs b))
     fn.blocks;
-  let loops = ref [] in
-  Hashtbl.iter
-    (fun header latches ->
-      (* blocks: reverse reachability from latches, stopping at header *)
-      let set = ref (IntSet.singleton header) in
-      let rec go bid =
-        if not (IntSet.mem bid !set) then begin
-          set := IntSet.add bid !set;
-          List.iter go (Cfg.preds_of preds bid)
-        end
-      in
-      List.iter go latches;
-      let blocks = !set in
-      let exiting = ref [] and exits = ref IntSet.empty in
-      IntSet.iter
-        (fun bid ->
-          match Hashtbl.find_opt btbl bid with
-          | None -> ()
-          | Some b ->
-              let outside =
-                List.filter (fun s -> not (IntSet.mem s blocks)) (Cfg.succs b)
-              in
-              if outside <> [] then begin
-                exiting := bid :: !exiting;
-                List.iter (fun s -> exits := IntSet.add s !exits) outside
-              end)
-        blocks;
-      let outside_preds =
-        List.filter (fun p -> not (IntSet.mem p blocks))
-          (Cfg.preds_of preds header)
-      in
-      let preheader =
-        match outside_preds with
-        | [ p ] -> (
-            match Hashtbl.find_opt btbl p with
-            | Some pb when Cfg.succs pb = [ header ] -> Some p
-            | _ -> None)
-        | _ -> None
-      in
-      loops :=
-        {
-          header;
-          latches;
-          blocks;
-          exiting = List.rev !exiting;
-          exits = IntSet.elements !exits;
-          preheader;
-        }
-        :: !loops)
-    back;
+  (* [stamp.(l) = h]: l is in the loop headed by h *)
+  let stamp = Array.make (Array.length blocks) (-1) in
+  let loop_of header latches =
+    (* blocks: reverse reachability from the latches, stopping at the
+       header; unreachable predecessors count *)
+    stamp.(header) <- header;
+    let body = ref [ header ] and work = ref [] in
+    let visit l =
+      if stamp.(l) <> header then begin
+        stamp.(l) <- header;
+        body := l :: !body;
+        work := l :: !work
+      end
+    in
+    List.iter visit latches;
+    while !work <> [] do
+      match !work with
+      | l :: rest ->
+          work := rest;
+          List.iter visit preds.(l)
+      | [] -> ()
+    done;
+    let inside l = stamp.(l) = header in
+    let blocks_set = IntSet.of_list !body in
+    let exiting = ref [] and exits = ref IntSet.empty in
+    IntSet.iter
+      (fun bid ->
+        match blocks.(bid) with
+        | None -> ()
+        | Some b ->
+            let outside = List.filter (fun s -> not (inside s)) (Cfg.succs b) in
+            if outside <> [] then begin
+              exiting := bid :: !exiting;
+              List.iter (fun s -> exits := IntSet.add s !exits) outside
+            end)
+      blocks_set;
+    let preheader =
+      match List.filter (fun p -> not (inside p)) preds.(header) with
+      | [ p ] -> (
+          match blocks.(p) with
+          | Some pb when Cfg.succs pb = [ header ] -> Some p
+          | _ -> None)
+      | _ -> None
+    in
+    {
+      header;
+      latches;
+      blocks = blocks_set;
+      exiting = List.rev !exiting;
+      exits = IntSet.elements !exits;
+      preheader;
+    }
+  in
+  let loops =
+    List.filter_map
+      (fun (b : Ir.block) ->
+        match latches.(b.bid) with
+        | [] -> None
+        | ls ->
+            latches.(b.bid) <- [];
+            Some (loop_of b.bid ls))
+      fn.blocks
+  in
   (* order by header RPO index for determinism *)
-  let idx bid = try Hashtbl.find dom.Dom.rpo_index bid with Not_found -> max_int in
-  List.sort (fun a b -> compare (idx a.header) (idx b.header)) !loops
+  let idx l = Option.get (Dom.rpo_index dom l.header) in
+  List.sort (fun a b -> compare (idx a) (idx b)) loops
 
 (** Loop-nesting depth of each block (0 = not in any loop). *)
 let depth_map (fn : Ir.func) : (int, int) Hashtbl.t =

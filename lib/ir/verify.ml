@@ -157,6 +157,8 @@ let check ?(ssa = false) ?(memform = false) (fn : func) :
           b.insts)
       fn.blocks;
     let param_regs = IntSet.of_list (List.map fst fn.params) in
+    (* [where] is printed only for an error: the check runs after every
+       pass in paranoid mode *)
     let check_use where user_bid v =
       match v with
       | Reg r when not (IntSet.mem r param_regs) -> (
@@ -164,7 +166,7 @@ let check ?(ssa = false) ?(memform = false) (fn : func) :
           | Some db ->
               if not (Dom.dominates dom db user_bid) then
                 err "%s: use of %%%d not dominated by its definition (L%d)"
-                  where r db
+                  (Lazy.force where) r db
           | None -> ())
       | _ -> ()
     in
@@ -178,7 +180,7 @@ let check ?(ssa = false) ?(memform = false) (fn : func) :
           List.iter
             (fun i ->
               let where =
-                Printf.sprintf "L%d: %s" b.bid (Printer.string_of_inst i)
+                lazy (Printf.sprintf "L%d: %s" b.bid (Printer.string_of_inst i))
               in
               (match i with
               | Phi (_, _, incoming) ->
@@ -193,7 +195,7 @@ let check ?(ssa = false) ?(memform = false) (fn : func) :
                                 err
                                   "%s: phi incoming %%%d from L%d not \
                                    dominated by def (L%d)"
-                                  where r p db
+                                  (Lazy.force where) r p db
                           | None -> ())
                       | _ -> ())
                     incoming
@@ -204,7 +206,8 @@ let check ?(ssa = false) ?(memform = false) (fn : func) :
                       | Reg r when Hashtbl.mem def_block r
                                    && Hashtbl.find def_block r = b.bid
                                    && not (Hashtbl.mem defined_here r) ->
-                          err "%s: use of %%%d before its definition" where r
+                          err "%s: use of %%%d before its definition"
+                            (Lazy.force where) r
                       | _ -> check_use where b.bid v)
                     (uses_of_inst i));
               match def_of_inst i with
@@ -218,7 +221,7 @@ let check ?(ssa = false) ?(memform = false) (fn : func) :
                            && Hashtbl.find def_block r = b.bid
                            && not (Hashtbl.mem defined_here r) ->
                   err "L%d: terminator uses %%%d before definition" b.bid r
-              | _ -> check_use (Printf.sprintf "L%d: term" b.bid) b.bid v)
+              | _ -> check_use (lazy (Printf.sprintf "L%d: term" b.bid)) b.bid v)
             (uses_of_term b.term)
         end)
       fn.blocks

@@ -9,8 +9,8 @@
 
     - if the function contains {e no} stores and no calls that could write
       memory, a dominating load of the same pointer is always reusable;
-    - otherwise loads are only reused within a block, with an epoch counter
-      bumped at every store/call. *)
+    - otherwise loads are only reused within a block, up to the next
+      store/call. *)
 
 module Ir = Overify_ir.Ir
 module Dom = Overify_ir.Dom
@@ -21,14 +21,14 @@ type key =
   | KSel of Ir.ty * Ir.value * Ir.value * Ir.value
   | KCast of Ir.castop * Ir.ty * Ir.value * Ir.ty
   | KGep of Ir.value * int * Ir.value
-  | KLoad of Ir.ty * Ir.value * int  (* pointer, memory epoch *)
+  | KLoad of Ir.ty * Ir.value
 
 let commutative = function
   | Ir.Add | Ir.Mul | Ir.And | Ir.Or | Ir.Xor -> true
   | _ -> false
 
 (* canonicalize operand order for commutative operations *)
-let key_of_inst ~epoch (i : Ir.inst) : (key * int) option =
+let key_of_inst (i : Ir.inst) : (key * int) option =
   match i with
   | Ir.Bin (d, op, ty, a, b) ->
       let (a, b) = if commutative op && compare b a < 0 then (b, a) else (a, b) in
@@ -37,7 +37,7 @@ let key_of_inst ~epoch (i : Ir.inst) : (key * int) option =
   | Ir.Select (d, ty, c, a, b) -> Some (KSel (ty, c, a, b), d)
   | Ir.Cast (d, op, to_ty, v, from_ty) -> Some (KCast (op, to_ty, v, from_ty), d)
   | Ir.Gep (d, base, scale, idx) -> Some (KGep (base, scale, idx), d)
-  | Ir.Load (d, ty, p) -> Some (KLoad (ty, p, epoch), d)
+  | Ir.Load (d, ty, p) -> Some (KLoad (ty, p), d)
   | _ -> None
 
 let writes_memory = function
@@ -65,55 +65,49 @@ let run (fn : Ir.func) : Ir.func * bool =
         | None -> v)
     | _ -> v
   in
-  (* scoped available-expression table: an association list stack *)
-  let rec walk bid (avail : (key * int) list) =
+  (* available expressions of the dominating blocks: one table, from
+     which each block removes the keys it added once its dominator subtree
+     is done.  Keys are unique along a dominator path, so that restores
+     the parent's table exactly.  In a function that writes memory, load
+     facts live in a block-local table instead, emptied at every write *)
+  let avail : (key, int) Hashtbl.t = Hashtbl.create 64 in
+  let local_loads : (key, int) Hashtbl.t = Hashtbl.create 16 in
+  let clear_loads () =
+    if Hashtbl.length local_loads > 0 then Hashtbl.reset local_loads
+  in
+  let rec walk bid =
     let b = Hashtbl.find btbl bid in
-    let epoch = ref 0 in
-    let avail = ref avail in
+    clear_loads ();
+    let added = ref [] in
     let insts =
       List.filter
         (fun i ->
           let i' = Ir.map_inst_values (fun r -> resolve (Ir.Reg r)) i in
-          if writes_memory i' then begin
-            incr epoch;
-            (* block-local load facts die; in a quiet function there are no
-               writes so this never triggers *)
-            avail :=
-              List.filter (function (KLoad _, _) -> false | _ -> true) !avail
-          end;
-          match key_of_inst ~epoch:!epoch i' with
+          if writes_memory i' then clear_loads ();
+          match key_of_inst i' with
           | None -> true
           | Some (key, d) -> (
-              (* loads in non-quiet functions are only reusable locally; tag
-                 cross-block load keys with epoch -1 in quiet functions *)
-              let key =
+              let tbl =
                 match key with
-                | KLoad (ty, p, e) -> KLoad (ty, p, if quiet then -1 else e)
-                | k -> k
+                | KLoad _ when not quiet -> local_loads
+                | _ -> avail
               in
-              match List.assoc_opt key !avail with
+              match Hashtbl.find_opt tbl key with
               | Some prev ->
                   changed := true;
                   Hashtbl.replace subst d (Ir.Reg prev);
                   false
               | None ->
-                  avail := (key, d) :: !avail;
+                  Hashtbl.replace tbl key d;
+                  if tbl == avail then added := key :: !added;
                   true))
         b.insts
     in
     Hashtbl.replace btbl bid { b with Ir.insts = insts };
-    (* local (epoch > 0 in non-quiet functions) load facts must not leak to
-       dominated blocks: paths between them may contain stores *)
-    let keep_for_children =
-      List.filter
-        (function
-          | (KLoad (_, _, e), _) -> quiet && e = -1
-          | _ -> true)
-        !avail
-    in
-    List.iter (fun c -> walk c keep_for_children) (Dom.children dom bid)
+    List.iter walk (Dom.children dom bid);
+    List.iter (Hashtbl.remove avail) !added
   in
-  walk (Ir.entry fn).bid [];
+  walk (Ir.entry fn).bid;
   if !changed then begin
     let f r = resolve (Ir.Reg r) in
     let blocks =

@@ -235,16 +235,41 @@ let run (cm : Costmodel.t) (stats : Stats.t) (fn : Ir.func) : Ir.func * bool =
   let budget = cm.Costmodel.branch_cost in
   if budget <= 0 then (fn, false)
   else begin
+    (* built once per run and patched after each conversion: the body
+       blocks disappear, the exit's predecessors from the region collapse
+       into the head, and only the head and the exit blocks change.  That is
+       exact for [find_region], which reads predecessors only by
+       membership, and no other block's reachability changes *)
+    let preds = Cfg.preds fn in
+    let btbl = Ir.block_tbl fn in
+    let reachable = ref (Cfg.reachable fn) in
+    let patch (r : region) (fn' : Ir.func) =
+      let body = List.map (fun (b : Ir.block) -> b.Ir.bid) r.body in
+      List.iter
+        (fun bid ->
+          preds.(bid) <- [];
+          Hashtbl.remove btbl bid;
+          reachable := IntSet.remove bid !reachable)
+        body;
+      let head = r.head.Ir.bid in
+      preds.(r.exit) <-
+        head
+        :: List.filter
+             (fun p -> p <> head && not (List.mem p body))
+             preds.(r.exit);
+      List.iter
+        (fun (b : Ir.block) ->
+          if b.Ir.bid = head || b.Ir.bid = r.exit then
+            Hashtbl.replace btbl b.Ir.bid b)
+        fn'.Ir.blocks
+    in
     let rec go fn n any =
       if n = 0 then (fn, any)
       else begin
-        let preds = Cfg.preds fn in
-        let btbl = Ir.block_tbl fn in
-        let reachable = Cfg.reachable fn in
         let found =
           List.find_map
             (fun (b : Ir.block) ->
-              if IntSet.mem b.Ir.bid reachable then
+              if IntSet.mem b.Ir.bid !reachable then
                 find_region fn preds btbl budget b
               else None)
             fn.Ir.blocks
@@ -253,7 +278,9 @@ let run (cm : Costmodel.t) (stats : Stats.t) (fn : Ir.func) : Ir.func * bool =
         | Some r ->
             stats.Stats.branches_converted <-
               stats.Stats.branches_converted + count_branches r;
-            go (convert fn r) (n - 1) true
+            let fn' = convert fn r in
+            patch r fn';
+            go fn' (n - 1) true
         | None -> (fn, any)
       end
     in

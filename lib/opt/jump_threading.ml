@@ -38,8 +38,8 @@ let thread_once (fn : Ir.func) : Ir.func option =
   | None -> None
   | Some (p, s_bid, target) ->
       (* redirect p's edge s -> target; s becomes unreachable (single pred)
-         and is cleaned up by simplify_cfg.  The phi entries of [target] for
-         pred [s] become entries for [p]; values incoming from the empty [s]
+         and [run] removes it.  The phi entries of [target] for pred [s]
+         become entries for [p]; values incoming from the empty [s]
          dominate [p] (see the threading precondition). *)
       let pb = Hashtbl.find btbl p in
       let pb' = { pb with Ir.term = Cfg.redirect_term s_bid target pb.Ir.term } in
@@ -69,8 +69,6 @@ let thread_once (fn : Ir.func) : Ir.func option =
               else b)
             fn.Ir.blocks
         in
-        (* [s] is now unreachable; simplify_cfg removes it and prunes the
-           stale phi entries of its successors *)
         Some { fn with Ir.blocks }
       end
 
@@ -81,6 +79,10 @@ let run (stats : Stats.t) (fn : Ir.func) : Ir.func * bool =
       match thread_once fn with
       | Some fn' ->
           stats.Stats.jumps_threaded <- stats.Stats.jumps_threaded + 1;
+          (* the bypassed block is now unreachable, and so may be blocks
+             only it reached: drop them with their phi entries, whose
+             values no longer dominate those dead edges *)
+          let (fn', _) = Cfg.remove_unreachable fn' in
           go fn' (n - 1) true
       | None -> (fn, any)
   in

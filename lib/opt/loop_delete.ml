@@ -115,12 +115,13 @@ let delete_one (fn : Ir.func) : Ir.func option =
   in
   List.find_map try_loop loops
 
-let run (fn : Ir.func) : Ir.func * bool =
+let run (stats : Stats.t) (fn : Ir.func) : Ir.func * bool =
   let rec go fn n any =
     if n = 0 then (fn, any)
     else
       match delete_one fn with
       | Some fn' ->
+          stats.Stats.loops_deleted <- stats.Stats.loops_deleted + 1;
           (* the body is now unreachable; prune it (and stale phi entries)
              before re-running the loop analysis *)
           let (fn', _) = Cfg.remove_unreachable fn' in

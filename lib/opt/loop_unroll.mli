@@ -15,7 +15,7 @@ type counted = { islot : int; trip : int }
 val analyze :
   Costmodel.t ->
   Overify_ir.Ir.func ->
-  (int, int list) Hashtbl.t ->
+  int list array ->
   Overify_ir.Cfg.IntSet.t ->
   Overify_ir.Loop.t ->
   (counted * int) option

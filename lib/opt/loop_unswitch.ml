@@ -18,17 +18,11 @@ module IntSet = Cfg.IntSet
 (** Slots (alloca registers) whose address never escapes: used only as the
     direct pointer operand of loads and stores. *)
 let non_escaping_slots (fn : Ir.func) : IntSet.t =
-  let allocas = ref IntSet.empty in
-  Ir.iter_insts
-    (fun _ i ->
-      match i with
-      | Ir.Alloca (d, _, _) -> allocas := IntSet.add d !allocas
-      | _ -> ())
-    fn;
-  let escaped = ref IntSet.empty in
+  let allocas = ref [] in
+  let escaped = Hashtbl.create 64 in
   let esc v =
     match v with
-    | Ir.Reg r -> escaped := IntSet.add r !escaped
+    | Ir.Reg r -> Hashtbl.replace escaped r ()
     | _ -> ()
   in
   Ir.iter_insts
@@ -36,13 +30,13 @@ let non_escaping_slots (fn : Ir.func) : IntSet.t =
       match i with
       | Ir.Load (_, _, _) -> ()  (* pointer operand use is fine *)
       | Ir.Store (_, v, _) -> esc v
-      | Ir.Alloca _ -> ()
+      | Ir.Alloca (d, _, _) -> allocas := d :: !allocas
       | i -> List.iter esc (Ir.uses_of_inst i))
     fn;
   List.iter
     (fun (b : Ir.block) -> List.iter esc (Ir.uses_of_term b.Ir.term))
     fn.blocks;
-  IntSet.diff !allocas !escaped
+  IntSet.of_list (List.filter (fun d -> not (Hashtbl.mem escaped d)) !allocas)
 
 (** Instructions allowed in a hoistable condition chain: pure, non-trapping,
     and any loads read whole non-escaping slots or globals. *)

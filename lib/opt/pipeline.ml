@@ -30,10 +30,14 @@ type result = {
 type observer =
   pass:string -> fn:string -> before:Ir.modul -> after:Ir.modul -> unit
 
-(** When true, every pass is followed by an IR verification.  Defaults to
-    the [OVERIFY_PARANOID] environment variable, which the test profile sets
-    (test/dune) — test_opt asserts it is on, so silently losing the paranoid
-    re-verification from [dune runtest] fails the suite. *)
+(** When true, every pass application that changes code is followed by an
+    IR verification of what it produced: structure, typing and SSA
+    dominance always, plus the absence of phis after the memory-form passes
+    ([runtime_checks], [inline], [unswitch], [unroll], [sroa]); after
+    [inline] every function of the module is checked.  Defaults to the
+    [OVERIFY_PARANOID] environment variable, which the test profile sets
+    (test/dune) — test_opt asserts it is on, so silently losing the
+    paranoid re-verification from [dune runtest] fails the suite. *)
 let paranoid =
   ref
     (match Sys.getenv_opt "OVERIFY_PARANOID" with
@@ -46,9 +50,14 @@ let paranoid =
     names exactly the corrupted pass.  Never set outside tests. *)
 let sabotage : (string * (Ir.func -> Ir.func)) option ref = ref None
 
+(* passes that run before [mem2reg], on IR that must not contain phis *)
+let memform_passes = [ "runtime_checks"; "inline"; "unswitch"; "unroll"; "sroa" ]
+
 let check_fn what fn =
   if !paranoid then
-    match Verify.check fn with
+    match
+      Verify.check ~ssa:true ~memform:(List.mem what memform_passes) fn
+    with
     | Ok () -> ()
     | Error errs ->
         failwith
@@ -157,9 +166,7 @@ let scalar_fixpoint ctx (fn : Ir.func) : Ir.func =
         else (fn, false)
       in
       let (fn, c6b) =
-        let (fn, ch) = apply_fn_cm ctx "loop_delete" Loop_delete.run fn in
-        if ch then stats.Stats.loops_deleted <- stats.Stats.loops_deleted + 1;
-        (fn, ch)
+        apply_fn_cm ctx "loop_delete" (Loop_delete.run stats) fn
       in
       let c6 = c6 || c6b in
       let (fn, c7) = apply_fn_cm ctx "dce" Dce.run fn in
@@ -225,6 +232,7 @@ let optimize ?observe ?prof (cm : Costmodel.t) (m : Ir.modul) : result =
           ~size_before:(modul_size m) ~size_after:(modul_size m')
           ~changed:(m' <> m)
       end;
+      List.iter (check_fn "inline") m'.Ir.funcs;
       if ctx.observe <> None && m' <> m then begin
         ctx.cur <- m';
         emit ctx ~pass:"inline" ~fn:"*" ~before ~after:m'

@@ -24,9 +24,11 @@ type observer =
     modules coincide and the chain composes to the whole compilation. *)
 
 val paranoid : bool ref
-(** When true, every pass is followed by an IR verification.  Initialized
-    from the [OVERIFY_PARANOID] environment variable (set by the test
-    profile in [test/dune]). *)
+(** When true, every pass application that changes code is followed by an
+    IR verification with SSA dominance, plus phi absence after the
+    memory-form passes; after [inline], every function is verified.
+    Initialized from the [OVERIFY_PARANOID] environment variable (set by
+    the test profile in [test/dune]). *)
 
 val sabotage : (string * (Overify_ir.Ir.func -> Overify_ir.Ir.func)) option ref
 (** Test-only fault injection: [Some (pass, corrupt)] corrupts the output

@@ -243,6 +243,229 @@ let test_loop_depths () =
 let test_no_loops_in_diamond () =
   check int "diamond has no loops" 0 (List.length (Loop.find (build_diamond ())))
 
+(* ------------- the analyses against their definitions ------------- *)
+
+module IntSet = Cfg.IntSet
+
+let cfg_func terms =
+  {
+    I.fname = "g";
+    params = [];
+    ret = I.Void;
+    blocks =
+      List.mapi (fun bid term -> { I.bid; insts = []; term }) terms;
+    next = List.length terms;
+    fmeta = [];
+  }
+
+(* random CFGs over labels 0..n-1, entry 0: branches to random blocks,
+   self-loops, same-target [Cbr]s, and blocks nothing reaches *)
+let cfg_gen =
+  QCheck2.Gen.(
+    int_range 1 12 >>= fun n ->
+    let label = int_range 0 (n - 1) in
+    let cond = I.imm_bool true in
+    let term =
+      frequency
+        [
+          (3, map (fun l -> I.Br l) label);
+          (4, map2 (fun t e -> I.Cbr (cond, t, e)) label label);
+          (1, map (fun l -> I.Cbr (cond, l, l)) label);
+          (1, pure (I.Ret None));
+        ]
+    in
+    map cfg_func (list_repeat n term))
+
+let succs_naive fn l =
+  match List.find_opt (fun (b : I.block) -> b.I.bid = l) fn.I.blocks with
+  | Some b -> Cfg.succs b
+  | None -> []
+
+let preds_naive fn l =
+  List.filter_map
+    (fun (b : I.block) ->
+      if List.mem l (Cfg.succs b) then Some b.I.bid else None)
+    fn.I.blocks
+
+(* recursive DFS, successors in order, skipping [avoid] *)
+let postorder_naive ?(avoid = -1) fn =
+  let seen = Hashtbl.create 16 and order = ref [] in
+  let rec go l =
+    if l <> avoid && not (Hashtbl.mem seen l) then begin
+      Hashtbl.replace seen l ();
+      List.iter go (succs_naive fn l);
+      order := l :: !order
+    end
+  in
+  go 0;
+  List.rev !order
+
+(* a dominates b iff b is unreachable once a is removed *)
+let dominates_naive fn a b =
+  not (List.mem b (postorder_naive ~avoid:a fn))
+
+let prop_cfg_order fn =
+  let po = postorder_naive fn in
+  Cfg.postorder fn = po
+  && Cfg.rpo fn = List.rev po
+  && IntSet.equal (Cfg.reachable fn) (IntSet.of_list po)
+  && List.for_all
+       (fun (b : I.block) ->
+         Cfg.preds_of (Cfg.preds fn) b.I.bid = preds_naive fn b.I.bid)
+       fn.I.blocks
+
+let prop_dominators fn =
+  let dom = Dom.compute fn in
+  let live = postorder_naive fn in
+  List.for_all
+    (fun b ->
+      List.for_all
+        (fun a -> Dom.dominates dom a b = dominates_naive fn a b)
+        live
+      &&
+      (* the immediate dominator is the strict dominator every other strict
+         dominator dominates *)
+      let strict =
+        List.filter (fun a -> a <> b && dominates_naive fn a b) live
+      in
+      match Dom.idom dom b with
+      | None -> strict = []
+      | Some d ->
+          List.mem d strict
+          && List.for_all (fun a -> dominates_naive fn a d) strict)
+    live
+  && List.for_all
+       (fun (b : I.block) ->
+         List.mem b.I.bid live || Dom.idom dom b.I.bid = None)
+       fn.I.blocks
+
+(* natural loops straight from the definition: a back edge u -> h has a
+   reachable u dominated by h; h's loop is h plus every block that reaches
+   a latch without passing through h, over all predecessors *)
+let loops_naive fn =
+  let live = postorder_naive fn in
+  let rpo = List.rev live in
+  let back =
+    List.concat_map
+      (fun u ->
+        List.filter_map
+          (fun h -> if dominates_naive fn h u then Some (h, u) else None)
+          (succs_naive fn u))
+      live
+  in
+  let headers = List.filter (fun h -> List.mem_assoc h back) rpo in
+  List.map
+    (fun h ->
+      let latches =
+        List.sort compare
+          (List.filter_map (fun (h', u) -> if h' = h then Some u else None) back)
+      in
+      let body = ref (IntSet.singleton h) in
+      let rec walk l =
+        if not (IntSet.mem l !body) then begin
+          body := IntSet.add l !body;
+          List.iter walk (preds_naive fn l)
+        end
+      in
+      List.iter walk latches;
+      let body = !body in
+      let outside l = not (IntSet.mem l body) in
+      let exiting =
+        List.filter
+          (fun l -> List.exists outside (succs_naive fn l))
+          (IntSet.elements body)
+      in
+      let exits =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun l -> List.filter outside (succs_naive fn l))
+             (IntSet.elements body))
+      in
+      let preheader =
+        match List.filter outside (preds_naive fn h) with
+        | [ p ] when succs_naive fn p = [ h ] -> Some p
+        | _ -> None
+      in
+      (h, latches, IntSet.elements body, exiting, exits, preheader))
+    headers
+
+let prop_loops fn =
+  List.map
+    (fun (l : Loop.t) ->
+      ( l.Loop.header,
+        List.sort compare l.Loop.latches,
+        IntSet.elements l.Loop.blocks,
+        l.Loop.exiting,
+        l.Loop.exits,
+        l.Loop.preheader ))
+    (Loop.find fn)
+  = loops_naive fn
+
+let kernel_tests =
+  List.map
+    (fun (name, prop) ->
+      QCheck_alcotest.to_alcotest
+        (QCheck2.Test.make ~name ~count:500
+           ~print:Printer.func_to_string cfg_gen prop))
+    [
+      ("postorder, rpo, reachable and preds match a naive DFS", prop_cfg_order);
+      ("dominance and idom match the definition", prop_dominators);
+      ("Loop.find matches the natural loops of back edges", prop_loops);
+    ]
+
+(* 100k-deep graphs: every analysis must run without a stack overflow.
+   [chain n]: entry -> 1 -> ... -> n, and n loops back to 1 *)
+let chain n =
+  let cond = I.imm_bool true in
+  cfg_func
+    (List.init (n + 2) (fun l ->
+         if l = n then I.Cbr (cond, 1, n + 1)
+         else if l = n + 1 then I.Ret None
+         else I.Br (l + 1)))
+
+(* [diamonds n]: n diamonds in a row, head 3k+1 -> 3k+2 | 3k+3 -> next
+   head, the last head loops back to the first *)
+let diamonds n =
+  let cond = I.imm_bool true in
+  let last = (3 * n) + 1 in
+  cfg_func
+    (List.init (last + 2) (fun l ->
+         if l = 0 then I.Br 1
+         else if l = last then I.Cbr (cond, 1, last + 1)
+         else if l = last + 1 then I.Ret None
+         else
+           match (l - 1) mod 3 with
+           | 0 -> I.Cbr (cond, l + 1, l + 2)
+           | 1 -> I.Br (l + 2)
+           | _ -> I.Br (l + 1)))
+
+let test_deep fn ~first ~last () =
+  let blocks = I.num_blocks fn in
+  check int "postorder covers all" blocks (List.length (Cfg.postorder fn));
+  check int "reachable covers all" blocks
+    (IntSet.cardinal (Cfg.reachable fn));
+  let dom = Dom.compute fn in
+  check bool "first dominates last" true (Dom.dominates dom first last);
+  check bool "last does not dominate first" false
+    (Dom.dominates dom last first);
+  match Loop.find fn with
+  | [ l ] ->
+      check int "header" first l.Loop.header;
+      check (Alcotest.list int) "latch" [ last ] l.Loop.latches;
+      check int "body" (blocks - 2) (IntSet.cardinal l.Loop.blocks)
+  | ls -> Alcotest.failf "expected one loop, found %d" (List.length ls)
+
+let test_deep_chain () =
+  test_deep (chain 100_000) ~first:1 ~last:100_000 ()
+
+let test_deep_diamonds () =
+  let n = 100_000 in
+  let fn = diamonds n in
+  test_deep fn ~first:1 ~last:((3 * n) + 1) ();
+  let dom = Dom.compute fn in
+  check (Alcotest.option int) "a join's idom is its head" (Some 1)
+    (Dom.idom dom 4)
+
 (* ------------- verifier ------------- *)
 
 let expect_invalid ?ssa ?memform fn =
@@ -411,6 +634,13 @@ let () =
           Alcotest.test_case "detection" `Quick test_loop_detection;
           Alcotest.test_case "depths" `Quick test_loop_depths;
           Alcotest.test_case "diamond loop-free" `Quick test_no_loops_in_diamond;
+        ] );
+      ("analyses vs definitions (qcheck)", kernel_tests);
+      ( "deep graphs",
+        [
+          Alcotest.test_case "100k-block chain" `Quick test_deep_chain;
+          Alcotest.test_case "100k-deep chain of diamonds" `Quick
+            test_deep_diamonds;
         ] );
       ( "verifier",
         [

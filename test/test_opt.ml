@@ -502,6 +502,35 @@ int main(void) {
      second test again *)
   check int "two paths after optimization" 2 r.Overify_symex.Engine.paths
 
+(* threading L0 -> L1 -> L2 strands L1 and L3, the block only L1 reached;
+   L2's phi entry from L3 carries a value that no longer dominates that
+   edge, so the pass must drop the stranded blocks for the SSA check *)
+let test_jump_threading_drops_stranded_blocks () =
+  let b = Overify_ir.Builder.create ~name:"f" ~params:[ I.I32 ] ~ret:I.I32 in
+  let module B = Overify_ir.Builder in
+  let p = I.Reg (List.hd (B.param_regs b)) in
+  let l1 = B.new_block b and l2 = B.new_block b in
+  let l3 = B.new_block b and l4 = B.new_block b in
+  let c = B.cmp b I.Sgt I.I32 p (I.imm I.I32 0L) in
+  let v = B.bin b I.Add I.I32 p (I.imm I.I32 1L) in
+  B.term b (I.Cbr (c, l1, l4));
+  B.switch_to b l1;
+  B.term b (I.Cbr (c, l2, l3));
+  B.switch_to b l3;
+  B.term b (I.Br l2);
+  B.switch_to b l2;
+  let r = B.fresh b in
+  B.add_inst b (I.Phi (r, I.I32, [ (l1, I.imm I.I32 0L); (l3, v) ]));
+  B.term b (I.Ret (Some (I.Reg r)));
+  B.switch_to b l4;
+  B.term b (I.Ret (Some (I.imm I.I32 0L)));
+  let fn = B.finish b in
+  Overify_ir.Verify.check_exn ~ssa:true fn;
+  let (fn', changed) = Overify_opt.Jump_threading.run (Stats.create ()) fn in
+  check bool "threaded" true changed;
+  Overify_ir.Verify.check_exn ~ssa:true fn';
+  check int "stranded blocks removed" 3 (I.num_blocks fn')
+
 (* ------------- dead-loop deletion ------------- *)
 
 let test_loop_delete_zero_trip () =
@@ -517,6 +546,22 @@ int main(void) {
   check int "returns 7" 7
     (Int64.to_int
        (Interp.run (compile_at Costmodel.overify src) ~input:"").Interp.exit_code)
+
+(* [loops_deleted] counts loops: one application deletes both of these *)
+let test_loop_delete_counts_loops () =
+  let src = {|
+int main(void) {
+  int sum = 7;
+  for (int i = 10; i < 3; i++) sum += i;   /* never runs */
+  for (int j = 20; j < 5; j++) sum += j;   /* never runs */
+  return sum;
+}
+|} in
+  let r = Pipeline.optimize Costmodel.overify (Frontend.compile_source src) in
+  check int "two loops deleted" 2 r.Pipeline.stats.Stats.loops_deleted;
+  check int "no loops left" 0
+    (List.length
+       (Overify_ir.Loop.find (I.find_func_exn r.Pipeline.modul "main")))
 
 let test_loop_delete_keeps_live_loops () =
   let src = {|
@@ -626,19 +671,89 @@ let test_code_growth_direction () =
   let ov = static_size (compile Costmodel.overify).Pipeline.modul in
   check bool "sizes positive" true (o0 > 0 && ov > 0)
 
+(* every corpus program at every level, compiled once for the tests below
+   (in paranoid mode, like every compile in this suite) *)
+let corpus_results : (Programs.t * (Costmodel.t * Pipeline.result) list) list =
+  List.map
+    (fun (p : Programs.t) ->
+      ( p,
+        List.map
+          (fun level ->
+            ( level,
+              Pipeline.optimize level
+                (Frontend.compile_sources
+                   [ Vclib.for_cost_model level; p.Programs.source ]) ))
+          Costmodel.all ))
+    Programs.programs
+
 let test_levels_verify_over_corpus () =
   List.iter
-    (fun (p : Programs.t) ->
+    (fun (_, results) ->
       List.iter
-        (fun level ->
-          let m =
-            Pipeline.optimize level
-              (Frontend.compile_sources
-                 [ Vclib.for_cost_model level; p.Programs.source ])
-          in
-          List.iter Overify_ir.Verify.check_exn m.Pipeline.modul.I.funcs)
-        Costmodel.all)
-    Programs.programs
+        (fun (_, (r : Pipeline.result)) ->
+          List.iter Overify_ir.Verify.check_exn r.Pipeline.modul.I.funcs)
+        results)
+    corpus_results
+
+(* The optimizer's output is pinned: per corpus program and level, the MD5
+   of the printed IR and of the [Stats] line must match
+   test/compile_digests.tsv.  On a mismatch the fresh table is written next
+   to the test executable; recording an intended change is one copy. *)
+let digests_header = "# program\tlevel\tir_md5\tstats_md5"
+
+let digest_rows () =
+  List.concat_map
+    (fun ((p : Programs.t), results) ->
+      List.map
+        (fun (level, (r : Pipeline.result)) ->
+          let md5 s = Digest.to_hex (Digest.string s) in
+          String.concat "\t"
+            [
+              p.Programs.name;
+              level.Costmodel.name;
+              md5 (Overify_ir.Printer.modul_to_string r.Pipeline.modul);
+              md5 (Format.asprintf "%a" Stats.pp r.Pipeline.stats);
+            ])
+        results)
+    corpus_results
+
+let test_compile_digests () =
+  let here = Filename.dirname Sys.executable_name in
+  let table = Filename.concat here "compile_digests.tsv" in
+  let pinned =
+    if not (Sys.file_exists table) then []
+    else
+      In_channel.with_open_text table In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let fresh = digest_rows () in
+  if fresh <> pinned then begin
+    let cell row =
+      match String.split_on_char '\t' row with
+      | p :: l :: _ -> p ^ " " ^ l
+      | _ -> row
+    in
+    let differing =
+      List.filter (fun r -> not (List.mem r pinned)) fresh
+      @ List.filter (fun r -> not (List.mem r fresh)) pinned
+      |> List.map cell |> List.sort_uniq compare
+    in
+    let out = Filename.concat here "compile_digests.fresh.tsv" in
+    Out_channel.with_open_text out (fun oc ->
+        List.iter
+          (fun l -> output_string oc (l ^ "\n"))
+          (digests_header :: fresh));
+    let n = List.length differing in
+    Alcotest.failf
+      "optimizer output differs from test/compile_digests.tsv in %d \
+       cell(s): %s%s\nthe fresh table is %s; if the change is intended, \
+       copy it over test/compile_digests.tsv"
+      n
+      (String.concat ", " (List.filteri (fun i _ -> i < 12) differing))
+      (if n > 12 then Printf.sprintf " and %d more" (n - 12) else "")
+      out
+  end
 
 (* ------------- the big differential property ------------- *)
 
@@ -654,16 +769,12 @@ let text_gen =
 
 let differential_tests =
   List.map
-    (fun (p : Programs.t) ->
+    (fun ((p : Programs.t), results) ->
       let compiled =
         List.map
-          (fun level ->
-            ( level.Costmodel.name,
-              (Pipeline.optimize level
-                 (Frontend.compile_sources
-                    [ Vclib.for_cost_model level; p.Programs.source ]))
-                .Pipeline.modul ))
-          Costmodel.all
+          (fun (level, (r : Pipeline.result)) ->
+            (level.Costmodel.name, r.Pipeline.modul))
+          results
       in
       QCheck_alcotest.to_alcotest
         (QCheck2.Test.make
@@ -695,7 +806,7 @@ let differential_tests =
                          | Some t -> Interp.string_of_trap t)
                      else ok)
                    rest)))
-    Programs.programs
+    corpus_results
 
 (* ------------- Stats (the Table 3 counters) ------------- *)
 
@@ -837,14 +948,20 @@ let () =
           Alcotest.test_case "threshold" `Quick test_inline_threshold;
         ] );
       ( "jump threading",
-        [ Alcotest.test_case "correlated conditions" `Quick
-            test_jump_threading_same_condition ] );
+        [
+          Alcotest.test_case "correlated conditions" `Quick
+            test_jump_threading_same_condition;
+          Alcotest.test_case "IR: stranded blocks dropped" `Quick
+            test_jump_threading_drops_stranded_blocks;
+        ] );
       ( "loop deletion",
         [
           Alcotest.test_case "zero-trip loop removed" `Quick
             test_loop_delete_zero_trip;
           Alcotest.test_case "live loops kept" `Quick
             test_loop_delete_keeps_live_loops;
+          Alcotest.test_case "counts every deleted loop" `Quick
+            test_loop_delete_counts_loops;
         ] );
       ( "runtime checks",
         [ Alcotest.test_case "insert and catch" `Quick
@@ -863,6 +980,8 @@ let () =
           Alcotest.test_case "code size sanity" `Quick test_code_growth_direction;
           Alcotest.test_case "IR verifies over corpus at all levels" `Slow
             test_levels_verify_over_corpus;
+          Alcotest.test_case "output pinned by compile_digests.tsv" `Quick
+            test_compile_digests;
         ] );
       ( "stats",
         [
