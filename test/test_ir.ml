@@ -635,8 +635,8 @@ let () =
           Alcotest.test_case "depths" `Quick test_loop_depths;
           Alcotest.test_case "diamond loop-free" `Quick test_no_loops_in_diamond;
         ] );
-      ("analyses vs definitions (qcheck)", kernel_tests);
-      ( "deep graphs",
+      ("vs naive", kernel_tests);
+      ( "deep cfgs",
         [
           Alcotest.test_case "100k-block chain" `Quick test_deep_chain;
           Alcotest.test_case "100k-deep chain of diamonds" `Quick
