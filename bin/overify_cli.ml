@@ -644,16 +644,6 @@ let serve_cmd =
              (the slowloris defence), answering \
              $(i,bad_frame:timeout) first.  0 disables the bound.")
   in
-  let obs =
-    Arg.(
-      value & flag
-      & info [ "obs" ]
-          ~doc:
-            "Enable per-request registry metrics for the whole daemon.  \
-             The flag beats the $(b,OVERIFY_OBS) environment variable, so \
-             clients need nothing in their environment; without it the \
-             variable still applies.")
-  in
   let flight_dir =
     Arg.(
       value
@@ -685,14 +675,12 @@ let serve_cmd =
              $(b,OVERIFY_LOG) (warn when unset); the flag wins.")
   in
   let run socket cache_dir recent_cap save_every queue_cap grace idle_timeout
-      frame_timeout obs flight_dir log_level =
+      frame_timeout flight_dir log_level =
     let daemon =
       O.Serve.start
         ?socket:(if socket = "" then None else Some socket)
         ?cache_dir ~recent_cap ~save_every ?queue_cap ~grace ~idle_timeout
-        ~frame_timeout
-        ?obs:(if obs then Some true else None)
-        ?flight_dir ?log_level ()
+        ~frame_timeout ?flight_dir ?log_level ()
     in
     Printf.printf "listening on %s\n%!" (O.Serve.socket_path daemon);
     O.Serve.wait daemon;
@@ -709,7 +697,7 @@ let serve_cmd =
           Stop it with $(b,overify client --shutdown).")
     Term.(const run $ socket_arg $ cache_dir_arg $ recent_cap $ save_every
           $ queue_cap $ grace $ idle_timeout $ frame_timeout
-          $ obs $ flight_dir $ log_arg)
+          $ flight_dir $ log_arg)
 
 (* ---- client subcommand ---- *)
 
@@ -824,7 +812,7 @@ let client_cmd =
       value & flag
       & info [ "metrics" ]
           ~doc:
-            "Fetch the daemon's full telemetry registry (per-kind latency \
+            "Fetch the daemon's metrics document (per-kind latency \
              histograms, queue depth, in-flight and recent-cache sizes, \
              dedup/store/summary hit counters, uptime, degradation \
              counts).")
@@ -834,8 +822,9 @@ let client_cmd =
       value & flag
       & info [ "prometheus" ]
           ~doc:
-            "With $(b,--metrics) (implied): print the registry in \
-             Prometheus text exposition format instead of JSON.")
+            "With $(b,--metrics) (implied): print the exported counters \
+             and latency histograms in Prometheus text exposition format \
+             instead of JSON.")
   in
   let watch =
     Arg.(

@@ -53,10 +53,10 @@ let compile (level : Costmodel.t) (program : Programs.t) : compiled =
     [faults] / [checkpoint_dir] / [resume] are the hardening knobs (chaos
     schedules and kill/resume; see [Overify_fault.Fault] and
     [Engine.config]). *)
-let verify ?(input_size = 4) ?(timeout = 30.0) ?(check_bounds = true)
-    ?(jobs = 1) ?summaries ?solver_cache ?cache_dir ?store ?faults
-    ?checkpoint_dir ?(checkpoint_every = 64) ?(resume = false) ?span
-    (c : compiled) : Engine.result =
+let verify ?(input_size = 4) ?(timeout = 30.0) ?(jobs = 1) ?summaries
+    ?solver_cache ?cache_dir ?store ?faults ?checkpoint_dir
+    ?(checkpoint_every = 64) ?(resume = false) ?span (c : compiled) :
+    Engine.result =
   let searcher = if jobs > 1 then `Parallel jobs else `Dfs in
   let summaries =
     match summaries with
@@ -69,7 +69,6 @@ let verify ?(input_size = 4) ?(timeout = 30.0) ?(check_bounds = true)
         Engine.default_config with
         input_size;
         timeout;
-        check_bounds;
         searcher;
         summaries;
         solver_cache;
@@ -97,10 +96,10 @@ type parallel_measurement = {
           coverage — the engine's determinism contract holding in practice *)
 }
 
-let measure_parallel ?(input_size = 4) ?(timeout = 30.0)
-    ?(check_bounds = true) ~jobs (c : compiled) : parallel_measurement =
-  let seq = verify ~input_size ~timeout ~check_bounds ~jobs:1 c in
-  let par = verify ~input_size ~timeout ~check_bounds ~jobs c in
+let measure_parallel ?(input_size = 4) ?(timeout = 30.0) ~jobs (c : compiled) :
+    parallel_measurement =
+  let seq = verify ~input_size ~timeout ~jobs:1 c in
+  let par = verify ~input_size ~timeout ~jobs c in
   let deterministic =
     seq.Engine.complete && par.Engine.complete
     && seq.Engine.paths = par.Engine.paths

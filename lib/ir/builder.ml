@@ -16,7 +16,6 @@ type t = {
   mutable order : int list;  (* block ids, reversed creation order *)
   tbl : (int, bstate) Hashtbl.t;
   mutable cur : int;  (* insertion block *)
-  mutable meta : (string * string) list;
   mutable entry_allocas : inst list;  (* reversed; prepended to entry *)
 }
 
@@ -38,7 +37,6 @@ let create ~name ~params ~ret =
     order = [ entry ];
     tbl;
     cur = entry;
-    meta = [];
     entry_allocas = [];
   }
 
@@ -105,8 +103,6 @@ let entry_alloca t ty n =
   t.entry_allocas <- Alloca (d, ty, n) :: t.entry_allocas;
   Reg d
 
-let set_meta t k v = t.meta <- (k, v) :: t.meta
-
 (** Finalize into a function; every created block must be terminated. *)
 let finish t : func =
   let blocks =
@@ -133,5 +129,5 @@ let finish t : func =
     ret = t.ret;
     blocks;
     next = t.counter;
-    fmeta = t.meta;
+    fmeta = [];
   }

@@ -38,7 +38,5 @@ val entry_alloca : t -> Ir.ty -> int -> Ir.value
 (** Stack storage hoisted into the entry block regardless of the insertion
     point — the memory-form invariant's only cross-block registers. *)
 
-val set_meta : t -> string -> string -> unit
-
 val finish : t -> Ir.func
 (** Fails if any created block lacks a terminator. *)

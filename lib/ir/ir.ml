@@ -297,8 +297,6 @@ let update_func m fn =
     funcs = List.map (fun f -> if f.fname = fn.fname then fn else f) m.funcs;
   }
 
-let find_global m name = List.find_opt (fun g -> g.gname = name) m.globals
-
 (** Names with runtime support in the interpreter and symbolic executor;
     they have no IR body. *)
 let intrinsics =

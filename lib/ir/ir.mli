@@ -162,7 +162,6 @@ val num_blocks : func -> int
 val find_func : modul -> string -> func option
 val find_func_exn : modul -> string -> func
 val update_func : modul -> func -> modul
-val find_global : modul -> string -> global option
 
 val intrinsics : string list
 (** Names with runtime support ([__input], [__output], …); no IR body. *)

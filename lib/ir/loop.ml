@@ -116,16 +116,3 @@ let depth_map (fn : Ir.func) : (int, int) Hashtbl.t =
         l.blocks)
     loops;
   tbl
-
-(** Innermost loop containing [bid], if any (smallest block set wins). *)
-let innermost_containing loops bid =
-  List.fold_left
-    (fun acc l ->
-      if mem l bid then
-        match acc with
-        | Some best when IntSet.cardinal best.blocks <= IntSet.cardinal l.blocks
-          ->
-            acc
-        | _ -> Some l
-      else acc)
-    None loops

@@ -20,5 +20,3 @@ val find : Ir.func -> t list
 
 val depth_map : Ir.func -> (int, int) Hashtbl.t
 (** Loop-nesting depth of each block (0 = not in any loop). *)
-
-val innermost_containing : t list -> int -> t option

@@ -236,6 +236,3 @@ let check_exn ?ssa ?memform fn =
         (Printf.sprintf "IR verification failed for %s:\n%s\n%s" fn.fname
            (String.concat "\n" errs)
            (Printer.func_to_string fn))
-
-let check_modul ?ssa ?memform (m : modul) =
-  List.iter (check_exn ?ssa ?memform) m.funcs

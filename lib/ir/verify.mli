@@ -9,5 +9,3 @@ val check :
 
 val check_exn : ?ssa:bool -> ?memform:bool -> Ir.func -> unit
 (** Raises [Failure] with the error list and the printed function. *)
-
-val check_modul : ?ssa:bool -> ?memform:bool -> Ir.modul -> unit

@@ -1,13 +1,13 @@
-(** Observability for the verification toolchain: a metric registry
-    (counters / timers with labels), the run cost counters, the
-    symbolic-execution attribution profile (per function and basic block),
-    the per-pass compile profile, and Chrome [trace_event] export.
+(** Observability for the verification toolchain: the latency histogram,
+    the run cost counters, the symbolic-execution attribution profile (per
+    function and basic block), the per-pass compile profile, hierarchical
+    spans with their flight ring, and Chrome [trace_event] export.
 
     Design constraints (DESIGN.md, "Observability"):
 
     - {e near-zero cost when disabled}: every hot-path instrumentation site
       is guarded by a per-consumer [option] (the executor's [prof] field,
-      the solver's [hist] field) or by the single global {!enabled} /
+      the solver's [hist] field, the engine's [span]) or by the
       {!Trace.enabled} flag — one branch, no allocation, no clock read.
     - {e attribution sums to totals}: profile sites are {!Counters} records
       receiving the very same increments as the worker's own record, so
@@ -16,17 +16,6 @@
     - {e domain safety}: counter records and profile collectors are
       single-owner (one per worker domain, combined after the join); the
       trace buffer is the one shared sink and takes a mutex per event. *)
-
-(* ---------------- global switch ---------------- *)
-
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "OVERIFY_OBS" with
-    | Some ("1" | "true") -> true
-    | _ -> false)
-
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
 
 (* ---------------- JSON strings ---------------- *)
 
@@ -52,7 +41,7 @@ let json_escape s =
     [dt < 1us * 2^i]; the last bucket is unbounded.  Merging is bucket-wise
     addition, so per-worker histograms combine deterministically. *)
 module Hist = struct
-  let nbuckets = 28 (* 1us .. ~2.2 min, then overflow *)
+  let nbuckets = 28 (* 1us .. ~67 s, then overflow *)
 
   type t = {
     mutable count : int;
@@ -82,118 +71,37 @@ module Hist = struct
     if src.max > dst.max then dst.max <- src.max;
     Array.iteri (fun i n -> dst.buckets.(i) <- dst.buckets.(i) + n) src.buckets
 
-  (** Upper bound (seconds) of bucket [i]. *)
+  (** Upper bound (seconds) of bucket [i]; the last bucket has none. *)
   let bucket_bound i = 1e-6 *. (2.0 ** float_of_int i)
 
-  (** Approximate percentile from the buckets (returns a bucket upper
-      bound); [p] in [0,1]. *)
+  let cumulative t =
+    let rec go i cum =
+      if i >= nbuckets - 1 then []
+      else
+        let cum = cum + t.buckets.(i) in
+        (bucket_bound i, cum) :: go (i + 1) cum
+    in
+    go 0 0
+
+  (** Approximate percentile from the buckets: the upper bound of the
+      first bucket reaching rank [p], capped at the max; the max itself
+      when only the unbounded last bucket does.  [p] in [0,1]. *)
   let percentile t p =
     if t.count = 0 then 0.0
-    else begin
+    else
       let target = int_of_float (ceil (p *. float_of_int t.count)) in
-      let seen = ref 0 and res = ref t.max in
-      (try
-         Array.iteri
-           (fun i n ->
-             seen := !seen + n;
-             if !seen >= target then begin
-               res := bucket_bound i;
-               raise Exit
-             end)
-           t.buckets
-       with Exit -> ());
-      min !res t.max
-    end
+      match List.find_opt (fun (_, cum) -> cum >= target) (cumulative t) with
+      | Some (bound, _) -> min bound t.max
+      | None -> t.max
 
   let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
-end
-
-(* ---------------- metric registry ---------------- *)
-
-(** Generic registry of named metrics with labels — the non-hot-path
-    instrument (pass timers, TV obligation counters, per-run cost
-    rollups).  Hot paths use {!Counters} records instead: a registry
-    lookup per dynamic instruction would dominate the executor. *)
-module Registry = struct
-  type kind = Counter | Timer
-
-  type cell = {
-    name : string;
-    labels : (string * string) list;
-    kind : kind;
-    mutable count : int;
-    mutable sum : float;       (** seconds for timers *)
-  }
-
-  type t = {
-    tbl : (string * (string * string) list, cell) Hashtbl.t;
-    mutable order : cell list;  (** reverse creation order *)
-    mu : Mutex.t;
-  }
-
-  let create () = { tbl = Hashtbl.create 64; order = []; mu = Mutex.create () }
-
-  (** The process-global registry (what [overify profile] dumps). *)
-  let default = create ()
-
-  let cell t ~kind ~name ~labels =
-    Mutex.lock t.mu;
-    let c =
-      match Hashtbl.find_opt t.tbl (name, labels) with
-      | Some c -> c
-      | None ->
-          let c = { name; labels; kind; count = 0; sum = 0.0 } in
-          Hashtbl.add t.tbl (name, labels) c;
-          t.order <- c :: t.order;
-          c
-    in
-    Mutex.unlock t.mu;
-    c
-
-  let counter ?(registry = default) ?(labels = []) name =
-    cell registry ~kind:Counter ~name ~labels
-
-  let timer ?(registry = default) ?(labels = []) name =
-    cell registry ~kind:Timer ~name ~labels
-
-  (* recording is gated on the global switch, so call sites don't have to
-     re-check it — a disabled registry cell never moves *)
-  let incr c = if enabled () then c.count <- c.count + 1
-  let add c n = if enabled () then c.count <- c.count + n
-
-  let add_time c dt =
-    if enabled () then begin
-      c.count <- c.count + 1;
-      c.sum <- c.sum +. dt
-    end
-
-  (** Time [f], charging the elapsed wall clock to [c].  [f] always runs;
-      when disabled no clock is read. *)
-  let time c f =
-    if not (enabled ()) then f ()
-    else
-      let t0 = Unix.gettimeofday () in
-      Fun.protect ~finally:(fun () -> add_time c (Unix.gettimeofday () -. t0)) f
-
-  (** All cells in canonical (name, labels) order. *)
-  let dump ?(registry = default) () =
-    Mutex.lock registry.mu;
-    let cells = registry.order in
-    Mutex.unlock registry.mu;
-    List.sort (fun a b -> compare (a.name, a.labels) (b.name, b.labels)) cells
-
-  let clear ?(registry = default) () =
-    Mutex.lock registry.mu;
-    Hashtbl.reset registry.tbl;
-    registry.order <- [];
-    Mutex.unlock registry.mu
 end
 
 (* ---------------- run cost counters ---------------- *)
 
 (** The cost counters of a symbolic-execution run.  A worker's executor
-    and solver increment one shared record; profile sites, worker spans,
-    the registry and [Engine.result] are all built from such records, so
+    and solver increment one shared record; profile sites, worker spans
+    and [Engine.result] are all built from such records, so
     every grain of accounting sums to the same totals.  Records are
     single-owner (one per worker domain), combined after the join. *)
 module Counters = struct

@@ -1,17 +1,12 @@
 (** Observability for the verification toolchain (DESIGN.md,
-    "Observability"): a metric registry, the run cost counters, the
+    "Observability"): the latency histogram, the run cost counters, the
     symbolic-execution attribution profile, the per-pass compile profile,
-    and Chrome [trace_event] export.
+    hierarchical spans with their flight ring, and Chrome [trace_event]
+    export.
 
     Instrumentation is near-zero cost when disabled: hot paths are guarded
-    by a per-consumer [option] or one global flag — a single branch, no
-    allocation, no clock read. *)
-
-val enabled : unit -> bool
-(** Global observability switch (also settable via [OVERIFY_OBS=1]).
-    Gates the non-hot-path instrumentation (registry recording). *)
-
-val set_enabled : bool -> unit
+    by a per-consumer [option] or the {!Trace.enabled} flag — a single
+    branch, no allocation, no clock read. *)
 
 val json_escape : string -> string
 (** Escape a raw byte string for embedding between JSON quotes: quote,
@@ -20,8 +15,11 @@ val json_escape : string -> string
     hand-written JSON document (verdicts, profiles, TV reports, traces
     and the serve protocol). *)
 
-(** Log-scale latency histogram; bucket [i] counts observations under
-    [1us * 2^i].  Merging is bucket-wise, hence deterministic. *)
+(** Log-scale latency histogram.  Bucket [i < nbuckets - 1] counts
+    observations under [1us * 2^i] (and at or above the previous bound);
+    the last bucket is unbounded and holds every observation of
+    [bucket_bound (nbuckets - 2)] (~67 s) or more.  Merging is bucket-wise,
+    hence deterministic. *)
 module Hist : sig
   val nbuckets : int
 
@@ -35,51 +33,28 @@ module Hist : sig
   val create : unit -> t
   val observe : t -> float -> unit
   val merge_into : t -> t -> unit
+
   val bucket_bound : int -> float
+  (** Upper bound (seconds) of a bounded bucket. *)
+
+  val cumulative : t -> (float * int) list
+  (** [(bucket_bound i, observations under it)] for every bounded bucket,
+      in order.  The unbounded bucket has no entry: its observations are
+      counted only in [count] (Prometheus' [le="+Inf"]). *)
+
   val percentile : t -> float -> float
-  (** Approximate (bucket upper bound, capped at the observed max). *)
+  (** Approximate: the bound of the first bucket reaching the rank,
+      capped at the observed max; the max when only the unbounded bucket
+      reaches it. *)
 
   val mean : t -> float
-end
-
-(** Named counters and timers with labels — the non-hot-path instrument
-    (pass timers, TV obligation counters, per-run cost rollups).  Lookup
-    takes a mutex; hot paths use {!Counters} instead. *)
-module Registry : sig
-  type kind = Counter | Timer
-
-  type cell = {
-    name : string;
-    labels : (string * string) list;
-    kind : kind;
-    mutable count : int;
-    mutable sum : float;
-  }
-
-  type t
-
-  val create : unit -> t
-
-  val default : t
-  (** The process-global registry. *)
-
-  val counter : ?registry:t -> ?labels:(string * string) list -> string -> cell
-  val timer : ?registry:t -> ?labels:(string * string) list -> string -> cell
-  val incr : cell -> unit
-  val add : cell -> int -> unit
-  val add_time : cell -> float -> unit
-  val time : cell -> (unit -> 'a) -> 'a
-  val dump : ?registry:t -> unit -> cell list
-  (** All cells in canonical (name, labels) order. *)
-
-  val clear : ?registry:t -> unit -> unit
 end
 
 (** The cost counters of a symbolic-execution run: one record type for
     every grain the run is accounted at.  Each worker owns one record,
     shared by its executor context and its solver context; profile sites
-    are records too, and worker spans, the registry and [Engine.result]
-    read the same records, so the grains agree by construction. *)
+    are records too, and worker spans and [Engine.result] read the same
+    records, so the grains agree by construction. *)
 module Counters : sig
   type t = {
     mutable instructions : int;  (** dynamic instructions *)

@@ -8,8 +8,7 @@
 
     The threshold comes from [OVERIFY_LOG] ([debug] | [info] | [warn],
     default [warn]); {!set_level} (the daemon's [--log] flag) overrides
-    it — flag beats environment, same precedence rule as the [--obs] /
-    [OVERIFY_OBS] pair.
+    it — flag beats environment.
 
     Warnings are additionally appended to the in-memory
     {!Overify_obs.Obs.Flight} ring (as [kind = "log"] records) whatever

@@ -298,16 +298,15 @@ type body = {
           (the [overloaded] shed carries one so clients can retry at the
           pace the daemon's live latency histograms suggest) *)
   b_result : string;
-  b_obs : string;
 }
 
-let ok_body ~kind ~result ?(obs = "[]") () =
+let ok_body ~kind ~result =
   { b_status = "ok"; b_kind = kind; b_error = None; b_retry_after_ms = None;
-    b_result = result; b_obs = obs }
+    b_result = result }
 
 let error_body ~kind ~err ~msg =
   { b_status = "error"; b_kind = kind; b_error = Some (err, msg);
-    b_retry_after_ms = None; b_result = "null"; b_obs = "[]" }
+    b_retry_after_ms = None; b_result = "null" }
 
 let response ~id ~dedup ?(trace = "") ~elapsed_ms (b : body) : string =
   let error =
@@ -323,9 +322,9 @@ let response ~id ~dedup ?(trace = "") ~elapsed_ms (b : body) : string =
   Printf.sprintf
     "{\"id\": %d, \"status\": \"%s\", \"kind\": \"%s\", \"dedup\": \
      \"%s\", \"trace\": \"%s\", \"elapsed_ms\": %.1f, \"error\": %s, \
-     \"result\": %s, \"obs\": %s}"
+     \"result\": %s}"
     id b.b_status (Json.escape b.b_kind) (Json.escape dedup)
-    (Json.escape trace) elapsed_ms error b.b_result b.b_obs
+    (Json.escape trace) elapsed_ms error b.b_result
 
 (* ---------------- raw field extraction ---------------- *)
 

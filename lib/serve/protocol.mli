@@ -21,7 +21,7 @@
       {"id": .., "status": "ok"|"error", "kind": .., "dedup":
        "miss"|"inflight"|"recent"|"none", "trace": .., "elapsed_ms": ..,
        "error": null|{"kind": .., "message": ..[, "retry_after_ms": ..]},
-       "result": .., "obs": [..]}
+       "result": ..}
     v}
 
     The [retry_after_ms] member appears only on errors that carry a
@@ -126,10 +126,9 @@ type body = {
   b_retry_after_ms : int option;
       (** backoff hint emitted inside the error object (overload sheds) *)
   b_result : string;                   (** raw JSON value text; ["null"] if none *)
-  b_obs : string;                      (** raw JSON array of per-request metric deltas *)
 }
 
-val ok_body : kind:string -> result:string -> ?obs:string -> unit -> body
+val ok_body : kind:string -> result:string -> body
 
 val error_body : kind:string -> err:string -> msg:string -> body
 (** [b_retry_after_ms] defaults to [None]; the overload shed sets it with

@@ -117,48 +117,6 @@ let compile_module level ~link_libc source =
   in
   Frontend.compile_sources sources
 
-(** Per-request metric deltas from the global registry, as a raw JSON
-    array.  Empty (and free) unless [OVERIFY_OBS] observability is on;
-    counters only — timer sums are wall-clock and would break response
-    determinism. *)
-let obs_snapshot () =
-  if not (Obs.enabled ()) then fun () -> "[]"
-  else begin
-    let key (c : Obs.Registry.cell) = (c.Obs.Registry.name, c.Obs.Registry.labels) in
-    let before = Hashtbl.create 32 in
-    List.iter
-      (fun (c : Obs.Registry.cell) ->
-        Hashtbl.replace before (key c) c.Obs.Registry.count)
-      (Obs.Registry.dump ());
-    fun () ->
-      let deltas =
-        List.filter_map
-          (fun (c : Obs.Registry.cell) ->
-            let prev =
-              Option.value ~default:0 (Hashtbl.find_opt before (key c))
-            in
-            let d = c.Obs.Registry.count - prev in
-            if d = 0 || c.Obs.Registry.kind <> Obs.Registry.Counter then None
-            else
-              Some
-                (Printf.sprintf "{\"name\": \"%s\"%s, \"count\": %d}"
-                   (Json.escape c.Obs.Registry.name)
-                   (match c.Obs.Registry.labels with
-                   | [] -> ""
-                   | ls ->
-                       Printf.sprintf ", \"labels\": {%s}"
-                         (String.concat ", "
-                            (List.map
-                               (fun (k, v) ->
-                                 Printf.sprintf "\"%s\": \"%s\"" (Json.escape k)
-                                   (Json.escape v))
-                               ls)))
-                   d))
-          (Obs.Registry.dump ())
-      in
-      "[" ^ String.concat ", " deltas ^ "]"
-  end
-
 (** Execute one queued request on the executor thread.  Opens the
     request's root span (every child — compile, engine, workers, solver
     queries — inherits [trace]) and returns the body plus whether the
@@ -168,7 +126,6 @@ let run_request t (rq : Protocol.request) ~(trace : string)
   let kind = Protocol.kind_name rq.rq_kind in
   let span = Obs.Span.start ~trace ("request." ^ kind) in
   let degraded = ref false in
-  let finish_obs = obs_snapshot () in
   let body =
   try
     let faults =
@@ -200,104 +157,98 @@ let run_request t (rq : Protocol.request) ~(trace : string)
       else if rq.rq_source <> "" then rq.rq_source
       else raise (Bad_request "request has neither \"program\" nor \"source\"")
     in
-    let body =
-      match rq.rq_kind with
-      | Protocol.Verify ->
-          let cspan = Obs.Span.start ~parent:span "compile" in
-          let m =
-            (Pipeline.optimize level
-               (compile_module level ~link_libc:rq.rq_link_libc source))
-              .Pipeline.modul
-          in
-          Obs.Span.finish cspan;
-          let searcher =
-            if rq.rq_jobs > 1 then `Parallel rq.rq_jobs else `Dfs
-          in
-          let r =
-            Engine.run
-              ~config:
-                {
-                  Engine.default_config with
-                  Engine.input_size = rq.rq_input_size;
-                  timeout = rq.rq_timeout;
-                  searcher;
-                  summaries = rq.rq_summaries;
-                  faults;
-                  store = Some t.st_store;
-                  span = Some span;
-                  cancel;
-                }
-              m
-          in
-          degraded := r.Engine.degradations <> [];
-          with_lock t (fun () ->
-              let tl = t.tl in
-              if !degraded then tl.tl_degraded <- tl.tl_degraded + 1;
-              tl.tl_store_hits <- tl.tl_store_hits + r.Engine.hits_store;
-              tl.tl_engine_queries <- tl.tl_engine_queries + r.Engine.queries;
-              tl.tl_engine_cache_hits <-
-                tl.tl_engine_cache_hits + r.Engine.cache_hits;
-              tl.tl_solver_time <- tl.tl_solver_time +. r.Engine.solver_time;
-              tl.tl_sum_instantiated <-
-                tl.tl_sum_instantiated + r.Engine.summary_instantiated;
-              tl.tl_sum_opaque <- tl.tl_sum_opaque + r.Engine.summary_opaque;
-              tl.tl_sum_computed <-
-                tl.tl_sum_computed + r.Engine.summary_computed;
-              tl.tl_sum_cached <- tl.tl_sum_cached + r.Engine.summary_cached);
-          Protocol.ok_body ~kind
-            ~result:
-              (Engine.result_to_json ~deterministic:rq.rq_deterministic r)
-            ()
-      | Protocol.Compile ->
-          let cspan = Obs.Span.start ~parent:span "compile" in
-          let r =
-            Pipeline.optimize level
-              (compile_module level ~link_libc:rq.rq_link_libc source)
-          in
-          Obs.Span.finish cspan;
-          let m = r.Pipeline.modul in
-          let size =
-            List.fold_left (fun acc f -> acc + Ir.func_size f) 0 m.Ir.funcs
-          in
-          Protocol.ok_body ~kind
-            ~result:
-              (Printf.sprintf
-                 "{\"level\": \"%s\", \"functions\": %d, \"size\": %d, \
-                  \"ir\": \"%s\"}"
-                 (Json.escape level.Costmodel.name)
-                 (List.length m.Ir.funcs) size
-                 (Json.escape (Printer.modul_to_string m)))
-            ()
-      | Protocol.Tv ->
-          let budget =
-            {
-              Tv.default_budget with
-              Tv.input_size = min rq.rq_input_size 4;
-              timeout = rq.rq_timeout;
-            }
-          in
-          let cspan = Obs.Span.start ~parent:span "compile" in
-          let m = compile_module level ~link_libc:rq.rq_link_libc source in
-          Obs.Span.finish cspan;
-          let vspan = Obs.Span.start ~parent:span "tv.validate" in
-          let (_, report) = Tv.validate ~budget level m in
-          Obs.Span.finish vspan;
-          Protocol.ok_body ~kind
-            ~result:
-              (Printf.sprintf
-                 "{\"level\": \"%s\", \"passes\": %d, \"counterexamples\": \
-                  %d, \"inconclusive\": %d, \"sound\": %b}"
-                 (Json.escape report.Tv.level)
-                 (List.length report.Tv.records)
-                 (List.length (Tv.counterexamples report))
-                 (List.length (Tv.inconclusives report))
-                 (Tv.counterexamples report = []))
-            ()
-      | Protocol.Metrics | Protocol.Shutdown ->
-          (* handled inline by the connection handler, never queued *)
-          assert false
-    in
-    { body with Protocol.b_obs = finish_obs () }
+    match rq.rq_kind with
+    | Protocol.Verify ->
+        let cspan = Obs.Span.start ~parent:span "compile" in
+        let m =
+          (Pipeline.optimize level
+             (compile_module level ~link_libc:rq.rq_link_libc source))
+            .Pipeline.modul
+        in
+        Obs.Span.finish cspan;
+        let searcher =
+          if rq.rq_jobs > 1 then `Parallel rq.rq_jobs else `Dfs
+        in
+        let r =
+          Engine.run
+            ~config:
+              {
+                Engine.default_config with
+                Engine.input_size = rq.rq_input_size;
+                timeout = rq.rq_timeout;
+                searcher;
+                summaries = rq.rq_summaries;
+                faults;
+                store = Some t.st_store;
+                span = Some span;
+                cancel;
+              }
+            m
+        in
+        degraded := r.Engine.degradations <> [];
+        with_lock t (fun () ->
+            let tl = t.tl in
+            if !degraded then tl.tl_degraded <- tl.tl_degraded + 1;
+            tl.tl_store_hits <- tl.tl_store_hits + r.Engine.hits_store;
+            tl.tl_engine_queries <- tl.tl_engine_queries + r.Engine.queries;
+            tl.tl_engine_cache_hits <-
+              tl.tl_engine_cache_hits + r.Engine.cache_hits;
+            tl.tl_solver_time <- tl.tl_solver_time +. r.Engine.solver_time;
+            tl.tl_sum_instantiated <-
+              tl.tl_sum_instantiated + r.Engine.summary_instantiated;
+            tl.tl_sum_opaque <- tl.tl_sum_opaque + r.Engine.summary_opaque;
+            tl.tl_sum_computed <-
+              tl.tl_sum_computed + r.Engine.summary_computed;
+            tl.tl_sum_cached <- tl.tl_sum_cached + r.Engine.summary_cached);
+        Protocol.ok_body ~kind
+          ~result:
+            (Engine.result_to_json ~deterministic:rq.rq_deterministic r)
+    | Protocol.Compile ->
+        let cspan = Obs.Span.start ~parent:span "compile" in
+        let r =
+          Pipeline.optimize level
+            (compile_module level ~link_libc:rq.rq_link_libc source)
+        in
+        Obs.Span.finish cspan;
+        let m = r.Pipeline.modul in
+        let size =
+          List.fold_left (fun acc f -> acc + Ir.func_size f) 0 m.Ir.funcs
+        in
+        Protocol.ok_body ~kind
+          ~result:
+            (Printf.sprintf
+               "{\"level\": \"%s\", \"functions\": %d, \"size\": %d, \
+                \"ir\": \"%s\"}"
+               (Json.escape level.Costmodel.name)
+               (List.length m.Ir.funcs) size
+               (Json.escape (Printer.modul_to_string m)))
+    | Protocol.Tv ->
+        let budget =
+          {
+            Tv.default_budget with
+            Tv.input_size = min rq.rq_input_size 4;
+            timeout = rq.rq_timeout;
+          }
+        in
+        let cspan = Obs.Span.start ~parent:span "compile" in
+        let m = compile_module level ~link_libc:rq.rq_link_libc source in
+        Obs.Span.finish cspan;
+        let vspan = Obs.Span.start ~parent:span "tv.validate" in
+        let (_, report) = Tv.validate ~budget level m in
+        Obs.Span.finish vspan;
+        Protocol.ok_body ~kind
+          ~result:
+            (Printf.sprintf
+               "{\"level\": \"%s\", \"passes\": %d, \"counterexamples\": \
+                %d, \"inconclusive\": %d, \"sound\": %b}"
+               (Json.escape report.Tv.level)
+               (List.length report.Tv.records)
+               (List.length (Tv.counterexamples report))
+               (List.length (Tv.inconclusives report))
+               (Tv.counterexamples report = []))
+    | Protocol.Metrics | Protocol.Shutdown ->
+        (* handled inline by the connection handler, never queued *)
+        assert false
   with
   | Bad_request msg -> Protocol.error_body ~kind ~err:"bad_request" ~msg
   | Cancel.Cancelled reason ->
@@ -649,137 +600,116 @@ let hist_json (h : Obs.Hist.t) : string =
     (Obs.Hist.percentile h 0.99 *. 1000.0)
     (h.Obs.Hist.max *. 1000.0)
 
-(** Absolute registry counters (the [obs] envelope field carries
-    per-request deltas; [metrics] reports daemon-lifetime totals). *)
-let registry_json () : string =
-  let cells =
-    List.filter_map
-      (fun (c : Obs.Registry.cell) ->
-        if c.Obs.Registry.kind <> Obs.Registry.Counter then None
-        else
-          Some
-            (Printf.sprintf "{\"name\": \"%s\"%s, \"count\": %d}"
-               (Json.escape c.Obs.Registry.name)
-               (match c.Obs.Registry.labels with
-               | [] -> ""
-               | ls ->
-                   Printf.sprintf ", \"labels\": {%s}"
-                     (String.concat ", "
-                        (List.map
-                           (fun (k, v) ->
-                             Printf.sprintf "\"%s\": \"%s\"" (Json.escape k)
-                               (Json.escape v))
-                           ls)))
-               c.Obs.Registry.count))
-      (Obs.Registry.dump ())
-  in
-  "[" ^ String.concat ", " cells ^ "]"
+(** One daemon counter: its key in the metrics document, its printed
+    value, and its Prometheus [(type, name)] when it is exported. *)
+type metric_row = {
+  m_key : string;
+  m_value : string;
+  m_prom : (string * string) option;
+}
 
-(** The full telemetry registry as one JSON document, fixed key order. *)
+(** Every daemon counter, in document order.  Both renderings below walk
+    this list, so a counter is named once.  Caller holds the lock. *)
+let metric_rows t : metric_row list =
+  let tl = t.tl and ct = t.ct in
+  let row ?prom m_key m_value = { m_key; m_value; m_prom = prom } in
+  let n = string_of_int in
+  let counter name = ("counter", name) and gauge name = ("gauge", name) in
+  [
+    row "uptime_s"
+      (Printf.sprintf "%.3f" (Unix.gettimeofday () -. tl.tl_started))
+      ~prom:(gauge "overify_uptime_seconds");
+    row "queue_depth" (n (Queue.length t.queue))
+      ~prom:(gauge "overify_queue_depth");
+    row "inflight" (n (Hashtbl.length t.inflight));
+    row "recent" (n (Hashtbl.length t.recent));
+    row "requests" (n ct.c_requests) ~prom:(counter "overify_requests_total");
+    row "executed" (n ct.c_executed) ~prom:(counter "overify_executed_total");
+    row "dedup_inflight" (n ct.c_dedup_inflight);
+    row "dedup_recent" (n ct.c_dedup_recent);
+    row "dedup_hits"
+      (n (ct.c_dedup_inflight + ct.c_dedup_recent))
+      ~prom:(counter "overify_dedup_hits_total");
+    row "malformed" (n ct.c_malformed)
+      ~prom:(counter "overify_malformed_total");
+    row "errors" (n ct.c_errors) ~prom:(counter "overify_errors_total");
+    row "requests_shed" (n ct.c_shed)
+      ~prom:(counter "overify_requests_shed_total");
+    row "cancelled" (n ct.c_cancelled)
+      ~prom:(counter "overify_cancelled_total");
+    row "deadline_exceeded" (n ct.c_deadline)
+      ~prom:(counter "overify_deadline_exceeded_total");
+    row "watchdog_fired" (n ct.c_watchdog)
+      ~prom:(counter "overify_watchdog_fired_total");
+    row "idle_reaped" (n ct.c_reaped)
+      ~prom:(counter "overify_idle_reaped_total");
+    row "degraded" (n tl.tl_degraded) ~prom:(counter "overify_degraded_total");
+    row "flight_dumps" (n tl.tl_flight_dumps)
+      ~prom:(counter "overify_flight_dumps_total");
+    row "flight_records" (n (List.length (Obs.Flight.records ())));
+    row "flight_dropped" (n (Obs.Flight.dropped ()));
+    row "store_entries" (n (Store.length t.st_store))
+      ~prom:(gauge "overify_store_entries");
+    row "store_loaded" (n (Store.loaded t.st_store));
+    row "store_hits" (n tl.tl_store_hits)
+      ~prom:(counter "overify_store_hits_total");
+    row "engine_queries" (n tl.tl_engine_queries)
+      ~prom:(counter "overify_engine_queries_total");
+    row "engine_cache_hits" (n tl.tl_engine_cache_hits)
+      ~prom:(counter "overify_engine_cache_hits_total");
+    row "solver_time_s" (Printf.sprintf "%.6f" tl.tl_solver_time)
+      ~prom:(counter "overify_solver_time_seconds_total");
+    row "summary_instantiated" (n tl.tl_sum_instantiated);
+    row "summary_opaque" (n tl.tl_sum_opaque);
+    row "summary_computed" (n tl.tl_sum_computed);
+    row "summary_cached" (n tl.tl_sum_cached);
+  ]
+
+(** The metrics document: every row, then the per-kind latency
+    histograms, fixed key order. *)
 let metrics_doc t : string =
   with_lock t (fun () ->
-      let tl = t.tl in
-      let lat =
-        String.concat ", "
-          (List.map
-             (fun (k, h) -> Printf.sprintf "\"%s\": %s" k (hist_json h))
-             tl.tl_lat)
-      in
-      Printf.sprintf
-        "{\"uptime_s\": %.3f, \"queue_depth\": %d, \"inflight\": %d, \
-         \"recent\": %d, \"requests\": %d, \
-         \"executed\": %d, \"dedup_inflight\": %d, \"dedup_recent\": %d, \
-         \"dedup_hits\": %d, \"malformed\": %d, \"errors\": %d, \
-         \"requests_shed\": %d, \"cancelled\": %d, \"deadline_exceeded\": \
-         %d, \"watchdog_fired\": %d, \"idle_reaped\": %d, \
-         \"degraded\": %d, \"flight_dumps\": %d, \"flight_records\": %d, \
-         \"flight_dropped\": %d, \"store_entries\": %d, \"store_loaded\": \
-         %d, \"store_hits\": %d, \"engine_queries\": %d, \
-         \"engine_cache_hits\": %d, \"solver_time_s\": %.6f, \
-         \"summary_instantiated\": %d, \"summary_opaque\": %d, \
-         \"summary_computed\": %d, \"summary_cached\": %d, \"latency_ms\": \
-         {%s}, \"registry\": %s}"
-        (Unix.gettimeofday () -. tl.tl_started)
-        (Queue.length t.queue)
-        (Hashtbl.length t.inflight)
-        (Hashtbl.length t.recent)
-        t.ct.c_requests t.ct.c_executed
-        t.ct.c_dedup_inflight t.ct.c_dedup_recent
-        (t.ct.c_dedup_inflight + t.ct.c_dedup_recent)
-        t.ct.c_malformed t.ct.c_errors t.ct.c_shed t.ct.c_cancelled
-        t.ct.c_deadline t.ct.c_watchdog t.ct.c_reaped
-        tl.tl_degraded tl.tl_flight_dumps
-        (List.length (Obs.Flight.records ()))
-        (Obs.Flight.dropped ())
-        (Store.length t.st_store) (Store.loaded t.st_store) tl.tl_store_hits
-        tl.tl_engine_queries tl.tl_engine_cache_hits tl.tl_solver_time
-        tl.tl_sum_instantiated tl.tl_sum_opaque tl.tl_sum_computed
-        tl.tl_sum_cached lat (registry_json ()))
+      let field (k, v) = Printf.sprintf "\"%s\": %s" k v in
+      let rows = List.map (fun r -> (r.m_key, r.m_value)) (metric_rows t) in
+      let lat = List.map (fun (k, h) -> (k, hist_json h)) t.tl.tl_lat in
+      Printf.sprintf "{%s, \"latency_ms\": {%s}}"
+        (String.concat ", " (List.map field rows))
+        (String.concat ", " (List.map field lat)))
 
-(** The same registry in Prometheus text exposition format. *)
+(** The exported rows and the latency histograms in Prometheus text
+    exposition format. *)
 let prometheus t : string =
   let b = Buffer.create 2048 in
-  let metric ty name v =
-    Buffer.add_string b
-      (Printf.sprintf "# TYPE %s %s\n%s %s\n" name ty name v)
-  in
-  let gauge name v = metric "gauge" name v in
-  let counter name v = metric "counter" name v in
   with_lock t (fun () ->
-      let tl = t.tl in
-      gauge "overify_uptime_seconds"
-        (Printf.sprintf "%.3f" (Unix.gettimeofday () -. tl.tl_started));
-      gauge "overify_queue_depth" (string_of_int (Queue.length t.queue));
-      counter "overify_requests_total" (string_of_int t.ct.c_requests);
-      counter "overify_executed_total" (string_of_int t.ct.c_executed);
-      counter "overify_dedup_hits_total"
-        (string_of_int (t.ct.c_dedup_inflight + t.ct.c_dedup_recent));
-      counter "overify_malformed_total" (string_of_int t.ct.c_malformed);
-      counter "overify_errors_total" (string_of_int t.ct.c_errors);
-      counter "overify_requests_shed_total" (string_of_int t.ct.c_shed);
-      counter "overify_cancelled_total" (string_of_int t.ct.c_cancelled);
-      counter "overify_deadline_exceeded_total"
-        (string_of_int t.ct.c_deadline);
-      counter "overify_watchdog_fired_total" (string_of_int t.ct.c_watchdog);
-      counter "overify_idle_reaped_total" (string_of_int t.ct.c_reaped);
-      counter "overify_degraded_total" (string_of_int tl.tl_degraded);
-      counter "overify_flight_dumps_total" (string_of_int tl.tl_flight_dumps);
-      gauge "overify_store_entries"
-        (string_of_int (Store.length t.st_store));
-      counter "overify_store_hits_total" (string_of_int tl.tl_store_hits);
-      counter "overify_engine_queries_total"
-        (string_of_int tl.tl_engine_queries);
-      counter "overify_engine_cache_hits_total"
-        (string_of_int tl.tl_engine_cache_hits);
-      counter "overify_solver_time_seconds_total"
-        (Printf.sprintf "%.6f" tl.tl_solver_time);
+      List.iter
+        (fun r ->
+          match r.m_prom with
+          | Some (ty, name) ->
+              Printf.bprintf b "# TYPE %s %s\n%s %s\n" name ty name r.m_value
+          | None -> ())
+        (metric_rows t);
       Buffer.add_string b
         "# TYPE overify_request_latency_seconds histogram\n";
       List.iter
         (fun (k, (h : Obs.Hist.t)) ->
-          let cum = ref 0 in
-          for i = 0 to Obs.Hist.nbuckets - 1 do
-            cum := !cum + h.Obs.Hist.buckets.(i);
-            Buffer.add_string b
-              (Printf.sprintf
-                 "overify_request_latency_seconds_bucket{kind=\"%s\",le=\"%g\"} \
-                  %d\n"
-                 k (Obs.Hist.bucket_bound i) !cum)
-          done;
-          Buffer.add_string b
-            (Printf.sprintf
-               "overify_request_latency_seconds_bucket{kind=\"%s\",le=\"+Inf\"} \
-                %d\n"
-               k h.Obs.Hist.count);
-          Buffer.add_string b
-            (Printf.sprintf
-               "overify_request_latency_seconds_sum{kind=\"%s\"} %.6f\n" k
-               h.Obs.Hist.sum);
-          Buffer.add_string b
-            (Printf.sprintf
-               "overify_request_latency_seconds_count{kind=\"%s\"} %d\n" k
-               h.Obs.Hist.count))
-        tl.tl_lat);
+          List.iter
+            (fun (bound, cum) ->
+              Printf.bprintf b
+                "overify_request_latency_seconds_bucket{kind=\"%s\",le=\"%g\"} \
+                 %d\n"
+                k bound cum)
+            (Obs.Hist.cumulative h);
+          Printf.bprintf b
+            "overify_request_latency_seconds_bucket{kind=\"%s\",le=\"+Inf\"} \
+             %d\n"
+            k h.Obs.Hist.count;
+          Printf.bprintf b
+            "overify_request_latency_seconds_sum{kind=\"%s\"} %.6f\n" k
+            h.Obs.Hist.sum;
+          Printf.bprintf b
+            "overify_request_latency_seconds_count{kind=\"%s\"} %d\n" k
+            h.Obs.Hist.count)
+        t.tl.tl_lat);
   Buffer.contents b
 
 let metrics_body t ~(format : string) : Protocol.body =
@@ -787,7 +717,7 @@ let metrics_body t ~(format : string) : Protocol.body =
     if format = "prometheus" then "\"" ^ Json.escape (prometheus t) ^ "\""
     else metrics_doc t
   in
-  Protocol.ok_body ~kind:"metrics" ~result ()
+  Protocol.ok_body ~kind:"metrics" ~result
 
 let initiate_stop t =
   let first =
@@ -885,7 +815,7 @@ let handle_conn t fd =
                 | Protocol.Shutdown ->
                     answer "none"
                       (Protocol.ok_body ~kind:"shutdown"
-                         ~result:"{\"stopping\": true}" ());
+                         ~result:"{\"stopping\": true}");
                     initiate_stop t;
                     loop ()
                 | _ ->
@@ -959,13 +889,12 @@ let rm_rf dir =
 
 let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
     ?queue_cap ?(grace = 2.0) ?(idle_timeout = 600.0) ?(frame_timeout = 30.0)
-    ?obs ?flight_dir ?log_level () : t =
+    ?obs:(_ : bool option) ?flight_dir ?log_level () : t =
   (* a dead peer must fail the write, not the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* flag beats environment: the daemon decides its own observability,
-     clients need no OVERIFY_OBS/OVERIFY_LOG in their environment *)
+  (* flag beats environment: the daemon decides its own log level,
+     clients need no OVERIFY_LOG in their environment *)
   (match log_level with Some l -> Log.set_level l | None -> ());
-  (match obs with Some b -> Obs.set_enabled b | None -> ());
   let sock_path =
     match socket with Some s -> s | None -> default_socket ()
   in

@@ -64,9 +64,10 @@
     gets a fingerprint-derived trace id (echoed in the envelope's
     [trace] field) and a root span threaded through
     [Engine.config.span] down to per-query solves; the [metrics] op
-    returns the daemon's full telemetry registry (per-kind latency
-    histograms, queue depth, dedup/store/summary hit counters, uptime,
-    degradation counts) as JSON or Prometheus text; and a bounded
+    returns the daemon's counters (queue depth, dedup/store/summary hit
+    counters, uptime, degradation counts) and per-kind latency
+    histograms as JSON or Prometheus text, both rendered from one table
+    of rows; and a bounded
     in-memory ring of recent spans/events is dumped to a post-mortem
     flight record ([overify postmortem]) whenever a request degrades,
     a kill/crash surfaces, or the daemon shuts down. *)
@@ -103,9 +104,9 @@ val start :
     once its first bytes arrived.  A zero or negative timeout disables
     that bound.
 
-    [obs] sets per-request registry metrics on/off for the whole daemon
-    — the flag beats the [OVERIFY_OBS] environment variable, so clients
-    need nothing in their environment; [None] defers to the variable.
+    [obs] is ignored.  It is kept only because [perfbench/perfbench.ml]
+    passes [~obs:false], and files under [perfbench/] may not change
+    until the repository benchmark is next revised.
     [flight_dir] enables the flight recorder: post-mortem dumps are
     written there (created if missing) on degraded requests, contained
     kills/crashes, internal errors and shutdown.  [log_level] overrides

@@ -93,9 +93,6 @@ let mk node width =
           NTbl.replace table (node, width) t;
           t)
 
-(** Number of live hash-consed terms (for stats). *)
-let live_terms () = Mutex.protect lock (fun () -> NTbl.length table)
-
 (** Re-intern terms that bypassed [mk] — i.e. came out of [Marshal] when
     loading a checkpoint.  An unmarshaled term carries stale [id]s: left
     alone it could collide with ids handed out by the live counter, and

@@ -28,9 +28,6 @@ val mask : int -> int64
 val norm : int -> int64 -> int64
 val to_signed : int -> int64 -> int64
 
-val live_terms : unit -> int
-(** Number of live hash-consed terms (stats). *)
-
 val rebuilder : unit -> t -> t
 (** Memoizing re-interner for terms that bypassed the hash-cons table —
     i.e. were unmarshaled from a checkpoint.  Rebuilds bottom-up through

@@ -99,8 +99,7 @@ let fingerprints (m : Ir.modul) : (string, string) Hashtbl.t =
     (Callgraph.sccs m);
   fps
 
-let store_key ~check_bounds fp =
-  "summary:" ^ fp ^ ":b" ^ if check_bounds then "1" else "0"
+let store_key fp = "summary:" ^ fp
 
 (* ---- the static gate ---- *)
 

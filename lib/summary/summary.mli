@@ -104,10 +104,9 @@ val fingerprints : Ir.modul -> (string, string) Hashtbl.t
     identical source agree; editing a function changes the fingerprints
     of exactly its callgraph cone (itself + transitive callers). *)
 
-val store_key : check_bounds:bool -> string -> string
+val store_key : string -> string
 (** Store key for a fingerprint — namespaced ("summary:" prefix) so it
-    can never collide with a canonical solver-component key, and split
-    by the bounds-checking mode (bounds checks add traces). *)
+    can never collide with a canonical solver-component key. *)
 
 (** {2 The static gate} *)
 

@@ -21,12 +21,11 @@ let magic = "OVERIFY-CHECKPOINT"
 let version = 1
 let file ~dir = Filename.concat dir "checkpoint.bin"
 
-let fingerprint m ~input_size ~check_bounds =
+let fingerprint m ~input_size =
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "%s|n=%d|bounds=%b"
-          (Overify_ir.Printer.modul_to_string m)
-          input_size check_bounds))
+       (Printf.sprintf "%s|n=%d" (Overify_ir.Printer.modul_to_string m)
+          input_size))
 
 let save ~dir ~digest (s : snapshot) =
   try

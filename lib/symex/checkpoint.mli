@@ -31,8 +31,7 @@ type snapshot = {
   ck_frontier : State.t list;  (** unexplored states, frontier order *)
 }
 
-val fingerprint :
-  Overify_ir.Ir.modul -> input_size:int -> check_bounds:bool -> string
+val fingerprint : Overify_ir.Ir.modul -> input_size:int -> string
 (** Digest identifying what a checkpoint is a checkpoint {e of}. *)
 
 val save : dir:string -> digest:string -> snapshot -> bool

@@ -38,7 +38,6 @@ type config = {
   max_paths : int;       (** stop after completing this many paths *)
   max_insts : int;       (** total dynamic instruction budget *)
   timeout : float;       (** wall-clock seconds *)
-  check_bounds : bool;   (** fork out-of-bounds bug paths *)
   searcher : [ `Dfs | `Bfs | `Parallel of int ];
   profile : bool;        (** attribute cost per (function, block) *)
   summaries : bool;
@@ -105,7 +104,6 @@ let default_config =
     max_paths = 1_000_000;
     max_insts = 200_000_000;
     timeout = 60.0;
-    check_bounds = true;
     searcher = `Dfs;
     profile = false;
     summaries = env_summaries;
@@ -551,9 +549,7 @@ let run ?(config = default_config) (m : Ir.modul) : result =
   (* the fingerprint prints the whole module (about a millisecond); only
      a run that resumes or writes checkpoints needs it *)
   let ck_digest =
-    lazy
-      (Checkpoint.fingerprint m ~input_size:config.input_size
-         ~check_bounds:config.check_bounds)
+    lazy (Checkpoint.fingerprint m ~input_size:config.input_size)
   in
   let snapshot =
     if config.resume then
@@ -597,7 +593,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
         block_tbls = Hashtbl.create 16;
         globals;
         input_vars;
-        check_bounds = config.check_bounds;
         solver;
         counters;
         faults = config.faults;
@@ -767,36 +762,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
   (match own_store with
   | Some st -> Overify_solver.Store.save st
   | None -> ());
-  (* the run's costs through the metric registry (single-threaded here,
-     after the join, so no cross-domain races on the cells); solver time
-     is a timer, every other counter an integer *)
-  if Obs.enabled () then begin
-    List.iter
-      (fun (name, v) ->
-        match "engine." ^ name with
-        | "engine.solver_time" as name ->
-            Obs.Registry.add_time (Obs.Registry.timer name) v
-        | name ->
-            if v > 0.0 then
-              Obs.Registry.add (Obs.Registry.counter name) (int_of_float v))
-      (Counters.to_list total
-      @ [ ("summary_computed", float_of_int summary_computed);
-          ("summary_cached", float_of_int summary_cached) ]);
-    List.iter
-      (fun d ->
-        Obs.Registry.add
-          (Obs.Registry.counter ~labels:[ ("kind", d.d_kind) ]
-             "engine.degradations")
-          (max 1 d.d_paths))
-      degradations;
-    List.iter
-      (fun (k, n) ->
-        if n > 0 then
-          Obs.Registry.add
-            (Obs.Registry.counter ~labels:[ ("kind", k) ] "fault.injected")
-            n)
-      faults_injected
-  end;
   let profile =
     if not config.profile then None
     else begin

@@ -7,7 +7,6 @@ type config = {
   max_paths : int;       (** stop after completing this many paths *)
   max_insts : int;       (** total dynamic instruction budget *)
   timeout : float;       (** wall-clock seconds (also bounds solver work) *)
-  check_bounds : bool;   (** fork out-of-bounds bug paths *)
   searcher : [ `Dfs | `Bfs | `Parallel of int ];
       (** Every searcher runs one work-sharing loop: [n] workers over one
           shared frontier, a stack except under [`Bfs] (a queue).

@@ -20,7 +20,6 @@ type gctx = {
   block_tbls : (string, (int, Ir.block) Hashtbl.t) Hashtbl.t;
   globals : (string * int) list;   (** global name -> memory object *)
   input_vars : int array;          (** symbolic variable id per input byte *)
-  check_bounds : bool;             (** hunt for memory-safety bugs *)
   solver : Solver.ctx;             (** this worker's private solver context *)
   counters : Counters.t;
       (** this worker's cost counters, shared with [solver]: the executor
@@ -281,14 +280,12 @@ let with_bounds gctx (st : State.t) ~what ~obj ~(off : Bv.t) ~width
                 let in_b = Bv.cmp Bv.Ule off (Bv.const 64 limit) in
                 let oob = Bv.not_ in_b in
                 let bugs =
-                  if gctx.check_bounds then
-                    match feasible gctx st oob with
-                    | Feasible m ->
-                        [ T_bug
-                            ( constrain st oob m,
-                              what ^ ": out-of-bounds (symbolic offset)" ) ]
-                    | Infeasible -> []
-                  else []
+                  match feasible gctx st oob with
+                  | Feasible m ->
+                      [ T_bug
+                          ( constrain st oob m,
+                            what ^ ": out-of-bounds (symbolic offset)" ) ]
+                  | Infeasible -> []
                 in
                 let conts =
                   match feasible gctx st in_b with

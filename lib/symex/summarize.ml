@@ -314,10 +314,7 @@ let build ~(gctx : Executor.gctx) ~(store : Store.t option) (m : Ir.modul) :
       gctx.Executor.building <- true;
       List.iter
         (fun name ->
-          let key =
-            Summary.store_key ~check_bounds:gctx.Executor.check_bounds
-              (Hashtbl.find fps name)
-          in
+          let key = Summary.store_key (Hashtbl.find fps name) in
           let from_store =
             match store with
             | None -> None

@@ -10,10 +10,6 @@ type t =
 
 let null = SPtr (0, Bv.const 64 0L)
 
-let is_null = function
-  | SPtr (0, o) -> o.Bv.node = Bv.Const 0L
-  | SPtr _ | SInt _ -> false
-
 let as_int = function
   | SInt t -> Some t
   | SPtr (0, o) when o.Bv.node = Bv.Const 0L -> Some (Bv.const 64 0L)

@@ -10,8 +10,6 @@ type t =
 val null : t
 (** Object 0 at offset 0. *)
 
-val is_null : t -> bool
-
 val as_int : t -> Bv.t option
 (** Integer view; null reads as 0. *)
 

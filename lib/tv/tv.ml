@@ -293,34 +293,20 @@ type report = {
   time : float;
 }
 
-let obligation_verdict_name = function
+let verdict_name = function
   | Proved _ -> "proved"
   | Counterexample _ -> "counterexample"
   | Inconclusive _ -> "inconclusive"
 
-(** Per-obligation observability: verdict counters and budget-spend timers
-    in the global registry (labels: pass, verdict), plus one trace span per
-    obligation.  All behind the global switches — the unobserved validation
-    path records nothing. *)
+(** One trace event per obligation while the trace sink collects; the
+    unobserved validation path records nothing. *)
 let observe_obligation ~pass ~fn ~t0 (o : outcome) =
-  let verdict = obligation_verdict_name o.verdict in
-  if Obs.enabled () then begin
-    Obs.Registry.incr
-      (Obs.Registry.counter "tv_obligations"
-         ~labels:[ ("pass", pass); ("verdict", verdict) ]);
-    Obs.Registry.add_time
-      (Obs.Registry.timer "tv_budget_spend" ~labels:[ ("pass", pass) ])
-      o.time;
-    Obs.Registry.add
-      (Obs.Registry.counter "tv_queries" ~labels:[ ("pass", pass) ])
-      o.queries
-  end;
   if Obs.Trace.enabled () then
     Obs.Trace.emit ~cat:"tv"
       ~name:(Printf.sprintf "tv:%s(%s)" pass fn)
       ~args:
         [
-          ("verdict", verdict);
+          ("verdict", verdict_name o.verdict);
           ("paths", string_of_int o.paths);
           ("queries", string_of_int o.queries);
           ("fallback_runs", string_of_int o.fallback_runs);
@@ -407,7 +393,6 @@ let summarize report : pass_summary list =
     report.records;
   List.rev_map (fun p -> Hashtbl.find tbl p) !order
 
-let verdict_name = obligation_verdict_name
 
 let hex_of_string s =
   String.concat "" (List.map (Printf.sprintf "%02x") (List.init (String.length s) (fun i -> Char.code s.[i])))

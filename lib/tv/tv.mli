@@ -123,9 +123,6 @@ type pass_summary = {
 val summarize : report -> pass_summary list
 (** One row per pass name, in first-application order. *)
 
-val verdict_name : verdict -> string
-(** ["proved"], ["counterexample"] or ["inconclusive"]. *)
-
 val string_of_verdict : verdict -> string
 (** Human-readable one-liner, with witness/reason detail. *)
 

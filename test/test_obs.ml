@@ -1,5 +1,5 @@
 (** Observability suite: unit tests for the metric primitives ([Obs.Hist],
-    [Obs.Registry], [Obs.Pass], [Obs.Counters], [Obs.Profile]), the central
+    [Obs.Pass], [Obs.Counters], [Obs.Profile]), the central
     attribution invariant (per-site sums, per-worker-span sums and the
     whole-run [Engine.result] totals agree on every counter), the shape and
     determinism of the [overify profile --json] report, and the trace
@@ -68,45 +68,26 @@ let test_hist_merge () =
   check (Alcotest.float 1e-9) "merged max" 0.3 a.Obs.Hist.max;
   check int "source untouched" 2 b.Obs.Hist.count
 
-(* ------------- Registry ------------- *)
-
-let test_registry () =
-  let r = Obs.Registry.create () in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
-  let c = Obs.Registry.counter ~registry:r "events" in
-  Obs.Registry.incr c;
-  Obs.Registry.incr c;
-  Obs.Registry.add c 3;
-  check int "counter" 5 c.Obs.Registry.count;
-  (* same (name, labels) resolves to the same cell *)
-  let c' = Obs.Registry.counter ~registry:r "events" in
-  check bool "same cell" true (c == c');
-  (* different labels are a different cell *)
-  let cl = Obs.Registry.counter ~registry:r ~labels:[ ("pass", "gvn") ] "events" in
-  check bool "labeled cell distinct" true (not (c == cl));
-  Obs.Registry.incr cl;
-  check int "labeled count" 1 cl.Obs.Registry.count;
-  let t = Obs.Registry.timer ~registry:r "t" in
-  Obs.Registry.add_time t 0.25;
-  let x = Obs.Registry.time t (fun () -> 41 + 1) in
-  check int "timed thunk result" 42 x;
-  check bool "timer accumulated" true (t.Obs.Registry.sum >= 0.25);
-  check int "dump has three cells" 3
-    (List.length (Obs.Registry.dump ~registry:r ()));
-  Obs.Registry.clear ~registry:r ();
-  check int "clear empties" 0 (List.length (Obs.Registry.dump ~registry:r ()))
-
-let test_registry_disabled_noop () =
-  let r = Obs.Registry.create () in
-  let was = Obs.enabled () in
-  Obs.set_enabled false;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
-  let c = Obs.Registry.counter ~registry:r "events" in
-  Obs.Registry.incr c;
-  Obs.Registry.add c 10;
-  check int "disabled counter stays 0" 0 c.Obs.Registry.count
+let test_hist_overflow () =
+  (* 200 s lands in the unbounded last bucket: no finite bound holds it *)
+  let h = Obs.Hist.create () in
+  Obs.Hist.observe h 200.0;
+  check (Alcotest.float 1e-9) "p50 is the observed max" 200.0
+    (Obs.Hist.percentile h 0.5);
+  let cum = Obs.Hist.cumulative h in
+  check int "one entry per bounded bucket" (Obs.Hist.nbuckets - 1)
+    (List.length cum);
+  List.iter
+    (fun (bound, n) ->
+      check int (Printf.sprintf "nothing under le=%g" bound) 0 n)
+    cum;
+  check int "counted only under +Inf" 1 h.Obs.Hist.count;
+  (* beside a bounded observation: its bucket's bound, then the max *)
+  Obs.Hist.observe h 0.0015;
+  check (Alcotest.float 1e-9) "p50 is the bound above 1.5 ms" 0.002048
+    (Obs.Hist.percentile h 0.5);
+  check (Alcotest.float 1e-9) "p99 is still the max" 200.0
+    (Obs.Hist.percentile h 0.99)
 
 (* ------------- Pass ------------- *)
 
@@ -616,12 +597,8 @@ let () =
             test_hist_buckets_monotonic;
           Alcotest.test_case "percentiles" `Quick test_hist_percentile;
           Alcotest.test_case "merge" `Quick test_hist_merge;
-        ] );
-      ( "registry",
-        [
-          Alcotest.test_case "counters/timers/labels" `Quick test_registry;
-          Alcotest.test_case "disabled is a no-op" `Quick
-            test_registry_disabled_noop;
+          Alcotest.test_case "overflow bucket reports max" `Quick
+            test_hist_overflow;
         ] );
       ( "pass",
         [ Alcotest.test_case "record and rollup" `Quick test_pass_rollup ] );

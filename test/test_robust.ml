@@ -326,10 +326,7 @@ let test_checkpoint_left_by_budget_run () =
   check bool "budget run degraded" false r.Engine.complete;
   check bool "snapshot kept (resumable)" true
     (Sys.file_exists (Checkpoint.file ~dir));
-  let digest =
-    Checkpoint.fingerprint c.H.Experiment.modul ~input_size:2
-      ~check_bounds:true
-  in
+  let digest = Checkpoint.fingerprint c.H.Experiment.modul ~input_size:2 in
   (match Checkpoint.load ~dir ~digest with
   | Some s ->
       check bool "frontier non-empty" true (s.Checkpoint.ck_frontier <> []);
@@ -363,10 +360,7 @@ let test_torn_checkpoint_ignored () =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc
         (String.sub full 0 (String.length full * 2 / 3)));
-  let digest =
-    Checkpoint.fingerprint c.H.Experiment.modul ~input_size:2
-      ~check_bounds:true
-  in
+  let digest = Checkpoint.fingerprint c.H.Experiment.modul ~input_size:2 in
   check bool "torn snapshot loads as none" true
     (Checkpoint.load ~dir ~digest = None);
   (* resume against the torn file silently starts fresh and completes *)
@@ -403,7 +397,7 @@ let test_resumed_inst_budget () =
   let snap =
     match
       Checkpoint.load ~dir
-        ~digest:(Checkpoint.fingerprint m ~input_size:3 ~check_bounds:true)
+        ~digest:(Checkpoint.fingerprint m ~input_size:3)
     with
     | Some s -> s
     | None -> Alcotest.fail "snapshot did not load"

@@ -539,7 +539,7 @@ let test_envelope_golden_keys () =
           "\"solver_time_ms\": 0.0"; "\"blocks_covered\":";
           "\"blocks_total\":"; "\"jobs\": 1"; "\"complete\": true";
           "\"resumed\": false"; "\"degradations\": []";
-          "\"faults_injected\": []"; "\"bugs\": []"; "\"obs\": ["; "}";
+          "\"faults_injected\": []"; "\"bugs\": []"; "}";
         ]
 
 let test_error_envelope_golden_keys () =
@@ -555,7 +555,7 @@ let test_error_envelope_golden_keys () =
           "\"kind\": \"protocol\""; "\"dedup\": \"none\"";
           "\"trace\": \"\""; "\"elapsed_ms\":";
           "\"error\": {\"kind\": \"bad_json\"";
-          "\"message\":"; "\"result\": null"; "\"obs\": []"; "}";
+          "\"message\":"; "\"result\": null"; "}";
         ]
 
 let with_temp_dir f =
@@ -597,7 +597,7 @@ let test_metrics_golden_keys () =
   (with_conn d @@ fun c ->
    ignore (Client.rpc c { wc_request with Protocol.rq_id = 1 }));
   let result = metrics_rpc d in
-  (* the full registry document, fixed key order; the two verify
+  (* the full metrics document, fixed key order; the two verify
      requests above pin executed / dedup / latency-count cells *)
   golden_walk result
     [
@@ -614,7 +614,7 @@ let test_metrics_golden_keys () =
       "\"summary_opaque\":"; "\"summary_computed\":"; "\"summary_cached\":";
       "\"latency_ms\": {"; "\"verify\": {"; "\"count\": 2"; "\"mean_ms\":";
       "\"p50_ms\":"; "\"p95_ms\":"; "\"p99_ms\":"; "\"max_ms\":";
-      "\"compile\": {"; "\"count\": 0"; "\"tv\": {"; "\"registry\":"; "}";
+      "\"compile\": {"; "\"count\": 0"; "\"tv\": {"; "}";
     ];
   match Json.parse result with
   | Error e -> Alcotest.failf "metrics result unparseable: %s" e
@@ -684,6 +684,87 @@ let test_prometheus_exposition () =
     (contains text "overify_requests_shed_total");
   check bool "watchdog counter present" true
     (contains text "overify_watchdog_fired_total")
+
+let test_metrics_renderings_agree () =
+  with_daemon @@ fun d ->
+  (with_conn d @@ fun c -> ignore (Client.rpc c wc_request));
+  (with_conn d @@ fun c ->
+   ignore (Client.rpc c { wc_request with Protocol.rq_id = 1 }));
+  (with_conn d @@ fun c ->
+   ignore
+     (Client.rpc c
+        { wc_request with Protocol.rq_id = 2; rq_kind = Protocol.Compile }));
+  (with_conn d @@ fun c ->
+   check bool "sent" true (Client.send_payload c "not json");
+   ignore (Client.read_response c));
+  let doc =
+    match Json.parse (metrics_rpc d) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "metrics result unparseable: %s" e
+  in
+  let text =
+    match Json.parse (metrics_rpc ~format:"prometheus" d) with
+    | Ok (Json.Str s) -> s
+    | _ -> Alcotest.fail "exposition is not a JSON string"
+  in
+  (* every exported row, in exposition order: sample name, document key *)
+  let rows =
+    [
+      ("overify_uptime_seconds", "uptime_s");
+      ("overify_queue_depth", "queue_depth");
+      ("overify_requests_total", "requests");
+      ("overify_executed_total", "executed");
+      ("overify_dedup_hits_total", "dedup_hits");
+      ("overify_malformed_total", "malformed");
+      ("overify_errors_total", "errors");
+      ("overify_requests_shed_total", "requests_shed");
+      ("overify_cancelled_total", "cancelled");
+      ("overify_deadline_exceeded_total", "deadline_exceeded");
+      ("overify_watchdog_fired_total", "watchdog_fired");
+      ("overify_idle_reaped_total", "idle_reaped");
+      ("overify_degraded_total", "degraded");
+      ("overify_flight_dumps_total", "flight_dumps");
+      ("overify_store_entries", "store_entries");
+      ("overify_store_hits_total", "store_hits");
+      ("overify_engine_queries_total", "engine_queries");
+      ("overify_engine_cache_hits_total", "engine_cache_hits");
+      ("overify_solver_time_seconds_total", "solver_time_s");
+    ]
+  in
+  let samples =
+    String.split_on_char '\n' text
+    |> List.filter (fun l ->
+           l <> "" && l.[0] <> '#'
+           && not (contains l "overify_request_latency_seconds"))
+    |> List.map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ name; v ] -> (name, float_of_string v)
+           | _ -> Alcotest.failf "unexpected sample line: %s" l)
+  in
+  check (Alcotest.list string) "exported rows" (List.map fst rows)
+    (List.map fst samples);
+  let json_value key =
+    match Option.bind (Json.mem doc key) Json.num with
+    | Some v -> v
+    | None -> Alcotest.failf "metrics document lacks %S" key
+  in
+  List.iter
+    (fun (name, v) ->
+      let jv = json_value (List.assoc name rows) in
+      match name with
+      | "overify_uptime_seconds" ->
+          check bool "uptime only advances" true (v >= jv)
+      | "overify_requests_total" ->
+          (* the exposition fetch is itself one more request *)
+          check (Alcotest.float 0.0) name (jv +. 1.0) v
+      | _ -> check (Alcotest.float 0.0) name jv v)
+    samples;
+  (* the traffic above moved the counters: the equalities are not 0 = 0 *)
+  List.iter
+    (fun (key, want) -> check (Alcotest.float 0.0) key want (json_value key))
+    [ ("requests", 4.0); ("executed", 2.0); ("dedup_hits", 1.0);
+      ("malformed", 1.0); ("errors", 1.0) ];
+  check bool "store_entries > 0" true (json_value "store_entries" > 0.0)
 
 let test_flight_record_after_fault () =
   (* a degraded request (contained crash fault) must leave a flight
@@ -1194,6 +1275,8 @@ let () =
             test_metrics_golden_keys;
           Alcotest.test_case "prometheus exposition parses" `Quick
             test_prometheus_exposition;
+          Alcotest.test_case "metrics JSON and prometheus agree" `Quick
+            test_metrics_renderings_agree;
           Alcotest.test_case "injected fault leaves a flight record" `Quick
             test_flight_record_after_fault;
         ] );
