@@ -56,10 +56,11 @@ let run_table1 args =
           cm.Overify_opt.Costmodel.name
           :: List.map
                (fun sz ->
-                 let c = H.Experiment.compile cm wc in
-                 let v = H.Experiment.verify ~input_size:sz ~timeout:30.0 c in
-                 Printf.sprintf "%d%s" v.Overify_symex.Engine.paths
-                   (if v.Overify_symex.Engine.complete then "" else "+"))
+                 let v =
+                   H.Figure4.measure_one ~input_size:sz ~timeout:30.0 cm wc
+                 in
+                 Printf.sprintf "%d%s" v.H.Figure4.paths
+                   (if v.H.Figure4.complete then "" else "+"))
                sizes)
         Overify_opt.Costmodel.all
     in
@@ -173,7 +174,13 @@ let run_profile args =
         List.map
           (fun level ->
             H.Profile.profile ~program:p.Overify_corpus.Programs.name ~level
-              ~input_size ~timeout p.Overify_corpus.Programs.source)
+              ~config:
+                {
+                  Overify_symex.Engine.default_config with
+                  input_size;
+                  timeout;
+                }
+              p.Overify_corpus.Programs.source)
           levels)
       Overify_corpus.Programs.programs
   in
@@ -245,6 +252,18 @@ let run_solve args =
             exit 2)
   in
   let module E = Overify_symex.Engine in
+  let verify ?cache_dir ~solver_cache c =
+    E.run
+      ~config:
+        {
+          E.default_config with
+          input_size;
+          timeout;
+          solver_cache = Some solver_cache;
+          cache_dir;
+        }
+      c.H.Experiment.modul
+  in
   H.Report.section
     (Printf.sprintf
        "Solver acceleration: reuse layers off vs on (n=%d bytes)" input_size);
@@ -259,25 +278,13 @@ let run_solve args =
         List.map
           (fun (level : Overify_opt.Costmodel.t) ->
             let c = H.Experiment.compile level p in
-            let off =
-              H.Experiment.verify ~input_size ~timeout
-                ~solver_cache:false c
-            in
-            let on =
-              H.Experiment.verify ~input_size ~timeout
-                ~solver_cache:true c
-            in
+            let off = verify ~solver_cache:false c in
+            let on = verify ~solver_cache:true c in
             (* byte-identical verdicts are only promised for complete runs:
                a wall-clock timeout truncates the faster (cached) run at a
                different point than the slower one *)
             let comparable = off.E.complete && on.E.complete in
-            let agree =
-              (not comparable)
-              || off.E.paths = on.E.paths
-                 && off.E.exit_codes = on.E.exit_codes
-                 && off.E.bugs = on.E.bugs
-                 && off.E.blocks_covered = on.E.blocks_covered
-            in
+            let agree = (not comparable) || E.same_verdicts off on in
             if not agree then begin
               incr failures;
               Printf.eprintf
@@ -349,14 +356,8 @@ let run_solve args =
     | [] -> None
     | p :: _ ->
         let c = H.Experiment.compile Overify_opt.Costmodel.overify p in
-        let cold =
-          H.Experiment.verify ~input_size ~timeout ~solver_cache:true
-            ~cache_dir:dir c
-        in
-        let warm =
-          H.Experiment.verify ~input_size ~timeout ~solver_cache:true
-            ~cache_dir:dir c
-        in
+        let cold = verify ~cache_dir:dir ~solver_cache:true c in
+        let warm = verify ~cache_dir:dir ~solver_cache:true c in
         if warm.E.hits_store = 0 && warm.E.queries > 0 then begin
           incr failures;
           Printf.eprintf
@@ -481,8 +482,16 @@ let run_summary args =
                 let tmp = Filename.temp_file "overify_bench_summary" "" in
                 let dir = tmp ^ ".d" in
                 let verify m =
-                  H.Experiment.verify ~input_size ~timeout ~summaries:true
-                    ~cache_dir:dir { c with H.Experiment.modul = m }
+                  E.run
+                    ~config:
+                      {
+                        E.default_config with
+                        input_size;
+                        timeout;
+                        summaries = true;
+                        cache_dir = Some dir;
+                      }
+                    m
                 in
                 let cold = verify c.H.Experiment.modul in
                 let warm = verify c.H.Experiment.modul in

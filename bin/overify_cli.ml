@@ -48,8 +48,21 @@ let read_source path =
         exit 2
   else In_channel.with_open_text path In_channel.input_all
 
+(** Run [f]; a MiniC compile error is an input error, reported like an
+    unknown corpus program: [FILE: message] on stderr, exit 2. *)
+let or_input_error path f =
+  try f ()
+  with O.Frontend.Compile_error msg ->
+    Printf.eprintf "%s: %s\n" path msg;
+    exit 2
+
+(** Parse [path] linked with [level]'s libc (unless [no_libc]). *)
+let frontend level no_libc path =
+  or_input_error path (fun () ->
+      O.Vclib.frontend ~link_libc:(not no_libc) level (read_source path))
+
 let compile_to_module level no_libc path =
-  O.compile ~level ~link_libc:(not no_libc) (read_source path)
+  (O.Pipeline.optimize level (frontend level no_libc path)).O.Pipeline.modul
 
 let program_name path =
   if String.length path > 7 && String.sub path 0 7 = "corpus:" then
@@ -90,38 +103,34 @@ let with_trace trace f =
 let compile_cmd =
   let run level no_libc path stats validate trace =
     with_trace trace @@ fun () ->
-    if validate then begin
-      let (r, report) =
-        O.compile_validated ~level ~link_libc:(not no_libc) (read_source path)
-      in
-      print_string (O.Printer.modul_to_string r.O.Pipeline.modul);
-      if stats then
-        Format.printf "@.; transformations: %a@." Overify_opt.Stats.pp
-          r.O.Pipeline.stats;
-      let cex = O.Tv.counterexamples report in
-      Printf.eprintf
-        "; translation validation: %d pass applications, %d counterexamples, \
-         %d inconclusive\n"
-        (List.length report.O.Tv.records)
-        (List.length cex)
-        (List.length (O.Tv.inconclusives report));
-      (match O.Tv.first_offender report with
-      | Some o ->
-          Printf.eprintf "; FIRST OFFENDING PASS: %s (in %s): %s\n" o.O.Tv.pass
-            o.O.Tv.fn
-            (O.Tv.string_of_verdict o.O.Tv.outcome.O.Tv.verdict)
-      | None -> ());
-      if cex = [] then 0 else 1
-    end
-    else begin
-      let (m, s) =
-        O.compile_with_stats ~level ~link_libc:(not no_libc) (read_source path)
-      in
-      print_string (O.Printer.modul_to_string m);
-      if stats then
-        Format.printf "@.; transformations: %a@." Overify_opt.Stats.pp s;
-      0
-    end
+    let m = frontend level no_libc path in
+    let (r, report) =
+      if validate then
+        let (r, report) = O.Tv.validate level m in
+        (r, Some report)
+      else (O.Pipeline.optimize level m, None)
+    in
+    print_string (O.Printer.modul_to_string r.O.Pipeline.modul);
+    if stats then
+      Format.printf "@.; transformations: %a@." Overify_opt.Stats.pp
+        r.O.Pipeline.stats;
+    match report with
+    | None -> 0
+    | Some report ->
+        let cex = O.Tv.counterexamples report in
+        Printf.eprintf
+          "; translation validation: %d pass applications, %d \
+           counterexamples, %d inconclusive\n"
+          (List.length report.O.Tv.records)
+          (List.length cex)
+          (List.length (O.Tv.inconclusives report));
+        (match O.Tv.first_offender report with
+        | Some o ->
+            Printf.eprintf "; FIRST OFFENDING PASS: %s (in %s): %s\n"
+              o.O.Tv.pass o.O.Tv.fn
+              (O.Tv.string_of_verdict o.O.Tv.outcome.O.Tv.verdict)
+        | None -> ());
+        if cex = [] then 0 else 1
   in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print transformation counters.")
@@ -150,7 +159,7 @@ let run_cmd =
   let run level no_libc path input trace =
     with_trace trace @@ fun () ->
     let m = compile_to_module level no_libc path in
-    let r = O.run m ~input in
+    let r = O.Interp.run m ~input in
     print_string r.O.Interp.output;
     Printf.eprintf "exit=%Ld cycles=%d instructions=%d%s\n" r.O.Interp.exit_code
       r.O.Interp.cycles r.O.Interp.insts
@@ -215,7 +224,17 @@ let summaries_arg =
            exploration; only the effort counters change.  Defaults to \
            $(b,OVERIFY_SUMMARIES) when set.")
 
-let verify_cmd =
+let jobs_conv =
+  let max = O.Serve_protocol.max_jobs in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= max -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer in [1, %d]" s max))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(** The engine configuration [verify] and [profile] share. *)
+let engine_config =
   let size =
     Arg.(
       value & opt int 4
@@ -226,20 +245,36 @@ let verify_cmd =
       value & opt float 60.0
       & info [ "timeout"; "t" ] ~docv:"SECONDS" ~doc:"Verification budget.")
   in
+  let jobs =
+    Arg.(
+      value & opt jobs_conv 1
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf
+               "Explore paths on $(docv) parallel worker domains (1 to %d). \
+                Results are identical to the sequential searcher for \
+                complete runs."
+               O.Serve_protocol.max_jobs))
+  in
+  let config input_size timeout jobs summaries cache_dir =
+    {
+      O.Engine.default_config with
+      O.Engine.input_size;
+      timeout;
+      searcher = `Parallel jobs;
+      summaries = summaries || O.Engine.default_config.O.Engine.summaries;
+      cache_dir;
+    }
+  in
+  Term.(const config $ size $ timeout $ jobs $ summaries_arg $ cache_dir_arg)
+
+let verify_cmd =
   let tests_flag =
     Arg.(
       value & flag
       & info [ "tests" ]
           ~doc:"Print a generated test input (and its exit code) per path, \
                 like KLEE's ktest files.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Explore paths on $(docv) parallel worker domains. Results are \
-             identical to the sequential searcher for complete runs.")
   in
   let checkpoint_dir_arg =
     Arg.(
@@ -286,8 +321,8 @@ let verify_cmd =
              bytes — e.g. for diffing a one-shot run against the same \
              request answered by a warm $(b,overify serve) daemon.")
   in
-  let run level no_libc path size timeout tests jobs summaries cache_dir
-      faults checkpoint_dir checkpoint_every resume json deterministic trace =
+  let run level no_libc path config tests faults checkpoint_dir
+      checkpoint_every resume json deterministic trace =
     with_trace trace @@ fun () ->
     let faults =
       match faults with
@@ -299,11 +334,11 @@ let verify_cmd =
             exit 2)
     in
     let m = compile_to_module level no_libc path in
+    let config =
+      { config with O.Engine.faults; checkpoint_dir; checkpoint_every; resume }
+    in
     let r =
-      try
-        O.verify ~input_size:size ~timeout ~jobs
-          ?summaries:(if summaries then Some true else None)
-          ?cache_dir ?faults ?checkpoint_dir ~checkpoint_every ~resume m
+      try O.Engine.run ~config m
       with O.Fault.Killed msg ->
         (* simulated process death: mirror SIGKILL's exit status; the
            checkpoint (if any) stays behind for --resume *)
@@ -371,10 +406,9 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Compile and symbolically execute all paths (KLEE-style).")
-    Term.(const run $ level $ no_libc $ source_file $ size $ timeout
-          $ tests_flag $ jobs $ summaries_arg $ cache_dir_arg $ faults_arg
-          $ checkpoint_dir_arg $ checkpoint_every_arg $ resume_arg $ json_arg
-          $ deterministic_arg $ trace_arg)
+    Term.(const run $ level $ no_libc $ source_file $ engine_config
+          $ tests_flag $ faults_arg $ checkpoint_dir_arg $ checkpoint_every_arg
+          $ resume_arg $ json_arg $ deterministic_arg $ trace_arg)
 
 (* ---- analyze subcommand ---- *)
 
@@ -445,7 +479,6 @@ let tv_cmd =
   in
   let run level no_libc path size timeout all_levels json trace =
     with_trace trace @@ fun () ->
-    let src = read_source path in
     let budget =
       { O.Tv.default_budget with O.Tv.input_size = size; timeout }
     in
@@ -454,7 +487,7 @@ let tv_cmd =
       List.map
         (fun (cm : O.Costmodel.t) ->
           let (_, report) =
-            O.compile_validated ~level:cm ~link_libc:(not no_libc) ~budget src
+            O.Tv.validate ~budget cm (frontend cm no_libc path)
           in
           Printf.printf "== %s: %d pass applications validated in %.1fs ==\n"
             cm.O.Costmodel.name
@@ -495,22 +528,6 @@ let tv_cmd =
 
 let profile_cmd =
   let module P = Overify_harness.Profile in
-  let size =
-    Arg.(
-      value & opt int 4
-      & info [ "size"; "n" ] ~docv:"N" ~doc:"Number of symbolic input bytes.")
-  in
-  let timeout =
-    Arg.(
-      value & opt float 60.0
-      & info [ "timeout"; "t" ] ~docv:"SECONDS" ~doc:"Verification budget.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Explore paths on $(docv) parallel worker domains.")
-  in
   let diff =
     Arg.(
       value & opt (some level_arg) None
@@ -543,15 +560,13 @@ let profile_cmd =
              the JSON report, leaving only deterministic attribution (for \
              golden tests and cross-run diffing).")
   in
-  let run level no_libc path size timeout jobs summaries cache_dir diff json
-      top deterministic trace =
+  let run level no_libc path config diff json top deterministic trace =
     with_trace trace @@ fun () ->
     let src = read_source path in
     let program = program_name path in
     let prof lvl =
-      P.profile ~program ~level:lvl ~input_size:size ~timeout ~jobs
-        ?summaries:(if summaries then Some true else None)
-        ?cache_dir ~link_libc:(not no_libc) src
+      or_input_error path (fun () ->
+          P.profile ~program ~level:lvl ~link_libc:(not no_libc) ~config src)
     in
     let p = prof level in
     (match diff with
@@ -577,9 +592,8 @@ let profile_cmd =
           per-pass compile profile.  Attribution sums to the whole-run \
           totals by construction.")
     Term.(
-      const run $ level $ no_libc $ source_file $ size $ timeout $ jobs
-      $ summaries_arg $ cache_dir_arg $ diff $ json $ top $ deterministic
-      $ trace_arg)
+      const run $ level $ no_libc $ source_file $ engine_config $ diff $ json
+      $ top $ deterministic $ trace_arg)
 
 (* ---- serve subcommand ---- *)
 
@@ -702,40 +716,21 @@ let serve_cmd =
 (* ---- client subcommand ---- *)
 
 (** Render the [metrics] document as a compact table (the [--watch]
-    screen). *)
+    screen): every scalar member in document order, then the per-kind
+    latency histograms. *)
 let metrics_table (j : O.Serve_json.t) : string =
-  let geti k =
-    Option.value ~default:0 (Option.bind (O.Serve_json.mem j k) O.Serve_json.int_)
-  in
-  let getf k =
-    Option.value ~default:0.0
-      (Option.bind (O.Serve_json.mem j k) O.Serve_json.num)
-  in
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "overify daemon — uptime %.1fs  queue depth %d\n"
-       (getf "uptime_s") (geti "queue_depth"));
-  Buffer.add_string b
-    (Printf.sprintf
-       "requests %d  executed %d  dedup hits %d  malformed %d  errors %d  \
-        degraded %d\n"
-       (geti "requests") (geti "executed") (geti "dedup_hits")
-       (geti "malformed") (geti "errors") (geti "degraded"));
-  Buffer.add_string b
-    (Printf.sprintf
-       "store %d entries (loaded %d, hits %d)  solver %.1fms over %d \
-        queries (%d cached)\n"
-       (geti "store_entries") (geti "store_loaded") (geti "store_hits")
-       (getf "solver_time_s" *. 1000.0)
-       (geti "engine_queries") (geti "engine_cache_hits"));
-  Buffer.add_string b
-    (Printf.sprintf
-       "summaries instantiated %d  opaque %d  computed %d  cached %d\n"
-       (geti "summary_instantiated") (geti "summary_opaque")
-       (geti "summary_computed") (geti "summary_cached"));
-  Buffer.add_string b
-    (Printf.sprintf "flight dumps %d  ring %d records (%d dropped)\n"
-       (geti "flight_dumps") (geti "flight_records") (geti "flight_dropped"));
+  let b = Buffer.create 1024 in
+  (match j with
+  | O.Serve_json.Obj members ->
+      List.iter
+        (fun (k, v) ->
+          match v with
+          | O.Serve_json.Obj _ -> ()  (* latency_ms, rendered below *)
+          | O.Serve_json.Num f when not (Float.is_integer f) ->
+              Printf.bprintf b "%-22s %g\n" k f
+          | v -> Printf.bprintf b "%-22s %s\n" k (O.Serve_json.to_string v))
+        members
+  | _ -> ());
   Buffer.add_string b
     "latency_ms    count    mean     p50     p95     p99     max\n";
   (match O.Serve_json.mem j "latency_ms" with

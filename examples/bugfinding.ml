@@ -33,12 +33,14 @@ int main(void) {
 }
 |}
 
+let config = { O.Engine.default_config with input_size = 8; timeout = 15.0 }
+
 let () =
   print_endline "== Bug finding across optimization levels ==\n";
   List.iter
     (fun (level : O.Costmodel.t) ->
       let m = O.compile ~level buggy_source in
-      let v = O.verify ~input_size:8 ~timeout:15.0 m in
+      let v = O.Engine.run ~config m in
       Printf.printf "%-9s %d paths%s, %d bug(s) found in %.1f ms:\n%!"
         level.O.Costmodel.name v.O.Engine.paths
         (if v.O.Engine.complete then "" else "+ (budget hit)")
@@ -59,10 +61,10 @@ let () =
     "\nEach reported input is a concrete witness: replaying it in the\n\
      interpreter triggers the same failure. Verify one:";
   let m = O.compile ~level:O.Costmodel.overify buggy_source in
-  let v = O.verify ~input_size:8 ~timeout:15.0 m in
+  let v = O.Engine.run ~config m in
   List.iter
     (fun (b : O.Engine.bug) ->
-      let r = O.run m ~input:b.O.Engine.input in
+      let r = O.Interp.run m ~input:b.O.Engine.input in
       Printf.printf "  replaying %-45s -> %s\n" b.O.Engine.kind
         (match r.O.Interp.trap with
         | Some t -> "TRAP: " ^ O.Interp.string_of_trap t

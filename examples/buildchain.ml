@@ -23,27 +23,30 @@ let () =
       runtime_checks = true }
   in
   let debug = O.compile ~level:debug_level program in
-  let r = O.run debug ~input:"ab_a_b_" in
+  let r = O.Interp.run debug ~input:"ab_a_b_" in
   Printf.printf "%-18s tr('a'->'b') over \"_a_b_\": %S (%d cycles, %d static insts)\n"
     debug_level.O.Costmodel.name r.O.Interp.output r.O.Interp.cycles
     (List.fold_left (fun a f -> a + O.Ir.func_size f) 0 debug.O.Ir.funcs);
 
   (* Release: fastest execution. *)
   let release = O.compile ~level:O.Costmodel.o3 program in
-  let r = O.run release ~input:"ab_a_b_" in
+  let r = O.Interp.run release ~input:"ab_a_b_" in
   Printf.printf "%-18s same run: %S (%d cycles, %d static insts)\n"
     "-O3 (release)" r.O.Interp.output r.O.Interp.cycles
     (List.fold_left (fun a f -> a + O.Ir.func_size f) 0 release.O.Ir.funcs);
 
   (* Automated analysis: fastest verification. *)
   let verif = O.compile ~level:O.Costmodel.overify program in
-  let v = O.verify ~input_size:6 ~timeout:30.0 verif in
+  let config =
+    { O.Engine.default_config with input_size = 6; timeout = 30.0 }
+  in
+  let v = O.Engine.run ~config verif in
   Printf.printf "%-18s symbolic execution: %d paths, %d instructions, %.1f ms\n"
     "-OVERIFY (verify)" v.O.Engine.paths v.O.Engine.instructions
     (v.O.Engine.time *. 1000.);
 
   (* and the same analysis against the release build, for contrast *)
-  let v3 = O.verify ~input_size:6 ~timeout:30.0 release in
+  let v3 = O.Engine.run ~config release in
   Printf.printf "%-18s symbolic execution: %d paths, %d instructions, %.1f ms\n"
     "-O3 (for contrast)" v3.O.Engine.paths v3.O.Engine.instructions
     (v3.O.Engine.time *. 1000.);

@@ -27,7 +27,16 @@ let () =
               List.iter
                 (fun n ->
                   let c = E.compile level p in
-                  let v = E.verify ~input_size:n ~timeout:20.0 c in
+                  let v =
+                    O.Engine.run
+                      ~config:
+                        {
+                          O.Engine.default_config with
+                          input_size = n;
+                          timeout = 20.0;
+                        }
+                      c.E.modul
+                  in
                   Printf.printf "  %-9s"
                     (Printf.sprintf "%d%s" v.O.Engine.paths
                        (if v.O.Engine.complete then "" else "+")))

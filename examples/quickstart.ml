@@ -36,9 +36,11 @@ let () =
       (* 1. compile (the level picks its own libc variant) *)
       let m = O.compile ~level wc_source in
       (* 2. run concretely: words in a sample text *)
-      let r = O.run m ~input:"hello brave new world" in
+      let r = O.Interp.run m ~input:"hello brave new world" in
       (* 3. verify: exhaustively explore all paths for 3 symbolic bytes *)
-      let v = O.verify ~input_size:3 ~timeout:60.0 m in
+      let v =
+        O.Engine.run ~config:{ O.Engine.default_config with input_size = 3 } m
+      in
       Printf.printf
         "%-9s wc(\"hello brave new world\") = %Ld | t_run = %6d cycles | \
          verification (3 symbolic bytes): %4d paths, %6d instructions, %7.1f ms\n"

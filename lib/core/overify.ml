@@ -3,7 +3,11 @@
     Typical use:
     {[
       let m = Overify.compile ~level:Overify.Costmodel.overify src in
-      let report = Overify.verify m ~input_size:6 in
+      let report =
+        Overify.Engine.run
+          ~config:{ Overify.Engine.default_config with input_size = 6 }
+          m
+      in
       Printf.printf "%d paths\n" report.Overify.Engine.paths
     ]} *)
 
@@ -39,83 +43,5 @@ module Serve_log = Overify_serve.Log
 (** Compile MiniC source at an optimization level.  [link_libc] (default
     true) links the libc variant the level selects, like the paper's build
     chain does. *)
-let compile ?(level = Costmodel.overify) ?(link_libc = true) (src : string) :
-    Ir.modul =
-  let sources =
-    if link_libc then [ Vclib.for_cost_model level; src ] else [ src ]
-  in
-  let m = Frontend.compile_sources sources in
-  (Pipeline.optimize level m).Pipeline.modul
-
-(** Compile and also return the transformation statistics. *)
-let compile_with_stats ?(level = Costmodel.overify) ?(link_libc = true) src =
-  let sources =
-    if link_libc then [ Vclib.for_cost_model level; src ] else [ src ]
-  in
-  let m = Frontend.compile_sources sources in
-  let r = Pipeline.optimize level m in
-  (r.Pipeline.modul, r.Pipeline.stats)
-
-(** Compile like {!compile}, but translation-validate every optimization
-    pass application along the way: each (before, after) module pair the
-    pipeline reports is checked for observable equivalence with the
-    symbolic engine (see [lib/tv]).  Returns the compiled result together
-    with the per-pass validation report; a [Tv.Counterexample] record names
-    the offending pass. *)
-let compile_validated ?(level = Costmodel.overify) ?(link_libc = true) ?budget
-    (src : string) : Pipeline.result * Tv.report =
-  let sources =
-    if link_libc then [ Vclib.for_cost_model level; src ] else [ src ]
-  in
-  let m = Frontend.compile_sources sources in
-  Tv.validate ?budget level m
-
-(** Symbolically execute a module's [main] over [input_size] symbolic
-    bytes.  [jobs > 1] runs the parallel multi-domain searcher; results are
-    identical to the sequential ones for complete runs.  [solver_cache]
-    toggles the solver acceleration chain's reuse layers (default: on,
-    unless [OVERIFY_SOLVER_CACHE=0]); [cache_dir] attaches a persistent
-    cross-run solver store so repeated verifications — including at other
-    optimization levels — reuse each other's canonical verdicts.  Neither
-    changes any result, only how often the SAT solver actually runs.
-
-    [summaries] (default: the [OVERIFY_SUMMARIES] environment variable)
-    turns on compositional exploration: per-function symbolic summaries
-    are computed bottom-up (or loaded from the persistent store, keyed by
-    structural fingerprint) and instantiated at call sites instead of
-    inlining.  Verdicts are identical; only the effort counters move.
-
-    Hardening: [faults] attaches a deterministic fault-injection schedule
-    (chaos testing; see {!Fault}); [checkpoint_dir] writes periodic atomic
-    snapshots so a killed run can be continued with [resume:true]
-    ([checkpoint_every] sets the cadence in completed paths).  Mid-run
-    failures degrade rather than abort — see
-    [Engine.result.degradations]. *)
-let verify ?(input_size = 4) ?(timeout = 30.0) ?(jobs = 1) ?summaries
-    ?solver_cache ?cache_dir ?store ?faults ?checkpoint_dir
-    ?(checkpoint_every = 64) ?(resume = false) (m : Ir.modul) : Engine.result =
-  let searcher = if jobs > 1 then `Parallel jobs else `Dfs in
-  let summaries =
-    match summaries with Some s -> s | None -> Engine.default_config.Engine.summaries
-  in
-  Engine.run
-    ~config:
-      {
-        Engine.default_config with
-        Engine.input_size;
-        timeout;
-        searcher;
-        summaries;
-        solver_cache;
-        cache_dir;
-        store;
-        faults;
-        checkpoint_dir;
-        checkpoint_every;
-        resume;
-      }
-    m
-
-(** Concretely execute a module's [main] on [input]. *)
-let run (m : Ir.modul) ~(input : string) : Interp.result =
-  Interp.run m ~input
+let compile ?(level = Costmodel.overify) ?link_libc (src : string) : Ir.modul =
+  (Pipeline.optimize level (Vclib.frontend ?link_libc level src)).Pipeline.modul

@@ -126,15 +126,15 @@ let wall_clocked (r : Engine.result) =
     (fun (d : Engine.degradation) -> d.Engine.d_kind = "wall_clock")
     r.Engine.degradations
 
-let run_faulted ?span ~input_size ~timeout ~summaries compiled spec :
-    (Engine.result, string) result =
+let run_faulted ?span ~config compiled spec : (Engine.result, string) result =
   match Fault.parse spec with
   | Error msg -> Error (Printf.sprintf "unparseable schedule %S: %s" spec msg)
   | Ok faults -> (
       try
         Ok
-          (Experiment.verify ~input_size ~timeout ~summaries ~faults ?span
-             compiled)
+          (Engine.run
+             ~config:{ config with Engine.faults = Some faults; span }
+             compiled.Experiment.modul)
       with e -> Error (Printexc.to_string e))
 
 (** Wipe and remove a flat temp directory; best effort. *)
@@ -174,8 +174,7 @@ let flight_check ~trace ~label : (unit, string) result =
   rm_rf dir;
   res
 
-let sweep_cell ~input_size ~timeout ~summaries compiled
-    ~(clean : Engine.result) spec : cell =
+let sweep_cell ~config compiled ~(clean : Engine.result) spec : cell =
   let comparable = clean.Engine.complete in
   let pname = compiled.Experiment.program.Programs.name in
   let base =
@@ -197,7 +196,7 @@ let sweep_cell ~input_size ~timeout ~summaries compiled
      ring as [fault.injected] events on this cell's trace *)
   let trace = Printf.sprintf "chaos-%s-%s" pname spec in
   let span = Obs.Span.start ~trace ("chaos." ^ pname) in
-  let first = run_faulted ~span ~input_size ~timeout ~summaries compiled spec in
+  let first = run_faulted ~span ~config compiled spec in
   Obs.Span.finish span;
   match first with
   | Error msg ->
@@ -211,7 +210,7 @@ let sweep_cell ~input_size ~timeout ~summaries compiled
          unless a run hit the wall clock, whose truncation point is
          legitimately timing-dependent *)
       let repeat_agrees =
-        match run_faulted ~input_size ~timeout ~summaries compiled spec with
+        match run_faulted ~config compiled spec with
         | Error msg ->
             fail "re-run crashed: %s" msg;
             false
@@ -266,9 +265,9 @@ let sweep_cell ~input_size ~timeout ~summaries compiled
 (* ---- kill/resume ---- *)
 
 (** Kill an exploration of [compiled] mid-run (checkpointing on), resume
-    it, and compare against the uninterrupted [clean] run. *)
-let kill_and_resume ~input_size ~timeout compiled ~(clean : Engine.result) :
-    kill_resume =
+    it, and compare against the uninterrupted [clean] run made under
+    [config]. *)
+let kill_and_resume ~config compiled ~(clean : Engine.result) : kill_resume =
   let pname = compiled.Experiment.program.Programs.name in
   let tmp = Filename.temp_file "overify_chaos_ck" "" in
   let dir = tmp ^ ".d" in
@@ -293,8 +292,16 @@ let kill_and_resume ~input_size ~timeout compiled ~(clean : Engine.result) :
   | Ok faults -> (
       let span = Obs.Span.start ~trace "chaos.kill_run" in
       match
-        Experiment.verify ~input_size ~timeout ~faults ~checkpoint_dir:dir
-          ~checkpoint_every:8 ~span compiled
+        Engine.run
+          ~config:
+            {
+              config with
+              Engine.faults = Some faults;
+              checkpoint_dir = Some dir;
+              checkpoint_every = 8;
+              span = Some span;
+            }
+          compiled.Experiment.modul
       with
       | (_ : Engine.result) ->
           finish false
@@ -305,22 +312,23 @@ let kill_and_resume ~input_size ~timeout compiled ~(clean : Engine.result) :
               finish false ("killed run's flight record: " ^ msg)
           | Ok () -> (
           match
-            Experiment.verify ~input_size ~timeout ~checkpoint_dir:dir
-              ~resume:true compiled
+            Engine.run
+              ~config:
+                { config with Engine.checkpoint_dir = Some dir; resume = true }
+              compiled.Experiment.modul
           with
           | exception e ->
               finish false ("resume crashed: " ^ Printexc.to_string e)
           | resumed ->
-              let a = String.concat "\n" (verdict_lines resumed)
-              and b = String.concat "\n" (verdict_lines clean) in
               if not resumed.Engine.resumed then
                 finish false "resume found no checkpoint"
-              else if a <> b then
-                finish false "resumed verdicts differ from uninterrupted run"
-              else if resumed.Engine.paths <> clean.Engine.paths then
+              else if not (Engine.same_verdicts resumed clean) then
                 finish false
-                  (Printf.sprintf "resumed paths %d <> clean %d"
-                     resumed.Engine.paths clean.Engine.paths)
+                  (Printf.sprintf
+                     "resumed verdicts differ from uninterrupted run (paths \
+                      %d vs %d, blocks %d vs %d)"
+                     resumed.Engine.paths clean.Engine.paths
+                     resumed.Engine.blocks_covered clean.Engine.blocks_covered)
               else
                 finish true
                   (Printf.sprintf
@@ -363,11 +371,14 @@ let run ?(input_size = 3) ?(timeout = 60.0) ?(level = Costmodel.o0)
     (Printf.sprintf
        "Chaos sweep: corpus x %d fault schedules at %s (n=%d bytes)"
        (List.length schedules) level.Costmodel.name input_size);
+  (* the kill/resume phase keeps the environment's summaries default *)
+  let base = { Engine.default_config with input_size; timeout } in
+  let config = { base with summaries } in
   let cells =
     List.concat_map
       (fun (p : Programs.t) ->
         let compiled = Experiment.compile level p in
-        let clean = Experiment.verify ~input_size ~timeout ~summaries compiled in
+        let clean = Engine.run ~config compiled.Experiment.modul in
         let clean_cell =
           (* an incomplete baseline weakens the subset checks; only a
              wall-clock degradation excuses it (a slow program at this
@@ -391,7 +402,7 @@ let run ?(input_size = 3) ?(timeout = 60.0) ?(level = Costmodel.o0)
         in
         clean_cell
         @ List.map
-            (sweep_cell ~input_size ~timeout ~summaries compiled ~clean)
+            (sweep_cell ~config compiled ~clean)
             schedules)
       programs
   in
@@ -399,8 +410,8 @@ let run ?(input_size = 3) ?(timeout = 60.0) ?(level = Costmodel.o0)
     match programs with
     | p :: _ when kill_resume ->
         let compiled = Experiment.compile level p in
-        let clean = Experiment.verify ~input_size ~timeout compiled in
-        Some (kill_and_resume ~input_size ~timeout compiled ~clean)
+        let clean = Engine.run ~config:base compiled.Experiment.modul in
+        Some (kill_and_resume ~config:base compiled ~clean)
     | _ -> None
   in
   let failures =

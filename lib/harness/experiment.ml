@@ -24,11 +24,9 @@ type compiled = {
     for. *)
 let compile (level : Costmodel.t) (program : Programs.t) : compiled =
   let t0 = Unix.gettimeofday () in
-  let m0 =
-    Overify_minic.Frontend.compile_sources
-      [ Vclib.for_cost_model level; program.Programs.source ]
+  let r =
+    Pipeline.optimize level (Vclib.frontend level program.Programs.source)
   in
-  let r = Pipeline.optimize level m0 in
   let t_compile = Unix.gettimeofday () -. t0 in
   {
     program;
@@ -41,46 +39,6 @@ let compile (level : Costmodel.t) (program : Programs.t) : compiled =
         (fun acc f -> acc + Ir.func_size f)
         0 r.Pipeline.modul.Ir.funcs;
   }
-
-(** Symbolically execute a compiled program.  [jobs > 1] explores on that
-    many domains ([`Parallel jobs]); the default is the sequential DFS
-    searcher.  [solver_cache] / [cache_dir] select the solver acceleration
-    layers (see [Overify_solver.Solver]) — they never change the result.
-    [summaries] selects compositional exploration via cached function
-    summaries ([Engine.config.summaries]); verdicts are unchanged, only
-    effort counters move.  [store] passes an already-open persistent store
-    (the serve daemon's warm one) instead of loading from [cache_dir].
-    [faults] / [checkpoint_dir] / [resume] are the hardening knobs (chaos
-    schedules and kill/resume; see [Overify_fault.Fault] and
-    [Engine.config]). *)
-let verify ?(input_size = 4) ?(timeout = 30.0) ?(jobs = 1) ?summaries
-    ?solver_cache ?cache_dir ?store ?faults ?checkpoint_dir
-    ?(checkpoint_every = 64) ?(resume = false) ?span (c : compiled) :
-    Engine.result =
-  let searcher = if jobs > 1 then `Parallel jobs else `Dfs in
-  let summaries =
-    match summaries with
-    | Some s -> s
-    | None -> Engine.default_config.Engine.summaries
-  in
-  Engine.run
-    ~config:
-      {
-        Engine.default_config with
-        input_size;
-        timeout;
-        searcher;
-        summaries;
-        solver_cache;
-        cache_dir;
-        store;
-        faults;
-        checkpoint_dir;
-        checkpoint_every;
-        resume;
-        span;
-      }
-    c.modul
 
 (** Sequential-vs-parallel comparison of one compiled program: runs the same
     exploration with [`Dfs] and with [`Parallel jobs] and reports both
@@ -98,23 +56,20 @@ type parallel_measurement = {
 
 let measure_parallel ?(input_size = 4) ?(timeout = 30.0) ~jobs (c : compiled) :
     parallel_measurement =
-  let seq = verify ~input_size ~timeout ~jobs:1 c in
-  let par = verify ~input_size ~timeout ~jobs c in
+  let run searcher =
+    Engine.run
+      ~config:{ Engine.default_config with input_size; timeout; searcher }
+      c.modul
+  in
+  let seq = run `Dfs in
+  let par = run (`Parallel jobs) in
   let deterministic =
-    seq.Engine.complete && par.Engine.complete
-    && seq.Engine.paths = par.Engine.paths
-    && seq.Engine.exit_codes = par.Engine.exit_codes
-    && seq.Engine.bugs = par.Engine.bugs
-    && seq.Engine.blocks_covered = par.Engine.blocks_covered
+    seq.Engine.complete && par.Engine.complete && Engine.same_verdicts seq par
   in
   let speedup =
     if par.Engine.time > 0.0 then seq.Engine.time /. par.Engine.time else 1.0
   in
   { seq; par; jobs; speedup; deterministic }
-
-(** Concrete run on one input. *)
-let run_concrete (c : compiled) ~input : Interp.result =
-  Interp.run c.modul ~input
 
 (** Average simulated cycles over a deterministic text workload. *)
 let measure_cycles ?(runs = 16) ?(size = 14) (c : compiled) : float =
@@ -122,7 +77,7 @@ let measure_cycles ?(runs = 16) ?(size = 14) (c : compiled) : float =
   let total =
     List.fold_left
       (fun acc input ->
-        let r = run_concrete c ~input in
+        let r = Interp.run c.modul ~input in
         acc + r.Interp.cycles)
       0 inputs
   in
@@ -132,5 +87,5 @@ let measure_cycles ?(runs = 16) ?(size = 14) (c : compiled) : float =
 let measure_run_time ?(runs = 16) ?(size = 14) (c : compiled) : float =
   let inputs = Workload.batch ~seed:42 ~size ~count:runs in
   let t0 = Unix.gettimeofday () in
-  List.iter (fun input -> ignore (run_concrete c ~input)) inputs;
+  List.iter (fun input -> ignore (Interp.run c.modul ~input)) inputs;
   (Unix.gettimeofday () -. t0) /. float_of_int runs

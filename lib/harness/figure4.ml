@@ -26,7 +26,11 @@ type entry = {
 
 let measure_one ?(input_size = 5) ?(timeout = 10.0) level program : cell =
   let c = Experiment.compile level program in
-  let v = Experiment.verify ~input_size ~timeout c in
+  let v =
+    Engine.run
+      ~config:{ Engine.default_config with input_size; timeout }
+      c.Experiment.modul
+  in
   {
     total_s = c.Experiment.t_compile +. v.Engine.time;
     complete = v.Engine.complete;

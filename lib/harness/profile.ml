@@ -88,42 +88,21 @@ let of_result ~program ~level ~input_size ?(passes = Obs.Pass.create ())
   }
 
 (** Compile [source] at [level] (with the per-pass profile) and
-    symbolically execute it with attribution on. *)
-let profile ?(program = "<source>") ~(level : Costmodel.t) ?(input_size = 4)
-    ?(timeout = 30.0) ?(jobs = 1) ?(link_libc = true) ?summaries ?solver_cache
-    ?cache_dir (source : string) : t =
+    symbolically execute it under [config] with attribution on. *)
+let profile ?(program = "<source>") ~(level : Costmodel.t) ?link_libc
+    ~(config : Engine.config) (source : string) : t =
   let passes = Obs.Pass.create () in
   let t0 = Unix.gettimeofday () in
-  let sources =
-    if link_libc then [ Overify_vclib.Vclib.for_cost_model level; source ]
-    else [ source ]
+  let r =
+    Pipeline.optimize ~prof:passes level
+      (Overify_vclib.Vclib.frontend ?link_libc level source)
   in
-  let m0 = Overify_minic.Frontend.compile_sources sources in
-  let r = Pipeline.optimize ~prof:passes level m0 in
   let t_compile = Unix.gettimeofday () -. t0 in
-  let searcher = if jobs > 1 then `Parallel jobs else `Dfs in
-  let summaries =
-    match summaries with
-    | Some s -> s
-    | None -> Engine.default_config.Engine.summaries
-  in
   let result =
-    Engine.run
-      ~config:
-        {
-          Engine.default_config with
-          Engine.input_size;
-          timeout;
-          searcher;
-          profile = true;
-          summaries;
-          solver_cache;
-          cache_dir;
-        }
-      r.Pipeline.modul
+    Engine.run ~config:{ config with Engine.profile = true } r.Pipeline.modul
   in
-  of_result ~program ~level:level.Costmodel.name ~input_size ~passes
-    ~t_compile result
+  of_result ~program ~level:level.Costmodel.name
+    ~input_size:config.Engine.input_size ~passes ~t_compile result
 
 (* ---------------- rendering ---------------- *)
 

@@ -34,7 +34,11 @@ let wc () : (Overify_corpus.Programs.t, string) result =
 let measure ?(input_size = 4) ?(timeout = 60.0) (level : Costmodel.t)
     (p : Overify_corpus.Programs.t) : row =
   let c = Experiment.compile level p in
-  let v = Experiment.verify ~input_size ~timeout c in
+  let v =
+    Engine.run
+      ~config:{ Engine.default_config with input_size; timeout }
+      c.Experiment.modul
+  in
   let cycles = Experiment.measure_cycles ~size:14 c in
   let t_run = Experiment.measure_run_time ~size:14 c in
   {

@@ -42,7 +42,11 @@ let measure_level ?(input_size = 4) ?(timeout = 20.0) (cm : Costmodel.t) :
       | None -> (tv, cyc, paths)
       | Some p ->
           let c = Experiment.compile cm p in
-          let v = Experiment.verify ~input_size ~timeout c in
+          let v =
+            Engine.run
+              ~config:{ Engine.default_config with input_size; timeout }
+              c.Experiment.modul
+          in
           let cycles = Experiment.measure_cycles ~size:12 c in
           (tv +. v.Engine.time, cyc +. cycles, paths + v.Engine.paths))
     (0.0, 0.0, 0) test_programs

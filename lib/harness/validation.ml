@@ -20,11 +20,9 @@ type row = {
 (** Compile [program] at [level] (linking the level's libc variant, exactly
     like {!Experiment.compile}) while validating every pass application. *)
 let validate_one ?budget (level : Costmodel.t) (program : Programs.t) : row =
-  let m0 =
-    Overify_minic.Frontend.compile_sources
-      [ Vclib.for_cost_model level; program.Programs.source ]
+  let (_, report) =
+    Tv.validate ?budget level (Vclib.frontend level program.Programs.source)
   in
-  let (_, report) = Tv.validate ?budget level m0 in
   { program; level; report }
 
 let row_to_json r =

@@ -35,6 +35,8 @@ type request = {
   rq_format : string;
 }
 
+let max_jobs = 64
+
 let default_request =
   {
     rq_id = 0;
@@ -121,8 +123,8 @@ let request_of_json (j : Json.t) : (request, string) result =
             Error (Printf.sprintf "unknown format %S" format)
           else if input_size < 0 || input_size > 64 then
             Error (Printf.sprintf "input_size %d out of range [0, 64]" input_size)
-          else if jobs < 1 || jobs > 64 then
-            Error (Printf.sprintf "jobs %d out of range [1, 64]" jobs)
+          else if jobs < 1 || jobs > max_jobs then
+            Error (Printf.sprintf "jobs %d out of range [1, %d]" jobs max_jobs)
           else if not (Float.is_finite timeout) || timeout <= 0.0 then
             Error "timeout must be a positive finite number"
           else

@@ -46,7 +46,9 @@ type request = {
   rq_level : string;        (** optimization level name, e.g. ["O0"] *)
   rq_input_size : int;
   rq_timeout : float;
-  rq_jobs : int;            (** worker domains for this request's engine run *)
+  rq_jobs : int;
+      (** worker domains for this request's engine run, in
+          [[1, max_jobs]] *)
   rq_link_libc : bool;
   rq_deterministic : bool;  (** zero wall-clock (and reuse-dependent) fields *)
   rq_faults : string;       (** fault-injection spec ([Fault.parse]); [""] = none *)
@@ -61,6 +63,10 @@ type request = {
           structured metrics document, ["prometheus"] = a JSON string
           holding Prometheus text exposition.  Ignored by other kinds. *)
 }
+
+val max_jobs : int
+(** Most worker domains one run may ask for (64); the CLI's [--jobs]
+    shares the bound. *)
 
 val default_request : request
 (** [Verify], no program, level OVERIFY, 4 bytes, 30 s, 1 job. *)

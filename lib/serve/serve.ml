@@ -111,12 +111,6 @@ let trace_of_key key =
 
 exception Bad_request of string
 
-let compile_module level ~link_libc source =
-  let sources =
-    if link_libc then [ Vclib.for_cost_model level; source ] else [ source ]
-  in
-  Frontend.compile_sources sources
-
 (** Execute one queued request on the executor thread.  Opens the
     request's root span (every child — compile, engine, workers, solver
     queries — inherits [trace]) and returns the body plus whether the
@@ -162,13 +156,10 @@ let run_request t (rq : Protocol.request) ~(trace : string)
         let cspan = Obs.Span.start ~parent:span "compile" in
         let m =
           (Pipeline.optimize level
-             (compile_module level ~link_libc:rq.rq_link_libc source))
+             (Vclib.frontend ~link_libc:rq.rq_link_libc level source))
             .Pipeline.modul
         in
         Obs.Span.finish cspan;
-        let searcher =
-          if rq.rq_jobs > 1 then `Parallel rq.rq_jobs else `Dfs
-        in
         let r =
           Engine.run
             ~config:
@@ -176,7 +167,7 @@ let run_request t (rq : Protocol.request) ~(trace : string)
                 Engine.default_config with
                 Engine.input_size = rq.rq_input_size;
                 timeout = rq.rq_timeout;
-                searcher;
+                searcher = `Parallel rq.rq_jobs;
                 summaries = rq.rq_summaries;
                 faults;
                 store = Some t.st_store;
@@ -207,7 +198,7 @@ let run_request t (rq : Protocol.request) ~(trace : string)
         let cspan = Obs.Span.start ~parent:span "compile" in
         let r =
           Pipeline.optimize level
-            (compile_module level ~link_libc:rq.rq_link_libc source)
+            (Vclib.frontend ~link_libc:rq.rq_link_libc level source)
         in
         Obs.Span.finish cspan;
         let m = r.Pipeline.modul in
@@ -231,7 +222,7 @@ let run_request t (rq : Protocol.request) ~(trace : string)
           }
         in
         let cspan = Obs.Span.start ~parent:span "compile" in
-        let m = compile_module level ~link_libc:rq.rq_link_libc source in
+        let m = Vclib.frontend ~link_libc:rq.rq_link_libc level source in
         Obs.Span.finish cspan;
         let vspan = Obs.Span.start ~parent:span "tv.validate" in
         let (_, report) = Tv.validate ~budget level m in
@@ -261,7 +252,8 @@ let run_request t (rq : Protocol.request) ~(trace : string)
          process; in service mode it may only end the request *)
       Protocol.error_body ~kind ~err:"killed"
         ~msg:("injected kill contained by daemon: " ^ msg)
-  | Failure msg -> Protocol.error_body ~kind ~err:"compile_error" ~msg
+  | Frontend.Compile_error msg | Failure msg ->
+      Protocol.error_body ~kind ~err:"compile_error" ~msg
   | Invalid_argument msg -> Protocol.error_body ~kind ~err:"bad_request" ~msg
   | Stack_overflow ->
       Protocol.error_body ~kind ~err:"internal" ~msg:"stack overflow"

@@ -10,9 +10,9 @@
     {!Overify_solver.Binfile} frame (magic + version + length + [Marshal]
     payload + MD5 trailer) written atomically, so a crash mid-write can
     never tear the file, and a torn or stale file loads as "no
-    checkpoint".  A fingerprint of (program, input size, bounds checking)
-    is stored and checked on load — resuming against a different program
-    silently starts fresh rather than merging unrelated verdicts.
+    checkpoint".  A fingerprint of (program, input size) is stored and
+    checked on load — resuming against a different program silently
+    starts fresh rather than merging unrelated verdicts.
 
     States contain hash-consed {!Bv} terms, which [Marshal] flattens into
     stale copies; [load] re-interns every term through {!Bv.rebuilder},

@@ -841,6 +841,10 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     profile;
   }
 
+let same_verdicts a b =
+  a.paths = b.paths && a.exit_codes = b.exit_codes && a.bugs = b.bugs
+  && a.blocks_covered = b.blocks_covered
+
 (* ---------------- structured JSON ---------------- *)
 
 (** Machine-readable run result with a fixed key order (goldenable: the

@@ -68,7 +68,7 @@ type config = {
           exactly *)
   resume : bool;
       (** seed the run from [checkpoint_dir]'s snapshot if one exists and
-          its fingerprint (program, input size, bounds flag) matches;
+          its fingerprint (program, input size) matches;
           otherwise start fresh.  A resumed-then-completed run reports
           the same [paths]/[bugs]/[exit_codes]/[blocks_covered] as an
           uninterrupted one. *)
@@ -202,6 +202,10 @@ val run : ?config:config -> Overify_ir.Ir.modul -> result
     each re-raised unchanged after the workers join, and setup errors
     ([Invalid_argument] for a module without [main] or [`Parallel n]
     with [n < 1]). *)
+
+val same_verdicts : result -> result -> bool
+(** The two runs agree on [paths], [exit_codes], [bugs] and
+    [blocks_covered] — the fields {!run}'s determinism contract names. *)
 
 val result_to_json : ?deterministic:bool -> result -> string
 (** Machine-readable result (fixed key order, goldenable), including the

@@ -342,3 +342,8 @@ let source = function
     with a specialized version of the C standard library"). *)
 let for_cost_model (cm : Overify_opt.Costmodel.t) =
   if cm.Overify_opt.Costmodel.verify_libc then source Verify else source Exec
+
+(** Parse [source] linked with the libc variant the level selects. *)
+let frontend ?(link_libc = true) cm source =
+  Overify_minic.Frontend.compile_sources
+    (if link_libc then [ for_cost_model cm; source ] else [ source ])

@@ -106,7 +106,14 @@ let test_profile_json_cache_on_off () =
   let json solver_cache =
     Profile.to_json ~times:false
       (Profile.profile ~program:p.Programs.name ~level:Costmodel.overify
-         ~input_size:2 ~timeout:20.0 ~solver_cache p.Programs.source)
+         ~config:
+           {
+             Engine.default_config with
+             input_size = 2;
+             timeout = 20.0;
+             solver_cache = Some solver_cache;
+           }
+         p.Programs.source)
   in
   let off = scrub (json false) and on = scrub (json true) in
   check bool "deterministic profile identical modulo hit counters" true

@@ -295,8 +295,9 @@ let test_profile_off_is_none () =
 
 let wc_report () =
   let p = Option.get (Programs.find "wc") in
-  Profile.profile ~program:"wc" ~level:Costmodel.overify ~input_size:3
-    ~timeout:30.0 p.Programs.source
+  Profile.profile ~program:"wc" ~level:Costmodel.overify
+    ~config:{ Engine.default_config with input_size = 3; timeout = 30.0 }
+    p.Programs.source
 
 (* the JSON document's key skeleton, in order — the machine-readable
    contract of `overify profile --json` *)

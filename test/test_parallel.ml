@@ -172,6 +172,26 @@ let test_parallel_one_worker () =
   check bool "budget-cut exit codes" true
     (dfs.Engine.exit_codes = par1.Engine.exit_codes)
 
+(* [Engine.same_verdicts] compares exactly the four fields the contract
+   names: a result agrees with itself and with a copy whose effort
+   counters moved, and disagrees once any one verdict field differs *)
+let test_same_verdicts () =
+  let r = explore `Dfs ~input_size:2 (compile_src buggy_src) in
+  check bool "a result agrees with itself" true (Engine.same_verdicts r r);
+  check bool "effort counters are not verdicts" true
+    (Engine.same_verdicts r
+       { r with Engine.queries = r.Engine.queries + 1; time = 0.0 });
+  List.iter
+    (fun (field, r') ->
+      check bool (field ^ " differs") false (Engine.same_verdicts r r'))
+    [
+      ("paths", { r with Engine.paths = r.Engine.paths + 1 });
+      ("exit_codes", { r with Engine.exit_codes = List.tl r.Engine.exit_codes });
+      ("bugs", { r with Engine.bugs = List.tl r.Engine.bugs });
+      ( "blocks_covered",
+        { r with Engine.blocks_covered = r.Engine.blocks_covered - 1 } );
+    ]
+
 (* budgets are enforced globally: a tiny path budget stops a parallel run
    and marks it incomplete, same as sequential *)
 let test_parallel_budget () =
@@ -206,6 +226,8 @@ let () =
             test_parallel_reproducible;
           Alcotest.test_case "single-worker parallel" `Quick
             test_parallel_one_worker;
+          Alcotest.test_case "same_verdicts compares the verdicts" `Quick
+            test_same_verdicts;
         ] );
       ( "budgets",
         [ Alcotest.test_case "global path budget" `Quick test_parallel_budget ] );

@@ -192,10 +192,10 @@ let test_engine_deadline_degrades () =
 
 (* ------------- containment and the degradation ladder ------------- *)
 
-let verify ?faults ?checkpoint_dir ?checkpoint_every ?resume ?(input_size = 2)
-    c =
-  H.Experiment.verify ~input_size ~timeout:60.0 ?faults ?checkpoint_dir
-    ?checkpoint_every ?resume c
+let config = { Engine.default_config with input_size = 2; timeout = 60.0 }
+
+let verify ?faults c =
+  Engine.run ~config:{ config with faults } c.H.Experiment.modul
 
 let has_kind kind (r : Engine.result) =
   List.exists
@@ -440,9 +440,7 @@ let test_kill_resume_identical () =
   let c = compile "wc" in
   let clean = verify c in
   check bool "baseline completes" true clean.Engine.complete;
-  let k =
-    H.Chaos.kill_and_resume ~input_size:2 ~timeout:60.0 c ~clean
-  in
+  let k = H.Chaos.kill_and_resume ~config c ~clean in
   if not k.H.Chaos.k_ok then
     Alcotest.failf "kill/resume: %s" k.H.Chaos.k_detail
 

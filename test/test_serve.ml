@@ -957,6 +957,31 @@ let rpc_json c rq =
   | Ok json -> json
   | Error e -> Alcotest.failf "rpc: %s" (Protocol.frame_error_name e)
 
+(* a malformed MiniC source is the client's mistake, not a daemon fault:
+   every kind that compiles answers compile_error, and none cuts an
+   internal-error flight dump *)
+let test_compile_error_answered () =
+  with_temp_dir @@ fun dir ->
+  let d = Serve.start ~flight_dir:dir () in
+  Fun.protect ~finally:(fun () -> Serve.stop d) @@ fun () ->
+  List.iter
+    (fun kind ->
+      let json =
+        with_conn d @@ fun c ->
+        rpc_json c
+          {
+            Protocol.default_request with
+            Protocol.rq_kind = kind;
+            rq_source = "int main(void) { return 1 +; }";
+            rq_deterministic = true;
+          }
+      in
+      check string
+        (Protocol.kind_name kind ^ " error kind")
+        "compile_error" (error_kind json))
+    [ Protocol.Verify; Protocol.Compile; Protocol.Tv ];
+  check int "no flight dumps" 0 (daemon_stat d "flight_dumps")
+
 (** Occupy the single executor with a wedged solver ([stall@1] polls only
     the explicit cancel flag, so the job runs past its deadline until the
     watchdog cancels it) and hand back the occupier's envelope cell plus
@@ -1244,6 +1269,8 @@ let () =
             test_bad_request_errors;
           Alcotest.test_case "injected kill contained" `Quick
             test_injected_kill_contained;
+          Alcotest.test_case "compile error answered" `Quick
+            test_compile_error_answered;
         ] );
       ( "dedup",
         [

@@ -43,7 +43,7 @@ let run ?(input_size = 2) ?(timeout = 30.0) ?(summaries = false) ?(jobs = 1)
         input_size;
         timeout;
         summaries;
-        searcher = (if jobs > 1 then `Parallel jobs else `Dfs);
+        searcher = `Parallel jobs;
         cache_dir;
       }
     m
@@ -77,12 +77,8 @@ let test_corpus_differential () =
       List.iter
         (fun (level : Costmodel.t) ->
           let c = H.Experiment.compile level p in
-          let off =
-            H.Experiment.verify ~input_size:2 ~timeout:30.0 ~summaries:false c
-          in
-          let on =
-            H.Experiment.verify ~input_size:2 ~timeout:30.0 ~summaries:true c
-          in
+          let off = run ~summaries:false c.H.Experiment.modul in
+          let on = run ~summaries:true c.H.Experiment.modul in
           if off.Engine.complete && on.Engine.complete then begin
             incr compared;
             let a = det_json off and b = det_json on in
@@ -108,7 +104,7 @@ let test_corpus_differential () =
 let test_mode_is_not_vacuous () =
   let p = Option.get (Programs.find "wc") in
   let c = H.Experiment.compile Costmodel.o0 p in
-  let r = H.Experiment.verify ~input_size:2 ~timeout:30.0 ~summaries:true c in
+  let r = run ~summaries:true c.H.Experiment.modul in
   check bool "run completed" true r.Engine.complete;
   check bool "summaries were computed" true (r.Engine.summary_computed > 0);
   check bool "summaries were instantiated at call sites" true
@@ -243,14 +239,8 @@ let test_store_round_trip () =
   let p = Option.get (Programs.find "wc") in
   let c = H.Experiment.compile Costmodel.o0 p in
   with_temp_dir (fun dir ->
-      let cold =
-        H.Experiment.verify ~input_size:2 ~timeout:30.0 ~summaries:true
-          ~cache_dir:dir c
-      in
-      let warm =
-        H.Experiment.verify ~input_size:2 ~timeout:30.0 ~summaries:true
-          ~cache_dir:dir c
-      in
+      let cold = run ~summaries:true ~cache_dir:dir c.H.Experiment.modul in
+      let warm = run ~summaries:true ~cache_dir:dir c.H.Experiment.modul in
       check bool "cold computed summaries" true
         (cold.Engine.summary_computed > 0);
       check int "warm recomputed nothing" 0 warm.Engine.summary_computed;
@@ -279,10 +269,7 @@ let test_store_corruption_is_a_miss () =
   let p = Option.get (Programs.find "echo") in
   let c = H.Experiment.compile Costmodel.o0 p in
   with_temp_dir (fun dir ->
-      let clean =
-        H.Experiment.verify ~input_size:2 ~timeout:30.0 ~summaries:true
-          ~cache_dir:dir c
-      in
+      let clean = run ~summaries:true ~cache_dir:dir c.H.Experiment.modul in
       let file =
         match Array.to_list (Sys.readdir dir) with
         | [ f ] -> Filename.concat dir f
@@ -303,10 +290,7 @@ let test_store_corruption_is_a_miss () =
           let st = Store.load ~dir () in
           ignore (Store.loaded st);
           (* ...and verification against it must still agree with clean *)
-          let r =
-            H.Experiment.verify ~input_size:2 ~timeout:30.0 ~summaries:true
-              ~cache_dir:dir c
-          in
+          let r = run ~summaries:true ~cache_dir:dir c.H.Experiment.modul in
           if r.Engine.complete && clean.Engine.complete then
             check string
               (Printf.sprintf "verdicts unchanged after flip at byte %d" pos)
@@ -346,12 +330,8 @@ let test_chaos_with_summaries () =
 let test_jobs2_determinism () =
   let p = Option.get (Programs.find "wc") in
   let c = H.Experiment.compile Costmodel.o0 p in
-  let seq =
-    H.Experiment.verify ~input_size:2 ~timeout:60.0 ~summaries:true ~jobs:1 c
-  in
-  let par =
-    H.Experiment.verify ~input_size:2 ~timeout:60.0 ~summaries:true ~jobs:2 c
-  in
+  let seq = run ~timeout:60.0 ~summaries:true ~jobs:1 c.H.Experiment.modul in
+  let par = run ~timeout:60.0 ~summaries:true ~jobs:2 c.H.Experiment.modul in
   check bool "both runs complete" true
     (seq.Engine.complete && par.Engine.complete);
   (* the "jobs" field reports the worker count and differs by
