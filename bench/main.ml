@@ -19,25 +19,44 @@
     reproduction target.  EXPERIMENTS.md records paper-vs-measured. *)
 
 module H = Overify_harness
+module E = Overify_symex.Engine
+module Binfile = Overify_solver.Binfile
+module Store = Overify_solver.Store
 
-let parse_flags args =
-  let n = ref None and t = ref None in
+(** The value that follows [name] in [args], if any. *)
+let flag name args =
   let rec go = function
-    | "-n" :: v :: rest -> n := Some (int_of_string v); go rest
-    | "-t" :: v :: rest -> t := Some (float_of_string v); go rest
-    | _ :: rest -> go rest
-    | [] -> ()
-  in
-  go args;
-  (!n, !t)
-
-let parse_jobs args =
-  let rec go = function
-    | "-j" :: v :: rest -> (match int_of_string_opt v with Some j -> Some j | None -> go rest)
+    | f :: v :: _ when f = name -> Some v
     | _ :: rest -> go rest
     | [] -> None
   in
   go args
+
+(** [flag] read as a number; a malformed one is a usage error (exit 2). *)
+let num_flag of_string name args =
+  Option.map
+    (fun v ->
+      match of_string v with
+      | Some x -> x
+      | None ->
+          Printf.eprintf "bench: %s expects a number\n" name;
+          exit 2)
+    (flag name args)
+
+let int_flag = num_flag int_of_string_opt
+let float_flag = num_flag float_of_string_opt
+let parse_flags args = (int_flag "-n" args, float_flag "-t" args)
+
+(** The corpus programs [-p NAME] selects; the whole corpus without it. *)
+let programs_flag cmd args =
+  match flag "-p" args with
+  | None -> Overify_corpus.Programs.programs
+  | Some name -> (
+      match Overify_corpus.Programs.find name with
+      | Some p -> [ p ]
+      | None ->
+          Printf.eprintf "bench %s: unknown corpus program %S\n" cmd name;
+          exit 2)
 
 let run_table1 args =
   let (n, t) = parse_flags args in
@@ -97,7 +116,7 @@ let run_parallel args =
   let (n, t) = parse_flags args in
   let input_size = Option.value n ~default:4 in
   let timeout = Option.value t ~default:30.0 in
-  let jobs = Option.value (parse_jobs args) ~default:4 in
+  let jobs = Option.value (int_flag "-j" args) ~default:4 in
   H.Report.section
     (Printf.sprintf
        "Symbolic execution: sequential vs %d worker domains (n=%d bytes)" jobs
@@ -120,14 +139,13 @@ let run_parallel args =
          (fun (name, (m : H.Experiment.parallel_measurement)) ->
            [
              name;
-             string_of_int m.H.Experiment.seq.Overify_symex.Engine.paths;
-             H.Report.ms m.H.Experiment.seq.Overify_symex.Engine.time;
-             H.Report.ms m.H.Experiment.par.Overify_symex.Engine.time;
+             string_of_int m.H.Experiment.seq.E.paths;
+             H.Report.ms m.H.Experiment.seq.E.time;
+             H.Report.ms m.H.Experiment.par.E.time;
              Printf.sprintf "%.2fx" m.H.Experiment.speedup;
              string_of_bool m.H.Experiment.deterministic;
              string_of_bool
-               (m.H.Experiment.seq.Overify_symex.Engine.complete
-               && m.H.Experiment.par.Overify_symex.Engine.complete);
+               (m.H.Experiment.seq.E.complete && m.H.Experiment.par.E.complete);
            ])
          measurements
   in
@@ -141,12 +159,11 @@ let run_parallel args =
        %.6f, \"speedup\": %.3f, \"paths\": %d, \"deterministic\": %b, \
        \"complete\": %b}"
       name m.H.Experiment.jobs
-      m.H.Experiment.seq.Overify_symex.Engine.time
-      m.H.Experiment.par.Overify_symex.Engine.time m.H.Experiment.speedup
-      m.H.Experiment.seq.Overify_symex.Engine.paths
+      m.H.Experiment.seq.E.time
+      m.H.Experiment.par.E.time m.H.Experiment.speedup
+      m.H.Experiment.seq.E.paths
       m.H.Experiment.deterministic
-      (m.H.Experiment.seq.Overify_symex.Engine.complete
-      && m.H.Experiment.par.Overify_symex.Engine.complete)
+      (m.H.Experiment.seq.E.complete && m.H.Experiment.par.E.complete)
   in
   let path = "BENCH_symex_parallel.json" in
   Out_channel.with_open_text path (fun oc ->
@@ -174,12 +191,7 @@ let run_profile args =
         List.map
           (fun level ->
             H.Profile.profile ~program:p.Overify_corpus.Programs.name ~level
-              ~config:
-                {
-                  Overify_symex.Engine.default_config with
-                  input_size;
-                  timeout;
-                }
+              ~config:{ E.default_config with input_size; timeout }
               p.Overify_corpus.Programs.source)
           levels)
       Overify_corpus.Programs.programs
@@ -204,8 +216,8 @@ let run_profile args =
                  p0.H.Profile.program;
                  hot p0;
                  hot pv;
-                 H.Report.ms p0.H.Profile.result.Overify_symex.Engine.solver_time;
-                 H.Report.ms pv.H.Profile.result.Overify_symex.Engine.solver_time;
+                 H.Report.ms p0.H.Profile.result.E.solver_time;
+                 H.Report.ms pv.H.Profile.result.E.solver_time;
                ]
            | _ -> assert false)
          profiles
@@ -231,28 +243,10 @@ let run_solve args =
   let (n, t) = parse_flags args in
   let input_size = Option.value n ~default:4 in
   let timeout = Option.value t ~default:30.0 in
-  let flag name =
-    let rec go = function
-      | f :: v :: _ when f = name -> Some v
-      | _ :: rest -> go rest
-      | [] -> None
-    in
-    go args
-  in
-  let only = flag "-p" in
-  let out = Option.value (flag "-o") ~default:"BENCH_solver.json" in
-  let programs =
-    match only with
-    | None -> Overify_corpus.Programs.programs
-    | Some name -> (
-        match Overify_corpus.Programs.find name with
-        | Some p -> [ p ]
-        | None ->
-            Printf.eprintf "bench solve: unknown corpus program %S\n" name;
-            exit 2)
-  in
-  let module E = Overify_symex.Engine in
-  let verify ?cache_dir ~solver_cache c =
+  let programs = programs_flag "solve" args in
+  let single = flag "-p" args <> None in
+  let out = Option.value (flag "-o" args) ~default:"BENCH_solver.json" in
+  let verify ?store ~solver_cache c =
     E.run
       ~config:
         {
@@ -260,7 +254,7 @@ let run_solve args =
           input_size;
           timeout;
           solver_cache = Some solver_cache;
-          cache_dir;
+          store;
         }
       c.H.Experiment.modul
   in
@@ -300,7 +294,7 @@ let run_solve args =
                conjunction (the executor's own model fast path already
                absorbed the reusable ones) has nothing for the chain to
                reuse *)
-            if hits = 0 && on.E.queries > 0 && only <> None then begin
+            if hits = 0 && on.E.queries > 0 && single then begin
               incr failures;
               Printf.eprintf
                 "bench solve: zero acceleration hits for %s at %s (%d \
@@ -347,17 +341,21 @@ let run_solve args =
     incr failures;
     prerr_endline "bench solve: the acceleration chain produced no hits at all"
   end;
-  (* persistent-store round trip: the same exploration twice against one
-     cache directory — the second run answers from the store *)
-  let tmp = Filename.temp_file "overify_bench_store" "" in
-  let dir = tmp ^ ".d" in
+  (* persistent-store round trip: the same exploration twice, each loading
+     the store from one directory and saving it back — the second run
+     answers from the store *)
   let store_demo =
     match programs with
     | [] -> None
     | p :: _ ->
+        Binfile.with_temp_dir "overify_bench_store" @@ fun dir ->
         let c = H.Experiment.compile Overify_opt.Costmodel.overify p in
-        let cold = verify ~cache_dir:dir ~solver_cache:true c in
-        let warm = verify ~cache_dir:dir ~solver_cache:true c in
+        let verify_in_dir () =
+          Store.with_dir ~dir (fun store ->
+              verify ~store ~solver_cache:true c)
+        in
+        let cold = verify_in_dir () in
+        let warm = verify_in_dir () in
         if warm.E.hits_store = 0 && warm.E.queries > 0 then begin
           incr failures;
           Printf.eprintf
@@ -372,12 +370,6 @@ let run_solve args =
           warm.E.component_solves warm.E.hits_store;
         Some (p.Overify_corpus.Programs.name, cold, warm)
   in
-  (if Sys.file_exists dir && Sys.is_directory dir then
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir));
-  (try Sys.rmdir dir with Sys_error _ -> ());
-  (try Sys.remove tmp with Sys_error _ -> ());
   let json_row (name, lvl, (off : E.result), (on : E.result), agree) =
     Printf.sprintf
       "  {\"program\": %S, \"level\": %S, \"queries\": %d, \"components\": \
@@ -419,27 +411,9 @@ let run_summary args =
   let (n, t) = parse_flags args in
   let input_size = Option.value n ~default:3 in
   let timeout = Option.value t ~default:30.0 in
-  let flag name =
-    let rec go = function
-      | f :: v :: _ when f = name -> Some v
-      | _ :: rest -> go rest
-      | [] -> None
-    in
-    go args
-  in
-  let only = flag "-p" in
-  let out = Option.value (flag "-o") ~default:"BENCH_summary.json" in
-  let programs =
-    match only with
-    | None -> Overify_corpus.Programs.programs
-    | Some name -> (
-        match Overify_corpus.Programs.find name with
-        | Some p -> [ p ]
-        | None ->
-            Printf.eprintf "bench summary: unknown corpus program %S\n" name;
-            exit 2)
-  in
-  let module E = Overify_symex.Engine in
+  let programs = programs_flag "summary" args in
+  let single = flag "-p" args <> None in
+  let out = Option.value (flag "-o" args) ~default:"BENCH_summary.json" in
   let module Sum = Overify_summary.Summary in
   H.Report.section
     (Printf.sprintf
@@ -479,33 +453,27 @@ let run_summary args =
             match pick_edit c.H.Experiment.modul cands with
             | None -> None  (* nothing summarizable: nothing to measure *)
             | Some (edit_fn, cone) ->
-                let tmp = Filename.temp_file "overify_bench_summary" "" in
-                let dir = tmp ^ ".d" in
-                let verify m =
-                  E.run
-                    ~config:
-                      {
-                        E.default_config with
-                        input_size;
-                        timeout;
-                        summaries = true;
-                        cache_dir = Some dir;
-                      }
-                    m
+                let cold, warm, edited =
+                  Binfile.with_temp_dir "overify_bench_summary" @@ fun dir ->
+                  let verify m =
+                    Store.with_dir ~dir (fun store ->
+                        E.run
+                          ~config:
+                            {
+                              E.default_config with
+                              input_size;
+                              timeout;
+                              summaries = true;
+                              store = Some store;
+                            }
+                          m)
+                  in
+                  let cold = verify c.H.Experiment.modul in
+                  let warm = verify c.H.Experiment.modul in
+                  ( cold,
+                    warm,
+                    verify (Sum.edit_function c.H.Experiment.modul edit_fn) )
                 in
-                let cold = verify c.H.Experiment.modul in
-                let warm = verify c.H.Experiment.modul in
-                let edited =
-                  verify (Sum.edit_function c.H.Experiment.modul edit_fn)
-                in
-                (if Sys.file_exists dir && Sys.is_directory dir then
-                   Array.iter
-                     (fun f ->
-                       try Sys.remove (Filename.concat dir f)
-                       with Sys_error _ -> ())
-                     (Sys.readdir dir));
-                (try Sys.rmdir dir with Sys_error _ -> ());
-                (try Sys.remove tmp with Sys_error _ -> ());
                 let name = p.Overify_corpus.Programs.name in
                 let lvl = level.Overify_opt.Costmodel.name in
                 let where = Printf.sprintf "%s at %s" name lvl in
@@ -589,7 +557,7 @@ let run_summary args =
     (List.length win_programs);
   (* over the full corpus the incremental claim must hold broadly; with -p
      the single program may legitimately be wall-clock truncated *)
-  if only = None && List.length win_programs < 3 then begin
+  if (not single) && List.length win_programs < 3 then begin
     incr failures;
     Printf.eprintf
       "bench summary: one-function edits beat cold on only %d programs \
@@ -631,25 +599,8 @@ let run_chaos args =
   let (n, t) = parse_flags args in
   let input_size = Option.value n ~default:3 in
   let timeout = Option.value t ~default:60.0 in
-  let flag name =
-    let rec go = function
-      | f :: v :: _ when f = name -> Some v
-      | _ :: rest -> go rest
-      | [] -> None
-    in
-    go args
-  in
-  let programs =
-    match flag "-p" with
-    | None -> Overify_corpus.Programs.programs
-    | Some name -> (
-        match Overify_corpus.Programs.find name with
-        | Some p -> [ p ]
-        | None ->
-            Printf.eprintf "bench chaos: unknown corpus program %S\n" name;
-            exit 2)
-  in
-  let out = Option.value (flag "-o") ~default:"BENCH_chaos.json" in
+  let programs = programs_flag "chaos" args in
+  let out = Option.value (flag "-o" args) ~default:"BENCH_chaos.json" in
   let r = H.Chaos.run ~input_size ~timeout ~programs ~json_path:out () in
   if r.H.Chaos.failures > 0 then exit 1
 
@@ -660,21 +611,9 @@ let run_chaos args =
    1.  The summary goes to BENCH_serve.json. ---- *)
 
 let run_serve args =
-  let flag name =
-    let rec go = function
-      | f :: v :: _ when f = name -> Some v
-      | _ :: rest -> go rest
-      | [] -> None
-    in
-    go args
-  in
-  let n =
-    Option.value (Option.map int_of_string (flag "-n")) ~default:48
-  in
-  let clients =
-    Option.value (Option.map int_of_string (flag "-c")) ~default:4
-  in
-  let out = Option.value (flag "-o") ~default:"BENCH_serve.json" in
+  let n = Option.value (int_flag "-n" args) ~default:48 in
+  let clients = Option.value (int_flag "-c" args) ~default:4 in
+  let out = Option.value (flag "-o" args) ~default:"BENCH_serve.json" in
   Printf.printf
     "=== Serve: %d-entry synthetic trace over %d concurrent clients ===\n\n"
     n clients;
@@ -716,21 +655,9 @@ let run_serve args =
    BENCH_overload.json. ---- *)
 
 let run_overload args =
-  let flag name =
-    let rec go = function
-      | f :: v :: _ when f = name -> Some v
-      | _ :: rest -> go rest
-      | [] -> None
-    in
-    go args
-  in
-  let probes =
-    Option.value (Option.map int_of_string (flag "-n")) ~default:12
-  in
-  let accepted =
-    Option.value (Option.map int_of_string (flag "-a")) ~default:16
-  in
-  let out = Option.value (flag "-o") ~default:"BENCH_overload.json" in
+  let probes = Option.value (int_flag "-n" args) ~default:12 in
+  let accepted = Option.value (int_flag "-a" args) ~default:16 in
+  let out = Option.value (flag "-o" args) ~default:"BENCH_overload.json" in
   Printf.printf
     "=== Overload: %d-probe flood against a wedged capacity-1 daemon ===\n\n"
     probes;
@@ -775,15 +702,15 @@ let run_overload args =
 
 let run_validate args =
   let (n, t) = parse_flags args in
-  let b = Overify_tv.Tv.default_budget in
-  let budget =
+  let d = Overify_tv.Tv.default_config in
+  let config =
     {
-      b with
-      Overify_tv.Tv.input_size = Option.value n ~default:b.Overify_tv.Tv.input_size;
-      timeout = Option.value t ~default:b.Overify_tv.Tv.timeout;
+      d with
+      E.input_size = Option.value n ~default:d.E.input_size;
+      timeout = Option.value t ~default:d.E.timeout;
     }
   in
-  let cex = H.Validation.run ~budget () in
+  let cex = H.Validation.run ~config () in
   if cex > 0 then exit 1
 
 let () =

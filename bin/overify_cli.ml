@@ -256,17 +256,25 @@ let engine_config =
                 complete runs."
                O.Serve_protocol.max_jobs))
   in
-  let config input_size timeout jobs summaries cache_dir =
+  let config input_size timeout jobs summaries =
     {
       O.Engine.default_config with
       O.Engine.input_size;
       timeout;
       searcher = `Parallel jobs;
       summaries = summaries || O.Engine.default_config.O.Engine.summaries;
-      cache_dir;
     }
   in
-  Term.(const config $ size $ timeout $ jobs $ summaries_arg $ cache_dir_arg)
+  Term.(const config $ size $ timeout $ jobs $ summaries_arg)
+
+(** Run [f] on [config] with the [--cache-dir] store attached, if one was
+    given; the store is saved when [f] returns. *)
+let with_cache_dir ?faults cache_dir config f =
+  match cache_dir with
+  | None -> f config
+  | Some dir ->
+      O.Store.with_dir ?faults ~dir (fun store ->
+          f { config with O.Engine.store = Some store })
 
 let verify_cmd =
   let tests_flag =
@@ -321,7 +329,7 @@ let verify_cmd =
              bytes — e.g. for diffing a one-shot run against the same \
              request answered by a warm $(b,overify serve) daemon.")
   in
-  let run level no_libc path config tests faults checkpoint_dir
+  let run level no_libc path config cache_dir tests faults checkpoint_dir
       checkpoint_every resume json deterministic trace =
     with_trace trace @@ fun () ->
     let faults =
@@ -338,7 +346,9 @@ let verify_cmd =
       { config with O.Engine.faults; checkpoint_dir; checkpoint_every; resume }
     in
     let r =
-      try O.Engine.run ~config m
+      try
+        with_cache_dir ?faults cache_dir config (fun config ->
+            O.Engine.run ~config m)
       with O.Fault.Killed msg ->
         (* simulated process death: mirror SIGKILL's exit status; the
            checkpoint (if any) stays behind for --resume *)
@@ -407,8 +417,9 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:"Compile and symbolically execute all paths (KLEE-style).")
     Term.(const run $ level $ no_libc $ source_file $ engine_config
-          $ tests_flag $ faults_arg $ checkpoint_dir_arg $ checkpoint_every_arg
-          $ resume_arg $ json_arg $ deterministic_arg $ trace_arg)
+          $ cache_dir_arg $ tests_flag $ faults_arg $ checkpoint_dir_arg
+          $ checkpoint_every_arg $ resume_arg $ json_arg $ deterministic_arg
+          $ trace_arg)
 
 (* ---- analyze subcommand ---- *)
 
@@ -479,15 +490,15 @@ let tv_cmd =
   in
   let run level no_libc path size timeout all_levels json trace =
     with_trace trace @@ fun () ->
-    let budget =
-      { O.Tv.default_budget with O.Tv.input_size = size; timeout }
+    let config =
+      { O.Tv.default_config with O.Engine.input_size = size; timeout }
     in
     let levels = if all_levels then O.Costmodel.all else [ level ] in
     let reports =
       List.map
         (fun (cm : O.Costmodel.t) ->
           let (_, report) =
-            O.Tv.validate ~budget cm (frontend cm no_libc path)
+            O.Tv.validate ~config cm (frontend cm no_libc path)
           in
           Printf.printf "== %s: %d pass applications validated in %.1fs ==\n"
             cm.O.Costmodel.name
@@ -560,10 +571,12 @@ let profile_cmd =
              the JSON report, leaving only deterministic attribution (for \
              golden tests and cross-run diffing).")
   in
-  let run level no_libc path config diff json top deterministic trace =
+  let run level no_libc path config cache_dir diff json top deterministic
+      trace =
     with_trace trace @@ fun () ->
     let src = read_source path in
     let program = program_name path in
+    with_cache_dir cache_dir config @@ fun config ->
     let prof lvl =
       or_input_error path (fun () ->
           P.profile ~program ~level:lvl ~link_libc:(not no_libc) ~config src)
@@ -592,8 +605,8 @@ let profile_cmd =
           per-pass compile profile.  Attribution sums to the whole-run \
           totals by construction.")
     Term.(
-      const run $ level $ no_libc $ source_file $ engine_config $ diff $ json
-      $ top $ deterministic $ trace_arg)
+      const run $ level $ no_libc $ source_file $ engine_config
+      $ cache_dir_arg $ diff $ json $ top $ deterministic $ trace_arg)
 
 (* ---- serve subcommand ---- *)
 
@@ -619,7 +632,10 @@ let serve_cmd =
     Arg.(
       value & opt int 32
       & info [ "save-every" ] ~docv:"N"
-          ~doc:"Save the warm solver store every $(docv) executed jobs.")
+          ~doc:
+            "Save the warm solver store to $(b,--cache-dir) every $(docv) \
+             executed jobs and at shutdown.  Without $(b,--cache-dir) the \
+             store lives in memory and is never written.")
   in
   let queue_cap =
     Arg.(

@@ -25,6 +25,7 @@ module Engine = Overify_symex.Engine
 module Fault = Overify_fault.Fault
 module Obs = Overify_obs.Obs
 module Flight = Overify_serve.Flight
+module Binfile = Overify_solver.Binfile
 
 (** The schedules of the default battery.  Chosen to fire while a run of
     a small corpus program at [-O0] is still in flight: early solver
@@ -137,42 +138,28 @@ let run_faulted ?span ~config compiled spec : (Engine.result, string) result =
              compiled.Experiment.modul)
       with e -> Error (Printexc.to_string e))
 
-(** Wipe and remove a flat temp directory; best effort. *)
-let rm_rf dir =
-  (if Sys.file_exists dir && Sys.is_directory dir then
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir));
-  try Sys.rmdir dir with Sys_error _ -> ()
-
 (** Dump the flight ring and check the injected fault left its mark: the
     dump must round-trip through {!Flight} and contain a [label] event
     on [trace].  The dump directory is temporary and removed. *)
 let flight_check ~trace ~label : (unit, string) result =
-  let tmp = Filename.temp_file "overify_chaos_flight" "" in
-  Sys.remove tmp;
-  let dir = tmp ^ ".d" in
-  let res =
-    match Flight.dump ~dir ~reason:"chaos" ~trace () with
-    | None -> Error "flight dump failed"
-    | Some path -> (
-        match Flight.load path with
-        | Error msg -> Error ("flight record unreadable: " ^ msg)
-        | Ok d ->
-            if
-              List.exists
-                (fun (r : Obs.Flight.record) ->
-                  r.Obs.Flight.fr_trace = trace
-                  && r.Obs.Flight.fr_label = label)
-                d.Flight.fd_records
-            then Ok ()
-            else
-              Error
-                (Printf.sprintf "no %s event on trace %s in flight record"
-                   label trace))
-  in
-  rm_rf dir;
-  res
+  Binfile.with_temp_dir "overify_chaos_flight" @@ fun dir ->
+  match Flight.dump ~dir ~reason:"chaos" ~trace () with
+  | None -> Error "flight dump failed"
+  | Some path -> (
+      match Flight.load path with
+      | Error msg -> Error ("flight record unreadable: " ^ msg)
+      | Ok d ->
+          if
+            List.exists
+              (fun (r : Obs.Flight.record) ->
+                r.Obs.Flight.fr_trace = trace
+                && r.Obs.Flight.fr_label = label)
+              d.Flight.fd_records
+          then Ok ()
+          else
+            Error
+              (Printf.sprintf "no %s event on trace %s in flight record"
+                 label trace))
 
 let sweep_cell ~config compiled ~(clean : Engine.result) spec : cell =
   let comparable = clean.Engine.complete in
@@ -269,13 +256,8 @@ let sweep_cell ~config compiled ~(clean : Engine.result) spec : cell =
     [config]. *)
 let kill_and_resume ~config compiled ~(clean : Engine.result) : kill_resume =
   let pname = compiled.Experiment.program.Programs.name in
-  let tmp = Filename.temp_file "overify_chaos_ck" "" in
-  let dir = tmp ^ ".d" in
-  let finish ok detail =
-    rm_rf dir;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    { k_program = pname; k_ok = ok; k_detail = detail }
-  in
+  Binfile.with_temp_dir "overify_chaos_ck" @@ fun dir ->
+  let finish ok detail = { k_program = pname; k_ok = ok; k_detail = detail } in
   if not clean.Engine.complete then
     finish true "skipped: baseline incomplete at this budget"
   else

@@ -19,9 +19,9 @@ type row = {
 
 (** Compile [program] at [level] (linking the level's libc variant, exactly
     like {!Experiment.compile}) while validating every pass application. *)
-let validate_one ?budget (level : Costmodel.t) (program : Programs.t) : row =
+let validate_one ?config (level : Costmodel.t) (program : Programs.t) : row =
   let (_, report) =
-    Tv.validate ?budget level (Vclib.frontend level program.Programs.source)
+    Tv.validate ?config level (Vclib.frontend level program.Programs.source)
   in
   { program; level; report }
 
@@ -32,12 +32,12 @@ let row_to_json r =
 (** Run the sweep; returns the number of counterexample verdicts found (0
     is the expected result).  Writes the machine-readable report to
     [json_path] unless empty. *)
-let run ?budget ?(levels = Costmodel.all) ?(programs = Programs.programs)
+let run ?config ?(levels = Costmodel.all) ?(programs = Programs.programs)
     ?(json_path = "BENCH_validation.json") () : int =
   Report.section "Translation-validated corpus sweep";
   let rows =
     List.concat_map
-      (fun level -> List.map (validate_one ?budget level) programs)
+      (fun level -> List.map (validate_one ?config level) programs)
       levels
   in
   let header =

@@ -526,6 +526,10 @@ module Span = struct
       sp_start = Unix.gettimeofday ();
     }
 
+  let start_traced ?parent label =
+    if Option.is_some parent || Trace.enabled () then Some (start ?parent label)
+    else None
+
   let span_args t =
     [ ("trace", t.sp_trace); ("span", string_of_int t.sp_id);
       ("parent", string_of_int t.sp_parent) ]

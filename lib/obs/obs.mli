@@ -236,6 +236,11 @@ module Span : sig
   (** Open a span.  The trace id is [trace] if given, else inherited from
       [parent], else fresh. *)
 
+  val start_traced : ?parent:t -> string -> t option
+  (** A child of [parent]; without a parent, a root span while {!Trace}
+      collects (CLI [--trace]), and [None] otherwise — how a run opens
+      its span whether it serves a request or a traced CLI command. *)
+
   val finish : ?counters:(string * float) list -> t -> unit
   (** Close the span over [sp_start .. now]; [counters] (canonically
       sorted) are its attributed costs. *)

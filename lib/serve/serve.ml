@@ -66,8 +66,7 @@ type job = {
 type t = {
   sock_path : string;
   listen_fd : Unix.file_descr;
-  st_store : Store.t;
-  own_cache_dir : string option;  (** temp dir to remove at stop *)
+  st_store : Store.t;  (** in memory unless started with [cache_dir] *)
   flight_dir : string option;     (** post-mortem dumps land here *)
   recent_cap : int;
   save_every : int;
@@ -95,7 +94,6 @@ type t = {
 }
 
 let socket_path t = t.sock_path
-let store t = t.st_store
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -214,19 +212,24 @@ let run_request t (rq : Protocol.request) ~(trace : string)
                (List.length m.Ir.funcs) size
                (Json.escape (Printer.modul_to_string m)))
     | Protocol.Tv ->
-        let budget =
-          {
-            Tv.default_budget with
-            Tv.input_size = min rq.rq_input_size 4;
-            timeout = rq.rq_timeout;
-          }
-        in
         let cspan = Obs.Span.start ~parent:span "compile" in
         let m = Vclib.frontend ~link_libc:rq.rq_link_libc level source in
         Obs.Span.finish cspan;
         let vspan = Obs.Span.start ~parent:span "tv.validate" in
-        let (_, report) = Tv.validate ~budget level m in
-        Obs.Span.finish vspan;
+        let config =
+          {
+            Tv.default_config with
+            Engine.input_size = min rq.rq_input_size 4;
+            timeout = rq.rq_timeout;
+            cancel;
+            span = Some vspan;
+          }
+        in
+        let (_, report) =
+          Fun.protect
+            ~finally:(fun () -> Obs.Span.finish vspan)
+            (fun () -> Tv.validate ~config level m)
+        in
         Protocol.ok_body ~kind
           ~result:
             (Printf.sprintf
@@ -243,9 +246,8 @@ let run_request t (rq : Protocol.request) ~(trace : string)
   with
   | Bad_request msg -> Protocol.error_body ~kind ~err:"bad_request" ~msg
   | Cancel.Cancelled reason ->
-      (* safety net: the engine converts cancellation into a degraded
-         result itself; anything cancelled outside it (compile, tv)
-         still answers structurally *)
+      (* the engine converts cancellation into a degraded result itself;
+         a cancelled tv validation raises, and is answered here *)
       Protocol.error_body ~kind ~err:"deadline_exceeded" ~msg:reason
   | Fault.Killed msg ->
       (* the injected analogue of SIGKILL: in one-shot mode it ends the
@@ -387,9 +389,10 @@ let executor_loop t =
               if not (transient_error body) then add_recent t job.jb_key body;
               t.ct.c_executed mod t.save_every = 0)
         in
-      (* persist warm-store growth outside the daemon lock; Store.save is
-         atomic and internally synchronized, so it may race concurrent
-         engine lookups and external readers without tearing the file *)
+      (* persist warm-store growth outside the daemon lock (a no-op for
+         the in-memory store); Store.save is atomic and internally
+         synchronized, so it may race concurrent engine lookups and
+         external readers without tearing the file *)
       if save_now then Store.save t.st_store;
       (* flight recorder: a degraded run, contained kill/crash or
          internal error cuts a post-mortem dump of the span/event ring *)
@@ -872,13 +875,6 @@ let default_socket () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "overify-serve-%d.sock" (Unix.getpid ()))
 
-let rm_rf dir =
-  (if Sys.file_exists dir && Sys.is_directory dir then
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir));
-  try Sys.rmdir dir with Sys_error _ -> ()
-
 let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
     ?queue_cap ?(grace = 2.0) ?(idle_timeout = 600.0) ?(frame_timeout = 30.0)
     ?obs:(_ : bool option) ?flight_dir ?log_level () : t =
@@ -890,16 +886,11 @@ let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
   let sock_path =
     match socket with Some s -> s | None -> default_socket ()
   in
-  let (dir, own_cache_dir) =
+  let st_store =
     match cache_dir with
-    | Some d -> (d, None)
-    | None ->
-        let f = Filename.temp_file "overify_serve_cache" "" in
-        Sys.remove f;
-        let d = f ^ ".d" in
-        (d, Some d)
+    | Some dir -> Store.load ~dir ()
+    | None -> Store.in_memory ()
   in
-  let st_store = Store.load ~dir () in
   (if Sys.file_exists sock_path then
      try Unix.unlink sock_path with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -913,7 +904,6 @@ let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
       sock_path;
       listen_fd;
       st_store;
-      own_cache_dir;
       flight_dir;
       recent_cap = max 1 recent_cap;
       save_every = max 1 save_every;
@@ -976,7 +966,8 @@ let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
   t.watchdog_thread <- Some (Thread.create watchdog_loop t);
   t.accept_thread <- Some (Thread.create accept_loop t);
   Log.info "daemon.start"
-    ([ ("socket", sock_path); ("cache_dir", dir) ]
+    ([ ("socket", sock_path) ]
+    @ (match cache_dir with Some d -> [ ("cache_dir", d) ] | None -> [])
     @ match flight_dir with Some d -> [ ("flight_dir", d) ] | None -> []);
   t
 
@@ -1021,8 +1012,7 @@ let wait t =
     | None -> ());
     Log.info "daemon.stop"
       [ ("executed", string_of_int t.ct.c_executed) ];
-    (try Unix.unlink t.sock_path with Unix.Unix_error _ -> ());
-    match t.own_cache_dir with Some d -> rm_rf d | None -> ()
+    try Unix.unlink t.sock_path with Unix.Unix_error _ -> ()
   end
 
 let stop t =

@@ -20,8 +20,9 @@
     Warm state: the daemon owns one {!Overify_solver.Store.t} for its
     whole lifetime and injects it into every engine run
     ([Engine.config.store]), so request N pays only marginal solver cost;
-    the store doubles as the cross-request canonical-query cache and is
-    saved (atomically) every few jobs and at shutdown.
+    the store doubles as the cross-request canonical-query cache.  With
+    [cache_dir] it is saved (atomically) every few jobs and at shutdown;
+    without, it lives in memory for the daemon's lifetime.
 
     Reliability: a crashing request — injected [Fault.Killed], a compile
     error, a malformed fault spec — produces a structured error body and
@@ -34,11 +35,12 @@
     (admission time + [rq_timeout], covering queue wait, compile, symex
     and solve) materialized as a deadline-armed
     {!Overify_fault.Cancel.t} threaded through [Engine.config.cancel]
-    down to the per-worker solver contexts.  A run that outlives its
-    deadline stops at the next cooperative check point and is answered
-    with a structured [deadline_exceeded] error that still carries the
-    partial engine result (including its ["deadline_exceeded"]
-    degradation entry).  Admission control: when [queue_cap] jobs are
+    down to the per-worker solver contexts, and into every tv
+    obligation.  A run that outlives its deadline stops at the next
+    cooperative check point and is answered with a structured
+    [deadline_exceeded] error that still carries the partial engine
+    result (including its ["deadline_exceeded"] degradation entry); a
+    tv validation answers it with [result: null].  Admission control: when [queue_cap] jobs are
     already queued, new work is shed with an [overloaded] error whose
     [retry_after_ms] hint is derived from the live per-kind latency
     histograms and queue depth; shed requests never touch the executor.
@@ -90,10 +92,12 @@ val start :
   t
 (** Bind, listen and spawn the accept + executor threads; returns once
     the socket accepts connections.  [socket] defaults to a fresh path
-    under the temp directory; [cache_dir] persists the warm store across
-    daemon restarts (default: a private temp dir removed at [stop]);
+    under the temp directory; [cache_dir] loads the warm store from that
+    directory and persists it there, so it survives daemon restarts
+    (default: the store lives in memory and is never written);
     [recent_cap] bounds the recently-completed cache (default 128);
-    [save_every] is the store save cadence in executed jobs (default 32).
+    [save_every] is the cadence, in executed jobs, of saving a
+    [cache_dir] store (default 32; it is also saved at [stop]).
 
     [queue_cap] bounds the executor queue — admission beyond it sheds
     with [overloaded] + [retry_after_ms] (default: unbounded, the
@@ -113,9 +117,6 @@ val start :
     the [OVERIFY_LOG] stderr threshold (same flag-beats-env rule). *)
 
 val socket_path : t -> string
-
-val store : t -> Overify_solver.Store.t
-(** The warm shared store (for tests and introspection). *)
 
 val wait : t -> unit
 (** Block until the daemon stops (a [shutdown] request, or {!stop} from

@@ -79,3 +79,17 @@ let write ~path ~magic ~version payload =
 
 let read ~path ~magic ~version =
   Option.bind (read_file ~path) (parse ~magic ~version)
+
+(* lstat, so a symlink is removed rather than followed *)
+let rec rm_rf path =
+  try
+    match (Unix.lstat path).Unix.st_kind with
+    | Unix.S_DIR ->
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Unix.rmdir path
+    | _ -> Unix.unlink path
+  with Unix.Unix_error _ | Sys_error _ -> ()
+
+let with_temp_dir prefix f =
+  let dir = Filename.temp_dir prefix "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)

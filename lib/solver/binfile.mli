@@ -6,7 +6,9 @@
     payload.  [read] validates every field, so a truncated file (partial
     write, killed process) or a flipped byte is detected and rejected —
     not just bad magic.  Writes go to a temp file and [Sys.rename] into
-    place, so a reader never observes a half-written frame. *)
+    place, so a reader never observes a half-written frame.  The module
+    also holds the temp-directory helper of tests, benchmarks and the
+    chaos harness ({!with_temp_dir}). *)
 
 val frame : magic:string -> version:int -> string -> string
 (** Wrap a payload in a frame. *)
@@ -19,14 +21,21 @@ val write_atomic : path:string -> string -> bool
 (** Write bytes to [path] via temp-file + rename; [false] on failure
     (never raises). Creates parent directories as needed. *)
 
-val read_file : path:string -> string option
-(** Whole-file read; [None] if missing/unreadable. *)
-
 val write : path:string -> magic:string -> version:int -> string -> bool
 (** [frame] + [write_atomic]. *)
 
 val read : path:string -> magic:string -> version:int -> string option
-(** [read_file] + [parse]. *)
+(** [parse] the whole file at [path]; [None] also when it is missing or
+    unreadable. *)
 
 val mkdirs : string -> unit
 (** [mkdir -p]; never raises. *)
+
+val rm_rf : string -> unit
+(** Remove a file, or a directory and everything under it; best effort,
+    never raises. *)
+
+val with_temp_dir : string -> (string -> 'a) -> 'a
+(** [with_temp_dir prefix f] runs [f] on a fresh empty directory under
+    the temp directory whose name starts with [prefix], and removes the
+    directory afterwards, also when [f] raises. *)

@@ -17,7 +17,7 @@ let version = 3
 let filename = "solver-cache.bin"
 
 type t = {
-  dir : string;
+  path : string option;  (** [None]: the store lives in memory only *)
   tbl : (string, entry) Hashtbl.t;
   mutex : Mutex.t;
   faults : Fault.t option;
@@ -25,22 +25,23 @@ type t = {
   mutable loaded : int;
 }
 
-let path t = Filename.concat t.dir filename
-let mkdirs = Binfile.mkdirs
+let make ?faults path =
+  {
+    path;
+    tbl = Hashtbl.create 256;
+    mutex = Mutex.create ();
+    faults;
+    dirty = false;
+    loaded = 0;
+  }
+
+let in_memory () = make None
 
 let load ?faults ~dir () : t =
-  let t =
-    {
-      dir;
-      tbl = Hashtbl.create 256;
-      mutex = Mutex.create ();
-      faults;
-      dirty = false;
-      loaded = 0;
-    }
-  in
-  mkdirs dir;
-  (match Binfile.read ~path:(path t) ~magic ~version with
+  let path = Filename.concat dir filename in
+  let t = make ?faults (Some path) in
+  Binfile.mkdirs dir;
+  (match Binfile.read ~path ~magic ~version with
   | None -> (* missing/corrupt/truncated/wrong version: start cold *) ()
   | Some payload -> (
       try
@@ -85,13 +86,21 @@ let mangle faults bytes =
 
 let save t =
   Mutex.lock t.mutex;
-  (if t.dirty then
-     try
-       let payload = Marshal.to_string t.tbl [] in
-       let bytes = mangle t.faults (Binfile.frame ~magic ~version payload) in
-       if Binfile.write_atomic ~path:(path t) bytes then t.dirty <- false
-     with _ -> (* cache write failures never fail the run *) ());
+  (match t.path with
+  | Some path when t.dirty -> (
+      try
+        let payload = Marshal.to_string t.tbl [] in
+        let bytes = mangle t.faults (Binfile.frame ~magic ~version payload) in
+        if Binfile.write_atomic ~path bytes then t.dirty <- false
+      with _ -> (* cache write failures never fail the run *) ())
+  | _ -> ());
   Mutex.unlock t.mutex
+
+let with_dir ?faults ~dir f =
+  let t = load ?faults ~dir () in
+  let r = f t in
+  save t;
+  r
 
 let length t =
   Mutex.lock t.mutex;
@@ -100,4 +109,3 @@ let length t =
   n
 
 let loaded t = t.loaded
-let dir t = t.dir

@@ -18,7 +18,12 @@
     is detected, not just bad magic.  Writes are atomic (temp file +
     rename), so concurrent or killed runs cannot tear the file.  All
     operations take an internal mutex: one store may be shared by all
-    parallel worker domains of a run. *)
+    parallel worker domains of a run.
+
+    A store is attached to a run through [Engine.config.store]; the
+    engine only reads and adds.  Its owner opens it ({!load}, or
+    {!in_memory} for a store that never touches the disk) and decides
+    when to {!save} it. *)
 
 type entry =
   | E_unsat
@@ -36,15 +41,23 @@ val load : ?faults:Overify_fault.Fault.t -> dir:string -> unit -> t
     valid; any load failure yields an empty store.  [faults] injects
     write corruption/truncation at [save] time (chaos testing). *)
 
+val in_memory : unit -> t
+(** An empty store with no directory: it lives as long as the value,
+    and {!save} writes nothing. *)
+
+val with_dir :
+  ?faults:Overify_fault.Fault.t -> dir:string -> (t -> 'a) -> 'a
+(** [with_dir ~dir f] loads the store in [dir], runs [f] on it and saves
+    it.  When [f] raises (a simulated kill, say) nothing is saved. *)
+
 val find : t -> string -> entry option
 val add : t -> string -> entry -> unit
 
 val save : t -> unit
-(** Atomically write the store back if it gained entries.  Write failures
-    are silently ignored (a cache must never fail the run). *)
+(** Atomically write the store back if it gained entries; a no-op for an
+    {!in_memory} store.  Write failures are silently ignored (a cache
+    must never fail the run). *)
 
 val length : t -> int
 val loaded : t -> int
 (** Number of entries read from disk at [load] time. *)
-
-val dir : t -> string

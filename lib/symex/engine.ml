@@ -50,13 +50,9 @@ type config = {
       (** enable the solver's reuse layers; [None] defers to the
           [OVERIFY_SOLVER_CACHE] environment variable (default on).
           Answers are identical either way — only hit counters move. *)
-  cache_dir : string option;
-      (** attach a persistent cross-run solver store in this directory,
-          shared by all workers and saved when the run ends *)
   store : Overify_solver.Store.t option;
-      (** an already-open store to reuse instead of loading from
-          [cache_dir]; the caller owns it (the engine never saves it) —
-          this is how [Serve] keeps one warm store across requests *)
+      (** cross-run solver store shared by all workers; the engine reads
+          and adds, its owner loads and saves it *)
   faults : Fault.t option;
       (** injected-fault schedule (solver timeouts, store corruption,
           alloc exhaustion, worker crashes, kill); [None] = no chaos *)
@@ -108,7 +104,6 @@ let default_config =
     profile = false;
     summaries = env_summaries;
     solver_cache = None;
-    cache_dir = None;
     store = None;
     faults = None;
     checkpoint_dir = None;
@@ -245,13 +240,8 @@ let record_error w msg =
 
 (** An abandoned path (T_drop), classified for the degradation ladder. *)
 let record_drop w (st : State.t) reason =
-  let kind =
-    if String.length reason >= 10 && String.sub reason 0 10 = "allocation" then
-      "alloc_exhausted"
-    else "path_dropped"
-  in
   let fname = (State.top st).State.fn.Ir.fname in
-  degrade w kind (Printf.sprintf "%s: %s" fname reason) 1
+  degrade w (Executor.drop_kind reason) (Printf.sprintf "%s: %s" fname reason) 1
 
 (* ---------------- checkpointing (one-worker runs) ---------------- *)
 
@@ -466,8 +456,9 @@ let explore config (workers : worker list) init_states deadline input_vars
   in
   worker_loop w0;
   List.iter Domain.join spawned;
-  (* a kill simulates process death: nothing after the join (merge, store
-     save, counters) may run, exactly as if we had been SIGKILLed *)
+  (* a kill simulates process death: nothing after the join (merge,
+     counters, the store owner's save) may run, exactly as if we had been
+     SIGKILLed *)
   List.iter (fun w -> Option.iter raise w.killed) workers;
   match !stopped_by with
   | Some (kind, where) ->
@@ -487,12 +478,7 @@ let run ?(config = default_config) (m : Ir.modul) : result =
   (* request tracing: one engine child under the caller's span (or a root
      while the trace sink collects), opened here so every sub-span
      (summary build, workers, solver queries) nests inside its interval *)
-  let eng_span =
-    match config.span with
-    | Some parent -> Some (Obs.Span.start ~parent "engine.run")
-    | None when Obs.Trace.enabled () -> Some (Obs.Span.start "engine.run")
-    | None -> None
-  in
+  let eng_span = Obs.Span.start_traced ?parent:config.span "engine.run" in
   (* globals *)
   let mem = ref Memory.empty in
   let globals =
@@ -557,21 +543,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
           Checkpoint.load ~dir ~digest:(Lazy.force ck_digest))
     else None
   in
-  (* one persistent store for the whole run, shared by every worker (it
-     locks internally).  A caller-provided store ([config.store]) is
-     borrowed — its owner decides when to save; a store we load ourselves
-     from [cache_dir] is saved after the join as before. *)
-  let own_store =
-    match config.store with
-    | Some _ -> None
-    | None ->
-        Option.map
-          (fun dir -> Overify_solver.Store.load ?faults:config.faults ~dir ())
-          config.cache_dir
-  in
-  let store =
-    match config.store with Some _ as s -> s | None -> own_store
-  in
   let glayout = Overify_summary.Summary.layout m in
   let make_worker i =
     let prof = if config.profile then Some (Obs.Profile.create ()) else None in
@@ -585,7 +556,8 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     let solver =
       Solver.create ~counters ~deadline ?cancel:config.cancel
         ?hist:(Option.map (fun p -> p.Obs.Profile.qhist) prof)
-        ?span:wspan ?cache:config.solver_cache ?store ?faults:config.faults ()
+        ?span:wspan ?cache:config.solver_cache ?store:config.store
+        ?faults:config.faults ()
     in
     let gctx =
       {
@@ -628,7 +600,7 @@ let run ?(config = default_config) (m : Ir.modul) : result =
            summaries already published to the store are individually
            complete, everything unbuilt is explored inline (and the
            exploration loop re-checks the token immediately) *)
-        try Summarize.build ~gctx:w0.gctx ~store m
+        try Summarize.build ~gctx:w0.gctx ~store:config.store m
         with Cancel.Cancelled reason ->
           (Hashtbl.create 0, 0, 0, [ ("deadline_exceeded", reason) ])
       in
@@ -757,11 +729,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
   let total =
     Counters.sum (List.map (fun w -> w.gctx.Executor.counters) workers)
   in
-  (* persist whatever this run contributed to the cross-run store (only
-     if we opened it — a borrowed [config.store] is saved by its owner) *)
-  (match own_store with
-  | Some st -> Overify_solver.Store.save st
-  | None -> ());
   let profile =
     if not config.profile then None
     else begin

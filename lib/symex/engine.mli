@@ -41,17 +41,14 @@ type config = {
           [None] defers to [OVERIFY_SOLVER_CACHE] (default on).  The
           determinism contract makes answers identical either way — only
           hit counters and solve counts move. *)
-  cache_dir : string option;
-      (** directory of a persistent cross-run solver store; loaded before
-          exploration, shared by every worker, saved (atomically) after —
-          repeated runs, other levels and [bench] sweeps reuse each
-          other's canonical verdicts *)
   store : Overify_solver.Store.t option;
-      (** an already-open store to reuse instead of loading from
-          [cache_dir] (which is then ignored); the caller owns its
-          lifecycle — the engine reads/adds but never saves it.  This is
-          how the [overify serve] daemon keeps one warm store across
-          requests. *)
+      (** a cross-run solver store, shared by every worker: repeated
+          runs, other levels and [bench] sweeps reuse each other's
+          canonical verdicts and function summaries through it.  The
+          engine reads and adds; the owner loads and saves it
+          ([verify --cache-dir] opens it with
+          {!Overify_solver.Store.with_dir}, the [overify serve] daemon
+          keeps one warm store across requests). *)
   faults : Overify_fault.Fault.t option;
       (** injected-fault schedule (see {!Overify_fault.Fault}): solver
           timeouts, store write corruption, allocation exhaustion, worker

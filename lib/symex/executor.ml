@@ -70,6 +70,12 @@ type transition =
       (** path abandoned for an engine limitation (e.g. a symbolic offset
           over a very large object); makes the exploration incomplete *)
 
+(** The degradation kind of a [T_drop] reason: an exhausted allocation
+    budget, or any other abandoned path. *)
+let drop_kind reason =
+  if String.starts_with ~prefix:"allocation" reason then "alloc_exhausted"
+  else "path_dropped"
+
 exception Symex_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Symex_error s)) fmt

@@ -34,6 +34,7 @@ let max_traces = 64
 let max_insts = 50_000
 
 exception Give_up of string
+exception Dropped of string
 
 (** Reasons that are a property of the program (not of this run's luck)
     and may therefore be persisted alongside real summaries. *)
@@ -44,28 +45,6 @@ let publishable = function
     ->
       true
   | Summary.Opaque _ -> false
-
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-(** A transient [Opaque] caused by a runtime event — a solver timeout, a
-    contained crash, a dropped path — classified for the engine's
-    degradation ladder ("nothing degrades silently": a fault that fires
-    during summary construction must be as visible as one that fires
-    during exploration).  Structural reasons return [None]: demoting a
-    recursive or too-branchy function to inline exploration is the design
-    working, not a degradation. *)
-let transient_degradation fn = function
-  | Summary.Summarized _ -> None
-  | Summary.Opaque reason ->
-      let where = Printf.sprintf "summary build %s: %s" fn reason in
-      if reason = "solver timeout" then Some ("solver_timeout", where)
-      else if has_prefix "crash: " reason then Some ("worker_crash", where)
-      else if has_prefix "dropped path: allocation" reason then
-        Some ("alloc_exhausted", where)
-      else if has_prefix "dropped path" reason then Some ("path_dropped", where)
-      else if has_prefix "executor: " reason then Some ("executor_error", where)
-      else None
 
 (** The build world's initial memory: same allocation order (hence the
     same object ids) as {!Engine.run}, but writable globals start fully
@@ -108,7 +87,15 @@ let path_delta ~(parent : Bv.t list) ~(child : Bv.t list) : Bv.t list =
   in
   go [] child
 
-let build_one (gctx : Executor.gctx) (fn : Ir.func) : Summary.fsum =
+(** Summarize [fn].  An [Opaque] caused by a runtime event — a solver
+    timeout, a contained crash, a dropped path — also carries its
+    degradation kind for the engine's ladder ("nothing degrades
+    silently": a fault that fires during summary construction must be as
+    visible as one that fires during exploration).  Structural reasons
+    carry none: demoting a recursive or too-branchy function to inline
+    exploration is the design working, not a degradation. *)
+let build_one (gctx : Executor.gctx) (fn : Ir.func) :
+    Summary.fsum * string option =
   let m = gctx.Executor.modul in
   let entry = Ir.entry fn in
   let mem = build_memory m gctx.Executor.glayout in
@@ -276,17 +263,21 @@ let build_one (gctx : Executor.gctx) (fn : Ir.func) : Summary.fsum =
                      bg_block = fr.State.cur_block;
                    })
                 []
-          | Executor.T_drop (_, reason) ->
-              raise (Give_up ("dropped path: " ^ reason)))
+          | Executor.T_drop (_, reason) -> raise (Dropped reason))
         transitions
     done;
-    if gctx.Executor.sym_deref then Summary.Opaque "symbolic memory offset"
-    else Summary.Summarized (List.rev !traces)
+    if gctx.Executor.sym_deref then
+      (Summary.Opaque "symbolic memory offset", None)
+    else (Summary.Summarized (List.rev !traces), None)
   with
-  | Give_up reason -> Summary.Opaque reason
-  | Solver.Timeout -> Summary.Opaque "solver timeout"
-  | Executor.Symex_error msg -> Summary.Opaque ("executor: " ^ msg)
-  | Fault.Crash msg -> Summary.Opaque ("crash: " ^ msg)
+  | Give_up reason -> (Summary.Opaque reason, None)
+  | Dropped reason ->
+      ( Summary.Opaque ("dropped path: " ^ reason),
+        Some (Executor.drop_kind reason) )
+  | Solver.Timeout -> (Summary.Opaque "solver timeout", Some "solver_timeout")
+  | Executor.Symex_error msg ->
+      (Summary.Opaque ("executor: " ^ msg), Some "executor_error")
+  | Fault.Crash msg -> (Summary.Opaque ("crash: " ^ msg), Some "worker_crash")
 
 (** Compute (or load from [store]) summaries for every candidate of [m],
     bottom-up, using [gctx]'s solver and counters — the build's
@@ -295,7 +286,7 @@ let build_one (gctx : Executor.gctx) (fn : Ir.func) : Summary.fsum =
     summary table (also installed into [gctx.summaries]), how many
     summaries were computed fresh and how many came from the store, plus
     the (kind, where) degradation events for fault-induced transient
-    opacities (see {!transient_degradation}). *)
+    opacities (see {!build_one}). *)
 let build ~(gctx : Executor.gctx) ~(store : Store.t option) (m : Ir.modul) :
     (string, Summary.fsum) Hashtbl.t * int * int * (string * string) list =
   let tbl = Hashtbl.create 16 in
@@ -328,12 +319,15 @@ let build ~(gctx : Executor.gctx) ~(store : Store.t option) (m : Ir.modul) :
               incr cached;
               Hashtbl.replace tbl name sum
           | None ->
-              let sum = build_one gctx (Ir.find_func_exn m name) in
+              let sum, degraded = build_one gctx (Ir.find_func_exn m name) in
               incr computed;
               Hashtbl.replace tbl name sum;
-              (match transient_degradation name sum with
-              | Some d -> degs := d :: !degs
-              | None -> ());
+              (match (sum, degraded) with
+              | Summary.Opaque reason, Some kind ->
+                  degs :=
+                    (kind, Printf.sprintf "summary build %s: %s" name reason)
+                    :: !degs
+              | _ -> ());
               (match store with
               | Some s when publishable sum ->
                   Store.add s key (Store.E_blob (Summary.encode sum))

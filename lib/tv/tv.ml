@@ -6,25 +6,24 @@ module Costmodel = Overify_opt.Costmodel
 module Engine = Overify_symex.Engine
 module Interp = Overify_interp.Interp
 module Obs = Overify_obs.Obs
+module Cancel = Overify_fault.Cancel
 
-type budget = {
-  input_size : int;
-  max_paths : int;
-  max_insts : int;
-  timeout : float;
-  fallback_runs : int;
-  fuel : int;
-}
-
-let default_budget =
+let default_config =
   {
-    input_size = 3;
+    Engine.default_config with
+    Engine.input_size = 3;
     max_paths = 400;
     max_insts = 2_000_000;
     timeout = 3.0;
-    fallback_runs = 32;
-    fuel = 2_000_000;
+    searcher = `Dfs;
   }
+
+(** Pseudo-random inputs the differential fallback adds to the partial
+    exploration's witnesses. *)
+let fallback_runs = 32
+
+(** Interpreter instruction budget per concrete run. *)
+let fuel = 2_000_000
 
 type behavior = {
   exit_code : int64;
@@ -104,9 +103,9 @@ let unprefix f =
 
 (** Build the witness record for a refuting input by replaying both
     versions through the concrete interpreter. *)
-let make_witness ~budget ~pre ~post ~(bug : Engine.bug) : witness =
-  let input = pad_input budget.input_size bug.Engine.input in
-  let fuel = max budget.fuel 10_000_000 in
+let make_witness ~input_size ~pre ~post ~(bug : Engine.bug) : witness =
+  let input = pad_input input_size bug.Engine.input in
+  let fuel = max fuel 10_000_000 in
   let pre_behavior = behavior_of ~fuel pre ~input in
   let post_behavior = behavior_of ~fuel post ~input in
   let detail =
@@ -124,15 +123,15 @@ let make_witness ~budget ~pre ~post ~(bug : Engine.bug) : witness =
 (** Differential fallback when the symbolic budget runs out: replay the
     partial exploration's concrete path witnesses plus deterministic
     pseudo-random inputs through both versions. *)
-let differential_fallback ~budget ~pre ~post (r : Engine.result) :
+let differential_fallback ~input_size ~pre ~post (r : Engine.result) :
     (witness, int) Either.t =
   let from_paths =
     List.map (fun (w, _) -> w) r.Engine.exit_codes
     @ List.map (fun (b : Engine.bug) -> b.Engine.input) r.Engine.bugs
   in
   let inputs =
-    List.map (pad_input budget.input_size) from_paths
-    @ pseudo_random_inputs ~count:budget.fallback_runs ~size:budget.input_size
+    List.map (pad_input input_size) from_paths
+    @ pseudo_random_inputs ~count:fallback_runs ~size:input_size
   in
   (* dedupe, keep order, bound the total work *)
   let seen = Hashtbl.create 16 in
@@ -143,21 +142,19 @@ let differential_fallback ~budget ~pre ~post (r : Engine.result) :
         else (Hashtbl.add seen i (); true))
       inputs
   in
-  let inputs =
-    List.filteri (fun i _ -> i < budget.fallback_runs + 8) inputs
-  in
+  let inputs = List.filteri (fun i _ -> i < fallback_runs + 8) inputs in
   let ce = ref None in
   let runs = ref 0 in
   List.iter
     (fun input ->
       if !ce = None then begin
         incr runs;
-        let bp = behavior_of ~fuel:budget.fuel pre ~input in
+        let bp = behavior_of ~fuel pre ~input in
         match bp.trap with
         | Some t when t = Interp.string_of_trap Interp.Out_of_fuel -> ()
         | Some _ -> () (* pre-version traps: excused *)
         | None -> (
-            let bq = behavior_of ~fuel:(4 * budget.fuel) post ~input in
+            let bq = behavior_of ~fuel:(4 * fuel) post ~input in
             match bq.trap with
             | Some t when t = Interp.string_of_trap Interp.Out_of_fuel -> ()
             | Some t ->
@@ -182,7 +179,7 @@ let differential_fallback ~budget ~pre ~post (r : Engine.result) :
     inputs;
   match !ce with Some w -> Either.Left w | None -> Either.Right !runs
 
-let check_modules ?(budget = default_budget) (pre : Ir.modul)
+let check_modules ?(config = default_config) (pre : Ir.modul)
     (post : Ir.modul) : outcome =
   let t0 = Unix.gettimeofday () in
   let finish ?(paths = 0) ?(queries = 0) ?(solver_time = 0.0)
@@ -204,18 +201,10 @@ let check_modules ?(budget = default_budget) (pre : Ir.modul)
     | (Some fm, _) when fm.Ir.params <> [] ->
         finish (Inconclusive "main takes parameters")
     | (Some _, Some _) ->
-        let product = Product.build ~pre ~post in
-        let config =
-          {
-            Engine.default_config with
-            Engine.input_size = budget.input_size;
-            max_paths = budget.max_paths;
-            max_insts = budget.max_insts;
-            timeout = budget.timeout;
-            searcher = `Dfs;
-          }
-        in
-        let r = Engine.run ~config product in
+        let r = Engine.run ~config (Product.build ~pre ~post) in
+        (* a cancelled run is no verdict: stop before the fallback *)
+        Cancel.check config.Engine.cancel;
+        let input_size = config.Engine.input_size in
         let mismatches =
           List.filter
             (fun (b : Engine.bug) ->
@@ -246,7 +235,7 @@ let check_modules ?(budget = default_budget) (pre : Ir.modul)
         in
         (match mismatches with
         | bug :: _ ->
-            finish (Counterexample (make_witness ~budget ~pre ~post ~bug))
+            finish (Counterexample (make_witness ~input_size ~pre ~post ~bug))
         | [] ->
             if product_errors <> [] then
               let b = List.hd product_errors in
@@ -260,10 +249,10 @@ let check_modules ?(budget = default_budget) (pre : Ir.modul)
               let reason =
                 Printf.sprintf
                   "symbolic budget exhausted (%d paths, %d/%d insts, %.1fs)"
-                  r.Engine.paths r.Engine.instructions budget.max_insts
-                  budget.timeout
+                  r.Engine.paths r.Engine.instructions config.Engine.max_insts
+                  config.Engine.timeout
               in
-              (match differential_fallback ~budget ~pre ~post r with
+              (match differential_fallback ~input_size ~pre ~post r with
               | Either.Left w ->
                   {
                     (finish (Counterexample w)) with
@@ -298,22 +287,30 @@ let verdict_name = function
   | Counterexample _ -> "counterexample"
   | Inconclusive _ -> "inconclusive"
 
-(** One trace event per obligation while the trace sink collects; the
-    unobserved validation path records nothing. *)
-let observe_obligation ~pass ~fn ~t0 (o : outcome) =
-  if Obs.Trace.enabled () then
-    Obs.Trace.emit ~cat:"tv"
-      ~name:(Printf.sprintf "tv:%s(%s)" pass fn)
-      ~args:
-        [
-          ("verdict", verdict_name o.verdict);
-          ("paths", string_of_int o.paths);
-          ("queries", string_of_int o.queries);
-          ("fallback_runs", string_of_int o.fallback_runs);
-        ]
-      ~ts:t0 ~dur:o.time ()
+(** Check one obligation under a ["tv:<pass>(<fn>)"] span (a child of
+    [config.span], or a root while the trace sink collects).  The
+    product's ["engine.run"] nests under it, and it closes with a counter
+    named after the verdict plus paths, queries and fallback runs. *)
+let check_obligation ~config ~pass ~fn before after =
+  let span =
+    Obs.Span.start_traced ?parent:config.Engine.span
+      (Printf.sprintf "tv:%s(%s)" pass fn)
+  in
+  let o = check_modules ~config:{ config with Engine.span } before after in
+  (match span with
+  | Some sp ->
+      Obs.Span.finish sp
+        ~counters:
+          [
+            (verdict_name o.verdict, 1.0);
+            ("paths", float_of_int o.paths);
+            ("queries", float_of_int o.queries);
+            ("fallback_runs", float_of_int o.fallback_runs);
+          ]
+  | None -> ());
+  o
 
-let validate ?budget (cm : Costmodel.t) (m : Ir.modul) :
+let validate ?(config = default_config) (cm : Costmodel.t) (m : Ir.modul) :
     Pipeline.result * report =
   let t0 = Unix.gettimeofday () in
   let apps = ref [] in
@@ -324,10 +321,8 @@ let validate ?budget (cm : Costmodel.t) (m : Ir.modul) :
   let records =
     List.rev_map
       (fun (pass, fn, before, after) ->
-        let t_check = Unix.gettimeofday () in
-        let outcome = check_modules ?budget before after in
-        observe_obligation ~pass ~fn ~t0:t_check outcome;
-        { pass; fn; outcome })
+        Cancel.check config.Engine.cancel;
+        { pass; fn; outcome = check_obligation ~config ~pass ~fn before after })
       !apps
   in
   (res, { level = cm.Costmodel.name; records; time = Unix.gettimeofday () -. t0 })

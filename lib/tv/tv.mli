@@ -3,8 +3,9 @@
     validation").
 
     For one (pre, post) module pair, {!check_modules} builds the product
-    program ({!Product.build}), explores its [main] symbolically under a
-    {!budget}, and classifies the result:
+    program ({!Product.build}), explores its [main] symbolically under an
+    {!Overify_symex.Engine.config} (by default {!default_config}), and
+    classifies the result:
 
     - {e Proved}: exploration was complete and no equivalence assertion can
       fail — every non-trapping pre-execution within the input bound is
@@ -28,17 +29,13 @@
 
 module Ir = Overify_ir.Ir
 
-(** Exploration budget for one pass-application check. *)
-type budget = {
-  input_size : int;      (** symbolic input bytes *)
-  max_paths : int;
-  max_insts : int;
-  timeout : float;       (** seconds of symbolic exploration *)
-  fallback_runs : int;   (** differential interpretations when inconclusive *)
-  fuel : int;            (** interpreter instruction budget per run *)
-}
-
-val default_budget : budget
+val default_config : Overify_symex.Engine.config
+(** The engine configuration of one pass-application check: 3 symbolic
+    input bytes, 400 paths, 2M instructions, 3 s, [`Dfs].  Callers
+    override fields of it; [cancel] and [span] reach every obligation
+    (see {!validate}).  The differential fallback's budget is fixed: 32
+    pseudo-random inputs on top of the path witnesses, 2M interpreter
+    instructions per run. *)
 
 (** Observable behavior of one version on one concrete input. *)
 type behavior = {
@@ -74,9 +71,12 @@ type outcome = {
   fallback_runs : int;     (** differential interpretations performed *)
 }
 
-val check_modules : ?budget:budget -> Ir.modul -> Ir.modul -> outcome
+val check_modules :
+  ?config:Overify_symex.Engine.config -> Ir.modul -> Ir.modul -> outcome
 (** [check_modules pre post] checks that [post] refines [pre] on the
-    product program. *)
+    product program, explored under [config].  A run that [config.cancel]
+    stopped raises {!Overify_fault.Cancel.Cancelled} instead of falling
+    back to differential runs. *)
 
 (** {2 Whole-compilation validation} *)
 
@@ -94,13 +94,22 @@ type report = {
 }
 
 val validate :
-  ?budget:budget ->
+  ?config:Overify_symex.Engine.config ->
   Overify_opt.Costmodel.t ->
   Ir.modul ->
   Overify_opt.Pipeline.result * report
 (** Optimize [m] at the given level while translation-validating every pass
     application.  The compiled result is the same module an unobserved
-    [Pipeline.optimize] produces. *)
+    [Pipeline.optimize] produces.
+
+    [config.cancel] is checked before each obligation: a cancelled
+    validation raises {!Overify_fault.Cancel.Cancelled} rather than
+    return a partial report.  Each obligation runs under its own
+    ["tv:<pass>(<fn>)"] span opened like [Engine.run]'s own
+    ({!Overify_obs.Obs.Span.start_traced} under [config.span]), with the
+    product's ["engine.run"] nested under it; the span closes
+    with a counter named after the verdict plus [paths], [queries] and
+    [fallback_runs]. *)
 
 val first_offender : report -> record option
 (** First pass application with a [Counterexample] verdict — the pass the
@@ -109,23 +118,10 @@ val first_offender : report -> record option
 val counterexamples : report -> record list
 val inconclusives : report -> record list
 
-(** Aggregated per-pass rollup of a report. *)
-type pass_summary = {
-  ps_pass : string;
-  ps_applications : int;
-  ps_proved : int;
-  ps_refuted : int;
-  ps_inconclusive : int;
-  ps_queries : int;
-  ps_time : float;
-}
-
-val summarize : report -> pass_summary list
-(** One row per pass name, in first-application order. *)
-
 val string_of_verdict : verdict -> string
 (** Human-readable one-liner, with witness/reason detail. *)
 
 val report_to_json : report -> string
 (** Machine-readable report: level, per-record pass/fn/verdict with solver
-    statistics, and the per-pass rollup. *)
+    statistics, and the per-pass rollup (one row per pass name, in
+    first-application order). *)

@@ -16,6 +16,8 @@ module Pipeline = Overify_opt.Pipeline
 module Programs = Overify_corpus.Programs
 module Vclib = Overify_vclib.Vclib
 module Profile = Overify_harness.Profile
+module Binfile = Overify_solver.Binfile
+module Store = Overify_solver.Store
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -26,10 +28,10 @@ let compile ?(level = Costmodel.overify) (p : Programs.t) =
      (Frontend.compile_sources [ Vclib.for_cost_model level; p.Programs.source ]))
     .Pipeline.modul
 
-let explore ?(input_size = 2) ?(timeout = 20.0) ?solver_cache ?cache_dir m =
+let explore ?(input_size = 2) ?(timeout = 20.0) ?solver_cache ?store m =
   Engine.run
     ~config:
-      { Engine.default_config with input_size; timeout; solver_cache; cache_dir }
+      { Engine.default_config with input_size; timeout; solver_cache; store }
     m
 
 (* ------------- cache on vs off: identical results ------------- *)
@@ -126,26 +128,18 @@ let test_profile_json_cache_on_off () =
 
 (* ------------- persistent store behind --cache-dir ------------- *)
 
-let with_temp_dir f =
-  let tmp = Filename.temp_file "overify_engine_store" "" in
-  let dir = tmp ^ ".d" in
-  Fun.protect
-    ~finally:(fun () ->
-      (if Sys.file_exists dir && Sys.is_directory dir then
-         Array.iter
-           (fun fn ->
-             try Sys.remove (Filename.concat dir fn) with Sys_error _ -> ())
-           (Sys.readdir dir));
-      (try Sys.rmdir dir with Sys_error _ -> ());
-      try Sys.remove tmp with Sys_error _ -> ())
-    (fun () -> f dir)
-
+(* each run loads the store from the directory, as [verify --cache-dir]
+   does, and saves it back *)
 let test_engine_store_round_trip () =
-  with_temp_dir @@ fun dir ->
+  Binfile.with_temp_dir "overify_engine_store" @@ fun dir ->
   let p = Option.get (Programs.find "wc") in
   let m = compile p in
-  let cold = explore ~solver_cache:true ~cache_dir:dir m in
-  let warm = explore ~solver_cache:true ~cache_dir:dir m in
+  let explore_in_dir () =
+    Store.with_dir ~dir (fun store ->
+        explore ~solver_cache:true ~store m)
+  in
+  let cold = explore_in_dir () in
+  let warm = explore_in_dir () in
   assert_same_verdicts "wc cold vs warm" cold warm;
   check bool "warm run answered from the store" true
     (warm.Engine.hits_store > 0);

@@ -368,14 +368,13 @@ module Tv = Overify_tv.Tv
 
 let tv_deep = Sys.getenv_opt "OVERIFY_TV" = Some "1"
 
-let tv_budget =
+let tv_config =
   {
-    Tv.default_budget with
-    Tv.input_size = 2;
+    Tv.default_config with
+    Overify_symex.Engine.input_size = 2;
     max_paths = 200;
     max_insts = 300_000;
     timeout = 0.75;
-    fallback_runs = 8;
   }
 
 let tv_check_seed seed =
@@ -384,7 +383,7 @@ let tv_check_seed seed =
   let levels = if tv_deep then Costmodel.all else [ Costmodel.overify ] in
   List.for_all
     (fun (cm : Costmodel.t) ->
-      let (_, report) = Tv.validate ~budget:tv_budget cm m0 in
+      let (_, report) = Tv.validate ~config:tv_config cm m0 in
       match Tv.first_offender report with
       | Some r ->
           QCheck2.Test.fail_reportf

@@ -9,6 +9,7 @@
 module Engine = Overify_symex.Engine
 module Checkpoint = Overify_symex.Checkpoint
 module Store = Overify_solver.Store
+module Binfile = Overify_solver.Binfile
 module Solver = Overify_solver.Solver
 module Bv = Overify_solver.Bv
 module Fault = Overify_fault.Fault
@@ -30,18 +31,6 @@ let faults spec =
   match Fault.parse spec with
   | Ok f -> f
   | Error msg -> Alcotest.failf "spec %S failed to parse: %s" spec msg
-
-let tmpdir prefix =
-  let f = Filename.temp_file prefix "" in
-  Sys.remove f;
-  f ^ ".d"
-
-let rm_rf dir =
-  (if Sys.file_exists dir && Sys.is_directory dir then
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir));
-  try Sys.rmdir dir with Sys_error _ -> ()
 
 (* ------------- fault schedule language ------------- *)
 
@@ -256,8 +245,7 @@ let populate_store ?faults dir =
     valid store file must load as an empty store — the length + checksum
     trailer catches truncations that keep the magic and header intact. *)
 let test_store_truncation_sweep () =
-  let dir = tmpdir "overify_trunc" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Binfile.with_temp_dir "overify_trunc" @@ fun dir ->
   ignore (populate_store dir);
   let full = In_channel.with_open_bin (store_file dir) In_channel.input_all in
   let n = String.length full in
@@ -274,8 +262,7 @@ let test_store_truncation_sweep () =
   done
 
 let test_store_byte_flip_detected () =
-  let dir = tmpdir "overify_flip" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Binfile.with_temp_dir "overify_flip" @@ fun dir ->
   ignore (populate_store dir);
   let full = In_channel.with_open_bin (store_file dir) In_channel.input_all in
   (* flip one byte at a spread of positions, including header and payload *)
@@ -297,8 +284,7 @@ let test_store_byte_flip_detected () =
 let test_store_injected_corruption_loads_empty () =
   List.iter
     (fun spec ->
-      let dir = tmpdir "overify_chaos_store" in
-      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      Binfile.with_temp_dir "overify_chaos_store" @@ fun dir ->
       let f = faults spec in
       ignore (populate_store ~faults:f dir);
       check int (spec ^ " fired") 1 (Fault.injected_total f);
@@ -320,8 +306,7 @@ let budget_config ~max_paths ~dir =
 
 let test_checkpoint_left_by_budget_run () =
   let c = compile "wc" in
-  let dir = tmpdir "overify_ck" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Binfile.with_temp_dir "overify_ck" @@ fun dir ->
   let r = Engine.run ~config:(budget_config ~max_paths:6 ~dir) c.H.Experiment.modul in
   check bool "budget run degraded" false r.Engine.complete;
   check bool "snapshot kept (resumable)" true
@@ -351,8 +336,7 @@ let test_checkpoint_left_by_budget_run () =
 
 let test_torn_checkpoint_ignored () =
   let c = compile "wc" in
-  let dir = tmpdir "overify_ck_torn" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Binfile.with_temp_dir "overify_ck_torn" @@ fun dir ->
   let r = Engine.run ~config:(budget_config ~max_paths:6 ~dir) c.H.Experiment.modul in
   check bool "budget run degraded" false r.Engine.complete;
   let path = Checkpoint.file ~dir in
@@ -383,8 +367,7 @@ let test_torn_checkpoint_ignored () =
 let test_resumed_inst_budget () =
   let c = compile "wc" in
   let m = c.H.Experiment.modul in
-  let dir = tmpdir "overify_ck_insts" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Binfile.with_temp_dir "overify_ck_insts" @@ fun dir ->
   let cfg =
     {
       (budget_config ~max_paths:400 ~dir) with

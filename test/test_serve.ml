@@ -558,20 +558,6 @@ let test_error_envelope_golden_keys () =
           "\"message\":"; "\"result\": null"; "}";
         ]
 
-let with_temp_dir f =
-  let tmp = Filename.temp_file "overify_serve_test" "" in
-  let dir = tmp ^ ".d" in
-  Fun.protect
-    ~finally:(fun () ->
-      (if Sys.file_exists dir && Sys.is_directory dir then
-         Array.iter
-           (fun fn ->
-             try Sys.remove (Filename.concat dir fn) with Sys_error _ -> ())
-           (Sys.readdir dir));
-      (try Sys.rmdir dir with Sys_error _ -> ());
-      try Sys.remove tmp with Sys_error _ -> ())
-    (fun () -> f dir)
-
 (* ------------- telemetry: metrics op and flight recorder ------------- *)
 
 module Flight = Overify_serve.Flight
@@ -769,7 +755,7 @@ let test_metrics_renderings_agree () =
 let test_flight_record_after_fault () =
   (* a degraded request (contained crash fault) must leave a flight
      record carrying its trace id, loadable via the postmortem path *)
-  with_temp_dir @@ fun dir ->
+  Binfile.with_temp_dir "overify_serve_test" @@ fun dir ->
   let d = Serve.start ~flight_dir:dir () in
   Fun.protect ~finally:(fun () -> Serve.stop d) @@ fun () ->
   let trace =
@@ -832,7 +818,7 @@ let test_write_atomic_race () =
      observes one complete frame, never an interleaving of the two (the
      per-write unique temp name is what guarantees this; a pid-only temp
      name makes this test fail) *)
-  with_temp_dir @@ fun dir ->
+  Binfile.with_temp_dir "overify_serve_test" @@ fun dir ->
   let path = Filename.concat dir "contended.bin" in
   let magic = "RACE-TEST" and version = 1 in
   let payload_a = String.make 8192 'a' and payload_b = String.make 8192 'b' in
@@ -880,7 +866,7 @@ let test_store_save_race () =
      periodic save vs. an engine's end-of-run save): concurrent loads
      must always see a valid file — lost updates are acceptable for a
      cache, torn files are not *)
-  with_temp_dir @@ fun dir ->
+  Binfile.with_temp_dir "overify_serve_test" @@ fun dir ->
   let st = Store.load ~dir () in
   let c = Solver.create ~cache:true ~store:st () in
   List.iter (fun q -> ignore (Solver.check c q)) (store_queries ());
@@ -913,7 +899,7 @@ let test_clear_cache_keeps_shared_store () =
   (* Solver.clear_cache drops the context-owned layers only: the shared
      store keeps its entries, and a post-clear query is answered from the
      store without a fresh solve *)
-  with_temp_dir @@ fun dir ->
+  Binfile.with_temp_dir "overify_serve_test" @@ fun dir ->
   let st = Store.load ~dir () in
   let counters = Counters.create () in
   let c = Solver.create ~counters ~cache:true ~store:st () in
@@ -961,7 +947,7 @@ let rpc_json c rq =
    every kind that compiles answers compile_error, and none cuts an
    internal-error flight dump *)
 let test_compile_error_answered () =
-  with_temp_dir @@ fun dir ->
+  Binfile.with_temp_dir "overify_serve_test" @@ fun dir ->
   let d = Serve.start ~flight_dir:dir () in
   Fun.protect ~finally:(fun () -> Serve.stop d) @@ fun () ->
   List.iter
@@ -1082,6 +1068,31 @@ let test_deadline_mid_run () =
     (contains result "\"complete\": false");
   check bool "degradation entry recorded" true
     (contains result "\"deadline_exceeded\"");
+  check int "watchdog stayed out of it" 0 (daemon_stat d "watchdog_fired")
+
+let test_served_tv_deadline () =
+  (* every tv obligation checks the request's token: the validation stops
+     at its deadline instead of holding the executor until the watchdog *)
+  with_daemon @@ fun d ->
+  let t0 = Unix.gettimeofday () in
+  let json =
+    with_conn d @@ fun c ->
+    rpc_json c
+      {
+        wc_request with
+        Protocol.rq_kind = Protocol.Tv;
+        rq_level = "OVERIFY";
+        rq_input_size = 3;
+        rq_timeout = 0.5;
+      }
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check string "error kind" "deadline_exceeded" (error_kind json);
+  check string "cooperative self-cancel, not the watchdog"
+    "deadline exceeded" (error_message json);
+  check string "no partial report" "null" (get_raw json "result");
+  check bool (Printf.sprintf "answered in %.2fs (< 2s)" elapsed) true
+    (elapsed < 2.0);
   check int "watchdog stayed out of it" 0 (daemon_stat d "watchdog_fired")
 
 let test_cancelled_retry_byte_identity () =
@@ -1324,6 +1335,8 @@ let () =
             test_deadline_while_queued;
           Alcotest.test_case "deadline lapses mid-run (partial result)"
             `Quick test_deadline_mid_run;
+          Alcotest.test_case "served tv stops at its deadline" `Quick
+            test_served_tv_deadline;
           Alcotest.test_case "cancelled-then-retried byte identity" `Quick
             test_cancelled_retry_byte_identity;
           Alcotest.test_case "queue cap: exact sheds, golden envelope"

@@ -360,6 +360,7 @@ let test_ctx_concurrent_domains () =
 module Canon = Overify_solver.Canon
 module Blast = Overify_solver.Blast
 module Store = Overify_solver.Store
+module Binfile = Overify_solver.Binfile
 
 let gen_term rng =
   let atom () =
@@ -609,20 +610,6 @@ let test_clear_cache_all_layers () =
 
 (* ------------- persistent store ------------- *)
 
-let with_temp_dir f =
-  let tmp = Filename.temp_file "overify_store_test" "" in
-  let dir = tmp ^ ".d" in
-  Fun.protect
-    ~finally:(fun () ->
-      (if Sys.file_exists dir && Sys.is_directory dir then
-         Array.iter
-           (fun fn ->
-             try Sys.remove (Filename.concat dir fn) with Sys_error _ -> ())
-           (Sys.readdir dir));
-      (try Sys.rmdir dir with Sys_error _ -> ());
-      try Sys.remove tmp with Sys_error _ -> ())
-    (fun () -> f dir)
-
 let store_queries () =
   let x = Bv.var 8 710 and y = Bv.var 8 711 in
   [
@@ -632,7 +619,7 @@ let store_queries () =
   ]
 
 let test_store_round_trip () =
-  with_temp_dir @@ fun dir ->
+  Binfile.with_temp_dir "overify_store_test" @@ fun dir ->
   let queries = store_queries () in
   let st1 = Store.load ~dir () in
   check int "store starts cold" 0 (Store.loaded st1);
@@ -648,10 +635,29 @@ let test_store_round_trip () =
   check int "no fresh solves on the warm run" 0 s2.Counters.component_solves;
   check bool "answered from the store" true (s2.Counters.hits_store > 0)
 
+(* a store with no directory keeps its entries in memory: saving it
+   writes no file, not even into the working directory, and the entries
+   still answer *)
+let test_store_in_memory_saves_nothing () =
+  Binfile.with_temp_dir "overify_store_test" @@ fun dir ->
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
+  let st = Store.in_memory () in
+  let c = Solver.create ~cache:true ~store:st () in
+  List.iter (fun q -> ignore (Solver.check c q)) (store_queries ());
+  check bool "entries added" true (Store.length st > 0);
+  Store.save st;
+  check int "save wrote nothing" 0 (Array.length (Sys.readdir dir));
+  let c2, s2 = counted ~cache:true ~store:st () in
+  List.iter (fun q -> ignore (Solver.check c2 q)) (store_queries ());
+  check int "no fresh solves" 0 s2.Counters.component_solves;
+  check bool "answered from memory" true (s2.Counters.hits_store > 0)
+
 (* corrupted or version-mismatched store files must load as empty stores —
    a cache starts cold, it never crashes the run or poisons answers *)
 let test_store_rejects_invalid () =
-  with_temp_dir @@ fun dir ->
+  Binfile.with_temp_dir "overify_store_test" @@ fun dir ->
   let st = Store.load ~dir () in
   let c = Solver.create ~cache:true ~store:st () in
   List.iter (fun q -> ignore (Solver.check c q)) (store_queries ());
@@ -737,5 +743,7 @@ let () =
             test_store_round_trip;
           Alcotest.test_case "rejects corrupt and wrong-version files" `Quick
             test_store_rejects_invalid;
+          Alcotest.test_case "in-memory store saves nothing" `Quick
+            test_store_in_memory_saves_nothing;
         ] );
     ]

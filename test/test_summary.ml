@@ -24,6 +24,7 @@ module Costmodel = Overify_opt.Costmodel
 module Pipeline = Overify_opt.Pipeline
 module Programs = Overify_corpus.Programs
 module Store = Overify_solver.Store
+module Binfile = Overify_solver.Binfile
 module H = Overify_harness
 
 let check = Alcotest.check
@@ -34,35 +35,28 @@ let string = Alcotest.string
 let compile level src =
   (Pipeline.optimize level (Frontend.compile_source src)).Pipeline.modul
 
+(** [cache_dir]: load the store from that directory before the run and
+    save it after, as [verify --cache-dir] does. *)
 let run ?(input_size = 2) ?(timeout = 30.0) ?(summaries = false) ?(jobs = 1)
     ?cache_dir m =
-  Engine.run
-    ~config:
-      {
-        Engine.default_config with
-        input_size;
-        timeout;
-        summaries;
-        searcher = `Parallel jobs;
-        cache_dir;
-      }
-    m
+  let run store =
+    Engine.run
+      ~config:
+        {
+          Engine.default_config with
+          input_size;
+          timeout;
+          summaries;
+          searcher = `Parallel jobs;
+          store;
+        }
+      m
+  in
+  match cache_dir with
+  | None -> run None
+  | Some dir -> Store.with_dir ~dir (fun store -> run (Some store))
 
 let det_json r = Engine.result_to_json ~deterministic:true r
-
-let with_temp_dir f =
-  let tmp = Filename.temp_file "overify_test_summary" "" in
-  let dir = tmp ^ ".d" in
-  Fun.protect
-    ~finally:(fun () ->
-      (if Sys.file_exists dir && Sys.is_directory dir then
-         Array.iter
-           (fun x ->
-             try Sys.remove (Filename.concat dir x) with Sys_error _ -> ())
-           (Sys.readdir dir));
-      (try Sys.rmdir dir with Sys_error _ -> ());
-      try Sys.remove tmp with Sys_error _ -> ())
-    (fun () -> f dir)
 
 (* ------------- the corpus differential battery ------------- *)
 
@@ -198,7 +192,7 @@ let prop_invalidation_cone_cache =
       let cands = Summary.candidates m in
       if cands = [] then true
       else
-        with_temp_dir (fun dir ->
+        Binfile.with_temp_dir "overify_test_summary" (fun dir ->
             let cold = run ~timeout:15.0 ~summaries:true ~cache_dir:dir m in
             (* transient opacities (solver timeout, coverage attribution)
                are never persisted, so they re-compute on every run; the
@@ -238,7 +232,7 @@ let prop_invalidation_cone_cache =
 let test_store_round_trip () =
   let p = Option.get (Programs.find "wc") in
   let c = H.Experiment.compile Costmodel.o0 p in
-  with_temp_dir (fun dir ->
+  Binfile.with_temp_dir "overify_test_summary" (fun dir ->
       let cold = run ~summaries:true ~cache_dir:dir c.H.Experiment.modul in
       let warm = run ~summaries:true ~cache_dir:dir c.H.Experiment.modul in
       check bool "cold computed summaries" true
@@ -268,7 +262,7 @@ let test_decode_robustness () =
 let test_store_corruption_is_a_miss () =
   let p = Option.get (Programs.find "echo") in
   let c = H.Experiment.compile Costmodel.o0 p in
-  with_temp_dir (fun dir ->
+  Binfile.with_temp_dir "overify_test_summary" (fun dir ->
       let clean = run ~summaries:true ~cache_dir:dir c.H.Experiment.modul in
       let file =
         match Array.to_list (Sys.readdir dir) with

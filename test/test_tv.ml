@@ -10,6 +10,9 @@ module Costmodel = Overify_opt.Costmodel
 module Pipeline = Overify_opt.Pipeline
 module Tv = Overify_tv.Tv
 module Product = Overify_tv.Product
+module Engine = Overify_symex.Engine
+module Cancel = Overify_fault.Cancel
+module Obs = Overify_obs.Obs
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -22,17 +25,16 @@ let compile ?(level = Costmodel.o0) src =
   (Pipeline.optimize level (Frontend.compile_source src)).Pipeline.modul
 
 (** A small budget keeps each check well under a second. *)
-let budget =
+let config =
   {
-    Tv.default_budget with
-    Tv.input_size = 2;
+    Tv.default_config with
+    Engine.input_size = 2;
     max_paths = 200;
     max_insts = 500_000;
     timeout = 2.0;
-    fallback_runs = 8;
   }
 
-let verdict_of pre post = (Tv.check_modules ~budget pre post).Tv.verdict
+let verdict_of pre post = (Tv.check_modules ~config pre post).Tv.verdict
 
 let is_proved = function Tv.Proved _ -> true | _ -> false
 
@@ -72,7 +74,7 @@ int main(void) {
   in
   let pre = compile ~level:Costmodel.o0 src in
   let post = compile ~level:Costmodel.o3 src in
-  let o = Tv.check_modules ~budget pre post in
+  let o = Tv.check_modules ~config pre post in
   check bool
     ("whole -O3 compilation proves: " ^ Tv.string_of_verdict o.Tv.verdict)
     true (is_proved o.Tv.verdict)
@@ -124,7 +126,7 @@ let test_excused_pre_trap () =
      proves — with the excused paths counted *)
   let pre = compile "int main(void) { return 10 / __input(0); }" in
   let post = compile "int main(void) { int y = 0; return 10 / __input(0) + y; }" in
-  let o = Tv.check_modules ~budget pre post in
+  let o = Tv.check_modules ~config pre post in
   check bool
     ("proves despite pre-trap: " ^ Tv.string_of_verdict o.Tv.verdict)
     true (is_proved o.Tv.verdict);
@@ -143,8 +145,8 @@ let test_inconclusive_budget_exhausted () =
   in
   let pre = compile src_pre in
   let post = compile src_post in
-  let tiny = { budget with Tv.max_insts = 2_000; timeout = 1.0 } in
-  let o = Tv.check_modules ~budget:tiny pre post in
+  let tiny = { config with Engine.max_insts = 2_000; timeout = 1.0 } in
+  let o = Tv.check_modules ~config:tiny pre post in
   match o.Tv.verdict with
   | Tv.Inconclusive reason ->
       let has_needle hay needle =
@@ -191,14 +193,14 @@ let test_bisector_names_sabotaged_pass () =
     ~finally:(fun () -> Pipeline.sabotage := None)
     (fun () ->
       Pipeline.sabotage := Some ("constfold", flip_first_add);
-      let (_, report) = Tv.validate ~budget Costmodel.o2 m0 in
+      let (_, report) = Tv.validate ~config Costmodel.o2 m0 in
       match Tv.first_offender report with
       | Some o -> check string "bisector blames the corrupted pass" "constfold" o.Tv.pass
       | None ->
           Alcotest.failf "injected miscompilation not detected; report: %s"
             (Tv.report_to_json report));
   (* and without sabotage the same compilation proves end to end *)
-  let (_, clean) = Tv.validate ~budget Costmodel.o2 m0 in
+  let (_, clean) = Tv.validate ~config Costmodel.o2 m0 in
   check int "clean compilation has no counterexamples" 0
     (List.length (Tv.counterexamples clean))
 
@@ -217,7 +219,7 @@ let test_corpus_slice_all_levels () =
           [ Overify_vclib.Vclib.for_cost_model cm;
             program.Overify_corpus.Programs.source ]
       in
-      let (_, report) = Tv.validate ~budget cm m0 in
+      let (_, report) = Tv.validate ~config cm m0 in
       check int
         (Printf.sprintf "echo @ %s: no counterexamples" cm.Costmodel.name)
         0
@@ -237,7 +239,7 @@ let test_report_json_shape () =
     Frontend.compile_source
       "int main(void) { int x = __input(0); int y = x * 3; return y; }"
   in
-  let (_, report) = Tv.validate ~budget Costmodel.o2 m0 in
+  let (_, report) = Tv.validate ~config Costmodel.o2 m0 in
   check bool "at least one pass application recorded" true
     (report.Tv.records <> []);
   let json = Tv.report_to_json report in
@@ -249,6 +251,59 @@ let test_report_json_shape () =
   List.iter
     (fun k -> check bool ("json has key " ^ k) true (has_needle json k))
     [ {|"level"|}; {|"records"|}; {|"per_pass"|}; {|"verdict"|}; {|"queries"|} ]
+
+(* ------------- cancellation and obligation spans ------------- *)
+
+(** The flight-ring records on [trace]. *)
+let records_on trace =
+  List.filter
+    (fun (r : Obs.Flight.record) -> r.Obs.Flight.fr_trace = trace)
+    (Obs.Flight.records ())
+
+let test_cancelled_before_any_obligation () =
+  let m0 =
+    Frontend.compile_source
+      "int main(void) { int x = __input(0); int y = x * 3; return y; }"
+  in
+  let validate ~cancel root =
+    Tv.validate
+      ~config:{ config with Engine.cancel = Some cancel; span = Some root }
+      Costmodel.o2 m0
+  in
+  (* a live token: every obligation leaves a tv: span, and the product's
+     engine runs nest under them *)
+  let live = Obs.Span.start "test.tv" in
+  let (_, report) = validate ~cancel:(Cancel.create ()) live in
+  let recs = records_on live.Obs.Span.sp_trace in
+  let tv_ids =
+    List.filter_map
+      (fun (r : Obs.Flight.record) ->
+        if String.starts_with ~prefix:"tv:" r.Obs.Flight.fr_label then
+          Some r.Obs.Flight.fr_id
+        else None)
+      recs
+  in
+  check int "one tv: span per obligation"
+    (List.length report.Tv.records) (List.length tv_ids);
+  let runs =
+    List.filter
+      (fun (r : Obs.Flight.record) -> r.Obs.Flight.fr_label = "engine.run")
+      recs
+  in
+  check bool "some obligation ran the engine" true (runs <> []);
+  check bool "every engine.run nests under a tv: span" true
+    (List.for_all
+       (fun (r : Obs.Flight.record) -> List.mem r.Obs.Flight.fr_parent tv_ids)
+       runs);
+  (* a token whose deadline has passed: no obligation is checked *)
+  let cut = Obs.Span.start "test.tv" in
+  let past = Cancel.create ~deadline:(Unix.gettimeofday () -. 1.0) () in
+  match validate ~cancel:past cut with
+  | _ -> Alcotest.fail "a past-deadline validation returned a report"
+  | exception Cancel.Cancelled reason ->
+      check string "cancellation reason" "deadline exceeded" reason;
+      check int "nothing ran on the cancelled validation's trace" 0
+        (List.length (records_on cut.Obs.Span.sp_trace))
 
 let () =
   Alcotest.run "tv"
@@ -283,5 +338,10 @@ let () =
           Alcotest.test_case "corpus slice, all levels" `Slow
             test_corpus_slice_all_levels;
           Alcotest.test_case "json report shape" `Quick test_report_json_shape;
+        ] );
+      ( "cancellation",
+        [
+          Alcotest.test_case "past deadline raises before any obligation"
+            `Quick test_cancelled_before_any_obligation;
         ] );
     ]
