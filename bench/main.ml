@@ -2,16 +2,11 @@
     evaluation (see DESIGN.md §3 for the experiment index).
 
       dune exec bench/main.exe                 # everything, quick settings
-      dune exec bench/main.exe -- table1 [-n N] [-t SECONDS]
-      dune exec bench/main.exe -- table2
-      dune exec bench/main.exe -- table3
-      dune exec bench/main.exe -- figure4 [-n N] [-t SECONDS]
-      dune exec bench/main.exe -- precision    # the 2.1 precision experiment
-      dune exec bench/main.exe -- parallel [-n N] [-t SECONDS] [-j JOBS]
-      dune exec bench/main.exe -- solve [-n N] [-t SECONDS] [-p PROGRAM] [-o FILE]
-      dune exec bench/main.exe -- summary [-n N] [-t SECONDS] [-p PROGRAM] [-o FILE]
-      dune exec bench/main.exe -- validate [-n N] [-t SECONDS]
-      dune exec bench/main.exe -- profile [-n N] [-t SECONDS]
+      dune exec bench/main.exe -- SUBCOMMAND [FLAGS]
+
+    The subcommands and their flags are the [commands] table at the end
+    of this file; any first argument not in it prints them to stderr and
+    exits 2.
 
     Absolute numbers will differ from the paper (our substrate is a
     simulator, their testbed was KLEE+STP on x86); the shapes — who wins,
@@ -604,98 +599,6 @@ let run_chaos args =
   let r = H.Chaos.run ~input_size ~timeout ~programs ~json_path:out () in
   if r.H.Chaos.failures > 0 then exit 1
 
-(* ---- serve: throughput/latency of the verification daemon under a
-   concurrent synthetic trace (programs x levels x budgets, duplicates,
-   malformed inputs).  The health contract — zero daemon crashes, every
-   entry answered, dedup hits > 0 — is asserted and any violation exits
-   1.  The summary goes to BENCH_serve.json. ---- *)
-
-let run_serve args =
-  let n = Option.value (int_flag "-n" args) ~default:48 in
-  let clients = Option.value (int_flag "-c" args) ~default:4 in
-  let out = Option.value (flag "-o" args) ~default:"BENCH_serve.json" in
-  Printf.printf
-    "=== Serve: %d-entry synthetic trace over %d concurrent clients ===\n\n"
-    n clients;
-  let (s, healthy) = H.Serve.run ~n ~clients () in
-  Printf.printf
-    "requests=%d ok=%d errors=%d transport_failures=%d\n"
-    s.H.Serve.s_requests s.H.Serve.s_ok s.H.Serve.s_errors
-    s.H.Serve.s_transport_failures;
-  Printf.printf
-    "executed=%d dedup_hits=%d (inflight=%d recent=%d) malformed=%d\n"
-    (H.Serve.stat s "executed")
-    (H.Serve.stat s "dedup_hits")
-    (H.Serve.stat s "dedup_inflight")
-    (H.Serve.stat s "dedup_recent")
-    (H.Serve.stat s "malformed");
-  Printf.printf
-    "throughput=%.1f req/s latency p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms\n"
-    s.H.Serve.s_throughput_rps s.H.Serve.s_p50_ms s.H.Serve.s_p95_ms
-    s.H.Serve.s_p99_ms s.H.Serve.s_max_ms;
-  Out_channel.with_open_text out (fun oc ->
-      Printf.fprintf oc "%s\n" (H.Serve.summary_to_json s));
-  Printf.printf "wrote %s\n" out;
-  if healthy then
-    print_endline
-      "serve trace passed: daemon survived the whole trace, every entry \
-       answered, dedup hits > 0"
-  else begin
-    print_endline "serve trace FAILED the health contract";
-    exit 1
-  end
-
-(* ---- overload: the daemon under deliberate overload — a stall@1-wedged
-   executor, a full capacity-1 queue, a distinct-fingerprint flood, then
-   watchdog recovery, an accepted stream, a slowloris and an idle probe.
-   The contract — zero transport failures, every request answered or
-   shed, sheds reconciling exactly with the daemon's own counter, the
-   watchdog firing exactly once — is asserted and any violation exits 1.
-   The summary (shed rate, accepted p50/p95/p99) goes to
-   BENCH_overload.json. ---- *)
-
-let run_overload args =
-  let probes = Option.value (int_flag "-n" args) ~default:12 in
-  let accepted = Option.value (int_flag "-a" args) ~default:16 in
-  let out = Option.value (flag "-o" args) ~default:"BENCH_overload.json" in
-  Printf.printf
-    "=== Overload: %d-probe flood against a wedged capacity-1 daemon ===\n\n"
-    probes;
-  let (o, healthy) = H.Serve.run_overload ~probes ~accepted () in
-  Printf.printf
-    "requests=%d ok=%d overloaded=%d deadline_exceeded=%d other_errors=%d \
-     transport_failures=%d\n"
-    o.H.Serve.o_requests o.H.Serve.o_ok o.H.Serve.o_overloaded
-    o.H.Serve.o_deadline o.H.Serve.o_other_errors
-    o.H.Serve.o_transport_failures;
-  Printf.printf
-    "shed_rate=%.3f retry_hint_min=%dms watchdog_reason=%b \
-     slowloris_answered=%b idle_reaped=%b\n"
-    (float_of_int o.H.Serve.o_overloaded
-    /. float_of_int (max 1 o.H.Serve.o_requests))
-    o.H.Serve.o_hint_ms_min o.H.Serve.o_watchdog_reason
-    o.H.Serve.o_slowloris_answered o.H.Serve.o_idle_reaped;
-  let lat = o.H.Serve.o_accepted_lat in
-  let pct q =
-    let n = Array.length lat in
-    if n = 0 then 0.0
-    else lat.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
-  in
-  Printf.printf "accepted latency p50=%.1fms p95=%.1fms p99=%.1fms\n"
-    (pct 0.50) (pct 0.95) (pct 0.99);
-  Out_channel.with_open_text out (fun oc ->
-      Printf.fprintf oc "%s\n" (H.Serve.overload_to_json o));
-  Printf.printf "wrote %s\n" out;
-  if healthy then
-    print_endline
-      "overload schedule passed: every request answered or shed, shed \
-       accounting exact, watchdog recovered the wedged executor, zero \
-       transport failures"
-  else begin
-    print_endline "overload schedule FAILED the health contract";
-    exit 1
-  end
-
 (* ---- translation-validated corpus sweep: every pass application on every
    corpus program at every level is checked with the symbolic engine; the
    expected result is zero counterexamples (exit 1 otherwise) ---- *)
@@ -713,26 +616,39 @@ let run_validate args =
   let cex = H.Validation.run ~config () in
   if cex > 0 then exit 1
 
+(** The subcommands with their flags, in usage order. *)
+let commands =
+  [
+    ("table1", " [-n N] [-t SECONDS]", run_table1);
+    ("table2", " [-n N] [-t SECONDS]", run_table2);
+    ("table3", "", run_table3);
+    ("figure4", " [-n N] [-t SECONDS]", run_figure4);
+    ("precision", "", run_precision);
+    ("parallel", " [-n N] [-t SECONDS] [-j JOBS]", run_parallel);
+    ("solve", " [-n N] [-t SECONDS] [-p PROGRAM] [-o FILE]", run_solve);
+    ("summary", " [-n N] [-t SECONDS] [-p PROGRAM] [-o FILE]", run_summary);
+    ("chaos", " [-n N] [-t SECONDS] [-p PROGRAM] [-o FILE]", run_chaos);
+    ("validate", " [-n N] [-t SECONDS]", run_validate);
+    ("profile", " [-n N] [-t SECONDS]", run_profile);
+  ]
+
 let () =
-  let args = Array.to_list Sys.argv in
-  match args with
-  | _ :: "table1" :: rest -> run_table1 rest
-  | _ :: "table2" :: rest -> run_table2 rest
-  | _ :: "table3" :: rest -> run_table3 rest
-  | _ :: "figure4" :: rest -> run_figure4 rest
-  | _ :: "precision" :: rest -> run_precision rest
-  | _ :: "parallel" :: rest -> run_parallel rest
-  | _ :: "solve" :: rest -> run_solve rest
-  | _ :: "summary" :: rest -> run_summary rest
-  | _ :: "chaos" :: rest -> run_chaos rest
-  | _ :: "serve" :: rest -> run_serve rest
-  | _ :: "overload" :: rest -> run_overload rest
-  | _ :: "validate" :: rest -> run_validate rest
-  | _ :: "profile" :: rest -> run_profile rest
-  | _ ->
-      (* default: regenerate everything at quick settings *)
+  match Array.to_list Sys.argv with
+  | [] | [ _ ] ->
+      (* no subcommand: regenerate everything at quick settings *)
       run_table1 [];
       run_table2 [ "-n"; "3" ];
       run_table3 [];
       run_precision [];
       run_figure4 [ "-n"; "5"; "-t"; "12" ]
+  | _ :: cmd :: rest -> (
+      match List.find_opt (fun (name, _, _) -> name = cmd) commands with
+      | Some (_, _, run) -> run rest
+      | None ->
+          Printf.eprintf "bench: unknown subcommand %S\n" cmd;
+          prerr_endline "usage: bench/main.exe";
+          List.iter
+            (fun (name, flags, _) ->
+              Printf.eprintf "       bench/main.exe %s%s\n" name flags)
+            commands;
+          exit 2)

@@ -241,69 +241,14 @@ module Profile = struct
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 end
 
-(* ---------------- per-pass compile profile ---------------- *)
-
-(** One record per optimization-pass application: wall time and code-size
-    delta, in application order.  Collected by [Pipeline.optimize ~prof]. *)
-module Pass = struct
-  type app = {
-    pa_pass : string;
-    pa_fn : string;       (** ["*"] for module-level passes *)
-    pa_time : float;      (** seconds *)
-    pa_size_before : int; (** static instructions (function, or module for ["*"]) *)
-    pa_size_after : int;
-    pa_changed : bool;
-  }
-
-  type t = { mutable apps_rev : app list }
-
-  let create () = { apps_rev = [] }
-  let record t a = t.apps_rev <- a :: t.apps_rev
-  let apps t = List.rev t.apps_rev
-
-  type rollup = {
-    pr_pass : string;
-    pr_apps : int;        (** applications attempted *)
-    pr_changed : int;     (** applications that changed code *)
-    pr_time : float;
-    pr_dsize : int;       (** net static-size delta of changing applications *)
-  }
-
-  (** One row per pass, in first-application order. *)
-  let rollup t =
-    let order = ref [] in
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun a ->
-        let r =
-          match Hashtbl.find_opt tbl a.pa_pass with
-          | Some r -> r
-          | None ->
-              order := a.pa_pass :: !order;
-              { pr_pass = a.pa_pass; pr_apps = 0; pr_changed = 0;
-                pr_time = 0.0; pr_dsize = 0 }
-        in
-        Hashtbl.replace tbl a.pa_pass
-          {
-            r with
-            pr_apps = r.pr_apps + 1;
-            pr_changed = (r.pr_changed + if a.pa_changed then 1 else 0);
-            pr_time = r.pr_time +. a.pa_time;
-            pr_dsize =
-              (r.pr_dsize
-              + if a.pa_changed then a.pa_size_after - a.pa_size_before else 0);
-          })
-      (apps t);
-    List.rev_map (fun p -> Hashtbl.find tbl p) !order
-end
-
 (* ---------------- Chrome trace_event export ---------------- *)
 
 (** Structured trace sink in Chrome's [trace_event] JSON format (load the
     emitted file in [chrome://tracing] / Perfetto).  One process-global
-    buffer behind a mutex: events come from pass applications, solver
-    queries, TV obligations and engine runs — thousands, not millions, so a
-    lock per event is fine.  Collection is off until {!start}. *)
+    buffer behind a mutex: events come only from {!Pass.record} (pass
+    applications) and {!Span} (engine runs, solver queries, TV
+    obligations) — thousands, not millions, so a lock per event is fine.
+    Collection is off until {!start}. *)
 module Trace = struct
   type event = {
     ev_name : string;
@@ -406,16 +351,94 @@ module Trace = struct
         else output_string oc (to_json ()))
 end
 
+(* ---------------- per-pass compile profile ---------------- *)
+
+(** One record per optimization-pass application: wall time and code-size
+    delta, in application order.  Collected by [Pipeline.optimize ~prof];
+    the same record is the application's [opt] trace event. *)
+module Pass = struct
+  type app = {
+    pa_pass : string;
+    pa_fn : string;       (** ["*"] for module-level passes *)
+    pa_time : float;      (** seconds *)
+    pa_size_before : int; (** static instructions (function, or module for ["*"]) *)
+    pa_size_after : int;
+    pa_changed : bool;
+  }
+
+  type t = { mutable apps_rev : app list }
+
+  let create () = { apps_rev = [] }
+
+  (** The one call per application: append it to [into] when given, and
+      emit its [opt] event over [ts .. ts + pa_time] while {!Trace}
+      collects. *)
+  let record ?into ~ts a =
+    Option.iter (fun t -> t.apps_rev <- a :: t.apps_rev) into;
+    if Trace.enabled () then
+      Trace.emit ~cat:"opt" ~name:a.pa_pass
+        ~args:
+          [
+            ("fn", a.pa_fn);
+            ("size_before", string_of_int a.pa_size_before);
+            ("size_after", string_of_int a.pa_size_after);
+            ("changed", string_of_bool a.pa_changed);
+          ]
+        ~ts ~dur:a.pa_time ()
+
+  let apps t = List.rev t.apps_rev
+
+  type rollup = {
+    pr_pass : string;
+    pr_apps : int;        (** applications attempted *)
+    pr_changed : int;     (** applications that changed code *)
+    pr_time : float;
+    pr_dsize : int;       (** net static-size delta of changing applications *)
+  }
+
+  (** One row per pass, in first-application order. *)
+  let rollup t =
+    let order = ref [] in
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun a ->
+        let r =
+          match Hashtbl.find_opt tbl a.pa_pass with
+          | Some r -> r
+          | None ->
+              order := a.pa_pass :: !order;
+              { pr_pass = a.pa_pass; pr_apps = 0; pr_changed = 0;
+                pr_time = 0.0; pr_dsize = 0 }
+        in
+        Hashtbl.replace tbl a.pa_pass
+          {
+            r with
+            pr_apps = r.pr_apps + 1;
+            pr_changed = (r.pr_changed + if a.pa_changed then 1 else 0);
+            pr_time = r.pr_time +. a.pa_time;
+            pr_dsize =
+              (r.pr_dsize
+              + if a.pa_changed then a.pa_size_after - a.pa_size_before else 0);
+          })
+      (apps t);
+    List.rev_map (fun p -> Hashtbl.find tbl p) !order
+end
+
 (* ---------------- flight-recorder ring ---------------- *)
 
 (** Bounded in-memory ring of recent span/event/log records — the
     flight recorder's working memory.  Recording is unconditional (the
     callers gate: a record only exists because somebody opened a span or
-    logged), bounded (drop-oldest beyond [cap], with a dropped counter so
-    a dump says how much history it lost), and cheap (one mutex + queue
-    push per record; record producers are per-request/per-query, not
-    per-instruction).  Serialization lives upstream in [lib/serve] —
-    this module cannot depend on [Binfile] (the solver depends on obs). *)
+    logged), bounded (beyond [cap] the oldest record goes, unless the
+    recording trace holds more than half the ring: then that trace's
+    oldest record goes instead; a dropped counter says how much history
+    a dump lost), and cheap (one mutex, a table lookup and two list
+    pushes per record; record producers are per-request/per-query, not
+    per-instruction).  The newest records are kept, so the request that
+    degraded is whole in a dump, and one busy request cannot flush the
+    history of the others.  Serialization lives upstream in
+    [lib/serve] — this module cannot depend on [Binfile] (the solver
+    depends on obs). *)
 module Flight = struct
   type record = {
     fr_ts : float;     (** absolute start, Unix seconds *)
@@ -431,40 +454,100 @@ module Flight = struct
 
   let default_cap = 2048
 
+  (* Every record sits in two lists: the ring's, oldest first and doubly
+     linked so a record can leave from the middle, and its trace's queue,
+     whose length is the trace's share of the ring. *)
+  type node = { r : record; mutable prev : node; mutable next : node }
+
   type ring = {
     mutable cap : int;
-    q : record Queue.t;
+    mutable size : int;
+    root : node;  (** sentinel: [root.next] is the oldest record *)
+    traces : (string, node Queue.t) Hashtbl.t;
     mutable dropped : int;
     mu : Mutex.t;
   }
 
   let ring =
-    { cap = default_cap; q = Queue.create (); dropped = 0; mu = Mutex.create () }
+    let rec root =
+      {
+        r =
+          {
+            fr_ts = 0.0; fr_dur = 0.0; fr_trace = ""; fr_id = 0;
+            fr_parent = -1; fr_kind = ""; fr_label = ""; fr_counters = [];
+            fr_args = [];
+          };
+        prev = root;
+        next = root;
+      }
+    in
+    {
+      cap = default_cap;
+      size = 0;
+      root;
+      traces = Hashtbl.create 16;
+      dropped = 0;
+      mu = Mutex.create ();
+    }
+
+  (* Evict [n], the oldest record of its trace's queue [q]; the caller
+     holds the lock. *)
+  let evict q n =
+    n.prev.next <- n.next;
+    n.next.prev <- n.prev;
+    ignore (Queue.pop q);
+    if Queue.is_empty q then Hashtbl.remove ring.traces n.r.fr_trace;
+    ring.size <- ring.size - 1;
+    ring.dropped <- ring.dropped + 1
+
+  let evict_oldest () =
+    let n = ring.root.next in
+    evict (Hashtbl.find ring.traces n.r.fr_trace) n
 
   let set_cap n =
     Mutex.lock ring.mu;
     ring.cap <- max 1 n;
-    while Queue.length ring.q > ring.cap do
-      ignore (Queue.pop ring.q);
-      ring.dropped <- ring.dropped + 1
+    while ring.size > ring.cap do
+      evict_oldest ()
     done;
     Mutex.unlock ring.mu
 
   let record r =
     Mutex.lock ring.mu;
-    Queue.push r ring.q;
-    while Queue.length ring.q > ring.cap do
-      ignore (Queue.pop ring.q);
-      ring.dropped <- ring.dropped + 1
-    done;
+    let q =
+      match Hashtbl.find_opt ring.traces r.fr_trace with
+      | Some q -> q
+      | None ->
+          let q = Queue.create () in
+          Hashtbl.add ring.traces r.fr_trace q;
+          q
+    in
+    let root = ring.root in
+    let n = { r; prev = root.prev; next = root } in
+    root.prev.next <- n;
+    root.prev <- n;
+    Queue.push n q;
+    ring.size <- ring.size + 1;
+    if ring.size > ring.cap then
+      if Queue.length q > max 1 (ring.cap / 2) then evict q (Queue.peek q)
+      else evict_oldest ();
     Mutex.unlock ring.mu
 
   (** Snapshot, oldest first. *)
   let records () =
     Mutex.lock ring.mu;
-    let rs = List.of_seq (Queue.to_seq ring.q) in
+    let rec back n acc =
+      if n == ring.root then acc else back n.prev (n.r :: acc)
+    in
+    let rs = back ring.root.prev [] in
     Mutex.unlock ring.mu;
     rs
+
+  let length () =
+    Mutex.lock ring.mu;
+    let n = ring.size in
+    Mutex.unlock ring.mu;
+    n
 
   let dropped () =
     Mutex.lock ring.mu;
@@ -474,7 +557,10 @@ module Flight = struct
 
   let clear () =
     Mutex.lock ring.mu;
-    Queue.clear ring.q;
+    Hashtbl.reset ring.traces;
+    ring.root.prev <- ring.root;
+    ring.root.next <- ring.root;
+    ring.size <- 0;
     ring.dropped <- 0;
     Mutex.unlock ring.mu
 end

@@ -116,7 +116,8 @@ module Profile : sig
 end
 
 (** Per-pass compile profile: wall time and code-size delta per pass
-    application, collected by [Pipeline.optimize ~prof]. *)
+    application, collected by [Pipeline.optimize ~prof].  The same
+    record is the application's [opt] trace event. *)
 module Pass : sig
   type app = {
     pa_pass : string;
@@ -130,7 +131,12 @@ module Pass : sig
   type t
 
   val create : unit -> t
-  val record : t -> app -> unit
+
+  val record : ?into:t -> ts:float -> app -> unit
+  (** Record one application that started at [ts]: append it to [into]
+      when given, and while {!Trace} collects emit its event (category
+      [opt], named after the pass, over [ts .. ts + pa_time], args [fn],
+      [size_before], [size_after] and [changed]). *)
 
   val apps : t -> app list
   (** Application order. *)
@@ -148,7 +154,8 @@ module Pass : sig
 end
 
 (** Chrome [trace_event] sink (view in [chrome://tracing] / Perfetto).
-    Process-global, mutex per event; collection is off until {!start}. *)
+    Process-global, mutex per event; collection is off until {!start}.
+    Its only producers are {!Span} and {!Pass.record}. *)
 module Trace : sig
   type event = {
     ev_name : string;
@@ -163,16 +170,6 @@ module Trace : sig
   val start : unit -> unit
   val stop : unit -> unit
   val clear : unit -> unit
-
-  val emit :
-    ?cat:string ->
-    ?args:(string * string) list ->
-    name:string ->
-    ts:float ->
-    dur:float ->
-    unit ->
-    unit
-
   val events : unit -> event list
 
   val to_json : unit -> string
@@ -183,9 +180,13 @@ module Trace : sig
 end
 
 (** Bounded in-memory ring of recent span/event/log records — the flight
-    recorder's working memory (drop-oldest beyond [cap], dropped counter
-    kept).  Serialization to post-mortem files lives in [lib/serve]
-    (Binfile discipline); obs cannot depend on the solver's Binfile. *)
+    recorder's working memory.  Beyond [cap] the oldest record is
+    evicted, unless the recording trace holds more than half the ring
+    (more than [max 1 (cap / 2)] records): then that trace's oldest
+    record is.  So the newest records are kept and one busy request
+    cannot evict the history of the others; evictions are counted.
+    Serialization to post-mortem files lives in [lib/serve] (Binfile
+    discipline); obs cannot depend on the solver's Binfile. *)
 module Flight : sig
   type record = {
     fr_ts : float;     (** absolute start, Unix seconds *)
@@ -205,6 +206,9 @@ module Flight : sig
 
   val records : unit -> record list
   (** Snapshot, oldest first. *)
+
+  val length : unit -> int
+  (** Records held, without a snapshot. *)
 
   val dropped : unit -> int
   (** Records evicted by the cap since the last {!clear}. *)

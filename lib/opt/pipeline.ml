@@ -83,32 +83,18 @@ let emit ctx ~pass ~fn ~before ~after =
   | Some f -> f ~pass ~fn ~before ~after
   | None -> ()
 
-(** Record one pass application (time + size delta) with the profile
-    collector and, when tracing, the trace sink. *)
+(** Hand one pass application (time + size delta) to [Obs.Pass], which
+    feeds the profile collector and, when tracing, the trace sink. *)
 let profile_app ctx ~pass ~fn ~t0 ~size_before ~size_after ~changed =
-  let dt = Unix.gettimeofday () -. t0 in
-  (match ctx.prof with
-  | Some p ->
-      Obs.Pass.record p
-        {
-          Obs.Pass.pa_pass = pass;
-          pa_fn = fn;
-          pa_time = dt;
-          pa_size_before = size_before;
-          pa_size_after = size_after;
-          pa_changed = changed;
-        }
-  | None -> ());
-  if Obs.Trace.enabled () then
-    Obs.Trace.emit ~cat:"opt" ~name:pass
-      ~args:
-        [
-          ("fn", fn);
-          ("size_before", string_of_int size_before);
-          ("size_after", string_of_int size_after);
-          ("changed", string_of_bool changed);
-        ]
-      ~ts:t0 ~dur:dt ()
+  Obs.Pass.record ?into:ctx.prof ~ts:t0
+    {
+      Obs.Pass.pa_pass = pass;
+      pa_fn = fn;
+      pa_time = Unix.gettimeofday () -. t0;
+      pa_size_before = size_before;
+      pa_size_after = size_after;
+      pa_changed = changed;
+    }
 
 (** Is any per-application bookkeeping (profile, trace) on? *)
 let timing_on ctx = ctx.prof <> None || Obs.Trace.enabled ()

@@ -44,5 +44,7 @@ val optimize :
 (** Compile a memory-form module at the given optimization level.
     [observe] taps the stream of pass applications; [prof] collects per-
     application wall time and code-size delta (every attempted application,
-    changed or not).  Without either the compilation path is unchanged —
-    no clock reads, no recording. *)
+    changed or not), and while the trace sink collects each application is
+    also an [opt] trace event (both through [Obs.Pass.record]).  Without
+    [observe], [prof] or tracing the compilation path is unchanged — no
+    clock reads, no recording. *)

@@ -1,6 +1,6 @@
 (** Client side of the serve protocol: a blocking connection to an
     [overify serve] daemon.  One request in flight per connection; open
-    several connections for concurrency (the trace-replay harness does). *)
+    several connections for concurrency (perfbench's serve-mix does). *)
 
 type t
 

@@ -221,6 +221,7 @@ let run_request t (rq : Protocol.request) ~(trace : string)
             Tv.default_config with
             Engine.input_size = min rq.rq_input_size 4;
             timeout = rq.rq_timeout;
+            store = Some t.st_store;
             cancel;
             span = Some vspan;
           }
@@ -641,7 +642,7 @@ let metric_rows t : metric_row list =
     row "degraded" (n tl.tl_degraded) ~prom:(counter "overify_degraded_total");
     row "flight_dumps" (n tl.tl_flight_dumps)
       ~prom:(counter "overify_flight_dumps_total");
-    row "flight_records" (n (List.length (Obs.Flight.records ())));
+    row "flight_records" (n (Obs.Flight.length ()));
     row "flight_dropped" (n (Obs.Flight.dropped ()));
     row "store_entries" (n (Store.length t.st_store))
       ~prom:(gauge "overify_store_entries");

@@ -103,9 +103,9 @@ let app pass fn time before after changed =
 
 let test_pass_rollup () =
   let p = Obs.Pass.create () in
-  Obs.Pass.record p (app "gvn" "f" 0.1 100 90 true);
-  Obs.Pass.record p (app "dce" "f" 0.2 90 80 true);
-  Obs.Pass.record p (app "gvn" "g" 0.3 50 50 false);
+  Obs.Pass.record ~into:p ~ts:0.0 (app "gvn" "f" 0.1 100 90 true);
+  Obs.Pass.record ~into:p ~ts:0.0 (app "dce" "f" 0.2 90 80 true);
+  Obs.Pass.record ~into:p ~ts:0.0 (app "gvn" "g" 0.3 50 50 false);
   check int "apps in order" 3 (List.length (Obs.Pass.apps p));
   check string "first app" "gvn" (List.nth (Obs.Pass.apps p) 0).Obs.Pass.pa_pass;
   match Obs.Pass.rollup p with
@@ -464,9 +464,57 @@ let test_trace_capture () =
   check bool "chrome envelope" true (contains json "\"traceEvents\"");
   check bool "complete events" true (contains json "\"ph\": \"X\"")
 
+(* every pass application of a traced compile is one [opt] event: named
+   after the pass, over the application's interval, with the args
+   perfbench's serve-mix reads for its opt.* layers *)
+let test_trace_opt_events () =
+  Obs.Trace.clear ();
+  Obs.Trace.start ();
+  Fun.protect ~finally:(fun () ->
+      Obs.Trace.stop ();
+      Obs.Trace.clear ())
+  @@ fun () ->
+  let wc = Option.get (Programs.find "wc") in
+  let prof = Obs.Pass.create () in
+  let t0 = Unix.gettimeofday () in
+  ignore
+    (Pipeline.optimize ~prof Costmodel.overify
+       (Frontend.compile_sources
+          [ Vclib.for_cost_model Costmodel.overify; wc.Programs.source ]));
+  let t1 = Unix.gettimeofday () in
+  Obs.Trace.stop ();
+  let evs =
+    List.filter (fun e -> e.Obs.Trace.ev_cat = "opt") (Obs.Trace.events ())
+  in
+  let apps = Obs.Pass.apps prof in
+  check bool "applications recorded" true (apps <> []);
+  check int "one event per application" (List.length apps) (List.length evs);
+  List.iter2
+    (fun (a : Obs.Pass.app) (e : Obs.Trace.event) ->
+      check string "named after the pass" a.Obs.Pass.pa_pass e.Obs.Trace.ev_name;
+      check (Alcotest.float 0.0) "lasts the application's time"
+        a.Obs.Pass.pa_time e.Obs.Trace.ev_dur;
+      check bool "inside the compile" true
+        (e.Obs.Trace.ev_ts >= t0 && e.Obs.Trace.ev_ts +. e.Obs.Trace.ev_dur <= t1);
+      check
+        Alcotest.(list (pair string string))
+        "args"
+        [
+          ("fn", a.Obs.Pass.pa_fn);
+          ("size_before", string_of_int a.Obs.Pass.pa_size_before);
+          ("size_after", string_of_int a.Obs.Pass.pa_size_after);
+          ("changed", string_of_bool a.Obs.Pass.pa_changed);
+        ]
+        e.Obs.Trace.ev_args)
+    apps evs;
+  check bool "some application changed code" true
+    (List.exists (fun (a : Obs.Pass.app) -> a.Obs.Pass.pa_changed) apps)
+
 let test_trace_disabled_by_default () =
   check bool "trace off" false (Obs.Trace.enabled ());
-  Obs.Trace.emit ~name:"ignored" ~ts:0.0 ~dur:1.0 ();
+  (* neither producer records while the sink is off *)
+  Obs.Pass.record ~ts:0.0 (app "gvn" "f" 1.0 10 9 true);
+  Obs.Span.finish (Obs.Span.start ~trace:"t-off" "ignored");
   check int "no events recorded when off" 0 (List.length (Obs.Trace.events ()))
 
 (* ------------- spans and the flight ring ------------- *)
@@ -563,7 +611,48 @@ let test_flight_ring_cap () =
   check int "ring capped" 8 (List.length rs);
   check int "evictions counted" 12 (Obs.Flight.dropped ());
   check string "newest record kept" "e20" (List.nth rs 7).fr_label;
-  check string "oldest surviving record" "e13" (List.hd rs).fr_label
+  check string "oldest surviving record" "e13" (List.hd rs).fr_label;
+  (* a busy trace evicts its own records, not a quiet trace's *)
+  Obs.Flight.clear ();
+  for i = 1 to 3 do
+    Obs.Span.event ~trace:"t-quiet" (Printf.sprintf "q%d" i)
+  done;
+  for i = 1 to 20 do
+    Obs.Span.event ~trace:"t-cap" (Printf.sprintf "e%d" i)
+  done;
+  check int "every eviction counted" 15 (Obs.Flight.dropped ());
+  let labels () = List.map (fun r -> r.fr_label) (Obs.Flight.records ()) in
+  check
+    Alcotest.(list string)
+    "the quiet trace survives, oldest first"
+    [ "q1"; "q2"; "q3"; "e16"; "e17"; "e18"; "e19"; "e20" ]
+    (labels ());
+  (* but the newest records are kept: short traces age out, a trace of
+     at most half the ring keeps all of its records, and only a trace
+     past half the ring evicts its own oldest, from the middle *)
+  Obs.Flight.clear ();
+  for i = 1 to 10 do
+    Obs.Span.event ~trace:(Printf.sprintf "t-short%d" i) (Printf.sprintf "s%d" i)
+  done;
+  for i = 1 to 3 do
+    Obs.Span.event ~trace:"t-new" (Printf.sprintf "k%d" i)
+  done;
+  check
+    Alcotest.(list string)
+    "old short traces age out, the new trace is whole"
+    [ "s6"; "s7"; "s8"; "s9"; "s10"; "k1"; "k2"; "k3" ]
+    (labels ());
+  for i = 1 to 20 do
+    Obs.Span.event ~trace:"t-flood" (Printf.sprintf "f%d" i)
+  done;
+  Obs.Span.event ~trace:"t-last" "l1";
+  check
+    Alcotest.(list string)
+    "a flood pays for itself past half the ring"
+    [ "k1"; "k2"; "k3"; "f17"; "f18"; "f19"; "f20"; "l1" ]
+    (labels ());
+  check int "every eviction counted again" 26 (Obs.Flight.dropped ());
+  check int "length is the record count" 8 (Obs.Flight.length ())
 
 (* two identical runs leave the same record sequence once timestamps,
    span ids and wall-clock counters are scrubbed *)
@@ -629,6 +718,8 @@ let () =
             test_trace_capture;
           Alcotest.test_case "disabled by default" `Quick
             test_trace_disabled_by_default;
+          Alcotest.test_case "opt events are the pass records" `Quick
+            test_trace_opt_events;
         ] );
       ( "spans",
         [

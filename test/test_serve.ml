@@ -23,7 +23,6 @@ module Pipeline = Overify_opt.Pipeline
 module Programs = Overify_corpus.Programs
 module Vclib = Overify_vclib.Vclib
 module Fault = Overify_fault.Fault
-module Hserve = Overify_harness.Serve
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -943,6 +942,38 @@ let rpc_json c rq =
   | Ok json -> json
   | Error e -> Alcotest.failf "rpc: %s" (Protocol.frame_error_name e)
 
+let test_served_tv_warm_store () =
+  (* tv obligations read and fill the daemon's warm store like verify
+     runs: the same source again, under a new fingerprint, adds nothing.
+     echo -OVERIFY at n=2 finishes every obligation inside
+     Tv.default_config, so no verdict depends on timing *)
+  with_daemon @@ fun d ->
+  let tv timeout =
+    with_conn d @@ fun c ->
+    let json =
+      rpc_json c
+        {
+          wc_request with
+          Protocol.rq_kind = Protocol.Tv;
+          rq_program = "echo";
+          rq_level = "OVERIFY";
+          rq_input_size = 2;
+          rq_timeout = timeout;
+        }
+    in
+    check string "tv answered" "ok" (get_str json "status");
+    check bool "every obligation decided" true
+      (contains (get_raw json "result") "\"inconclusive\": 0");
+    json
+  in
+  ignore (tv 30.0);
+  let entries = daemon_stat d "store_entries" in
+  check bool "the tv request filled the store" true (entries > 0);
+  let again = tv 29.0 in
+  check string "a new fingerprint runs again" "miss" (get_str again "dedup");
+  check int "the second tv request added no entry" entries
+    (daemon_stat d "store_entries")
+
 (* a malformed MiniC source is the client's mistake, not a daemon fault:
    every kind that compiles answers compile_error, and none cuts an
    internal-error flight dump *)
@@ -1015,6 +1046,42 @@ let test_read_frame_timeouts () =
       check string "idle expiry is reaped silently" "idle"
         (Protocol.frame_error_name Protocol.Idle))
 
+(* the daemon's own read deadlines: a peer stalled mid-frame is answered
+   bad_frame:timeout, a silent one is closed without a byte.  The peers
+   read with deadlines of their own, so a daemon that never answers
+   fails the case instead of hanging it. *)
+let test_slow_and_idle_peers () =
+  let d = Serve.start ~idle_timeout:0.25 ~frame_timeout:0.25 () in
+  Fun.protect ~finally:(fun () -> Serve.stop d) @@ fun () ->
+  let with_peer f =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Unix.connect fd (Unix.ADDR_UNIX (Serve.socket_path d));
+    f fd
+  in
+  (with_peer @@ fun fd ->
+   let n =
+     Unix.write_substring fd Protocol.magic 0 (String.length Protocol.magic)
+   in
+   check int "magic written" (String.length Protocol.magic) n;
+   match Protocol.read_frame ~idle_timeout:5.0 ~frame_timeout:5.0 fd with
+   | Ok json ->
+       check string "stalled peer: error kind" "bad_frame" (error_kind json);
+       check string "stalled peer: message" "timeout" (error_message json)
+   | Error e ->
+       Alcotest.failf "stalled peer got no answer: %s"
+         (Protocol.frame_error_name e));
+  (with_peer @@ fun fd ->
+   match Protocol.read_frame ~idle_timeout:5.0 fd with
+   | Error Protocol.Closed -> ()
+   | Ok json -> Alcotest.failf "silent peer was answered: %s" json
+   | Error e ->
+       Alcotest.failf "silent peer not closed: %s"
+         (Protocol.frame_error_name e));
+  check bool "idle connection reaped" true (daemon_stat d "idle_reaped" >= 1);
+  check bool "stalled frame counted malformed" true
+    (daemon_stat d "malformed" >= 1)
+
 let test_deadline_while_queued () =
   let d = Serve.start ~grace:0.4 () in
   Fun.protect ~finally:(fun () -> Serve.stop d) @@ fun () ->
@@ -1041,6 +1108,8 @@ let test_deadline_while_queued () =
     (String.length (error_message !occ) >= 8
     && String.sub (error_message !occ) 0 8 = "watchdog");
   check int "watchdog fired exactly once" 1 (daemon_stat d "watchdog_fired");
+  check bool "the watchdog's cancel counted" true
+    (daemon_stat d "cancelled" >= 1);
   check bool "both deadline answers counted" true
     (daemon_stat d "deadline_exceeded" >= 2);
   (* the daemon keeps serving after wedge recovery *)
@@ -1198,33 +1267,6 @@ let test_client_retry_backoff () =
       check int "every attempt reached the daemon and was shed" 3
         (daemon_stat d "requests_shed")
 
-let test_overload_schedule_healthy () =
-  (* the bench-overload workload in miniature: wedge, flood, recover,
-     slowloris — the CI overload smoke's in-process twin *)
-  let (o, healthy) =
-    Hserve.run_overload ~probes:4 ~accepted:4 ~occupier_timeout:1.0
-      ~grace:0.4 ()
-  in
-  check int "zero transport failures" 0 o.Hserve.o_transport_failures;
-  check int "every request answered or shed" o.Hserve.o_requests
-    (o.Hserve.o_ok + o.Hserve.o_overloaded + o.Hserve.o_deadline
-   + o.Hserve.o_other_errors);
-  check bool "overload schedule healthy" true healthy
-
-(* ------------- harness trace replay ------------- *)
-
-let test_trace_replay_healthy () =
-  (* the bench-serve workload in miniature: daemon + synthetic mixed
-     trace (dups + malformed) over concurrent clients, health contract
-     asserted — this is the CI serve smoke's in-process twin *)
-  let (s, healthy) = Hserve.run ~n:16 ~clients:3 () in
-  check bool "healthy replay" true healthy;
-  check int "every entry answered" s.Hserve.s_requests
-    (s.Hserve.s_ok + s.Hserve.s_errors);
-  check int "no transport failures" 0 s.Hserve.s_transport_failures;
-  check bool "dedup hits observed" true (Hserve.stat s "dedup_hits" > 0);
-  check bool "malformed entries answered as errors" true (s.Hserve.s_errors > 0)
-
 let test_shutdown_drains_inflight () =
   (* a request in flight when shutdown arrives must still be answered *)
   let d = Serve.start () in
@@ -1326,11 +1368,15 @@ let () =
             test_store_save_race;
           Alcotest.test_case "clear_cache keeps the shared store" `Quick
             test_clear_cache_keeps_shared_store;
+          Alcotest.test_case "served tv shares the warm store" `Quick
+            test_served_tv_warm_store;
         ] );
       ( "deadline",
         [
           Alcotest.test_case "read_frame idle / mid-frame timeouts" `Quick
             test_read_frame_timeouts;
+          Alcotest.test_case "slow and idle peers" `Quick
+            test_slow_and_idle_peers;
           Alcotest.test_case "deadline lapses while queued" `Quick
             test_deadline_while_queued;
           Alcotest.test_case "deadline lapses mid-run (partial result)"
@@ -1343,13 +1389,9 @@ let () =
             `Quick test_queue_cap_exact_sheds;
           Alcotest.test_case "client retry surfaces final overload" `Quick
             test_client_retry_backoff;
-          Alcotest.test_case "overload schedule healthy" `Quick
-            test_overload_schedule_healthy;
         ] );
       ( "replay",
         [
-          Alcotest.test_case "synthetic trace replay healthy" `Quick
-            test_trace_replay_healthy;
           Alcotest.test_case "shutdown drains in-flight requests" `Quick
             test_shutdown_drains_inflight;
         ] );
