@@ -52,7 +52,11 @@ let run ?config ?(levels = Costmodel.all) ?(programs = Programs.programs)
         let inc = List.length (Tv.inconclusives r.report) in
         let queries =
           List.fold_left
-            (fun acc (rec_ : Tv.record) -> acc + rec_.Tv.outcome.Tv.queries)
+            (fun acc (rec_ : Tv.record) ->
+              acc
+              + Option.fold ~none:0
+                  ~some:(fun r -> r.Overify_symex.Engine.queries)
+                  rec_.Tv.outcome.Tv.run)
             0 r.report.Tv.records
         in
         [

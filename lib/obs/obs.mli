@@ -65,7 +65,7 @@ module Counters : sig
     mutable solver_time : float; (** seconds in queries that blasted *)
     mutable components : int;    (** independent components queried *)
     mutable component_solves : int;  (** fresh blast + SAT runs *)
-    mutable hits_canon : int;    (** id-table or canonical-cache hits *)
+    mutable hits_canon : int;    (** per-component id-table hits *)
     mutable hits_store : int;    (** persistent store hits *)
     mutable summary_instantiated : int;
         (** calls answered by a function summary *)

@@ -38,7 +38,7 @@ type telemetry = {
       (** request latency (admission to answer) per queued kind *)
   mutable tl_degraded : int;      (** requests whose run degraded *)
   mutable tl_flight_dumps : int;  (** flight records written *)
-  mutable tl_store_hits : int;    (** accumulated over verify runs: *)
+  mutable tl_store_hits : int;    (** accumulated over engine runs: *)
   mutable tl_engine_queries : int;
   mutable tl_engine_cache_hits : int;
   mutable tl_solver_time : float;
@@ -106,6 +106,19 @@ let trace_of_key key =
   "rq-" ^ String.sub key 0 (min 12 (String.length key))
 
 (* ---------------- job execution (executor thread only) ---------------- *)
+
+(** Add one engine run's counters to the telemetry.  Caller holds the
+    lock. *)
+let add_run_locked (tl : telemetry) (r : Engine.result) =
+  tl.tl_store_hits <- tl.tl_store_hits + r.Engine.hits_store;
+  tl.tl_engine_queries <- tl.tl_engine_queries + r.Engine.queries;
+  tl.tl_engine_cache_hits <- tl.tl_engine_cache_hits + r.Engine.cache_hits;
+  tl.tl_solver_time <- tl.tl_solver_time +. r.Engine.solver_time;
+  tl.tl_sum_instantiated <-
+    tl.tl_sum_instantiated + r.Engine.summary_instantiated;
+  tl.tl_sum_opaque <- tl.tl_sum_opaque + r.Engine.summary_opaque;
+  tl.tl_sum_computed <- tl.tl_sum_computed + r.Engine.summary_computed;
+  tl.tl_sum_cached <- tl.tl_sum_cached + r.Engine.summary_cached
 
 exception Bad_request of string
 
@@ -176,19 +189,8 @@ let run_request t (rq : Protocol.request) ~(trace : string)
         in
         degraded := r.Engine.degradations <> [];
         with_lock t (fun () ->
-            let tl = t.tl in
-            if !degraded then tl.tl_degraded <- tl.tl_degraded + 1;
-            tl.tl_store_hits <- tl.tl_store_hits + r.Engine.hits_store;
-            tl.tl_engine_queries <- tl.tl_engine_queries + r.Engine.queries;
-            tl.tl_engine_cache_hits <-
-              tl.tl_engine_cache_hits + r.Engine.cache_hits;
-            tl.tl_solver_time <- tl.tl_solver_time +. r.Engine.solver_time;
-            tl.tl_sum_instantiated <-
-              tl.tl_sum_instantiated + r.Engine.summary_instantiated;
-            tl.tl_sum_opaque <- tl.tl_sum_opaque + r.Engine.summary_opaque;
-            tl.tl_sum_computed <-
-              tl.tl_sum_computed + r.Engine.summary_computed;
-            tl.tl_sum_cached <- tl.tl_sum_cached + r.Engine.summary_cached);
+            if !degraded then t.tl.tl_degraded <- t.tl.tl_degraded + 1;
+            add_run_locked t.tl r);
         Protocol.ok_body ~kind
           ~result:
             (Engine.result_to_json ~deterministic:rq.rq_deterministic r)
@@ -231,6 +233,11 @@ let run_request t (rq : Protocol.request) ~(trace : string)
             ~finally:(fun () -> Obs.Span.finish vspan)
             (fun () -> Tv.validate ~config level m)
         in
+        with_lock t (fun () ->
+            List.iter
+              (fun (rc : Tv.record) ->
+                Option.iter (add_run_locked t.tl) rc.Tv.outcome.Tv.run)
+              report.Tv.records);
         Protocol.ok_body ~kind
           ~result:
             (Printf.sprintf
@@ -279,15 +286,15 @@ let run_request t (rq : Protocol.request) ~(trace : string)
 
 (* ---------------- dedup + executor ---------------- *)
 
+(** Remember a finished job's answer, evicting the oldest past
+    [recent_cap].  A key is queued at most once: a job runs only when its
+    key is in neither [recent] nor [inflight], and the key leaves
+    [recent] only when its one queue entry is popped. *)
 let add_recent t key body =
   Hashtbl.replace t.recent key body;
   Queue.add key t.recent_order;
   while Queue.length t.recent_order > t.recent_cap do
-    let victim = Queue.pop t.recent_order in
-    (* the victim may have been re-added since; only drop it if this
-       queue entry is its last *)
-    if not (Queue.fold (fun acc k -> acc || k = victim) false t.recent_order)
-    then Hashtbl.remove t.recent victim
+    Hashtbl.remove t.recent (Queue.pop t.recent_order)
   done
 
 let wait_job (job : job) : Protocol.body =

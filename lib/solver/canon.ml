@@ -9,10 +9,6 @@ type ctx = {
 
 let create () = { digests = Hashtbl.create 512; varsets = Hashtbl.create 512 }
 
-let clear ctx =
-  Hashtbl.reset ctx.digests;
-  Hashtbl.reset ctx.varsets
-
 (* ---------------- structural digests ---------------- *)
 
 let opcode_bin : Bv.binop -> int = function

@@ -25,9 +25,6 @@ type ctx
 
 val create : unit -> ctx
 
-val clear : ctx -> unit
-(** Drop the per-term memo tables (safe after [Bv.reset]). *)
-
 val digest : ctx -> Bv.t -> int64 * int64
 (** 128-bit structural digest over node kinds, widths, constants and
     {e global} variable ids — never over term ids, so two workers that

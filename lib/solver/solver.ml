@@ -1,7 +1,7 @@
 (** Query interface over bit-blasting + CDCL, behind a layered acceleration
     chain (KLEE's counterpart is its solver chain: simplification,
-    independence, counterexample cache, then STP; ours adds a Green-style
-    canonical cache and an optional persistent cross-run store).
+    independence, counterexample cache, then STP; ours adds Green-style
+    canonical keys for an optional persistent cross-run store).
 
     Layer order for {!check} (DESIGN.md, "Solver acceleration"):
 
@@ -18,14 +18,13 @@
        were all answered before costs about a hash lookup per component;}
     {- on a miss, canonicalization of the component: a structural sort
        ({!Canon.normalize}), so every permutation of one assertion set
-       yields one answer;}
-    {- per-component canonical cache, keyed by the α-renamed serialization
-       ({!Canon.rename}): structurally equal components share one entry
-       even across different variable ids;}
-    {- persistent store ({!Store}, optional): canonical verdicts reused
-       across runs and processes;}
+       yields one answer, and the α-renamed serialization
+       ({!Canon.rename}), under which structurally equal components share
+       one key even across different variable ids;}
+    {- persistent store ({!Store}, optional), looked up by that key:
+       canonical verdicts reused across contexts, runs and processes;}
     {- fresh bit-blast + SAT of the component (counted in
-       [component_solves]).}}
+       [component_solves]), published to the store.}}
 
     Components are answered in the order of their least member under
     {!Canon.compare_terms} — the order the canonical list of the whole
@@ -39,27 +38,23 @@
     Determinism contract: the answer to a query — including the satisfying
     model — is a pure function of the assertion {e set}, never of cache
     history or assertion order.  A fresh solve canonicalizes first, so a
-    cache hit at any layer returns exactly what the fresh solve would
-    have: canonical-cache and store hits translate a canonical-space model
-    through the current renaming, which is the fresh answer because
-    bit-blasting is equivariant under α-renaming (identical CNF, identical
-    deterministic SAT run).  The id table stores exactly what the
-    canonical path returned, and a term id names one term within a [Bv]
-    generation (which a context never outlives: the engine creates its
-    contexts after [Bv.reset]), so it is memoization too.  Consequently
-    caching may be disabled ([OVERIFY_SOLVER_CACHE=0] or
-    [create ~cache:false]) without changing any result: only the hit
-    counters and solve counts move. *)
+    hit at any layer returns exactly what the fresh solve would have: a
+    store hit translates a canonical-space model through the current
+    renaming, which is the fresh answer because bit-blasting is
+    equivariant under α-renaming (identical CNF, identical deterministic
+    SAT run).  The id table stores exactly what the canonical path
+    returned, and a term id names one term within a [Bv] generation
+    (which a context never outlives: the engine creates its contexts
+    after [Bv.reset]), so it is memoization too.  Consequently caching
+    may be disabled ([OVERIFY_SOLVER_CACHE=0] or [create ~cache:false])
+    without changing any result: only the hit counters and solve counts
+    move. *)
 
 type result =
   | Unsat
   | Sat of (int * int64) list  (** satisfying assignment: (var id, value) *)
 
 exception Timeout = Sat.Timeout
-
-(** One canonical component verdict; SAT models live in canonical variable
-    space so α-equivalent components share the entry. *)
-type centry = C_unsat | C_sat of int64 array
 
 (** One answered component: its least member under {!Canon.compare_terms}
     (which orders the components of a query) and the answer the canonical
@@ -91,12 +86,10 @@ type ctx = {
           answered without any blasting), [solver_time] (seconds in
           queries that blasted), [components], [component_solves] (fresh
           blast + SAT runs — what the chain exists to avoid),
-          [hits_canon] (id table or canonical cache) and [hits_store] *)
+          [hits_canon] (id table) and [hits_store] *)
   itbl : ientry Ids.t;
       (** id table: a component's sorted term-id set -> its answer *)
   canon : Canon.ctx;  (** digest/variable-set memos *)
-  ctbl : (string, centry) Hashtbl.t;
-      (** canonical per-component cache: α-renamed key -> verdict *)
   reuse : bool;
       (** reuse layers enabled?  [false] keeps canonicalization and
           partitioning (they define the result) but re-solves every
@@ -135,7 +128,6 @@ let create ?(counters = Counters.create ()) ?deadline ?cancel ?hist ?span
     counters;
     itbl = Ids.create 1024;
     canon = Canon.create ();
-    ctbl = Hashtbl.create 1024;
     reuse = (match cache with Some b -> b | None -> env_cache_default ());
     store;
     faults;
@@ -144,15 +136,6 @@ let create ?(counters = Counters.create ()) ?deadline ?cancel ?hist ?span
     hist;
     span;
   }
-
-(** Drop {e every} acceleration layer this context owns: the id table, the
-    canonical component cache and the per-term canonicalization memos (the
-    shared persistent store, if any, belongs to the run, not the context,
-    and is untouched). *)
-let clear_cache ctx =
-  Ids.reset ctx.itbl;
-  Hashtbl.reset ctx.ctbl;
-  Canon.clear ctx.canon
 
 (** Charge one real (uncached) solve to the counters, the latency
     histogram and the enclosing span, whose one-shot ["solver.check"]
@@ -176,67 +159,51 @@ let charge_solve ctx t0 ~timed_out =
 
 (** Blast + SAT one component (already in canonical order) and return its
     verdict with the model in canonical variable space. *)
-let solve_component ctx (comp : Bv.t list) (renamed : Canon.renamed) : centry =
+let solve_component ctx (comp : Bv.t list) (renamed : Canon.renamed) :
+    Store.entry =
   ctx.counters.component_solves <- ctx.counters.component_solves + 1;
   let bctx = Blast.create ?deadline:ctx.deadline () in
   List.iter (Blast.assert_true bctx) comp;
-  if not (Sat.solve ?deadline:ctx.deadline bctx.Blast.sat) then C_unsat
+  if not (Sat.solve ?deadline:ctx.deadline bctx.Blast.sat) then Store.E_unsat
   else
-    C_sat
+    Store.E_sat
       (Array.map
          (fun v ->
            match Blast.model_of_var bctx v with Some x -> x | None -> 0L)
          renamed.Canon.cvars)
 
-(** One id-table miss through the canonical layers, falling back to a
-    fresh solve.  [comp] is the component in canonical order.  Every layer
+(** One id-table miss: the attached store when reuse is on, else a fresh
+    solve.  [comp] is the component in canonical order.  A store hit
     returns exactly what [solve_component] would (see the determinism
-    contract above), so the layers are pure memoization.  [fresh] is
+    contract above), so the store is pure memoization.  [fresh] is
     incremented when blasting actually happened. *)
 let check_component ctx ~fresh (comp : Bv.t list) : result =
   let renamed = Canon.rename ctx.canon comp in
   let key = renamed.Canon.key in
-  let solve () =
-    let entry = solve_component ctx comp renamed in
-    incr fresh;
-    (* publish to an attached store even with reuse off: the store is a
-       cross-run artifact, not an in-run reuse layer *)
-    Option.iter
-      (fun st ->
-        Store.add st key
-          (match entry with
-          | C_unsat -> Store.E_unsat
-          | C_sat v -> Store.E_sat v))
-      ctx.store;
-    entry
+  let stored =
+    if ctx.reuse then Option.bind ctx.store (fun st -> Store.find st key)
+    else None
   in
   let entry =
-    if not ctx.reuse then solve ()
-    else
-      match Hashtbl.find_opt ctx.ctbl key with
-      | Some entry ->
-          ctx.counters.hits_canon <- ctx.counters.hits_canon + 1;
-          entry
-      | None ->
-          let entry =
-            match Option.bind ctx.store (fun st -> Store.find st key) with
-            | Some Store.E_unsat ->
-                ctx.counters.hits_store <- ctx.counters.hits_store + 1;
-                C_unsat
-            | Some (Store.E_sat v) ->
-                ctx.counters.hits_store <- ctx.counters.hits_store + 1;
-                C_sat v
-            (* E_blob entries live under namespaced client keys (never a
-               canonical component key); finding one here means a key
-               collision we must treat as a miss, not a verdict *)
-            | Some (Store.E_blob _) | None -> solve ()
-          in
-          Hashtbl.replace ctx.ctbl key entry;
-          entry
+    match stored with
+    | Some ((Store.E_unsat | Store.E_sat _) as entry) ->
+        ctx.counters.hits_store <- ctx.counters.hits_store + 1;
+        entry
+    (* E_blob entries live under namespaced client keys (never a
+       canonical component key); finding one here means a key collision
+       we must treat as a miss, not a verdict *)
+    | Some (Store.E_blob _) | None ->
+        let entry = solve_component ctx comp renamed in
+        incr fresh;
+        (* publish to an attached store even with reuse off: the store is
+           a cross-run artifact, not an in-run reuse layer *)
+        Option.iter (fun st -> Store.add st key entry) ctx.store;
+        entry
   in
   match entry with
-  | C_unsat -> Unsat
-  | C_sat values -> Sat (Canon.model_of_canon renamed values)
+  | Store.E_unsat -> Unsat
+  | Store.E_sat values -> Sat (Canon.model_of_canon renamed values)
+  | Store.E_blob _ -> assert false (* neither branch above yields one *)
 
 (** An injected stuck query ([stall@N]): blocks polling only the explicit
     cancellation flag — deliberately ignoring the solver deadline, which

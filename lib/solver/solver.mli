@@ -1,16 +1,16 @@
 (** Query interface over bit-blasting + CDCL behind a layered acceleration
     chain — the role KLEE's solver chain (simplify, independence,
-    counterexample cache, STP) plays, plus a Green-style canonical cache
-    and an optional persistent cross-run store.
+    counterexample cache, STP) plays, plus Green-style canonical keys for
+    an optional persistent cross-run store.
 
     Layers, in order (each falls through to the next; see DESIGN.md,
     "Solver acceleration"): constant pruning → independence partitioning
     of the deduplicated assertions into variable-disjoint components →
     per-component id table (sorted hash-consed term-id set → answer; a
     hit costs a hash lookup) → on a miss, canonicalization of the
-    component (structural sort, {!Canon}) → per-component canonical cache
-    (α-renamed keys) → persistent store ({!Store}, when attached) → fresh
-    blast + SAT.
+    component (structural sort and α-renamed key, {!Canon}) → persistent
+    store ({!Store}, when attached) → fresh blast + SAT, published to the
+    store.
 
     All mutable solver state lives in an explicit {!ctx} threaded through
     {!check}.  A context is {e not} thread-safe; concurrent callers (the
@@ -51,9 +51,9 @@ val create :
     of the queries that blasted), [components] (independent components
     over all non-trivial queries), [component_solves] (fresh blast + SAT
     runs — the raw solver invocations the chain exists to avoid),
-    [hits_canon] (per-component hits of the id table or the canonical
-    cache) and [hits_store] (persistent store hits); the engine passes
-    the worker's record, shared with its executor.  [deadline] is an
+    [hits_canon] (per-component id-table hits) and [hits_store]
+    (persistent store hits); the engine passes the worker's record,
+    shared with its executor.  [deadline] is an
     absolute [Unix.gettimeofday] instant past which blasting or SAT work
     raises {!Timeout}.  [cancel] attaches a cooperative cancellation
     token, polled (deadline-aware) at the top of every {!check}: a set or
@@ -74,11 +74,6 @@ val create :
     query block until the cancellation token fires ({!Timeout} immediately
     if no token is attached — a stuck solver must not hang a process that
     has no way to cancel it). *)
-
-val clear_cache : ctx -> unit
-(** Drop {e every} acceleration layer this context owns — the id table,
-    the canonical component cache and the canonicalization memos.  Other
-    contexts and the shared persistent store are unaffected. *)
 
 val check : ctx -> Bv.t list -> result
 (** Satisfiability of the conjunction of width-1 terms, through the

@@ -37,7 +37,7 @@ type config = {
           variable. *)
   solver_cache : bool option;
       (** enable the solver's reuse layers (the per-component id table,
-          then the canonical component cache, then the attached store);
+          then the attached store);
           [None] defers to [OVERIFY_SOLVER_CACHE] (default on).  The
           determinism contract makes answers identical either way — only
           hit counters and solve counts move. *)
@@ -140,7 +140,7 @@ type result = {
   component_solves : int;
       (** raw blast+SAT invocations — what the acceleration chain saves *)
   hits_canon : int;
-      (** solver cache hits per layer: id table or canonical cache, *)
+      (** solver cache hits per layer: the per-component id table, *)
   hits_store : int;      (** and the persistent cross-run store *)
   summary_instantiated : int;
       (** call sites answered by instantiating a function summary *)

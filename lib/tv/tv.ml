@@ -47,13 +47,14 @@ type verdict =
 
 type outcome = {
   verdict : verdict;
-  paths : int;
-  queries : int;
-  solver_time : float;
+  run : Engine.result option;
   time : float;
   excused_pre_traps : int;
   fallback_runs : int;
 }
+
+(** A counter of the product run, 0 when none ran. *)
+let of_run f o = Option.fold ~none:0 ~some:f o.run
 
 (* ---------------- concrete replay ---------------- *)
 
@@ -182,13 +183,10 @@ let differential_fallback ~input_size ~pre ~post (r : Engine.result) :
 let check_modules ?(config = default_config) (pre : Ir.modul)
     (post : Ir.modul) : outcome =
   let t0 = Unix.gettimeofday () in
-  let finish ?(paths = 0) ?(queries = 0) ?(solver_time = 0.0)
-      ?(excused_pre_traps = 0) ?(fallback_runs = 0) verdict =
+  let finish ?run ?(excused_pre_traps = 0) ?(fallback_runs = 0) verdict =
     {
       verdict;
-      paths;
-      queries;
-      solver_time;
+      run;
       time = Unix.gettimeofday () -. t0;
       excused_pre_traps;
       fallback_runs;
@@ -229,10 +227,7 @@ let check_modules ?(config = default_config) (pre : Ir.modul)
                    && b.Engine.kind = "assertion failure"))
             r.Engine.bugs
         in
-        let finish v =
-          finish ~paths:r.Engine.paths ~queries:r.Engine.queries
-            ~solver_time:r.Engine.solver_time ~excused_pre_traps:excused v
-        in
+        let finish v = finish ~run:r ~excused_pre_traps:excused v in
         (match mismatches with
         | bug :: _ ->
             finish (Counterexample (make_witness ~input_size ~pre ~post ~bug))
@@ -303,8 +298,8 @@ let check_obligation ~config ~pass ~fn before after =
         ~counters:
           [
             (verdict_name o.verdict, 1.0);
-            ("paths", float_of_int o.paths);
-            ("queries", float_of_int o.queries);
+            ("paths", float_of_int (of_run (fun r -> r.Engine.paths) o));
+            ("queries", float_of_int (of_run (fun r -> r.Engine.queries) o));
             ("fallback_runs", float_of_int o.fallback_runs);
           ]
   | None -> ());
@@ -380,7 +375,8 @@ let summarize report : pass_summary list =
           ps_refuted = (s.ps_refuted + if is_ce r then 1 else 0);
           ps_inconclusive =
             (s.ps_inconclusive + if is_inconclusive r then 1 else 0);
-          ps_queries = s.ps_queries + r.outcome.queries;
+          ps_queries =
+            s.ps_queries + of_run (fun r -> r.Engine.queries) r.outcome;
           ps_time = s.ps_time +. r.outcome.time;
         }
       in
@@ -427,8 +423,11 @@ let record_to_json r =
     {|    {"pass": "%s", "fn": "%s", "verdict": "%s"%s, "paths": %d, "queries": %d, "solver_time": %.3f, "time": %.3f, "excused_pre_traps": %d, "fallback_runs": %d}|}
     (Obs.json_escape r.pass) (Obs.json_escape r.fn)
     (verdict_name o.verdict)
-    extra o.paths o.queries o.solver_time o.time o.excused_pre_traps
-    o.fallback_runs
+    extra
+    (of_run (fun r -> r.Engine.paths) o)
+    (of_run (fun r -> r.Engine.queries) o)
+    (Option.fold ~none:0.0 ~some:(fun r -> r.Engine.solver_time) o.run)
+    o.time o.excused_pre_traps o.fallback_runs
 
 let summary_to_json s =
   Printf.sprintf

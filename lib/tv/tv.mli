@@ -63,9 +63,10 @@ type verdict =
 
 type outcome = {
   verdict : verdict;
-  paths : int;             (** product paths completed *)
-  queries : int;           (** solver queries issued *)
-  solver_time : float;
+  run : Overify_symex.Engine.result option;
+      (** the product's engine run, with its paths, queries and solver
+          counters; [None] when no product ran (a syntactic proof, or no
+          usable [main]) *)
   time : float;            (** total check time, seconds *)
   excused_pre_traps : int; (** bug reports excused because the pre-version trapped first *)
   fallback_runs : int;     (** differential interpretations performed *)

@@ -1,11 +1,11 @@
 (** Solver-acceleration determinism suite at the engine level.
 
-    The solver's reuse layers (id table, canonical component cache,
-    persistent store) are pure memoization: turning
-    them off ([OVERIFY_SOLVER_CACHE=0] / [solver_cache = Some false]) must
-    not change any verification result — verdicts, paths, exit codes, bugs
-    and coverage are byte-identical, and the deterministic profile JSON is
-    identical modulo the hit counters themselves.  This suite pins that
+    The solver's reuse layers (per-component id table, persistent store)
+    are pure memoization: turning them off ([OVERIFY_SOLVER_CACHE=0] /
+    [solver_cache = Some false]) must not change any verification result
+    — verdicts, paths, exit codes, bugs and coverage are byte-identical,
+    and the deterministic profile JSON is identical modulo the hit
+    counters themselves.  This suite pins that
     contract over the corpus, plus the engine-level persistent-store round
     trip behind [--cache-dir]. *)
 

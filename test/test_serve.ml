@@ -4,8 +4,8 @@
     concurrent requests, one execution), the serve-vs-CLI differential
     (byte-identical verify verdicts, including under injected faults), the
     response-envelope golden keys, and the store lifecycle under
-    concurrency (racing atomic saves never tear the file; [clear_cache]
-    never drops the shared store). *)
+    concurrency (racing atomic saves never tear the file; served tv
+    requests share the warm store and report its hits). *)
 
 module Serve = Overify_serve.Serve
 module Client = Overify_serve.Client
@@ -14,7 +14,6 @@ module Json = Overify_serve.Json
 module Binfile = Overify_solver.Binfile
 module Store = Overify_solver.Store
 module Solver = Overify_solver.Solver
-module Counters = Overify_obs.Obs.Counters
 module Bv = Overify_solver.Bv
 module Engine = Overify_symex.Engine
 module Frontend = Overify_minic.Frontend
@@ -424,6 +423,31 @@ let test_dedup_kind_isolation () =
      ]);
   check int "three distinct executions" 3 (daemon_stat d "executed");
   check int "no dedup hits" 0 (daemon_stat d "dedup_hits")
+
+(* the recent cache keeps the newest [recent_cap] answers: at cap 2,
+   three distinct requests evict the first, which then runs again, while
+   the third is still answered from the cache *)
+let test_dedup_recent_eviction () =
+  let d = Serve.start ~recent_cap:2 () in
+  Fun.protect ~finally:(fun () -> Serve.stop d) @@ fun () ->
+  let dedup rq =
+    with_conn d @@ fun c ->
+    match Client.rpc c rq with
+    | Ok json ->
+        check string "ok" "ok" (get_str json "status");
+        get_str json "dedup"
+    | Error e -> Alcotest.failf "rpc: %s" (Protocol.frame_error_name e)
+  in
+  let a = wc_request
+  and b = { wc_request with Protocol.rq_level = "O2" }
+  and c = { wc_request with Protocol.rq_level = "O3" } in
+  List.iter (fun rq -> check string "a new request runs" "miss" (dedup rq))
+    [ a; b; c ];
+  check string "the evicted request runs again" "miss" (dedup a);
+  check int "four executions" 4 (daemon_stat d "executed");
+  check string "a kept request is answered from the cache" "recent"
+    (dedup c);
+  check int "the cache holds two answers" 2 (daemon_stat d "recent")
 
 (* ------------- serve-vs-CLI differential ------------- *)
 
@@ -894,28 +918,6 @@ let test_store_save_race () =
   List.iter Thread.join ths;
   check int "every concurrent load saw a valid store file" 0 !invalid
 
-let test_clear_cache_keeps_shared_store () =
-  (* Solver.clear_cache drops the context-owned layers only: the shared
-     store keeps its entries, and a post-clear query is answered from the
-     store without a fresh solve *)
-  Binfile.with_temp_dir "overify_serve_test" @@ fun dir ->
-  let st = Store.load ~dir () in
-  let counters = Counters.create () in
-  let c = Solver.create ~counters ~cache:true ~store:st () in
-  let queries = store_queries () in
-  let r1 = List.map (Solver.check c) queries in
-  let entries = Store.length st in
-  check bool "store gained entries" true (entries > 0);
-  Solver.clear_cache c;
-  check int "clear_cache left the shared store alone" entries (Store.length st);
-  let before = Counters.copy counters in
-  let r2 = List.map (Solver.check c) queries in
-  let after = Counters.diff counters before in
-  check bool "verdicts identical after clear" true (r1 = r2);
-  check int "no fresh component solves after clear (store answered)" 0
-    after.Counters.component_solves;
-  check bool "store layer hit" true (after.Counters.hits_store > 0)
-
 (* ------------- deadlines, admission control, watchdog ------------- *)
 
 let stall_request ~timeout =
@@ -944,7 +946,8 @@ let rpc_json c rq =
 
 let test_served_tv_warm_store () =
   (* tv obligations read and fill the daemon's warm store like verify
-     runs: the same source again, under a new fingerprint, adds nothing.
+     runs: the same source again, under a new fingerprint, adds nothing,
+     and its product runs' store hits and queries reach the metrics.
      echo -OVERIFY at n=2 finishes every obligation inside
      Tv.default_config, so no verdict depends on timing *)
   with_daemon @@ fun d ->
@@ -969,10 +972,16 @@ let test_served_tv_warm_store () =
   ignore (tv 30.0);
   let entries = daemon_stat d "store_entries" in
   check bool "the tv request filled the store" true (entries > 0);
+  let hits = daemon_stat d "store_hits"
+  and queries = daemon_stat d "engine_queries" in
   let again = tv 29.0 in
   check string "a new fingerprint runs again" "miss" (get_str again "dedup");
   check int "the second tv request added no entry" entries
-    (daemon_stat d "store_entries")
+    (daemon_stat d "store_entries");
+  check bool "its store hits reach the metrics" true
+    (daemon_stat d "store_hits" > hits);
+  check bool "its engine queries reach the metrics" true
+    (daemon_stat d "engine_queries" > queries)
 
 (* a malformed MiniC source is the client's mistake, not a daemon fault:
    every kind that compiles answers compile_error, and none cuts an
@@ -1331,6 +1340,8 @@ let () =
             `Quick test_dedup_identical_concurrent;
           Alcotest.test_case "no false sharing across kinds/levels" `Quick
             test_dedup_kind_isolation;
+          Alcotest.test_case "recent cache evicts the oldest" `Quick
+            test_dedup_recent_eviction;
         ] );
       ( "differential",
         [
@@ -1366,8 +1377,6 @@ let () =
             test_write_atomic_race;
           Alcotest.test_case "racing store saves stay loadable" `Quick
             test_store_save_race;
-          Alcotest.test_case "clear_cache keeps the shared store" `Quick
-            test_clear_cache_keeps_shared_store;
           Alcotest.test_case "served tv shares the warm store" `Quick
             test_served_tv_warm_store;
         ] );

@@ -309,19 +309,6 @@ let test_ctx_isolation () =
   check int "c2 miss despite c1's cache" 0 c2.Counters.cache_hits;
   check int "c1 unaffected by c2" 2 c1.Counters.queries
 
-let test_ctx_clear_cache () =
-  let ctx1, c1 = counted ~cache:true ()
-  and ctx2, c2 = counted ~cache:true () in
-  let x = Bv.var 8 79 in
-  let q = [ Bv.cmp Bv.Eq x (Bv.const 8 42L) ] in
-  ignore (Solver.check ctx1 q);
-  ignore (Solver.check ctx2 q);
-  Solver.clear_cache ctx1;
-  ignore (Solver.check ctx1 q);
-  check int "c1 re-solved after clear" 0 c1.Counters.cache_hits;
-  ignore (Solver.check ctx2 q);
-  check int "c2 cache survived c1's clear" 1 c2.Counters.cache_hits
-
 (* each of two domains hammers its own context (on distinct variables, with
    terms built inside the domain to also exercise the hash-cons lock);
    counters must come out exact, proving no cross-context interference *)
@@ -349,9 +336,11 @@ let test_ctx_concurrent_domains () =
 (* ------------- acceleration chain: differential oracle -------------
 
    ~2,000 seeded random assertion sets, each answered three ways: by the
-   full acceleration chain on one warm (shared) context, by the chain on a
-   fresh context, and by a reference solver that goes straight to blast +
-   SAT with no canonicalization, partitioning or caching.  All three
+   full acceleration chain on one warm (shared) context with a store
+   (random sets rarely repeat a term-id set, so its reuse is store hits
+   on α-equivalent components, translated through renaming), by the chain
+   on a fresh context, and by a reference solver that goes straight to
+   blast + SAT with no canonicalization, partitioning or caching.  All three
    verdicts must agree; warm and fresh must return the *same model* (the
    determinism contract: answers are a pure function of the assertion set,
    not of cache history); and every SAT model must evaluate every assertion
@@ -408,7 +397,7 @@ let model_satisfies model assertions =
 
 let test_differential_oracle () =
   let rng = Random.State.make [| 0xace5 |] in
-  let warm, s = counted ~cache:true () in
+  let warm, s = counted ~cache:true ~store:(Store.in_memory ()) () in
   for i = 1 to 2_000 do
     let assertions = gen_assertions rng in
     let expected = reference_is_sat assertions in
@@ -437,8 +426,8 @@ let test_differential_oracle () =
          cache history"
         i
   done;
-  check bool "warm context reused earlier work" true
-    (s.Counters.cache_hits > 0 || s.Counters.hits_canon > 0)
+  check bool "warm context answered from its store" true
+    (s.Counters.hits_store > 0)
 
 (* ------------- acceleration chain: path-shaped differential -------------
 
@@ -587,27 +576,6 @@ let test_partition_vs_conjunction () =
     end
   done
 
-(* ------------- cache semantics: clear_cache ------------- *)
-
-(* clear_cache must drop EVERY layer: id table and canonical cache *)
-let test_clear_cache_all_layers () =
-  let ctx, c = counted ~cache:true () in
-  let x = Bv.var 8 702 in
-  let a = Bv.cmp Bv.Ult x (Bv.const 8 5L) in
-  let b = Bv.cmp Bv.Ugt x (Bv.const 8 10L) in
-  ignore (Solver.check ctx [ a ]);
-  ignore (Solver.check ctx [ a; b ]);
-  Solver.clear_cache ctx;
-  let before = Counters.copy c in
-  ignore (Solver.check ctx [ a ]);
-  (match Solver.check ctx [ a; b; Bv.cmp Bv.Ne x (Bv.const 8 3L) ] with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> Alcotest.fail "unsat superset");
-  let s = Counters.diff c before in
-  check int "no hits from any layer after clear" 0 s.Counters.cache_hits;
-  check int "no canonical hits" 0 s.Counters.hits_canon;
-  check bool "everything re-solved" true (s.Counters.component_solves >= 2)
-
 (* ------------- persistent store ------------- *)
 
 let store_queries () =
@@ -653,6 +621,30 @@ let test_store_in_memory_saves_nothing () =
   List.iter (fun q -> ignore (Solver.check c2 q)) (store_queries ());
   check int "no fresh solves" 0 s2.Counters.component_solves;
   check bool "answered from memory" true (s2.Counters.hits_store > 0)
+
+(* α-equivalent components (same structure, different variables) meet
+   only in the store: one context without a store solves both afresh,
+   and a context with one answers the second from the first's entry,
+   translated through the second query's renaming *)
+let test_alpha_equivalent_through_store () =
+  let q1 = [ Bv.cmp Bv.Ugt (Bv.var 8 901) (Bv.const 8 200L) ]
+  and q2 = [ Bv.cmp Bv.Ugt (Bv.var 8 902) (Bv.const 8 200L) ] in
+  let ctx, c = counted ~cache:true () in
+  ignore (Solver.check ctx q1);
+  ignore (Solver.check ctx q2);
+  check int "two fresh solves without a store" 2 c.Counters.component_solves;
+  check int "no id-table hits" 0 c.Counters.hits_canon;
+  let ctx, c = counted ~cache:true ~store:(Store.in_memory ()) () in
+  ignore (Solver.check ctx q1);
+  (match Solver.check ctx q2 with
+  | Solver.Sat m ->
+      check bool "the model binds the second query's variable" true
+        (List.mem_assoc 902 m);
+      check bool "the model satisfies the second query" true
+        (model_satisfies m q2)
+  | Solver.Unsat -> Alcotest.fail "x902 >u 200 is sat");
+  check int "one fresh solve with a store" 1 c.Counters.component_solves;
+  check int "one store hit" 1 c.Counters.hits_store
 
 (* corrupted or version-mismatched store files must load as empty stores —
    a cache starts cold, it never crashes the run or poisons answers *)
@@ -720,8 +712,8 @@ let () =
           Alcotest.test_case "trivial queries" `Quick test_trivial_queries_no_sat;
           Alcotest.test_case "cache" `Quick test_cache_hits;
           Alcotest.test_case "context isolation" `Quick test_ctx_isolation;
-          Alcotest.test_case "per-context clear_cache" `Quick
-            test_ctx_clear_cache;
+          Alcotest.test_case "alpha-equivalent queries meet in the store"
+            `Quick test_alpha_equivalent_through_store;
           Alcotest.test_case "concurrent contexts on 2 domains" `Quick
             test_ctx_concurrent_domains;
         ] );
@@ -734,8 +726,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_partition_is_partition;
           Alcotest.test_case "partition vs conjunction (with shrinker)"
             `Quick test_partition_vs_conjunction;
-          Alcotest.test_case "clear_cache drops every layer" `Quick
-            test_clear_cache_all_layers;
         ] );
       ( "persistent store",
         [
