@@ -3,13 +3,21 @@
     Each term becomes a little-endian array of SAT literals; circuits:
     ripple-carry adders, shift-add multipliers, restoring dividers, barrel
     shifters, borrow-based comparators.  Division circuits are patched so
-    that division by zero yields 0, matching {!Bv.eval}. *)
+    that division by zero yields 0, matching {!Bv.eval}.
+
+    Every gate hands {!Sat.add_clause} a fresh literal array, which the
+    SAT core sorts and keeps.  The clauses, their order and the variable
+    numbering are part of the solver's answers (the SAT search and so the
+    model follow from them), so a change here is a change of answers:
+    test/solver_digests.tsv pins them. *)
+
+module Itbl = Hashtbl.Make (Int)
 
 type ctx = {
   sat : Sat.t;
   tlit : int;   (* literal that is constant true *)
-  memo : (int, int array) Hashtbl.t;       (* term id -> bit literals *)
-  varbits : (int, int array) Hashtbl.t;    (* bv var id -> bit literals *)
+  memo : int array Itbl.t;      (* term id -> bit literals *)
+  varbits : int array Itbl.t;   (* bv var id -> bit literals *)
   deadline : float option;
   mutable ticks : int;
 }
@@ -18,8 +26,8 @@ let create ?deadline () =
   let sat = Sat.create () in
   let v = Sat.new_var sat in
   let tlit = Sat.lit_of_var v true in
-  Sat.add_clause sat [ tlit ];
-  { sat; tlit; memo = Hashtbl.create 256; varbits = Hashtbl.create 64;
+  Sat.add_clause sat [| tlit |];
+  { sat; tlit; memo = Itbl.create 256; varbits = Itbl.create 64;
     deadline; ticks = 0 }
 
 let flit ctx = Sat.neg ctx.tlit
@@ -36,9 +44,9 @@ let g_and ctx a b =
   else if a = Sat.neg b then flit ctx
   else begin
     let o = fresh ctx in
-    Sat.add_clause ctx.sat [ Sat.neg a; Sat.neg b; o ];
-    Sat.add_clause ctx.sat [ a; Sat.neg o ];
-    Sat.add_clause ctx.sat [ b; Sat.neg o ];
+    Sat.add_clause ctx.sat [| Sat.neg a; Sat.neg b; o |];
+    Sat.add_clause ctx.sat [| a; Sat.neg o |];
+    Sat.add_clause ctx.sat [| b; Sat.neg o |];
     o
   end
 
@@ -53,10 +61,10 @@ let g_xor ctx a b =
   else if a = Sat.neg b then ctx.tlit
   else begin
     let o = fresh ctx in
-    Sat.add_clause ctx.sat [ Sat.neg a; Sat.neg b; Sat.neg o ];
-    Sat.add_clause ctx.sat [ a; b; Sat.neg o ];
-    Sat.add_clause ctx.sat [ Sat.neg a; b; o ];
-    Sat.add_clause ctx.sat [ a; Sat.neg b; o ];
+    Sat.add_clause ctx.sat [| Sat.neg a; Sat.neg b; Sat.neg o |];
+    Sat.add_clause ctx.sat [| a; b; Sat.neg o |];
+    Sat.add_clause ctx.sat [| Sat.neg a; b; o |];
+    Sat.add_clause ctx.sat [| a; Sat.neg b; o |];
     o
   end
 
@@ -67,10 +75,10 @@ let g_mux ctx c a b =
   else if a = b then a
   else begin
     let o = fresh ctx in
-    Sat.add_clause ctx.sat [ Sat.neg c; Sat.neg a; o ];
-    Sat.add_clause ctx.sat [ Sat.neg c; a; Sat.neg o ];
-    Sat.add_clause ctx.sat [ c; Sat.neg b; o ];
-    Sat.add_clause ctx.sat [ c; b; Sat.neg o ];
+    Sat.add_clause ctx.sat [| Sat.neg c; Sat.neg a; o |];
+    Sat.add_clause ctx.sat [| Sat.neg c; a; Sat.neg o |];
+    Sat.add_clause ctx.sat [| c; Sat.neg b; o |];
+    Sat.add_clause ctx.sat [| c; b; Sat.neg o |];
     o
   end
 
@@ -179,7 +187,7 @@ let is_zero ctx a =
 (* ---------------- term blasting ---------------- *)
 
 let rec bits ctx (t : Bv.t) : int array =
-  match Hashtbl.find_opt ctx.memo t.Bv.id with
+  match Itbl.find_opt ctx.memo t.Bv.id with
   | Some b -> b
   | None ->
       (* blasting a giant term DAG can dominate a query: honour the
@@ -191,7 +199,7 @@ let rec bits ctx (t : Bv.t) : int array =
       | _ -> ());
       let b = compute ctx t in
       assert (Array.length b = t.Bv.width);
-      Hashtbl.replace ctx.memo t.Bv.id b;
+      Itbl.replace ctx.memo t.Bv.id b;
       b
 
 and compute ctx (t : Bv.t) : int array =
@@ -199,13 +207,13 @@ and compute ctx (t : Bv.t) : int array =
   match t.Bv.node with
   | Bv.Const v -> const_bits ctx w v
   | Bv.Var id -> (
-      match Hashtbl.find_opt ctx.varbits id with
+      match Itbl.find_opt ctx.varbits id with
       | Some b ->
           if Array.length b = w then b
           else invalid_arg "blast: same variable used at two widths"
       | None ->
           let b = Array.init w (fun _ -> fresh ctx) in
-          Hashtbl.replace ctx.varbits id b;
+          Itbl.replace ctx.varbits id b;
           b)
   | Bv.Bin (op, x, y) -> (
       let a = bits ctx x and b = bits ctx y in
@@ -277,11 +285,11 @@ and compute ctx (t : Bv.t) : int array =
 let assert_true ctx (t : Bv.t) =
   assert (t.Bv.width = 1);
   let b = bits ctx t in
-  Sat.add_clause ctx.sat [ b.(0) ]
+  Sat.add_clause ctx.sat [| b.(0) |]
 
 (** Read a variable's value out of the SAT model. *)
 let model_of_var ctx id : int64 option =
-  match Hashtbl.find_opt ctx.varbits id with
+  match Itbl.find_opt ctx.varbits id with
   | None -> None
   | Some b ->
       let v = ref 0L in

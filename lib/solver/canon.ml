@@ -211,6 +211,24 @@ let partition ctx (assertions : Bv.t list) : Bv.t list list =
 
 type renamed = { key : string; cvars : int array }
 
+(* decimal digits straight into the buffer, as [%d] prints them *)
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+(* one node: a tag, then its fields separated by ':' *)
+let add_node buf tag fields =
+  Buffer.add_char buf tag;
+  List.iteri
+    (fun i f ->
+      if i > 0 then Buffer.add_char buf ':';
+      add_int buf f)
+    fields;
+  Buffer.add_char buf ';'
+
 let rename _ctx (assertions : Bv.t list) : renamed =
   let buf = Buffer.create 256 in
   let nodes = Hashtbl.create 64 in (* term id -> canonical node index *)
@@ -218,56 +236,63 @@ let rename _ctx (assertions : Bv.t list) : renamed =
   let vorder = ref [] in
   let next = ref 0 in
   (* postorder of first visit: shared subterms emitted once, referenced by
-     node index — linear in the DAG, not the unfolded tree *)
+     node index — linear in the DAG, not the unfolded tree.  A node's line
+     follows its children's. *)
   let rec go (t : Bv.t) : int =
     match Hashtbl.find_opt nodes t.Bv.id with
     | Some i -> i
     | None ->
-        let line =
-          match t.Bv.node with
-          | Bv.Const c -> Printf.sprintf "c%d:%Ld" t.Bv.width c
-          | Bv.Var v ->
-              let cv =
-                match Hashtbl.find_opt vmap v with
-                | Some i -> i
-                | None ->
-                    let i = Hashtbl.length vmap in
-                    Hashtbl.replace vmap v i;
-                    vorder := v :: !vorder;
-                    i
-              in
-              Printf.sprintf "v%d:%d" t.Bv.width cv
-          | Bv.Bin (op, a, b) ->
-              let ia = go a in
-              let ib = go b in
-              Printf.sprintf "b%d:%d:%d:%d" (opcode_bin op) t.Bv.width ia ib
-          | Bv.Cmp (op, a, b) ->
-              let ia = go a in
-              let ib = go b in
-              Printf.sprintf "p%d:%d:%d" (opcode_cmp op) ia ib
-          | Bv.Ite (c, a, b) ->
-              let ic = go c in
-              let ia = go a in
-              let ib = go b in
-              Printf.sprintf "i%d:%d:%d:%d" t.Bv.width ic ia ib
-          | Bv.Concat (a, b) ->
-              let ia = go a in
-              let ib = go b in
-              Printf.sprintf "n%d:%d:%d" t.Bv.width ia ib
-          | Bv.Extract (hi, lo, a) ->
-              let ia = go a in
-              Printf.sprintf "x%d:%d:%d" hi lo ia
-        in
+        let w = t.Bv.width in
+        (match t.Bv.node with
+        | Bv.Const c ->
+            Buffer.add_char buf 'c';
+            add_int buf w;
+            Buffer.add_char buf ':';
+            Buffer.add_string buf (Int64.to_string c);
+            Buffer.add_char buf ';'
+        | Bv.Var v ->
+            let cv =
+              match Hashtbl.find_opt vmap v with
+              | Some i -> i
+              | None ->
+                  let i = Hashtbl.length vmap in
+                  Hashtbl.replace vmap v i;
+                  vorder := v :: !vorder;
+                  i
+            in
+            add_node buf 'v' [ w; cv ]
+        | Bv.Bin (op, a, b) ->
+            let ia = go a in
+            let ib = go b in
+            add_node buf 'b' [ opcode_bin op; w; ia; ib ]
+        | Bv.Cmp (op, a, b) ->
+            let ia = go a in
+            let ib = go b in
+            add_node buf 'p' [ opcode_cmp op; ia; ib ]
+        | Bv.Ite (c, a, b) ->
+            let ic = go c in
+            let ia = go a in
+            let ib = go b in
+            add_node buf 'i' [ w; ic; ia; ib ]
+        | Bv.Concat (a, b) ->
+            let ia = go a in
+            let ib = go b in
+            add_node buf 'n' [ w; ia; ib ]
+        | Bv.Extract (hi, lo, a) ->
+            let ia = go a in
+            add_node buf 'x' [ hi; lo; ia ]);
         let i = !next in
         incr next;
         Hashtbl.replace nodes t.Bv.id i;
-        Buffer.add_string buf line;
-        Buffer.add_char buf ';';
         i
   in
   let roots = List.map go assertions in
   Buffer.add_char buf '|';
-  Buffer.add_string buf (String.concat "," (List.map string_of_int roots));
+  List.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_int buf r)
+    roots;
   { key = Buffer.contents buf; cvars = Array.of_list (List.rev !vorder) }
 
 let model_of_canon (r : renamed) (values : int64 array) : (int * int64) list =

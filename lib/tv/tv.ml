@@ -308,6 +308,15 @@ let check_obligation ~config ~pass ~fn before after =
 let validate ?(config = default_config) (cm : Costmodel.t) (m : Ir.modul) :
     Pipeline.result * report =
   let t0 = Unix.gettimeofday () in
+  (* the obligations of one compilation ask many of the same component
+     queries: without a store of the caller's, they share one in memory *)
+  let config =
+    match config.Engine.store with
+    | Some _ -> config
+    | None ->
+        { config with
+          Engine.store = Some (Overify_solver.Store.in_memory ()) }
+  in
   let apps = ref [] in
   let observe ~pass ~fn ~before ~after =
     apps := (pass, fn, before, after) :: !apps

@@ -103,6 +103,13 @@ val validate :
     application.  The compiled result is the same module an unobserved
     [Pipeline.optimize] produces.
 
+    Every obligation runs under [config.store]; when it is [None], the
+    validation attaches one {!Overify_solver.Store.in_memory} store for
+    all its obligations, so a component an earlier obligation solved is
+    a store hit in a later one.  A store hit is the fresh answer (the
+    solver's determinism contract), so complete verdicts do not depend
+    on it.
+
     [config.cancel] is checked before each obligation: a cancelled
     validation raises {!Overify_fault.Cancel.Cancelled} rather than
     return a partial report.  Each obligation runs under its own

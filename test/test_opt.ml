@@ -718,42 +718,8 @@ let digest_rows () =
     corpus_results
 
 let test_compile_digests () =
-  let here = Filename.dirname Sys.executable_name in
-  let table = Filename.concat here "compile_digests.tsv" in
-  let pinned =
-    if not (Sys.file_exists table) then []
-    else
-      In_channel.with_open_text table In_channel.input_all
-      |> String.split_on_char '\n'
-      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
-  let fresh = digest_rows () in
-  if fresh <> pinned then begin
-    let cell row =
-      match String.split_on_char '\t' row with
-      | p :: l :: _ -> p ^ " " ^ l
-      | _ -> row
-    in
-    let differing =
-      List.filter (fun r -> not (List.mem r pinned)) fresh
-      @ List.filter (fun r -> not (List.mem r fresh)) pinned
-      |> List.map cell |> List.sort_uniq compare
-    in
-    let out = Filename.concat here "compile_digests.fresh.tsv" in
-    Out_channel.with_open_text out (fun oc ->
-        List.iter
-          (fun l -> output_string oc (l ^ "\n"))
-          (digests_header :: fresh));
-    let n = List.length differing in
-    Alcotest.failf
-      "optimizer output differs from test/compile_digests.tsv in %d \
-       cell(s): %s%s\nthe fresh table is %s; if the change is intended, \
-       copy it over test/compile_digests.tsv"
-      n
-      (String.concat ", " (List.filteri (fun i _ -> i < 12) differing))
-      (if n > 12 then Printf.sprintf " and %d more" (n - 12) else "")
-      out
-  end
+  Pinned.check ~name:"compile_digests" ~header:digests_header ~keys:2
+    ~what:"optimizer output" (digest_rows ())
 
 (* ------------- the big differential property ------------- *)
 

@@ -87,24 +87,24 @@ let lit = Sat.lit_of_var
 let test_sat_trivial () =
   let s = Sat.create () in
   let a = Sat.new_var s in
-  Sat.add_clause s [ lit a true ];
+  Sat.add_clause s [| lit a true |];
   check bool "sat" true (Sat.solve s);
   check bool "a true" true (Sat.model_value s a)
 
 let test_sat_unsat () =
   let s = Sat.create () in
   let a = Sat.new_var s in
-  Sat.add_clause s [ lit a true ];
-  Sat.add_clause s [ lit a false ];
+  Sat.add_clause s [| lit a true |];
+  Sat.add_clause s [| lit a false |];
   check bool "unsat" false (Sat.solve s)
 
 let test_sat_chain () =
   (* implication chain a -> b -> c -> d with a forced *)
   let s = Sat.create () in
   let v = Array.init 4 (fun _ -> Sat.new_var s) in
-  Sat.add_clause s [ lit v.(0) true ];
+  Sat.add_clause s [| lit v.(0) true |];
   for i = 0 to 2 do
-    Sat.add_clause s [ lit v.(i) false; lit v.(i + 1) true ]
+    Sat.add_clause s [| lit v.(i) false; lit v.(i + 1) true |]
   done;
   check bool "sat" true (Sat.solve s);
   Array.iter (fun x -> check bool "forced true" true (Sat.model_value s x)) v
@@ -114,12 +114,12 @@ let test_sat_pigeonhole () =
   let s = Sat.create () in
   let p = Array.init 3 (fun _ -> Array.init 2 (fun _ -> Sat.new_var s)) in
   (* each pigeon in some hole *)
-  Array.iter (fun row -> Sat.add_clause s [ lit row.(0) true; lit row.(1) true ]) p;
+  Array.iter (fun row -> Sat.add_clause s [| lit row.(0) true; lit row.(1) true |]) p;
   (* no two pigeons share a hole *)
   for h = 0 to 1 do
     for i = 0 to 2 do
       for j = i + 1 to 2 do
-        Sat.add_clause s [ lit p.(i).(h) false; lit p.(j).(h) false ]
+        Sat.add_clause s [| lit p.(i).(h) false; lit p.(j).(h) false |]
       done
     done
   done;
@@ -128,9 +128,9 @@ let test_sat_pigeonhole () =
 let test_sat_assumptions () =
   let s = Sat.create () in
   let a = Sat.new_var s and b = Sat.new_var s in
-  Sat.add_clause s [ lit a false; lit b true ];   (* a -> b *)
+  Sat.add_clause s [| lit a false; lit b true |];   (* a -> b *)
   check bool "sat under a" true (Sat.solve ~assumptions:[ lit a true ] s);
-  Sat.add_clause s [ lit b false ];
+  Sat.add_clause s [| lit b false |];
   check bool "unsat under a" false (Sat.solve ~assumptions:[ lit a true ] s);
   check bool "still sat without" true (Sat.solve s)
 
@@ -158,7 +158,9 @@ let test_sat_random_vs_bruteforce () =
     let s = Sat.create () in
     let vars = Array.init nvars (fun _ -> Sat.new_var s) in
     List.iter
-      (fun c -> Sat.add_clause s (List.map (fun (v, pos) -> lit vars.(v) pos) c))
+      (fun c ->
+        Sat.add_clause s
+          (Array.of_list (List.map (fun (v, pos) -> lit vars.(v) pos) c)))
       clauses;
     let got = Sat.solve s in
     if got <> !bf then
@@ -676,6 +678,140 @@ let test_store_rejects_invalid () =
   let st_v = Store.load ~dir () in
   check int "version mismatch loads as an empty store" 0 (Store.loaded st_v)
 
+(* ------------- answers pinned by solver_digests.tsv -------------
+
+   The solver's models are answers: exit-code witnesses come from them,
+   and stores written by earlier builds hold them.  Each row of
+   test/solver_digests.tsv is the MD5 of one family of answers, so a
+   change to the SAT core, the blaster or the canonical keys that moves
+   any answer, model bits included, moves a row.  The oracle row solves
+   with reuse off; the engine rows run under the suite's reuse setting
+   (OVERIFY_SOLVER_CACHE), and must not move with it. *)
+
+module Engine = Overify_symex.Engine
+module Programs = Overify_corpus.Programs
+module Costmodel = Overify_opt.Costmodel
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* 60 seeded random 3-SAT instances at 4.26 clauses per variable, the
+   satisfiability threshold: unlike the corpus's small components they
+   restart and learn (28 SAT; 11 to 4,502 conflicts, median 230).
+   Literals are drawn independently, so a few clauses carry a duplicate
+   or a complementary pair. *)
+let sat3_answers () =
+  let buf = Buffer.create 8192 in
+  for i = 1 to 60 do
+    let rng = Random.State.make [| 0x35a7; i |] in
+    let nvars = 50 + Random.State.int rng 101 in
+    let s = Sat.create () in
+    let vars = Array.init nvars (fun _ -> Sat.new_var s) in
+    for _ = 1 to Float.to_int (Float.round (4.26 *. float nvars)) do
+      Sat.add_clause s
+        (Array.init 3 (fun _ ->
+             let v = Random.State.int rng nvars in
+             let positive = Random.State.bool rng in
+             lit vars.(v) positive))
+    done;
+    if Sat.solve s then begin
+      Buffer.add_char buf 'S';
+      Array.iter
+        (fun v -> Buffer.add_char buf (if Sat.model_value s v then '1' else '0'))
+        vars
+    end
+    else Buffer.add_char buf 'U';
+    Buffer.add_char buf '\n'
+  done;
+  Buffer.contents buf
+
+(* the differential oracle's queries, from its seed *)
+let oracle_queries () =
+  let rng = Random.State.make [| 0xace5 |] in
+  List.init 2_000 (fun _ -> gen_assertions rng)
+
+let render_result = function
+  | Solver.Unsat -> "U"
+  | Solver.Sat m ->
+      "S"
+      ^ String.concat ","
+          (List.map (fun (v, x) -> Printf.sprintf "%d=%Ld" v x) m)
+
+let oracle_answers queries =
+  String.concat "\n"
+    (List.map
+       (fun q -> render_result (Solver.check (Solver.create ~cache:false ()) q))
+       queries)
+
+(* the canonical keys of each query's components, as [Solver.check]
+   builds them (constants pruned, deduplicated, partitioned, normalized,
+   renamed), sorted so that term ids do not order them *)
+let component_keys queries =
+  String.concat "\n"
+    (List.map
+       (fun q ->
+         let q =
+           List.filter (fun (t : Bv.t) -> t.Bv.node <> Bv.Const 1L) q
+         in
+         if List.exists (fun (t : Bv.t) -> t.Bv.node = Bv.Const 0L) q then
+           "-"
+         else
+           let cctx = Canon.create () in
+           Canon.partition cctx
+             (List.sort_uniq
+                (fun (a : Bv.t) (b : Bv.t) -> Int.compare a.Bv.id b.Bv.id)
+                q)
+           |> List.map (fun comp ->
+                  (Canon.rename cctx (Canon.normalize cctx comp)).Canon.key)
+           |> List.sort compare |> String.concat " ")
+       queries)
+
+(* exit codes and bugs, witness inputs included, of one complete run *)
+let engine_answers name (level : Costmodel.t) n =
+  let p = Option.get (Programs.find name) in
+  let m = Overify.compile ~level p.Programs.source in
+  let r =
+    Engine.run
+      ~config:
+        { Engine.default_config with
+          Engine.input_size = n; timeout = 600.0; searcher = `Dfs }
+      m
+  in
+  if not r.Engine.complete then
+    Alcotest.failf "%s %s n=%d: run incomplete" name level.Costmodel.name n;
+  String.concat "\n"
+    (List.map (fun (input, code) -> Printf.sprintf "%S %Ld" input code)
+       r.Engine.exit_codes
+    @ List.map
+        (fun (b : Engine.bug) ->
+          Printf.sprintf "%s %S %s" b.Engine.kind b.Engine.input
+            b.Engine.at_function)
+        r.Engine.bugs)
+
+let solver_digests_header = "# answers\tmd5"
+
+let test_solver_digests () =
+  let queries = oracle_queries () in
+  let rows =
+    [
+      ("sat3", sat3_answers ());
+      ("oracle", oracle_answers queries);
+      ("keys", component_keys queries);
+    ]
+  in
+  (* [Engine.run] resets the term table: the engine rows come last *)
+  let rows =
+    rows
+    @ List.map
+        (fun (name, (level : Costmodel.t), n) ->
+          ( Printf.sprintf "%s %s n=%d" name level.Costmodel.name n,
+            engine_answers name level n ))
+        [ ("cksum", Costmodel.o3, 1); ("factor", Costmodel.o3, 1);
+          ("wc", Costmodel.o0, 3) ]
+  in
+  Pinned.check ~name:"solver_digests" ~header:solver_digests_header ~keys:1
+    ~what:"solver answers"
+    (List.map (fun (name, answers) -> name ^ "\t" ^ md5 answers) rows)
+
 let () =
   Alcotest.run "solver"
     [
@@ -735,5 +871,11 @@ let () =
             test_store_rejects_invalid;
           Alcotest.test_case "in-memory store saves nothing" `Quick
             test_store_in_memory_saves_nothing;
+        ] );
+      (* last: the engine rows reset the term table *)
+      ( "pinned answers",
+        [
+          Alcotest.test_case "answers pinned by solver_digests.tsv" `Quick
+            test_solver_digests;
         ] );
     ]

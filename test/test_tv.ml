@@ -252,6 +252,46 @@ let test_report_json_shape () =
     (fun k -> check bool ("json has key " ^ k) true (has_needle json k))
     [ {|"level"|}; {|"records"|}; {|"per_pass"|}; {|"verdict"|}; {|"queries"|} ]
 
+(* The obligations of one validation share solver answers: components an
+   earlier obligation solved come back from the in-memory store the
+   validation attaches, and every verdict is the one a validation that
+   never reads the store (reuse off) gives. *)
+let test_validation_shares_answers () =
+  let program =
+    match Overify_corpus.Programs.find "wc" with
+    | Some p -> p
+    | None -> Alcotest.fail "corpus program wc missing"
+  in
+  let m0 =
+    Overify_vclib.Vclib.frontend Costmodel.overify
+      program.Overify_corpus.Programs.source
+  in
+  let validate cache =
+    snd
+      (Tv.validate
+         ~config:{ config with Engine.solver_cache = Some cache }
+         Costmodel.overify m0)
+  in
+  let verdicts (report : Tv.report) =
+    List.map
+      (fun (r : Tv.record) ->
+        Printf.sprintf "%s(%s): %s" r.Tv.pass r.Tv.fn
+          (Tv.string_of_verdict r.Tv.outcome.Tv.verdict))
+      report.Tv.records
+  in
+  let shared = validate true in
+  let hits =
+    List.fold_left
+      (fun acc (r : Tv.record) ->
+        match r.Tv.outcome.Tv.run with
+        | Some run -> acc + run.Engine.hits_store
+        | None -> acc)
+      0 shared.Tv.records
+  in
+  check bool "later obligations answered from the store" true (hits > 0);
+  check (Alcotest.list string) "the verdicts of a validation with reuse off"
+    (verdicts (validate false)) (verdicts shared)
+
 (* ------------- cancellation and obligation spans ------------- *)
 
 (** The flight-ring records on [trace]. *)
@@ -338,6 +378,8 @@ let () =
           Alcotest.test_case "corpus slice, all levels" `Slow
             test_corpus_slice_all_levels;
           Alcotest.test_case "json report shape" `Quick test_report_json_shape;
+          Alcotest.test_case "one validation shares its solver answers" `Quick
+            test_validation_shares_answers;
         ] );
       ( "cancellation",
         [
