@@ -207,8 +207,7 @@ let faults_arg =
            corrupted / truncated), alloc@N (N-th allocation exhausts its \
            budget), crash@N (N-th executor step raises a contained worker \
            crash), kill@N (simulated SIGKILL — only a checkpoint survives) \
-           — or seed:S[:K] for K pseudo-random entries.  Defaults to \
-           $(b,OVERIFY_FAULTS) when set.")
+           — or seed:S[:K] for K pseudo-random entries.")
 
 let summaries_arg =
   Arg.(
@@ -332,15 +331,6 @@ let verify_cmd =
   let run level no_libc path config cache_dir tests faults checkpoint_dir
       checkpoint_every resume json deterministic trace =
     with_trace trace @@ fun () ->
-    let faults =
-      match faults with
-      | Some _ as f -> f
-      | None -> (
-          try O.Fault.of_env ()
-          with Invalid_argument msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2)
-    in
     let m = compile_to_module level no_libc path in
     let config =
       { config with O.Engine.faults; checkpoint_dir; checkpoint_every; resume }

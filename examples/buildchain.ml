@@ -19,8 +19,7 @@ let () =
   let debug_level =
     { O.Costmodel.o0 with
       O.Costmodel.name = "-O0 -g (debug)";
-      scalar_opts = false;
-      runtime_checks = true }
+      passes = [ "runtime_checks" ] }
   in
   let debug = O.compile ~level:debug_level program in
   let r = O.Interp.run debug ~input:"ab_a_b_" in

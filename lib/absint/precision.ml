@@ -103,21 +103,9 @@ let of_function (fn : Ir.func) : counts =
 
 (** Aggregate over the functions reachable from [main]. *)
 let of_module (m : Ir.modul) : counts =
-  let reachable = Hashtbl.create 16 in
-  let rec visit name =
-    if not (Hashtbl.mem reachable name) then begin
-      Hashtbl.replace reachable name ();
-      match Ir.find_func m name with
-      | Some fn ->
-          List.iter visit (Overify_ir.Callgraph.callees m fn)
-      | None -> ()
-    end
-  in
-  visit "main";
   List.fold_left
-    (fun acc (fn : Ir.func) ->
-      if Hashtbl.mem reachable fn.Ir.fname then add acc (of_function fn)
-      else acc)
-    zero m.Ir.funcs
+    (fun acc fn -> add acc (of_function fn))
+    zero
+    (Overify_ir.Callgraph.reachable m "main")
 
 let ratio num den = if den = 0 then 1.0 else float_of_int num /. float_of_int den

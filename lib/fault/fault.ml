@@ -144,15 +144,6 @@ let parse s =
     Ok { spec = s; sites }
   with Bad msg -> Error msg
 
-let of_env () =
-  match Sys.getenv_opt "OVERIFY_FAULTS" with
-  | None -> None
-  | Some "" -> None
-  | Some s -> (
-      match parse s with
-      | Ok t -> Some t
-      | Error msg -> invalid_arg (Printf.sprintf "OVERIFY_FAULTS: %s" msg))
-
 let fire sched kind =
   match sched with
   | None -> false

@@ -7,8 +7,8 @@
     schedule always fault at exactly the same point, which is what lets
     the chaos sweep assert two-run determinism.
 
-    Spec grammar (comma- or semicolon-separated; [OVERIFY_FAULTS] or
-    [--faults]):
+    Spec grammar (comma- or semicolon-separated; [--faults] or the
+    protocol's [faults] field):
 
     {v
       timeout@N   the N-th solver query raises Solver.Timeout
@@ -52,11 +52,6 @@ val all_kinds : kind list
 
 (** Parse a schedule spec; [Error msg] on bad syntax. *)
 val parse : string -> (t, string) result
-
-(** Schedule from [OVERIFY_FAULTS], if set and non-empty.
-    Raises [Invalid_argument] on a malformed value (fail fast — a typo'd
-    chaos run silently running clean is worse than an error). *)
-val of_env : unit -> t option
 
 (** The spec string the schedule was parsed from. *)
 val spec : t -> string

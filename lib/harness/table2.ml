@@ -1,13 +1,13 @@
 (** Table 2: measured ablation of the paper's qualitative
     transformation-impact matrix.
 
-    For each transformation class we compare the full [-OVERIFY] pipeline
-    against the same pipeline with that class disabled (and [-O3] against
-    [-O3]-plus/minus for the execution-oriented entries), measuring the
-    impact on verification time and on simulated execution cycles over a few
-    representative corpus programs.  A '+' means the transformation helps
-    (time drops when it is enabled), '-' means it hurts, '0' means within
-    noise. *)
+    Each row compares two levels that differ only in one transformation
+    class: the full [-OVERIFY] pass list against the same list without that
+    class (or with it, for runtime checks), and [-O3] against [-O3] without
+    scheduling.  It measures the impact on verification time and on
+    simulated execution cycles over a few representative corpus programs.  A
+    '+' means the transformation helps (time drops when it is enabled), '-'
+    means it hurts, '0' means within noise. *)
 
 module Costmodel = Overify_opt.Costmodel
 module Engine = Overify_symex.Engine
@@ -51,13 +51,11 @@ let measure_level ?(input_size = 4) ?(timeout = 20.0) (cm : Costmodel.t) :
           (tv +. v.Engine.time, cyc +. cycles, paths + v.Engine.paths))
     (0.0, 0.0, 0) test_programs
 
-let ablate ?input_size ?timeout ~name ~(base : Costmodel.t)
-    ~(disabled : string list) () : row =
-  let (tv_on, cyc_on, p_on) = measure_level ?input_size ?timeout base in
-  let without =
-    { base with
-      Costmodel.disabled_passes = disabled @ base.Costmodel.disabled_passes }
-  in
+(** One row: the program set measured at [with_] and at [without], two
+    levels that differ only in the transformation [name]. *)
+let compare_levels ?input_size ?timeout ~name ~(with_ : Costmodel.t)
+    ~(without : Costmodel.t) () : row =
+  let (tv_on, cyc_on, p_on) = measure_level ?input_size ?timeout with_ in
   let (tv_off, cyc_off, p_off) = measure_level ?input_size ?timeout without in
   {
     transformation = name;
@@ -67,38 +65,37 @@ let ablate ?input_size ?timeout ~name ~(base : Costmodel.t)
     paths_without = p_off;
   }
 
-(** The runtime-checks row is special: enabling the pass adds work for both
-    consumers, but turns every failure mode into a crash. *)
-let runtime_checks_row ?input_size ?timeout () : row =
-  let base = Costmodel.overify in
-  let with_checks = { base with Costmodel.runtime_checks = true } in
-  let (tv_off, cyc_off, p_off) = measure_level ?input_size ?timeout base in
-  let (tv_on, cyc_on, p_on) = measure_level ?input_size ?timeout with_checks in
-  {
-    transformation = "Generate runtime checks";
-    verify_factor = tv_off /. max tv_on 1e-6;
-    exec_factor = cyc_off /. max cyc_on 1e-6;
-    paths_with = p_on;
-    paths_without = p_off;
-  }
+(** Ablation: [base] against [base] without the [disabled] passes. *)
+let ablate ?input_size ?timeout ~name ~(base : Costmodel.t)
+    ~(disabled : string list) () : row =
+  let without =
+    { base with
+      Costmodel.passes =
+        List.filter (fun p -> not (List.mem p disabled)) base.Costmodel.passes }
+  in
+  compare_levels ?input_size ?timeout ~name ~with_:base ~without ()
 
 let rows ?input_size ?timeout () : row list =
   let ab = ablate ?input_size ?timeout in
+  let ov = Costmodel.overify in
   [
     ab ~name:"Constant propagation/folding, arithmetic simplifications"
-      ~base:Costmodel.overify ~disabled:[ "constfold"; "gvn" ] ();
+      ~base:ov ~disabled:[ "constfold"; "gvn" ] ();
     ab ~name:"Remove/split memory accesses"
-      ~base:Costmodel.overify
-      ~disabled:[ "mem2reg"; "sroa"; "loadelim" ] ();
+      ~base:ov ~disabled:[ "mem2reg"; "sroa"; "loadelim" ] ();
     ab ~name:"Simplify control flow: jump threading, loop unswitching"
-      ~base:Costmodel.overify ~disabled:[ "jump_threading"; "unswitch" ] ();
+      ~base:ov ~disabled:[ "jump_threading"; "unswitch" ] ();
     ab ~name:"Speculate branches (if-conversion)"
-      ~base:Costmodel.overify ~disabled:[ "if_convert" ] ();
+      ~base:ov ~disabled:[ "if_convert" ] ();
     ab ~name:"Restructure the program: function inlining, loop unrolling"
-      ~base:Costmodel.overify ~disabled:[ "inline"; "unroll" ] ();
+      ~base:ov ~disabled:[ "inline"; "unroll" ] ();
     ab ~name:"CPU-specific: instruction scheduling"
       ~base:Costmodel.o3 ~disabled:[ "schedule" ] ();
-    runtime_checks_row ?input_size ?timeout ();
+    (* enabling the checks adds work for both consumers, but turns every
+       failure mode into a crash *)
+    compare_levels ?input_size ?timeout ~name:"Generate runtime checks"
+      ~with_:{ ov with Costmodel.passes = "runtime_checks" :: ov.Costmodel.passes }
+      ~without:ov ();
   ]
 
 let print ?(input_size = 4) ?timeout () =

@@ -19,6 +19,21 @@ let callees (m : Ir.modul) (fn : Ir.func) : string list =
     fn;
   List.rev !out
 
+(** The defined functions reachable from [name] through direct calls, [name]
+    itself included, in module order. *)
+let reachable (m : Ir.modul) (name : string) : Ir.func list =
+  let seen = Hashtbl.create 16 in
+  let rec visit name =
+    if not (Hashtbl.mem seen name) then begin
+      Hashtbl.replace seen name ();
+      match Ir.find_func m name with
+      | Some fn -> List.iter visit (callees m fn)
+      | None -> ()
+    end
+  in
+  visit name;
+  List.filter (fun (f : Ir.func) -> Hashtbl.mem seen f.Ir.fname) m.funcs
+
 (** Is [name] on a call-graph cycle (including direct recursion)?  True when
     [name] is reachable from one of its own callees. *)
 let in_cycle (m : Ir.modul) (name : string) : bool =

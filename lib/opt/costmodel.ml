@@ -12,20 +12,12 @@ type t = {
           [speculated instructions <= branch_cost] *)
   inline_threshold : int;  (** max callee size (instructions) to inline *)
   inline_growth : int;     (** max ×-growth of a function from inlining *)
-  unswitch : bool;
   unswitch_size_limit : int;  (** max loop size (instructions) to unswitch *)
   unswitch_rounds : int;      (** max unswitch applications per function *)
   unroll_trip_limit : int;    (** max trip count to fully peel *)
   unroll_size_limit : int;    (** max (body size × trips) after peeling *)
-  scalar_opts : bool;   (** mem2reg, folding, GVN, DCE, CFG simplification *)
-  licm : bool;
-  jump_threading : bool;
-  cpu_opts : bool;      (** instruction scheduling (CPU-oriented) *)
-  runtime_checks : bool;
-  annotations : bool;
   verify_libc : bool;   (** link the verification-friendly libc variant *)
-  disabled_passes : string list;
-      (** pass names skipped by the pipeline; used by the Table 2 ablation *)
+  passes : string list; (** the passes that run; the pipeline orders them *)
 }
 
 (** No optimization: what a verifier sees from a debug build. *)
@@ -35,23 +27,24 @@ let o0 =
     branch_cost = 0;
     inline_threshold = 0;
     inline_growth = 1;
-    unswitch = false;
     unswitch_size_limit = 0;
     unswitch_rounds = 0;
     unroll_trip_limit = 0;
     unroll_size_limit = 0;
-    scalar_opts = false;
-    licm = false;
-    jump_threading = false;
-    cpu_opts = false;
-    runtime_checks = false;
-    annotations = false;
     verify_libc = false;
-    disabled_passes = [];
+    passes = [];
   }
 
+(* The passes -O2, -O3 and -OVERIFY share, in pipeline order: inlining, the
+   memory-form loop transforms, SSA construction and the scalar fixpoint. *)
+let common_passes =
+  [ "inline"; "unswitch"; "unroll"; "sroa"; "mem2reg"; "constfold"; "gvn";
+    "loadelim"; "simplify_cfg"; "jump_threading"; "if_convert"; "licm";
+    "loop_delete"; "dce" ]
+
 (** Standard optimization: scalar cleanups and modest inlining, but no
-    structural loop transformations — path structure is unchanged. *)
+    structural loop transformations — path structure is unchanged (the zero
+    unswitch and unroll limits make those two passes no-ops). *)
 let o2 =
   {
     o0 with
@@ -59,10 +52,7 @@ let o2 =
     branch_cost = 0;
     inline_threshold = 45;
     inline_growth = 4;
-    scalar_opts = true;
-    licm = true;
-    jump_threading = true;
-    cpu_opts = true;
+    passes = common_passes @ [ "schedule" ];
   }
 
 (** Aggressive execution-oriented optimization: adds loop unswitching, small
@@ -74,7 +64,6 @@ let o3 =
     branch_cost = 3;
     inline_threshold = 90;
     inline_growth = 8;
-    unswitch = true;
     unswitch_size_limit = 200;
     unswitch_rounds = 2;
     unroll_trip_limit = 8;
@@ -91,19 +80,12 @@ let overify =
     branch_cost = 10_000;
     inline_threshold = 5_000;
     inline_growth = 64;
-    unswitch = true;
     unswitch_size_limit = 2_000;
     unswitch_rounds = 8;
     unroll_trip_limit = 300;
     unroll_size_limit = 20_000;
-    scalar_opts = true;
-    licm = true;
-    jump_threading = true;
-    cpu_opts = false;
-    runtime_checks = false;
-    annotations = true;
     verify_libc = true;
-    disabled_passes = [];
+    passes = common_passes @ [ "annotate" ];
   }
 
 let of_name = function

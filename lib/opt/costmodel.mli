@@ -1,6 +1,7 @@
 (** The cost model is the heart of the paper's thesis: [-OVERIFY] is mostly
     the {e same passes} as [-O3] with {e different costs}.  Each optimization
-    level is a value of {!t}; the pipeline consults only this record. *)
+    level is a value of {!t}: the passes it runs, what it charges them, and
+    which libc it links.  The pipeline consults only this record. *)
 
 type t = {
   name : string;
@@ -10,20 +11,15 @@ type t = {
           stays below this *)
   inline_threshold : int;  (** max callee size (instructions) to inline *)
   inline_growth : int;     (** max ×-growth of a function from inlining *)
-  unswitch : bool;
   unswitch_size_limit : int;  (** max loop size (instructions) to unswitch *)
   unswitch_rounds : int;      (** max unswitch applications per function *)
   unroll_trip_limit : int;    (** max trip count to fully peel *)
   unroll_size_limit : int;    (** max (body size × trips) after peeling *)
-  scalar_opts : bool;  (** mem2reg, folding, GVN, DCE, CFG simplification *)
-  licm : bool;
-  jump_threading : bool;
-  cpu_opts : bool;         (** instruction scheduling (CPU-oriented) *)
-  runtime_checks : bool;   (** insert explicit div/bounds/null guards *)
-  annotations : bool;      (** preserve metadata for verification tools *)
   verify_libc : bool;      (** link the verification-friendly libc variant *)
-  disabled_passes : string list;
-      (** pass names skipped by the pipeline; used by the Table 2 ablation *)
+  passes : string list;
+      (** the passes that run, by name; the pipeline fixes their order.  A
+          pass not named here never runs, so ablation removes names and a
+          debug build adds ["runtime_checks"]. *)
 }
 
 val o0 : t

@@ -266,7 +266,7 @@ let run (cm : Costmodel.t) (stats : Stats.t) (fn : Ir.func) : Ir.func * bool =
   (* memory form only: cloning loop bodies is sound because no registers are
      live across block boundaries except allocas; with phis, exit blocks
      would need new incoming entries *)
-  if (not cm.Costmodel.unswitch) || has_phis fn then (fn, false)
+  if cm.Costmodel.unswitch_rounds <= 0 || has_phis fn then (fn, false)
   else begin
     let rec go fn n any =
       if n = 0 then (fn, any)

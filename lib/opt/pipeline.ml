@@ -6,8 +6,10 @@
     2. [mem2reg] builds SSA;
     3. scalar fixpoint: folding, GVN, CFG simplification, jump threading,
        if-conversion, DCE;
-    4. CPU-oriented scheduling ([-O2]/[-O3] only) or annotations and the
-       optional runtime checks ([-OVERIFY]).
+    4. CPU-oriented scheduling ([-O2]/[-O3]) or annotations ([-OVERIFY]).
+
+    A level's [passes] list decides which of these run: a pass not named
+    there is skipped, whatever its phase, and the order is fixed here.
 
     The pipeline is organized as a stream of {e pass applications}: every
     time a pass changes a function (or, for [inline], the module), an
@@ -24,7 +26,6 @@ module Obs = Overify_obs.Obs
 type result = {
   modul : Ir.modul;
   stats : Stats.t;
-  level : Costmodel.t;
 }
 
 type observer =
@@ -99,36 +100,38 @@ let profile_app ctx ~pass ~fn ~t0 ~size_before ~size_after ~changed =
 (** Is any per-application bookkeeping (profile, trace) on? *)
 let timing_on ctx = ctx.prof <> None || Obs.Trace.enabled ()
 
-(** Apply one function pass, feeding the observer on change. *)
+(** Does the level run the pass named [what]? *)
+let runs ctx what = List.mem what ctx.cm.Costmodel.passes
+
+(** Apply one function pass if the level runs it, feeding the observer on
+    change. *)
 let apply_fn ctx what (f : Ir.func -> Ir.func * bool) (fn : Ir.func) :
     Ir.func * bool =
-  let timing = timing_on ctx in
-  let t0 = if timing then Unix.gettimeofday () else 0.0 in
-  let (fn', changed) = f fn in
-  let (fn', changed) =
-    match !sabotage with
-    | Some (p, corrupt) when p = what ->
-        let fn'' = corrupt fn' in
-        (fn'', changed || fn'' <> fn')
-    | _ -> (fn', changed)
-  in
-  if timing then
-    profile_app ctx ~pass:what ~fn:fn.Ir.fname ~t0
-      ~size_before:(Ir.func_size fn) ~size_after:(Ir.func_size fn') ~changed;
-  if changed then begin
-    check_fn what fn';
-    if ctx.observe <> None then begin
-      let before = ctx.cur in
-      ctx.cur <- Ir.update_func ctx.cur fn';
-      emit ctx ~pass:what ~fn:fn.Ir.fname ~before ~after:ctx.cur
-    end
-  end;
-  (fn', changed)
-
-(** Apply a pass unless the cost model's ablation list disables it. *)
-let apply_fn_cm ctx what f fn =
-  if List.mem what ctx.cm.Costmodel.disabled_passes then (fn, false)
-  else apply_fn ctx what f fn
+  if not (runs ctx what) then (fn, false)
+  else begin
+    let timing = timing_on ctx in
+    let t0 = if timing then Unix.gettimeofday () else 0.0 in
+    let (fn', changed) = f fn in
+    let (fn', changed) =
+      match !sabotage with
+      | Some (p, corrupt) when p = what ->
+          let fn'' = corrupt fn' in
+          (fn'', changed || fn'' <> fn')
+      | _ -> (fn', changed)
+    in
+    if timing then
+      profile_app ctx ~pass:what ~fn:fn.Ir.fname ~t0
+        ~size_before:(Ir.func_size fn) ~size_after:(Ir.func_size fn') ~changed;
+    if changed then begin
+      check_fn what fn';
+      if ctx.observe <> None then begin
+        let before = ctx.cur in
+        ctx.cur <- Ir.update_func ctx.cur fn';
+        emit ctx ~pass:what ~fn:fn.Ir.fname ~before ~after:ctx.cur
+      end
+    end;
+    (fn', changed)
+  end
 
 (** The scalar-optimization fixpoint on one SSA function. *)
 let scalar_fixpoint ctx (fn : Ir.func) : Ir.func =
@@ -136,26 +139,19 @@ let scalar_fixpoint ctx (fn : Ir.func) : Ir.func =
   let rec go fn round =
     if round = 0 then fn
     else begin
-      let (fn, c1) = apply_fn_cm ctx "constfold" (Constfold.run stats) fn in
-      let (fn, c2) = apply_fn_cm ctx "gvn" Gvn.run fn in
-      let (fn, c2b) = apply_fn_cm ctx "loadelim" Loadelim.run fn in
+      let (fn, c1) = apply_fn ctx "constfold" (Constfold.run stats) fn in
+      let (fn, c2) = apply_fn ctx "gvn" Gvn.run fn in
+      let (fn, c2b) = apply_fn ctx "loadelim" Loadelim.run fn in
       let c2 = c2 || c2b in
-      let (fn, c3) = apply_fn_cm ctx "simplify_cfg" Simplify_cfg.run fn in
+      let (fn, c3) = apply_fn ctx "simplify_cfg" Simplify_cfg.run fn in
       let (fn, c4) =
-        if cm.Costmodel.jump_threading then
-          apply_fn_cm ctx "jump_threading" (Jump_threading.run stats) fn
-        else (fn, false)
+        apply_fn ctx "jump_threading" (Jump_threading.run stats) fn
       in
-      let (fn, c5) = apply_fn_cm ctx "if_convert" (If_convert.run cm stats) fn in
-      let (fn, c6) =
-        if cm.Costmodel.licm then apply_fn_cm ctx "licm" (Licm.run stats) fn
-        else (fn, false)
-      in
-      let (fn, c6b) =
-        apply_fn_cm ctx "loop_delete" (Loop_delete.run stats) fn
-      in
+      let (fn, c5) = apply_fn ctx "if_convert" (If_convert.run cm stats) fn in
+      let (fn, c6) = apply_fn ctx "licm" (Licm.run stats) fn in
+      let (fn, c6b) = apply_fn ctx "loop_delete" (Loop_delete.run stats) fn in
       let c6 = c6 || c6b in
-      let (fn, c7) = apply_fn_cm ctx "dce" Dce.run fn in
+      let (fn, c7) = apply_fn ctx "dce" Dce.run fn in
       if c1 || c2 || c3 || c4 || c5 || c6 || c7 then go fn (round - 1) else fn
     end
   in
@@ -163,27 +159,16 @@ let scalar_fixpoint ctx (fn : Ir.func) : Ir.func =
 
 let optimize_function ctx (fn : Ir.func) : Ir.func =
   let cm = ctx.cm and stats = ctx.stats in
-  if not cm.Costmodel.scalar_opts then fn
-  else begin
-    (* memory-form loop transforms *)
-    let (fn, _) = apply_fn_cm ctx "unswitch" (Loop_unswitch.run cm stats) fn in
-    let (fn, _) = apply_fn_cm ctx "unroll" (Loop_unroll.run cm stats) fn in
-    (* SSA construction and scalar work *)
-    let (fn, _) = apply_fn_cm ctx "sroa" (Sroa.run stats) fn in
-    let (fn, _) = apply_fn_cm ctx "mem2reg" (Mem2reg.run stats) fn in
-    let fn = scalar_fixpoint ctx fn in
-    let fn =
-      if cm.Costmodel.cpu_opts then
-        fst (apply_fn_cm ctx "schedule" Schedule.run fn)
-      else fn
-    in
-    let fn =
-      if cm.Costmodel.annotations then
-        fst (apply_fn ctx "annotate" (Annotate.run cm stats) fn)
-      else fn
-    in
-    fn
-  end
+  (* memory-form loop transforms *)
+  let (fn, _) = apply_fn ctx "unswitch" (Loop_unswitch.run cm stats) fn in
+  let (fn, _) = apply_fn ctx "unroll" (Loop_unroll.run cm stats) fn in
+  (* SSA construction and scalar work *)
+  let (fn, _) = apply_fn ctx "sroa" (Sroa.run stats) fn in
+  let (fn, _) = apply_fn ctx "mem2reg" (Mem2reg.run stats) fn in
+  let fn = scalar_fixpoint ctx fn in
+  (* finishing passes *)
+  let (fn, _) = apply_fn ctx "schedule" Schedule.run fn in
+  fst (apply_fn ctx "annotate" (Annotate.run cm stats) fn)
 
 (** Compile a memory-form module at the given optimization level.  With
     [observe], every pass application that changes code is reported as a
@@ -192,20 +177,16 @@ let optimize ?observe ?prof (cm : Costmodel.t) (m : Ir.modul) : result =
   let stats = Stats.create () in
   let ctx = { cm; stats; observe; prof; cur = m } in
   let m =
-    if cm.Costmodel.runtime_checks then
-      {
-        m with
-        Ir.funcs =
-          List.map
-            (fun f -> fst (apply_fn ctx "runtime_checks" (Runtime_checks.run stats) f))
-            m.Ir.funcs;
-      }
-    else m
+    {
+      m with
+      Ir.funcs =
+        List.map
+          (fun f -> fst (apply_fn ctx "runtime_checks" (Runtime_checks.run stats) f))
+          m.Ir.funcs;
+    }
   in
   let m =
-    if cm.Costmodel.inline_threshold > 0
-       && not (List.mem "inline" cm.Costmodel.disabled_passes)
-    then begin
+    if runs ctx "inline" then begin
       let before = ctx.cur in
       let timing = timing_on ctx in
       let t0 = if timing then Unix.gettimeofday () else 0.0 in
@@ -228,4 +209,4 @@ let optimize ?observe ?prof (cm : Costmodel.t) (m : Ir.modul) : result =
     else m
   in
   let m = { m with Ir.funcs = List.map (optimize_function ctx) m.Ir.funcs } in
-  { modul = m; stats; level = cm }
+  { modul = m; stats }

@@ -3,12 +3,12 @@
     Phase structure: structural transforms on memory form (inlining,
     unswitching, peeling) where block cloning is trivially sound, then
     [mem2reg], then the scalar fixpoint on SSA, then CPU-oriented or
-    verification-oriented finishing passes. *)
+    verification-oriented finishing passes.  A pass runs only when its name
+    is in the level's [Costmodel.passes]. *)
 
 type result = {
   modul : Overify_ir.Ir.modul;
   stats : Stats.t;         (** transformation counters (Table 3) *)
-  level : Costmodel.t;
 }
 
 type observer =

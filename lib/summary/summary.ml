@@ -123,26 +123,7 @@ let pure_body (m : Ir.modul) (f : Ir.func) : bool =
   !ok
 
 let reachable_pure (m : Ir.modul) (f : Ir.func) : bool =
-  let seen = Hashtbl.create 8 in
-  let rec go (g : Ir.func) =
-    Hashtbl.mem seen g.Ir.fname
-    || begin
-         Hashtbl.replace seen g.Ir.fname ();
-         pure_body m g
-         && List.for_all
-              (fun c ->
-                match Ir.find_func m c with None -> true | Some cf -> go cf)
-              (Callgraph.callees m g)
-       end
-  in
-  go f
-
-let summarizable (m : Ir.modul) (f : Ir.func) : bool =
-  f.Ir.fname <> "main"
-  && List.for_all (fun ((_, ty) : int * Ir.ty) -> Ir.is_int_ty ty) f.Ir.params
-  && (Ir.is_int_ty f.Ir.ret || f.Ir.ret = Ir.Void)
-  && (not (Callgraph.StrSet.mem f.Ir.fname (Callgraph.cyclic m)))
-  && reachable_pure m f
+  List.for_all (pure_body m) (Callgraph.reachable m f.Ir.fname)
 
 let candidates (m : Ir.modul) : string list =
   let cyc = Callgraph.cyclic m in

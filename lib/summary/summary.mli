@@ -110,16 +110,14 @@ val store_key : string -> string
 
 (** {2 The static gate} *)
 
-val summarizable : Ir.modul -> Ir.func -> bool
-(** May [f] be summarized at all?  Requires: not [main]; integer params;
-    integer or void return; acyclic; and every transitively reachable
-    defined callee body free of pointer-typed loads/stores, I/O
-    intrinsics and calls to undefined non-intrinsic functions.  Dynamic
-    blow-ups (trace/instruction budgets, symbolic offsets, dropped
-    paths) are caught during the build and published as [Opaque]. *)
-
 val candidates : Ir.modul -> string list
-(** Summarizable functions in bottom-up (callees-first) order. *)
+(** The functions that may be summarized at all, in bottom-up
+    (callees-first) order.  A candidate is not [main], has integer params
+    and an integer or void return, is acyclic, and every transitively
+    reachable defined callee body is free of pointer-typed loads/stores,
+    I/O intrinsics and calls to undefined non-intrinsic functions.
+    Dynamic blow-ups (trace/instruction budgets, symbolic offsets, dropped
+    paths) are caught during the build and published as [Opaque]. *)
 
 (** {2 Persistence} *)
 

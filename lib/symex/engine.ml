@@ -789,21 +789,10 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     exit_codes;
     blocks_covered = Hashtbl.length covered;
     blocks_total =
-      (let reach = Hashtbl.create 16 in
-       let rec visit name =
-         if not (Hashtbl.mem reach name) then begin
-           Hashtbl.replace reach name ();
-           match Ir.find_func m name with
-           | Some fn ->
-               List.iter visit (Overify_ir.Callgraph.callees m fn)
-           | None -> ()
-         end
-       in
-       visit "main";
-       List.fold_left
-         (fun acc (f : Ir.func) ->
-           if Hashtbl.mem reach f.Ir.fname then acc + Ir.num_blocks f else acc)
-         0 m.Ir.funcs);
+      List.fold_left
+        (fun acc f -> acc + Ir.num_blocks f)
+        0
+        (Overify_ir.Callgraph.reachable m "main");
     jobs = njobs;
     profile;
   }

@@ -7,7 +7,7 @@
     by [| 1]).
 
     The [pure] mode restricts helper bodies to what the summary static gate
-    accepts ({!Overify_summary.Summary.summarizable}): integer expressions,
+    accepts ({!Overify_summary.Summary.candidates}): integer expressions,
     branches and bounded loops only — no arrays, no I/O intrinsics — and
     lets helpers call previously generated helpers, so the callgraph (and
     hence the fingerprint cones the invalidation properties probe) has real

@@ -543,7 +543,16 @@ let test_callgraph () =
   let order = Callgraph.bottom_up_order m in
   let pos x = Option.get (List.find_index (( = ) x) order) in
   check bool "b before a" true (pos "b" < pos "a");
-  check bool "a before main" true (pos "a" < pos "main")
+  check bool "a before main" true (pos "a" < pos "main");
+  let reachable from =
+    List.map (fun (f : I.func) -> f.I.fname) (Callgraph.reachable m from)
+  in
+  check (Alcotest.list Alcotest.string) "reachable from main, module order"
+    [ "main"; "a"; "b" ] (reachable "main");
+  check (Alcotest.list Alcotest.string) "reachable from a leaf" [ "b" ]
+    (reachable "b");
+  check (Alcotest.list Alcotest.string) "reachable through a self-call"
+    [ "r" ] (reachable "r")
 
 (* Tarjan SCC grouping: a two-function cycle (mutual recursion) must land
    in one SCC and be flagged cyclic — the summary layer keys on this to

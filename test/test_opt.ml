@@ -11,6 +11,7 @@ module Pipeline = Overify_opt.Pipeline
 module Stats = Overify_opt.Stats
 module Programs = Overify_corpus.Programs
 module Vclib = Overify_vclib.Vclib
+module Obs = Overify_obs.Obs
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -587,7 +588,7 @@ int main(void) {
   return 0;
 }
 |} in
-  let level = { Costmodel.o0 with Costmodel.runtime_checks = true } in
+  let level = { Costmodel.o0 with Costmodel.passes = [ "runtime_checks" ] } in
   let m0 = Frontend.compile_source src in
   let r = Pipeline.optimize level m0 in
   check bool "checks inserted" true (r.Pipeline.stats.Stats.checks_inserted > 0);
@@ -631,7 +632,11 @@ int main(void) {
 |} in
   let with_sched = compile_at Costmodel.o3 src in
   let without =
-    compile_at { Costmodel.o3 with Costmodel.disabled_passes = [ "schedule" ] } src
+    compile_at
+      { Costmodel.o3 with
+        Costmodel.passes =
+          List.filter (( <> ) "schedule") Costmodel.o3.Costmodel.passes }
+      src
   in
   let c1 = (Interp.run with_sched ~input:"AB").Interp.cycles in
   let c2 = (Interp.run without ~input:"AB").Interp.cycles in
@@ -671,18 +676,59 @@ let test_code_growth_direction () =
   let ov = static_size (compile Costmodel.overify).Pipeline.modul in
   check bool "sizes positive" true (o0 > 0 && ov > 0)
 
+(* A level's pass list is the one switch: at -O3 and -OVERIFY every pass it
+   names is applied to wc, and dropping any one name leaves no application of
+   that pass in the stream (dropping [annotate] leaves [main] without
+   metadata). *)
+let test_pass_list_gates_every_pass () =
+  let p = Option.get (Programs.find "wc") in
+  List.iter
+    (fun (level : Costmodel.t) ->
+      let m0 =
+        Frontend.compile_sources
+          [ Vclib.for_cost_model level; p.Programs.source ]
+      in
+      let applied passes =
+        let prof = Obs.Pass.create () in
+        let r =
+          Pipeline.optimize ~prof { level with Costmodel.passes } m0
+        in
+        (r, List.map (fun (a : Obs.Pass.app) -> a.Obs.Pass.pa_pass)
+              (Obs.Pass.apps prof))
+      in
+      let (_, all) = applied level.Costmodel.passes in
+      List.iter
+        (fun name ->
+          let what = Printf.sprintf "%s %s" level.Costmodel.name name in
+          check bool (what ^ " applied") true (List.mem name all);
+          let (r, apps) =
+            applied (List.filter (( <> ) name) level.Costmodel.passes)
+          in
+          check bool (what ^ " dropped, never applied") false
+            (List.mem name apps);
+          if name = "annotate" then
+            check bool "main keeps no metadata without annotate" true
+              ((I.find_func_exn r.Pipeline.modul "main").I.fmeta = []))
+        level.Costmodel.passes)
+    [ Costmodel.o3; Costmodel.overify ]
+
 (* every corpus program at every level, compiled once for the tests below
-   (in paranoid mode, like every compile in this suite) *)
-let corpus_results : (Programs.t * (Costmodel.t * Pipeline.result) list) list =
+   (in paranoid mode, like every compile in this suite), with the stream of
+   pass applications collected *)
+let corpus_results :
+    (Programs.t * (Costmodel.t * Pipeline.result * Obs.Pass.t) list) list =
   List.map
     (fun (p : Programs.t) ->
       ( p,
         List.map
           (fun level ->
-            ( level,
-              Pipeline.optimize level
+            let prof = Obs.Pass.create () in
+            let r =
+              Pipeline.optimize ~prof level
                 (Frontend.compile_sources
-                   [ Vclib.for_cost_model level; p.Programs.source ]) ))
+                   [ Vclib.for_cost_model level; p.Programs.source ])
+            in
+            (level, r, prof))
           Costmodel.all ))
     Programs.programs
 
@@ -690,22 +736,34 @@ let test_levels_verify_over_corpus () =
   List.iter
     (fun (_, results) ->
       List.iter
-        (fun (_, (r : Pipeline.result)) ->
+        (fun (_, (r : Pipeline.result), _) ->
           List.iter Overify_ir.Verify.check_exn r.Pipeline.modul.I.funcs)
         results)
     corpus_results
 
+(* The pass-application stream without its times: one line per application,
+   in order (pass, function, size before, size after, changed). *)
+let apps_to_string prof =
+  String.concat ""
+    (List.map
+       (fun (a : Obs.Pass.app) ->
+         Printf.sprintf "%s\t%s\t%d\t%d\t%b\n" a.Obs.Pass.pa_pass a.pa_fn
+           a.pa_size_before a.pa_size_after a.pa_changed)
+       (Obs.Pass.apps prof))
+
 (* The optimizer's output is pinned: per corpus program and level, the MD5
-   of the printed IR and of the [Stats] line must match
-   test/compile_digests.tsv.  On a mismatch the fresh table is written next
-   to the test executable; recording an intended change is one copy. *)
-let digests_header = "# program\tlevel\tir_md5\tstats_md5"
+   of the printed IR, of the [Stats] line and of the pass-application stream
+   must match test/compile_digests.tsv.  The stream column sees a no-op
+   application appear or vanish, which the IR cannot.  On a mismatch the
+   fresh table is written next to the test executable; recording an
+   intended change is one copy. *)
+let digests_header = "# program\tlevel\tir_md5\tstats_md5\tpasses_md5"
 
 let digest_rows () =
   List.concat_map
     (fun ((p : Programs.t), results) ->
       List.map
-        (fun (level, (r : Pipeline.result)) ->
+        (fun (level, (r : Pipeline.result), prof) ->
           let md5 s = Digest.to_hex (Digest.string s) in
           String.concat "\t"
             [
@@ -713,6 +771,7 @@ let digest_rows () =
               level.Costmodel.name;
               md5 (Overify_ir.Printer.modul_to_string r.Pipeline.modul);
               md5 (Format.asprintf "%a" Stats.pp r.Pipeline.stats);
+              md5 (apps_to_string prof);
             ])
         results)
     corpus_results
@@ -738,7 +797,7 @@ let differential_tests =
     (fun ((p : Programs.t), results) ->
       let compiled =
         List.map
-          (fun (level, (r : Pipeline.result)) ->
+          (fun (level, (r : Pipeline.result), _) ->
             (level.Costmodel.name, r.Pipeline.modul))
           results
       in
@@ -943,6 +1002,8 @@ let () =
       ( "pipeline",
         [
           Alcotest.test_case "paranoid profile on" `Quick test_paranoid_profile_on;
+          Alcotest.test_case "pass list gates every pass" `Quick
+            test_pass_list_gates_every_pass;
           Alcotest.test_case "code size sanity" `Quick test_code_growth_direction;
           Alcotest.test_case "IR verifies over corpus at all levels" `Slow
             test_levels_verify_over_corpus;

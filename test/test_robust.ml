@@ -75,18 +75,6 @@ let test_fault_fire_semantics () =
     (Fault.fire (Some f) Fault.Solver_timeout);
   check bool "none is free" false (Fault.fire None Fault.Worker_crash)
 
-let test_fault_of_env () =
-  Unix.putenv "OVERIFY_FAULTS" "timeout@2";
-  (match Fault.of_env () with
-  | Some f -> check Alcotest.string "parsed from env" "timeout@2" (Fault.spec f)
-  | None -> Alcotest.fail "env schedule ignored");
-  Unix.putenv "OVERIFY_FAULTS" "not-a-spec";
-  (match Fault.of_env () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "malformed env schedule must fail fast");
-  Unix.putenv "OVERIFY_FAULTS" "";
-  check bool "empty means none" true (Fault.of_env () = None)
-
 (* ------------- cancellation tokens and the stall wedge ------------- *)
 
 let test_cancel_token_basics () =
@@ -446,7 +434,6 @@ let () =
           Alcotest.test_case "parse good" `Quick test_fault_parse_good;
           Alcotest.test_case "parse bad" `Quick test_fault_parse_bad;
           Alcotest.test_case "fire semantics" `Quick test_fault_fire_semantics;
-          Alcotest.test_case "env schedule" `Quick test_fault_of_env;
         ] );
       ( "cancellation",
         [
