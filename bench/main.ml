@@ -99,132 +99,6 @@ let run_figure4 args =
 
 let run_precision _args = ignore (H.Precision.print ())
 
-(* ---- seq-vs-parallel symbolic-execution benchmark ----
-
-   For every corpus program (compiled at OVERIFY), explore once with the
-   sequential DFS searcher and once with [`Parallel jobs], report the
-   wall-clock speedup, and check the determinism contract (identical paths,
-   exit codes, bugs and coverage for complete runs).  Rows are also written
-   to BENCH_symex_parallel.json for machine consumption. *)
-
-let run_parallel args =
-  let (n, t) = parse_flags args in
-  let input_size = Option.value n ~default:4 in
-  let timeout = Option.value t ~default:30.0 in
-  let jobs = Option.value (int_flag "-j" args) ~default:4 in
-  H.Report.section
-    (Printf.sprintf
-       "Symbolic execution: sequential vs %d worker domains (n=%d bytes)" jobs
-       input_size);
-  let level = Overify_opt.Costmodel.overify in
-  let measurements =
-    List.map
-      (fun (p : Overify_corpus.Programs.t) ->
-        let c = H.Experiment.compile level p in
-        let m = H.Experiment.measure_parallel ~input_size ~timeout ~jobs c in
-        (p.Overify_corpus.Programs.name, m))
-      Overify_corpus.Programs.programs
-  in
-  let rows =
-    [
-      "program"; "paths"; "t_seq (ms)"; "t_par (ms)"; "speedup";
-      "deterministic"; "complete";
-    ]
-    :: List.map
-         (fun (name, (m : H.Experiment.parallel_measurement)) ->
-           [
-             name;
-             string_of_int m.H.Experiment.seq.E.paths;
-             H.Report.ms m.H.Experiment.seq.E.time;
-             H.Report.ms m.H.Experiment.par.E.time;
-             Printf.sprintf "%.2fx" m.H.Experiment.speedup;
-             string_of_bool m.H.Experiment.deterministic;
-             string_of_bool
-               (m.H.Experiment.seq.E.complete && m.H.Experiment.par.E.complete);
-           ])
-         measurements
-  in
-  H.Report.table rows;
-  Printf.printf
-    "(speedup = t_seq / t_par at %d domains; this host exposes %d core(s))\n"
-    jobs (Domain.recommended_domain_count ());
-  let json_row (name, (m : H.Experiment.parallel_measurement)) =
-    Printf.sprintf
-      "  {\"program\": %S, \"jobs\": %d, \"t_seq_s\": %.6f, \"t_par_s\": \
-       %.6f, \"speedup\": %.3f, \"paths\": %d, \"deterministic\": %b, \
-       \"complete\": %b}"
-      name m.H.Experiment.jobs
-      m.H.Experiment.seq.E.time
-      m.H.Experiment.par.E.time m.H.Experiment.speedup
-      m.H.Experiment.seq.E.paths
-      m.H.Experiment.deterministic
-      (m.H.Experiment.seq.E.complete && m.H.Experiment.par.E.complete)
-  in
-  let path = "BENCH_symex_parallel.json" in
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc "[\n%s\n]\n"
-        (String.concat ",\n" (List.map json_row measurements)));
-  Printf.printf "wrote %s\n" path
-
-(* ---- verification-profile sweep: profile every corpus program at -O0 and
-   -OVERIFY with cost attribution on and report each program's hottest
-   function at both levels — the per-function view of Table 1's speedups.
-   Full reports go to BENCH_profile.json. ---- *)
-
-let run_profile args =
-  let (n, t) = parse_flags args in
-  let input_size = Option.value n ~default:3 in
-  let timeout = Option.value t ~default:30.0 in
-  H.Report.section
-    (Printf.sprintf
-       "Verification profile: hottest function at -O0 vs -OVERIFY (n=%d \
-        bytes)" input_size);
-  let levels = [ Overify_opt.Costmodel.o0; Overify_opt.Costmodel.overify ] in
-  let profiles =
-    List.map
-      (fun (p : Overify_corpus.Programs.t) ->
-        List.map
-          (fun level ->
-            H.Profile.profile ~program:p.Overify_corpus.Programs.name ~level
-              ~config:{ E.default_config with input_size; timeout }
-              p.Overify_corpus.Programs.source)
-          levels)
-      Overify_corpus.Programs.programs
-  in
-  let hot (pr : H.Profile.t) =
-    match pr.H.Profile.funcs with
-    | f :: _ ->
-        Printf.sprintf "%s (%d queries, %s insts)" f.H.Profile.fr_fn
-          f.H.Profile.fr_cost.Overify_obs.Obs.Counters.queries
-          (H.Report.fmt_int
-             f.H.Profile.fr_cost.Overify_obs.Obs.Counters.instructions)
-    | [] -> "-"
-  in
-  let rows =
-    [ "program"; "hottest @ -O0"; "hottest @ -OVERIFY"; "solver -O0 (ms)";
-      "solver -OVERIFY (ms)" ]
-    :: List.map
-         (fun prs ->
-           match prs with
-           | [ p0; pv ] ->
-               [
-                 p0.H.Profile.program;
-                 hot p0;
-                 hot pv;
-                 H.Report.ms p0.H.Profile.result.E.solver_time;
-                 H.Report.ms pv.H.Profile.result.E.solver_time;
-               ]
-           | _ -> assert false)
-         profiles
-  in
-  H.Report.table rows;
-  let path = "BENCH_profile.json" in
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc "[\n%s\n]\n"
-        (String.concat ",\n"
-           (List.map (fun p -> H.Profile.to_json p) (List.concat profiles))));
-  Printf.printf "wrote %s (full per-function/per-block reports)\n" path
-
 (* ---- solver acceleration benchmark: every corpus program at -O0/-O3/
    -OVERIFY is explored twice, once with the solver reuse layers off and
    once on.  The determinism contract requires byte-identical verdicts
@@ -599,23 +473,6 @@ let run_chaos args =
   let r = H.Chaos.run ~input_size ~timeout ~programs ~json_path:out () in
   if r.H.Chaos.failures > 0 then exit 1
 
-(* ---- translation-validated corpus sweep: every pass application on every
-   corpus program at every level is checked with the symbolic engine; the
-   expected result is zero counterexamples (exit 1 otherwise) ---- *)
-
-let run_validate args =
-  let (n, t) = parse_flags args in
-  let d = Overify_tv.Tv.default_config in
-  let config =
-    {
-      d with
-      E.input_size = Option.value n ~default:d.E.input_size;
-      timeout = Option.value t ~default:d.E.timeout;
-    }
-  in
-  let cex = H.Validation.run ~config () in
-  if cex > 0 then exit 1
-
 (** The subcommands with their flags, in usage order. *)
 let commands =
   [
@@ -624,12 +481,9 @@ let commands =
     ("table3", "", run_table3);
     ("figure4", " [-n N] [-t SECONDS]", run_figure4);
     ("precision", "", run_precision);
-    ("parallel", " [-n N] [-t SECONDS] [-j JOBS]", run_parallel);
     ("solve", " [-n N] [-t SECONDS] [-p PROGRAM] [-o FILE]", run_solve);
     ("summary", " [-n N] [-t SECONDS] [-p PROGRAM] [-o FILE]", run_summary);
     ("chaos", " [-n N] [-t SECONDS] [-p PROGRAM] [-o FILE]", run_chaos);
-    ("validate", " [-n N] [-t SECONDS]", run_validate);
-    ("profile", " [-n N] [-t SECONDS]", run_profile);
   ]
 
 let () =

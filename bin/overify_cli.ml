@@ -101,52 +101,21 @@ let with_trace trace f =
 (* ---- compile subcommand ---- *)
 
 let compile_cmd =
-  let run level no_libc path stats validate trace =
+  let run level no_libc path stats trace =
     with_trace trace @@ fun () ->
-    let m = frontend level no_libc path in
-    let (r, report) =
-      if validate then
-        let (r, report) = O.Tv.validate level m in
-        (r, Some report)
-      else (O.Pipeline.optimize level m, None)
-    in
+    let r = O.Pipeline.optimize level (frontend level no_libc path) in
     print_string (O.Printer.modul_to_string r.O.Pipeline.modul);
     if stats then
       Format.printf "@.; transformations: %a@." Overify_opt.Stats.pp
         r.O.Pipeline.stats;
-    match report with
-    | None -> 0
-    | Some report ->
-        let cex = O.Tv.counterexamples report in
-        Printf.eprintf
-          "; translation validation: %d pass applications, %d \
-           counterexamples, %d inconclusive\n"
-          (List.length report.O.Tv.records)
-          (List.length cex)
-          (List.length (O.Tv.inconclusives report));
-        (match O.Tv.first_offender report with
-        | Some o ->
-            Printf.eprintf "; FIRST OFFENDING PASS: %s (in %s): %s\n"
-              o.O.Tv.pass o.O.Tv.fn
-              (O.Tv.string_of_verdict o.O.Tv.outcome.O.Tv.verdict)
-        | None -> ());
-        if cex = [] then 0 else 1
+    0
   in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print transformation counters.")
   in
-  let validate =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "Translation-validate every optimization pass application while \
-             compiling (see the tv subcommand); exit 1 on a counterexample.")
-  in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile MiniC and print the IR.")
-    Term.(const run $ level $ no_libc $ source_file $ stats $ validate
-          $ trace_arg)
+    Term.(const run $ level $ no_libc $ source_file $ stats $ trace_arg)
 
 (* ---- run subcommand ---- *)
 
@@ -687,12 +656,11 @@ let serve_cmd =
     in
     Arg.(
       value
-      & opt (some log_conv) None
+      & opt log_conv O.Serve_log.Warn
       & info [ "log" ] ~docv:"LEVEL"
           ~doc:
             "Stderr log threshold: debug, info or warn.  One JSONL line \
-             per event, carrying the request's trace id.  Defaults to \
-             $(b,OVERIFY_LOG) (warn when unset); the flag wins.")
+             per event, carrying the request's trace id.")
   in
   let run socket cache_dir recent_cap save_every queue_cap grace idle_timeout
       frame_timeout flight_dir log_level =
@@ -700,7 +668,7 @@ let serve_cmd =
       O.Serve.start
         ?socket:(if socket = "" then None else Some socket)
         ?cache_dir ~recent_cap ~save_every ?queue_cap ~grace ~idle_timeout
-        ~frame_timeout ?flight_dir ?log_level ()
+        ~frame_timeout ?flight_dir ~log_level ()
     in
     Printf.printf "listening on %s\n%!" (O.Serve.socket_path daemon);
     O.Serve.wait daemon;

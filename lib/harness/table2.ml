@@ -4,17 +4,19 @@
     Each row compares two levels that differ only in one transformation
     class: the full [-OVERIFY] pass list against the same list without that
     class (or with it, for runtime checks), and [-O3] against [-O3] without
-    scheduling.  It measures the impact on verification time and on
+    scheduling.  It measures the impact on verification effort (instructions
+    the symbolic engine executes, Table 1's deterministic count) and on
     simulated execution cycles over a few representative corpus programs.  A
-    '+' means the transformation helps (time drops when it is enabled), '-'
-    means it hurts, '0' means within noise. *)
+    '+' means the transformation helps (the count drops when it is enabled),
+    '-' means it hurts, '0' means within 5%. *)
 
 module Costmodel = Overify_opt.Costmodel
 module Engine = Overify_symex.Engine
 
 type row = {
   transformation : string;
-  verify_factor : float;  (** t_verify(disabled) / t_verify(enabled) *)
+  verify_factor : float;
+      (** symbolic instructions(disabled) / symbolic instructions(enabled) *)
   exec_factor : float;    (** cycles(disabled) / cycles(enabled) *)
   paths_with : int;
   paths_without : int;
@@ -23,23 +25,23 @@ type row = {
 let sign ?(threshold = 1.05) f =
   if f > threshold then "+" else if f < 1.0 /. threshold then "-" else "0"
 
-(** Verification impact sign: path counts are deterministic, so when the
-    ablation changes them they give the answer; otherwise fall back to the
-    time factor with a generous noise band. *)
+(** Verification impact sign: when the ablation changes the path count it
+    gives the answer; otherwise the instruction factor does. *)
 let verify_sign (r : row) =
   if r.paths_without <> r.paths_with then
     sign (float_of_int r.paths_without /. float_of_int (max r.paths_with 1))
-  else sign ~threshold:1.2 r.verify_factor
+  else sign r.verify_factor
 
 let test_programs = [ "wc"; "tr"; "nl"; "cut" ]
 
-(** Total verification time + paths over the ablation program set. *)
+(** Total symbolic instructions, cycles and paths over the ablation program
+    set. *)
 let measure_level ?(input_size = 4) ?(timeout = 20.0) (cm : Costmodel.t) :
-    float * float * int =
+    int * float * int =
   List.fold_left
-    (fun (tv, cyc, paths) name ->
+    (fun (insts, cyc, paths) name ->
       match Overify_corpus.Programs.find name with
-      | None -> (tv, cyc, paths)
+      | None -> (insts, cyc, paths)
       | Some p ->
           let c = Experiment.compile cm p in
           let v =
@@ -48,18 +50,20 @@ let measure_level ?(input_size = 4) ?(timeout = 20.0) (cm : Costmodel.t) :
               c.Experiment.modul
           in
           let cycles = Experiment.measure_cycles ~size:12 c in
-          (tv +. v.Engine.time, cyc +. cycles, paths + v.Engine.paths))
-    (0.0, 0.0, 0) test_programs
+          ( insts + v.Engine.instructions,
+            cyc +. cycles,
+            paths + v.Engine.paths ))
+    (0, 0.0, 0) test_programs
 
 (** One row: the program set measured at [with_] and at [without], two
     levels that differ only in the transformation [name]. *)
 let compare_levels ?input_size ?timeout ~name ~(with_ : Costmodel.t)
     ~(without : Costmodel.t) () : row =
-  let (tv_on, cyc_on, p_on) = measure_level ?input_size ?timeout with_ in
-  let (tv_off, cyc_off, p_off) = measure_level ?input_size ?timeout without in
+  let (i_on, cyc_on, p_on) = measure_level ?input_size ?timeout with_ in
+  let (i_off, cyc_off, p_off) = measure_level ?input_size ?timeout without in
   {
     transformation = name;
-    verify_factor = tv_off /. max tv_on 1e-6;
+    verify_factor = float_of_int i_off /. float_of_int (max i_on 1);
     exec_factor = cyc_off /. max cyc_on 1e-6;
     paths_with = p_on;
     paths_without = p_off;
@@ -103,7 +107,7 @@ let print ?(input_size = 4) ?timeout () =
     "Table 2: measured impact of transformation classes (ablation)";
   let rs = rows ~input_size ?timeout () in
   Report.table
-    ([ "Transformation"; "Verification"; "Execution"; "x faster verify";
+    ([ "Transformation"; "Verification"; "Execution"; "x fewer verify insts";
        "x faster exec"; "paths with/without" ]
     :: List.map
          (fun r ->
@@ -118,5 +122,6 @@ let print ?(input_size = 4) ?timeout () =
          rs);
   print_endline
     "('+' = transformation speeds this consumer up, '-' = slows it down;\n\
-    \ factors are time-without / time-with over the ablation program set)";
+    \ factors are symbolic instructions and cycles without / with over the\n\
+    \ ablation program set)";
   rs

@@ -33,7 +33,13 @@ let rec to_string (v : t) : string =
 
 exception Bad of int * string
 
-let parse (s : string) : (t, string) result =
+(* [member], when given, hears each member of the top-level object as it
+   is read: its key and the byte span of its value.  Values are then
+   checked but not built (each reads as [Null]), so a large string member
+   costs no copy.  Plain [parse] builds everything and records no
+   offsets. *)
+let parse_doc ?member (s : string) : (t, string) result =
+  let keep = Option.is_none member in
   let n = String.length s in
   let pos = ref 0 in
   let peek () = if !pos < n then Some s.[!pos] else None in
@@ -75,9 +81,10 @@ let parse (s : string) : (t, string) result =
     pos := !pos + 4;
     !v
   in
-  let parse_string () =
+  let parse_string keep =
     expect '"';
     let buf = Buffer.create 16 in
+    let add c = if keep then Buffer.add_char buf c in
     let rec go () =
       if !pos >= n then fail "unterminated string";
       let c = s.[!pos] in
@@ -89,27 +96,27 @@ let parse (s : string) : (t, string) result =
           let e = s.[!pos] in
           advance ();
           (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
+          | '"' -> add '"'
+          | '\\' -> add '\\'
+          | '/' -> add '/'
+          | 'b' -> add '\b'
+          | 'f' -> add '\012'
+          | 'n' -> add '\n'
+          | 'r' -> add '\r'
+          | 't' -> add '\t'
           | 'u' ->
               let v = hex4 () in
-              if v < 0x100 then Buffer.add_char buf (Char.chr v)
+              if v < 0x100 then add (Char.chr v)
               else begin
                 (* non-byte code point: encode as UTF-8 *)
-                Buffer.add_char buf (Char.chr (0xe0 lor (v lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((v lsr 6) land 0x3f)));
-                Buffer.add_char buf (Char.chr (0x80 lor (v land 0x3f)))
+                add (Char.chr (0xe0 lor (v lsr 12)));
+                add (Char.chr (0x80 lor ((v lsr 6) land 0x3f)));
+                add (Char.chr (0x80 lor (v land 0x3f)))
               end
           | _ -> fail "bad escape");
           go ())
       | c ->
-          Buffer.add_char buf c;
+          add c;
           go ()
     in
     go ()
@@ -142,15 +149,19 @@ let parse (s : string) : (t, string) result =
         (match peek () with Some ('+' | '-') -> advance () | _ -> ());
         digits ()
     | _ -> ());
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
+    if not keep then Null
+    else
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some f -> Num f
+      | None -> fail "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value ?member () =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
+    | Some '"' ->
+        let str = parse_string keep in
+        if keep then Str str else Null
     | Some '{' ->
         advance ();
         skip_ws ();
@@ -162,11 +173,14 @@ let parse (s : string) : (t, string) result =
           let kvs = ref [] in
           let rec go () =
             skip_ws ();
-            let k = parse_string () in
+            let k = parse_string true in
             skip_ws ();
             expect ':';
+            skip_ws ();
+            let start = !pos in
             let v = parse_value () in
-            kvs := (k, v) :: !kvs;
+            (match member with Some f -> f k start !pos | None -> ());
+            if keep then kvs := (k, v) :: !kvs;
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -176,7 +190,7 @@ let parse (s : string) : (t, string) result =
             | _ -> fail "expected , or } in object"
           in
           go ();
-          Obj (List.rev !kvs)
+          if keep then Obj (List.rev !kvs) else Null
         end
     | Some '[' ->
         advance ();
@@ -189,7 +203,7 @@ let parse (s : string) : (t, string) result =
           let xs = ref [] in
           let rec go () =
             let v = parse_value () in
-            xs := v :: !xs;
+            if keep then xs := v :: !xs;
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -199,7 +213,7 @@ let parse (s : string) : (t, string) result =
             | _ -> fail "expected , or ] in array"
           in
           go ();
-          Arr (List.rev !xs)
+          if keep then Arr (List.rev !xs) else Null
         end
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
@@ -208,13 +222,20 @@ let parse (s : string) : (t, string) result =
     | Some c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   try
-    let v = parse_value () in
+    let v = parse_value ?member () in
     skip_ws ();
     if !pos <> n then Error (Printf.sprintf "trailing bytes at offset %d" !pos)
     else Ok v
   with
   | Bad (off, msg) -> Error (Printf.sprintf "%s at offset %d" msg off)
   | Stack_overflow -> Error "document nests too deeply"
+
+let parse s = parse_doc s
+
+let member_spans s =
+  let acc = ref [] in
+  let member k start stop = acc := (k, (start, stop)) :: !acc in
+  Result.map (fun _ -> List.rev !acc) (parse_doc ~member s)
 
 (* ---------------- accessors ---------------- *)
 

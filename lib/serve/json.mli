@@ -20,6 +20,12 @@ val parse : string -> (t, string) result
 (** Parse one JSON document; trailing non-whitespace is an error.  Error
     messages carry the byte offset. *)
 
+val member_spans : string -> ((string * (int * int)) list, string) result
+(** Check one document like {!parse}, without building its values, and
+    return each member of its top-level object, in document order, with
+    the byte span [(start, stop)] of its value as written; [Ok []] when
+    the document is not an object. *)
+
 val to_string : t -> string
 (** Print compactly, object keys in list order. *)
 

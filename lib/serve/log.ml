@@ -14,12 +14,7 @@ let level_of_name s =
   | "warn" | "warning" -> Some Warn
   | _ -> None
 
-let env_level () =
-  match Option.bind (Sys.getenv_opt "OVERIFY_LOG") level_of_name with
-  | Some l -> l
-  | None -> Warn
-
-let current = ref (env_level ())
+let current = ref Warn
 let set_level l = current := l
 let level () = !current
 let enabled l = rank l >= rank !current

@@ -6,9 +6,9 @@
     "trace": "rq-...", <extra string fields>}] — machine-greppable, no
     ad-hoc prints.
 
-    The threshold comes from [OVERIFY_LOG] ([debug] | [info] | [warn],
-    default [warn]); {!set_level} (the daemon's [--log] flag) overrides
-    it — flag beats environment.
+    The threshold is [warn] until {!set_level} changes it; the daemon
+    sets it once, at start, from [serve --log] ([debug] | [info] |
+    [warn]).  No environment variable sets it.
 
     Warnings are additionally appended to the in-memory
     {!Overify_obs.Obs.Flight} ring (as [kind = "log"] records) whatever

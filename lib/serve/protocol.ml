@@ -330,86 +330,10 @@ let response ~id ~dedup ?(trace = "") ~elapsed_ms (b : body) : string =
 
 (* ---------------- raw field extraction ---------------- *)
 
-(** Scan the raw bytes of the value of top-level [key] in an object
-    document: find ["key":] at depth 1, then take the balanced value.
-    Only used on documents we emitted ourselves, so the scan can assume
-    well-formedness (and returns [None] rather than lying otherwise). *)
 let extract_field (json : string) (key : string) : string option =
-  let n = String.length json in
-  let needle = "\"" ^ key ^ "\"" in
-  let nn = String.length needle in
-  (* a key match must be followed by a colon — a string VALUE that
-     happens to equal the needle (e.g. "status": "error" vs the "error"
-     key) is not a member key *)
-  let followed_by_colon j =
-    let rec skip j =
-      if j >= n then false
-      else
-        match json.[j] with
-        | ' ' | '\t' | '\n' | '\r' -> skip (j + 1)
-        | ':' -> true
-        | _ -> false
-    in
-    skip j
-  in
-  (* find the key at object depth 1, skipping string contents *)
-  let rec find i depth in_str escaped =
-    if i >= n then None
-    else
-      let c = json.[i] in
-      if in_str then
-        if escaped then find (i + 1) depth true false
-        else if c = '\\' then find (i + 1) depth true true
-        else if c = '"' then find (i + 1) depth false false
-        else find (i + 1) depth true false
-      else
-        match c with
-        | '"' ->
-            if
-              depth = 1
-              && i + nn <= n
-              && String.sub json i nn = needle
-              && followed_by_colon (i + nn)
-            then Some (i + nn)
-            else find (i + 1) depth true false
-        | '{' | '[' -> find (i + 1) (depth + 1) false false
-        | '}' | ']' -> find (i + 1) (depth - 1) false false
-        | _ -> find (i + 1) depth false false
-  in
-  match find 0 0 false false with
-  | None -> None
-  | Some after_key ->
-      (* skip whitespace and the colon *)
-      let rec skip i =
-        if i >= n then None
-        else
-          match json.[i] with
-          | ' ' | '\t' | '\n' | '\r' | ':' -> skip (i + 1)
-          | _ -> Some i
-      in
-      Option.bind (skip after_key) (fun start ->
-          (* take the balanced value *)
-          let rec take i depth in_str escaped =
-            if i >= n then None
-            else
-              let c = json.[i] in
-              if in_str then
-                if escaped then take (i + 1) depth true false
-                else if c = '\\' then take (i + 1) depth true true
-                else if c = '"' then
-                  if depth = 0 then Some (i + 1) else take (i + 1) depth false false
-                else take (i + 1) depth true false
-              else
-                match c with
-                | '"' -> take (i + 1) depth true false
-                | '{' | '[' -> take (i + 1) (depth + 1) false false
-                | '}' | ']' ->
-                    if depth = 0 then Some i
-                    else if depth = 1 then Some (i + 1)
-                    else take (i + 1) (depth - 1) false false
-                | ',' when depth = 0 -> Some i
-                | _ -> take (i + 1) depth false false
-          in
-          Option.map
-            (fun stop -> String.trim (String.sub json start (stop - start)))
-            (take start 0 false false))
+  match Json.member_spans json with
+  | Ok spans ->
+      Option.map
+        (fun (start, stop) -> String.sub json start (stop - start))
+        (List.assoc_opt key spans)
+  | Error _ -> None

@@ -148,6 +148,7 @@ val response :
 
 val extract_field : string -> string -> string option
 (** [extract_field json key] returns the raw bytes of a top-level field's
-    value (balanced-delimiter scan; understands strings/escapes).  Used to
-    pull the embedded [result] document out of a response for byte-exact
-    comparison without reparsing/reprinting. *)
+    value, at the span {!Json.member_spans} reads; [None] when the document
+    does not parse or has no such field.  Used to pull the embedded
+    [result] document out of a response for byte-exact comparison without
+    reprinting it. *)

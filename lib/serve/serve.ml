@@ -885,12 +885,11 @@ let default_socket () =
 
 let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
     ?queue_cap ?(grace = 2.0) ?(idle_timeout = 600.0) ?(frame_timeout = 30.0)
-    ?obs:(_ : bool option) ?flight_dir ?log_level () : t =
+    ?obs:(_ : bool option) ?flight_dir ?(log_level = Log.Warn) () : t
+    =
   (* a dead peer must fail the write, not the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* flag beats environment: the daemon decides its own log level,
-     clients need no OVERIFY_LOG in their environment *)
-  (match log_level with Some l -> Log.set_level l | None -> ());
+  Log.set_level log_level;
   let sock_path =
     match socket with Some s -> s | None -> default_socket ()
   in

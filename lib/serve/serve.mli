@@ -113,8 +113,8 @@ val start :
     until the repository benchmark is next revised.
     [flight_dir] enables the flight recorder: post-mortem dumps are
     written there (created if missing) on degraded requests, contained
-    kills/crashes, internal errors and shutdown.  [log_level] overrides
-    the [OVERIFY_LOG] stderr threshold (same flag-beats-env rule). *)
+    kills/crashes, internal errors and shutdown.  [log_level] is the
+    stderr log threshold (default [Warn]). *)
 
 val socket_path : t -> string
 

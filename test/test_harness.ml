@@ -150,6 +150,18 @@ let test_table2_if_convert_ablation () =
   check bool "more paths without" true
     (r.H.Table2.paths_without > r.H.Table2.paths_with)
 
+let test_table2_deterministic () =
+  (* the verification column counts instructions, so a row reads the same
+     on every run; scheduling only reorders them, so it changes nothing *)
+  let row () =
+    H.Table2.ablate ~input_size:2 ~name:"scheduling" ~base:Costmodel.o3
+      ~disabled:[ "schedule" ] ()
+  in
+  let a = row () and b = row () in
+  check (Alcotest.float 0.0) "same verify factor" a.H.Table2.verify_factor
+    b.H.Table2.verify_factor;
+  check Alcotest.string "scheduling is neutral" "0" (H.Table2.verify_sign a)
+
 (* ------------- report formatting ------------- *)
 
 let test_report_fmt_int () =
@@ -182,6 +194,8 @@ let () =
           Alcotest.test_case "signs" `Quick test_table2_sign;
           Alcotest.test_case "if-convert ablation" `Slow
             test_table2_if_convert_ablation;
+          Alcotest.test_case "verification column deterministic" `Slow
+            test_table2_deterministic;
         ] );
       ( "report",
         [ Alcotest.test_case "fmt_int" `Quick test_report_fmt_int ] );

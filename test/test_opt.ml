@@ -490,7 +490,7 @@ int main(void) {
 |} in
   (* verify semantics at every level and that -O3 threading is counted when
      the shapes line up; the structural claim is checked via path counts *)
-  same_behaviour ~input:" " src;
+  same_behaviour ~input:"\000" src;
   same_behaviour ~input:"Z" src;
   let m0 = Frontend.compile_source src in
   let o3 = Pipeline.optimize Costmodel.o3 m0 in

@@ -221,6 +221,52 @@ let test_extract_field () =
   check bool "nested key not top-level" true
     (Protocol.extract_field doc "nested" = None)
 
+(* random objects, nested up to three levels *)
+let json_object_gen : (string * Json.t) list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let any_string =
+    string_size ~gen:(map Char.chr (int_range 0 255)) (int_bound 12)
+  in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Num (float_of_int i)) (int_range (-1000) 1000);
+        map (fun f -> Json.Num f) (float_range (-1e9) 1e9);
+        map (fun s -> Json.Str s) any_string;
+      ]
+  in
+  let members value = list_size (int_bound 6) (pair any_string value) in
+  let value =
+    fix
+      (fun self depth ->
+        if depth = 0 then scalar
+        else
+          frequency
+            [
+              (3, scalar);
+              (1, map (fun xs -> Json.Arr xs)
+                    (list_size (int_bound 4) (self (depth - 1))));
+              (1, map (fun kvs -> Json.Obj kvs) (members (self (depth - 1))));
+            ])
+      2
+  in
+  members value
+
+let test_extract_field_members =
+  QCheck.Test.make ~count:300 ~name:"extract_field reads every member"
+    (QCheck.make
+       ~print:(fun kvs -> Json.to_string (Json.Obj kvs))
+       json_object_gen)
+    (fun kvs ->
+      let doc = Json.to_string (Json.Obj kvs) in
+      List.for_all
+        (fun (k, _) ->
+          Protocol.extract_field doc k
+          = Some (Json.to_string (List.assoc k kvs)))
+        kvs)
+
 (* ------------- daemon: frame hardening ------------- *)
 
 let wc_request =
@@ -1319,6 +1365,7 @@ let () =
             test_fingerprint_semantics;
           Alcotest.test_case "request validation" `Quick test_request_rejects;
           Alcotest.test_case "extract_field" `Quick test_extract_field;
+          QCheck_alcotest.to_alcotest test_extract_field_members;
         ] );
       ( "hardening",
         [
