@@ -682,7 +682,7 @@ let serve_cmd =
           compile/verify/tv requests over a Unix socket (length-prefixed \
           JSON frames), deduplicating identical in-flight and recent \
           requests, and keeping one warm solver store across all of them. \
-          Stop it with $(b,overify client --shutdown).")
+          Stop it with $(b,overify client -k shutdown).")
     Term.(const run $ socket_arg $ cache_dir_arg $ recent_cap $ save_every
           $ queue_cap $ grace $ idle_timeout $ frame_timeout
           $ flight_dir $ log_arg)
@@ -733,7 +733,11 @@ let client_cmd =
       value & opt string "verify"
       & info [ "kind"; "k" ] ~docv:"KIND"
           ~doc:
-            "Request kind: verify, compile, tv, metrics or shutdown.")
+            "Request kind: verify, compile, tv, metrics (the daemon's \
+             per-kind latency histograms, queue depth, in-flight and \
+             recent-cache sizes, dedup/store/summary hit counters, uptime \
+             and degradation counts) or shutdown (stop the daemon \
+             cleanly).")
   in
   let program_arg =
     Arg.(
@@ -771,27 +775,12 @@ let client_cmd =
              cache-temperature fields zeroed) — comparable to \
              $(b,overify verify --json --deterministic).")
   in
-  let shutdown =
-    Arg.(
-      value & flag
-      & info [ "shutdown" ] ~doc:"Ask the daemon to shut down cleanly.")
-  in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:
-            "Fetch the daemon's metrics document (per-kind latency \
-             histograms, queue depth, in-flight and recent-cache sizes, \
-             dedup/store/summary hit counters, uptime, degradation \
-             counts).")
-  in
   let prometheus =
     Arg.(
       value & flag
       & info [ "prometheus" ]
           ~doc:
-            "With $(b,--metrics) (implied): print the exported counters \
+            "Implies $(b,--kind metrics): print the exported counters \
              and latency histograms in Prometheus text exposition format \
              instead of JSON.")
   in
@@ -800,8 +789,8 @@ let client_cmd =
       value & flag
       & info [ "watch"; "w" ]
           ~doc:
-            "Poll $(b,--metrics) (implied) and redraw a live table until \
-             interrupted (or $(b,--count) polls).")
+            "Implies $(b,--kind metrics): poll the daemon and redraw a \
+             live table until interrupted (or $(b,--count) polls).")
   in
   let interval =
     Arg.(
@@ -855,8 +844,8 @@ let client_cmd =
              $(docv)ms × 2^k, jittered ×[0.5,1.5), capped at 10s.")
   in
   let run socket level kind program file size timeout jobs summaries
-      deterministic faults shutdown metrics prometheus watch interval
-      count garbage result_only retries backoff =
+      deterministic faults prometheus watch interval count garbage
+      result_only retries backoff =
     if socket = "" then begin
       Printf.eprintf "client: --socket is required\n";
       exit 2
@@ -868,34 +857,63 @@ let client_cmd =
           socket;
         exit 2
     in
-    let rq_format = if prometheus then "prometheus" else "" in
+    let kind =
+      if prometheus || watch then O.Serve_protocol.Metrics
+      else
+        match O.Serve_protocol.kind_of_name kind with
+        | Some k -> k
+        | None ->
+            Printf.eprintf "client: unknown kind %s\n" kind;
+            exit 2
+    in
+    let source =
+      if file = "" then ""
+      else In_channel.with_open_text file In_channel.input_all
+    in
+    let rq =
+      {
+        O.Serve_protocol.default_request with
+        O.Serve_protocol.rq_kind = kind;
+        rq_program = program;
+        rq_source = source;
+        rq_level = level.O.Costmodel.name;
+        rq_input_size = size;
+        rq_timeout = timeout;
+        rq_jobs = jobs;
+        rq_deterministic = deterministic;
+        rq_faults = (match faults with Some f -> O.Fault.spec f | None -> "");
+        rq_summaries = summaries;
+        rq_format = (if prometheus then "prometheus" else "");
+      }
+    in
+    (* the envelope's [result] member; the exposition text travels as a
+       JSON string and is decoded *)
+    let result_doc json =
+      match O.Serve_protocol.extract_field json "result" with
+      | Some r -> (
+          match O.Serve_json.parse r with
+          | Ok (O.Serve_json.Str text) -> text
+          | _ -> r)
+      | None -> json
+    in
+    let transport_error e =
+      Printf.eprintf "client: transport error: %s\n" e;
+      1
+    in
     if watch then begin
       (* live telemetry: poll the metrics op and redraw *)
       let conn = connect () in
       let rec go i =
-        match
-          O.Serve_client.rpc conn
-            {
-              O.Serve_protocol.default_request with
-              O.Serve_protocol.rq_kind = O.Serve_protocol.Metrics;
-              rq_format;
-            }
-        with
-        | Error e ->
-            Printf.eprintf "client: transport error: %s\n"
-              (O.Serve_protocol.frame_error_name e);
-            1
+        match O.Serve_client.rpc conn rq with
+        | Error e -> transport_error (O.Serve_protocol.frame_error_name e)
         | Ok json ->
-            let doc =
-              match O.Serve_protocol.extract_field json "result" with
-              | Some r -> r
-              | None -> json
-            in
+            let doc = result_doc json in
             let rendered =
-              match O.Serve_json.parse doc with
-              | Ok (O.Serve_json.Str text) -> text (* prometheus *)
-              | Ok j -> metrics_table j
-              | Error _ -> doc
+              if prometheus then doc
+              else
+                match O.Serve_json.parse doc with
+                | Ok j -> metrics_table j
+                | Error _ -> doc
             in
             Printf.printf "\027[2J\027[H%s%!" rendered;
             if count > 0 && i + 1 >= count then 0
@@ -908,51 +926,19 @@ let client_cmd =
       O.Serve_client.close conn;
       rc
     end
-    else begin
-    let answer =
-      if garbage then begin
-        let conn = connect () in
-        let r =
-          if O.Serve_client.send_payload conn "this is not json {" then
-            O.Serve_client.read_response conn
-          else Error O.Serve_protocol.Closed
-        in
-        O.Serve_client.close conn;
-        Result.map_error O.Serve_protocol.frame_error_name r
-      end
-      else begin
-        let kind =
-          if shutdown then O.Serve_protocol.Shutdown
-          else if metrics || prometheus then O.Serve_protocol.Metrics
-          else
-            match O.Serve_protocol.kind_of_name kind with
-            | Some k -> k
-            | None ->
-                Printf.eprintf "client: unknown kind %s\n" kind;
-                exit 2
-        in
-        let source =
-          if file = "" then ""
-          else In_channel.with_open_text file In_channel.input_all
-        in
-        let rq =
-          {
-            O.Serve_protocol.default_request with
-            O.Serve_protocol.rq_kind = kind;
-            rq_program = program;
-            rq_source = source;
-            rq_level = level.O.Costmodel.name;
-            rq_input_size = size;
-            rq_timeout = timeout;
-            rq_jobs = jobs;
-            rq_deterministic = deterministic;
-            rq_faults =
-              (match faults with Some f -> O.Fault.spec f | None -> "");
-            rq_summaries = summaries;
-            rq_format;
-          }
-        in
-        if retries > 0 then
+    else
+      let answer =
+        if garbage then begin
+          let conn = connect () in
+          let r =
+            if O.Serve_client.send_payload conn "this is not json {" then
+              O.Serve_client.read_response conn
+            else Error O.Serve_protocol.Closed
+          in
+          O.Serve_client.close conn;
+          Result.map_error O.Serve_protocol.frame_error_name r
+        end
+        else if retries > 0 then
           (* fresh connection per attempt; retries connect failures,
              transport errors and [overloaded] sheds (honoring the
              daemon's retry_after_ms pacing hint) *)
@@ -963,36 +949,18 @@ let client_cmd =
           O.Serve_client.close conn;
           Result.map_error O.Serve_protocol.frame_error_name r
         end
-      end
-    in
-    match answer with
-    | Error e ->
-        Printf.eprintf "client: transport error: %s\n" e;
-        1
-    | Ok json ->
-        let doc =
-          if prometheus then
-            (* the exposition text travels as a JSON string; decode it *)
-            match O.Serve_protocol.extract_field json "result" with
-            | Some r -> (
-                match O.Serve_json.parse r with
-                | Ok (O.Serve_json.Str text) -> text
-                | _ -> r)
-            | None -> json
-          else if result_only then
-            match O.Serve_protocol.extract_field json "result" with
-            | Some r -> r
-            | None -> json
-          else json
-        in
-        print_endline doc;
-        let ok =
-          match O.Serve_protocol.extract_field json "status" with
-          | Some "\"ok\"" -> true
-          | _ -> false
-        in
-        if ok then 0 else 1
-    end
+      in
+      match answer with
+      | Error e -> transport_error e
+      | Ok json ->
+          print_endline
+            (if prometheus || result_only then result_doc json else json);
+          let ok =
+            match O.Serve_protocol.extract_field json "status" with
+            | Some "\"ok\"" -> true
+            | _ -> false
+          in
+          if ok then 0 else 1
   in
   Cmd.v
     (Cmd.info "client"
@@ -1002,8 +970,8 @@ let client_cmd =
     Term.(
       const run $ socket_arg $ level $ kind_arg $ program_arg $ file_arg
       $ size $ timeout $ jobs $ summaries_arg $ deterministic $ faults_arg
-      $ shutdown $ metrics $ prometheus $ watch $ interval $ count
-      $ garbage $ result_only $ retries $ backoff)
+      $ prometheus $ watch $ interval $ count $ garbage $ result_only
+      $ retries $ backoff)
 
 (* ---- postmortem subcommand ---- *)
 

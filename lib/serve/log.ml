@@ -14,11 +14,6 @@ let level_of_name s =
   | "warn" | "warning" -> Some Warn
   | _ -> None
 
-let current = ref Warn
-let set_level l = current := l
-let level () = !current
-let enabled l = rank l >= rank !current
-
 (* one line per write, whole lines only: handler threads log concurrently *)
 let lock = Mutex.create ()
 
@@ -38,7 +33,7 @@ let line ~level:l ~trace event fields =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let logf ?(trace = "") l event fields =
+let logf threshold ?(trace = "") l event fields =
   (* warnings reach the flight ring even when stderr is quieter *)
   if rank l >= rank Warn then
     Obs.Flight.record
@@ -53,7 +48,7 @@ let logf ?(trace = "") l event fields =
         fr_counters = [];
         fr_args = fields;
       };
-  if enabled l then begin
+  if rank l >= rank threshold then begin
     let s = line ~level:l ~trace event fields in
     Mutex.lock lock;
     Fun.protect
@@ -64,6 +59,6 @@ let logf ?(trace = "") l event fields =
         flush stderr)
   end
 
-let debug ?trace event fields = logf ?trace Debug event fields
-let info ?trace event fields = logf ?trace Info event fields
-let warn ?trace event fields = logf ?trace Warn event fields
+let debug threshold ?trace event fields = logf threshold ?trace Debug event fields
+let info threshold ?trace event fields = logf threshold ?trace Info event fields
+let warn threshold ?trace event fields = logf threshold ?trace Warn event fields

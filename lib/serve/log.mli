@@ -6,9 +6,11 @@
     "trace": "rq-...", <extra string fields>}] — machine-greppable, no
     ad-hoc prints.
 
-    The threshold is [warn] until {!set_level} changes it; the daemon
-    sets it once, at start, from [serve --log] ([debug] | [info] |
-    [warn]).  No environment variable sets it.
+    There is no process-wide threshold: every call names the threshold
+    it is filtered by.  A daemon passes its own, set at start from
+    [serve --log] ([debug] | [info] | [warn]; default [warn]), so
+    several daemons in one process each log at their own level.  No
+    environment variable sets it.
 
     Warnings are additionally appended to the in-memory
     {!Overify_obs.Obs.Flight} ring (as [kind = "log"] records) whatever
@@ -22,15 +24,10 @@ val level_name : level -> string
 val level_of_name : string -> level option
 (** Accepts ["debug"], ["info"], ["warn"]/["warning"] (any case). *)
 
-val set_level : level -> unit
-val level : unit -> level
-
-val enabled : level -> bool
-(** Would a line at this level reach stderr? *)
-
-val debug : ?trace:string -> string -> (string * string) list -> unit
-val info : ?trace:string -> string -> (string * string) list -> unit
-val warn : ?trace:string -> string -> (string * string) list -> unit
-(** [info ~trace event fields] emits one JSONL line.  [event] is a
-    stable dotted name (["daemon.start"], ["request.done"],
-    ["flight.dump"]); [fields] are extra string key/values. *)
+val debug : level -> ?trace:string -> string -> (string * string) list -> unit
+val info : level -> ?trace:string -> string -> (string * string) list -> unit
+val warn : level -> ?trace:string -> string -> (string * string) list -> unit
+(** [info threshold ~trace event fields] emits one JSONL line when
+    [Info] is at or above [threshold].  [event] is a stable dotted name
+    (["daemon.start"], ["request.done"], ["flight.dump"]); [fields] are
+    extra string key/values. *)

@@ -147,23 +147,7 @@ let request_of_json (j : Json.t) : (request, string) result =
   | _ -> Error "request must be a JSON object"
 
 let fingerprint (r : request) : string =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          [
-            kind_name r.rq_kind;
-            r.rq_program;
-            r.rq_source;
-            r.rq_level;
-            string_of_int r.rq_input_size;
-            Printf.sprintf "%h" r.rq_timeout;
-            string_of_int r.rq_jobs;
-            string_of_bool r.rq_link_libc;
-            string_of_bool r.rq_deterministic;
-            r.rq_faults;
-            string_of_bool r.rq_summaries;
-            r.rq_format;
-          ]))
+  Digest.to_hex (Digest.string (request_to_json { r with rq_id = 0 }))
 
 (* ---------------- framing ---------------- *)
 

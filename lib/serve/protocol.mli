@@ -79,7 +79,8 @@ val request_of_json : Json.t -> (request, string) result
     [bad_request] error, never an exception. *)
 
 val fingerprint : request -> string
-(** Dedup key: digest of every semantic field (everything but [rq_id]).
+(** Dedup key: the MD5 of {!request_to_json} with [rq_id] set to 0, so
+    every field but the id counts ([%.17g] prints the timeout exactly).
     Two requests with equal fingerprints receive byte-identical response
     bodies. *)
 

@@ -14,40 +14,6 @@ module Fault = Overify_fault.Fault
 module Cancel = Overify_fault.Cancel
 module Obs = Overify_obs.Obs
 
-type counters = {
-  mutable c_requests : int;      (** well-formed requests accepted *)
-  mutable c_executed : int;      (** jobs actually run by the executor *)
-  mutable c_dedup_inflight : int;
-  mutable c_dedup_recent : int;
-  mutable c_malformed : int;     (** frames/JSON/requests rejected *)
-  mutable c_errors : int;        (** responses with status=error *)
-  mutable c_shed : int;          (** requests refused at admission (queue full) *)
-  mutable c_cancelled : int;     (** running jobs stopped by their cancel token *)
-  mutable c_deadline : int;      (** requests answered [deadline_exceeded]
-                                     (queued expiries + cancelled runs) *)
-  mutable c_watchdog : int;      (** wedged jobs the watchdog escalated on *)
-  mutable c_reaped : int;        (** idle connections closed by the reaper *)
-}
-
-(** Daemon-lifetime telemetry behind the [metrics] op.  Mutated under
-    the daemon lock; wall-clock never leaks into response bodies — the
-    [metrics] document is explicitly non-deterministic. *)
-type telemetry = {
-  tl_started : float;
-  tl_lat : (string * Obs.Hist.t) list;
-      (** request latency (admission to answer) per queued kind *)
-  mutable tl_degraded : int;      (** requests whose run degraded *)
-  mutable tl_flight_dumps : int;  (** flight records written *)
-  mutable tl_store_hits : int;    (** accumulated over engine runs: *)
-  mutable tl_engine_queries : int;
-  mutable tl_engine_cache_hits : int;
-  mutable tl_solver_time : float;
-  mutable tl_sum_instantiated : int;
-  mutable tl_sum_opaque : int;
-  mutable tl_sum_computed : int;
-  mutable tl_sum_cached : int;
-}
-
 type job = {
   jb_req : Protocol.request;
   jb_key : string;
@@ -58,16 +24,21 @@ type job = {
       (** deadline-armed token threaded through the engine and solver;
           the watchdog sets it explicitly on a wedged job *)
   mutable jb_watchdogged : bool;  (** watchdog already escalated on this job *)
-  jm : Mutex.t;
-  jc : Condition.t;
   mutable jb_body : Protocol.body option;
+      (** the answer, published by {!answer_locked} *)
 }
 
+(** The daemon.  Every mutable field, and the queue and tables, is read
+    and written under [lock], the daemon's one lock.  The counters and
+    telemetry behind the [metrics] op are fields here too; wall-clock
+    never leaks into response bodies — the [metrics] document is
+    explicitly non-deterministic. *)
 type t = {
   sock_path : string;
   listen_fd : Unix.file_descr;
   st_store : Store.t;  (** in memory unless started with [cache_dir] *)
   flight_dir : string option;     (** post-mortem dumps land here *)
+  log : Log.level;                (** this daemon's stderr log threshold *)
   recent_cap : int;
   save_every : int;
   queue_cap : int;                (** admission control: max queued jobs *)
@@ -75,14 +46,39 @@ type t = {
       (** watchdog escalation margin past a running job's deadline *)
   idle_timeout : float option;    (** reap quiet keep-alive connections *)
   frame_timeout : float option;   (** slow-peer (mid-frame) read deadline *)
-  tl : telemetry;
   lock : Mutex.t;
   work : Condition.t;             (** executor wakeup *)
+  answered : Condition.t;         (** broadcast when any job gets its answer *)
   queue : job Queue.t;
   inflight : (string, job) Hashtbl.t;
   recent : (string, Protocol.body) Hashtbl.t;
   recent_order : string Queue.t;
-  ct : counters;
+  started : float;
+  latency : (string * Obs.Hist.t) list;
+      (** request latency (admission to answer) per queued kind *)
+  mutable requests : int;         (** well-formed requests accepted *)
+  mutable executed : int;         (** jobs actually run by the executor *)
+  mutable dedup_inflight : int;
+  mutable dedup_recent : int;
+  mutable malformed : int;        (** frames/JSON/requests rejected *)
+  mutable errors : int;           (** responses with status=error *)
+  mutable shed : int;             (** requests refused at admission (queue full) *)
+  mutable cancelled : int;        (** running jobs stopped by their cancel token *)
+  mutable deadline_exceeded : int;
+      (** requests answered [deadline_exceeded] (queued expiries +
+          cancelled runs) *)
+  mutable watchdog_fired : int;   (** wedged jobs the watchdog escalated on *)
+  mutable reaped : int;           (** idle connections closed by the reaper *)
+  mutable degraded : int;         (** requests whose run degraded *)
+  mutable flight_dumps : int;     (** flight records written *)
+  mutable store_hits : int;       (** accumulated over engine runs: *)
+  mutable engine_queries : int;
+  mutable engine_cache_hits : int;
+  mutable solver_time : float;
+  mutable sum_instantiated : int;
+  mutable sum_opaque : int;
+  mutable sum_computed : int;
+  mutable sum_cached : int;
   mutable running : job option;   (** what the executor is driving now *)
   mutable stopping : bool;
   mutable finished : bool;
@@ -107,18 +103,17 @@ let trace_of_key key =
 
 (* ---------------- job execution (executor thread only) ---------------- *)
 
-(** Add one engine run's counters to the telemetry.  Caller holds the
+(** Add one engine run's counters to the daemon's.  Caller holds the
     lock. *)
-let add_run_locked (tl : telemetry) (r : Engine.result) =
-  tl.tl_store_hits <- tl.tl_store_hits + r.Engine.hits_store;
-  tl.tl_engine_queries <- tl.tl_engine_queries + r.Engine.queries;
-  tl.tl_engine_cache_hits <- tl.tl_engine_cache_hits + r.Engine.cache_hits;
-  tl.tl_solver_time <- tl.tl_solver_time +. r.Engine.solver_time;
-  tl.tl_sum_instantiated <-
-    tl.tl_sum_instantiated + r.Engine.summary_instantiated;
-  tl.tl_sum_opaque <- tl.tl_sum_opaque + r.Engine.summary_opaque;
-  tl.tl_sum_computed <- tl.tl_sum_computed + r.Engine.summary_computed;
-  tl.tl_sum_cached <- tl.tl_sum_cached + r.Engine.summary_cached
+let add_run_locked t (r : Engine.result) =
+  t.store_hits <- t.store_hits + r.Engine.hits_store;
+  t.engine_queries <- t.engine_queries + r.Engine.queries;
+  t.engine_cache_hits <- t.engine_cache_hits + r.Engine.cache_hits;
+  t.solver_time <- t.solver_time +. r.Engine.solver_time;
+  t.sum_instantiated <- t.sum_instantiated + r.Engine.summary_instantiated;
+  t.sum_opaque <- t.sum_opaque + r.Engine.summary_opaque;
+  t.sum_computed <- t.sum_computed + r.Engine.summary_computed;
+  t.sum_cached <- t.sum_cached + r.Engine.summary_cached
 
 exception Bad_request of string
 
@@ -189,8 +184,8 @@ let run_request t (rq : Protocol.request) ~(trace : string)
         in
         degraded := r.Engine.degradations <> [];
         with_lock t (fun () ->
-            if !degraded then t.tl.tl_degraded <- t.tl.tl_degraded + 1;
-            add_run_locked t.tl r);
+            if !degraded then t.degraded <- t.degraded + 1;
+            add_run_locked t r);
         Protocol.ok_body ~kind
           ~result:
             (Engine.result_to_json ~deterministic:rq.rq_deterministic r)
@@ -236,7 +231,7 @@ let run_request t (rq : Protocol.request) ~(trace : string)
         with_lock t (fun () ->
             List.iter
               (fun (rc : Tv.record) ->
-                Option.iter (add_run_locked t.tl) rc.Tv.outcome.Tv.run)
+                Option.iter (add_run_locked t) rc.Tv.outcome.Tv.run)
               report.Tv.records);
         Protocol.ok_body ~kind
           ~result:
@@ -297,20 +292,19 @@ let add_recent t key body =
     Hashtbl.remove t.recent (Queue.pop t.recent_order)
   done
 
-let wait_job (job : job) : Protocol.body =
-  Mutex.lock job.jm;
-  while job.jb_body = None do
-    Condition.wait job.jc job.jm
-  done;
-  let b = Option.get job.jb_body in
-  Mutex.unlock job.jm;
-  b
-
-let finish_job (job : job) body =
-  Mutex.lock job.jm;
+(** Publish a job's answer and wake its waiters.  Caller holds the
+    lock. *)
+let answer_locked t job body =
   job.jb_body <- Some body;
-  Condition.broadcast job.jc;
-  Mutex.unlock job.jm
+  Condition.broadcast t.answered
+
+(** Block until [job] is answered. *)
+let wait_job t (job : job) : Protocol.body =
+  with_lock t (fun () ->
+      while job.jb_body = None do
+        Condition.wait t.answered t.lock
+      done;
+      Option.get job.jb_body)
 
 (** The structured deadline envelope: an error of kind [deadline_exceeded]
     that still carries the engine's partial result (with its
@@ -332,12 +326,26 @@ let transient_error (body : Protocol.body) =
   | _ -> false
 
 (** Answer a job whose deadline passed before the engine ever saw it. *)
-let expire_job job ~(where : string) =
+let expire_job t job ~(where : string) =
   let kind = Protocol.kind_name job.jb_req.Protocol.rq_kind in
   let trace = trace_of_key job.jb_key in
-  Log.warn ~trace "request.deadline" [ ("kind", kind); ("where", where) ];
-  finish_job job
-    (deadline_body ~kind ~msg:("deadline expired while " ^ where) ())
+  Log.warn t.log ~trace "request.deadline" [ ("kind", kind); ("where", where) ];
+  with_lock t (fun () ->
+      answer_locked t job
+        (deadline_body ~kind ~msg:("deadline expired while " ^ where) ()))
+
+(** Cut a flight record of the span/event ring for [reason], count it,
+    and log its path through [logged] (default: at warn) or the failure
+    at warn.  A no-op without a [flight_dir]. *)
+let dump_flight t ?(logged = Log.warn) ~reason ~trace () =
+  match t.flight_dir with
+  | None -> ()
+  | Some dir -> (
+      match Flight.dump ~dir ~reason ~trace () with
+      | Some path ->
+          with_lock t (fun () -> t.flight_dumps <- t.flight_dumps + 1);
+          logged t.log ~trace "flight.dump" [ ("reason", reason); ("path", path) ]
+      | None -> Log.warn t.log ~trace "flight.dump_failed" [ ("reason", reason) ])
 
 let executor_loop t =
   let rec loop () =
@@ -353,9 +361,9 @@ let executor_loop t =
         (* expired in the queue between watchdog ticks: answered here at
            the pop, but never run *)
         Hashtbl.remove t.inflight job.jb_key;
-        t.ct.c_deadline <- t.ct.c_deadline + 1;
+        t.deadline_exceeded <- t.deadline_exceeded + 1;
         Mutex.unlock t.lock;
-        expire_job job ~where:"queued";
+        expire_job t job ~where:"queued";
         loop ()
       end
       else begin
@@ -388,39 +396,31 @@ let executor_loop t =
         let save_now =
           with_lock t (fun () ->
               t.running <- None;
-              t.ct.c_executed <- t.ct.c_executed + 1;
+              t.executed <- t.executed + 1;
               if cancelled then begin
-                t.ct.c_cancelled <- t.ct.c_cancelled + 1;
-                t.ct.c_deadline <- t.ct.c_deadline + 1
+                t.cancelled <- t.cancelled + 1;
+                t.deadline_exceeded <- t.deadline_exceeded + 1
               end;
               Hashtbl.remove t.inflight job.jb_key;
               if not (transient_error body) then add_recent t job.jb_key body;
-              t.ct.c_executed mod t.save_every = 0)
+              t.executed mod t.save_every = 0)
         in
-      (* persist warm-store growth outside the daemon lock (a no-op for
-         the in-memory store); Store.save is atomic and internally
-         synchronized, so it may race concurrent engine lookups and
-         external readers without tearing the file *)
-      if save_now then Store.save t.st_store;
-      (* flight recorder: a degraded run, contained kill/crash or
-         internal error cuts a post-mortem dump of the span/event ring *)
-      let dump_reason =
-        match body.Protocol.b_error with
-        | Some ("killed", _) -> Some "killed"
-        | Some ("internal", _) -> Some "internal"
-        | _ -> if degraded then Some "degraded" else None
-      in
-      (match (dump_reason, t.flight_dir) with
-      | Some reason, Some dir -> (
-          match Flight.dump ~dir ~reason ~trace () with
-          | Some path ->
-              with_lock t (fun () ->
-                  t.tl.tl_flight_dumps <- t.tl.tl_flight_dumps + 1);
-              Log.warn ~trace "flight.dump"
-                [ ("reason", reason); ("path", path) ]
-          | None -> Log.warn ~trace "flight.dump_failed" [ ("reason", reason) ])
-      | _ -> ());
-        finish_job job body;
+        (* persist warm-store growth outside the daemon lock (a no-op for
+           the in-memory store); Store.save is atomic and internally
+           synchronized, so it may race concurrent engine lookups and
+           external readers without tearing the file *)
+        if save_now then Store.save t.st_store;
+        (* flight recorder: a degraded run, contained kill/crash or
+           internal error cuts a post-mortem dump of the span/event ring *)
+        let dump_reason =
+          match body.Protocol.b_error with
+          | Some ("killed", _) -> Some "killed"
+          | Some ("internal", _) -> Some "internal"
+          | _ -> if degraded then Some "degraded" else None
+        in
+        Option.iter (fun reason -> dump_flight t ~reason ~trace ()) dump_reason;
+        (* answered last: a waiter sees the saved store and the dump *)
+        with_lock t (fun () -> answer_locked t job body);
         loop ()
       end
     end
@@ -434,7 +434,7 @@ let executor_loop t =
     hint is never a busy-loop nor a give-up.  Caller holds the lock. *)
 let retry_after_ms_locked t (kind : string) : int =
   let slot_ms =
-    match List.assoc_opt kind t.tl.tl_lat with
+    match List.assoc_opt kind t.latency with
     | Some h when h.Obs.Hist.count > 0 -> Obs.Hist.percentile h 0.5 *. 1000.0
     | _ -> 100.0
   in
@@ -442,20 +442,20 @@ let retry_after_ms_locked t (kind : string) : int =
   let ms = int_of_float (ceil (slot_ms *. float_of_int slots)) in
   max 25 (min 60_000 ms)
 
-(** Resolve a request to a (dedup label, body).  Blocks until the body is
-    available; connection-handler context. *)
-let submit t (rq : Protocol.request) : string * Protocol.body =
-  let key = Protocol.fingerprint rq in
+(** Resolve a request, whose {!Protocol.fingerprint} is [key], to a
+    (dedup label, body).  Blocks until the body is available;
+    connection-handler context. *)
+let submit t ~key (rq : Protocol.request) : string * Protocol.body =
   let action =
     with_lock t (fun () ->
         match Hashtbl.find_opt t.recent key with
         | Some body ->
-            t.ct.c_dedup_recent <- t.ct.c_dedup_recent + 1;
+            t.dedup_recent <- t.dedup_recent + 1;
             `Recent body
         | None -> (
             match Hashtbl.find_opt t.inflight key with
             | Some job ->
-                t.ct.c_dedup_inflight <- t.ct.c_dedup_inflight + 1;
+                t.dedup_inflight <- t.dedup_inflight + 1;
                 `Join job
             | None ->
                 if t.stopping then `Unavailable
@@ -464,7 +464,7 @@ let submit t (rq : Protocol.request) : string * Protocol.body =
                      without bound — the answer costs nothing downstream
                      (never touches the executor) and tells the client
                      exactly when to come back *)
-                  t.ct.c_shed <- t.ct.c_shed + 1;
+                  t.shed <- t.shed + 1;
                   `Shed
                     (retry_after_ms_locked t
                        (Protocol.kind_name rq.Protocol.rq_kind))
@@ -479,8 +479,6 @@ let submit t (rq : Protocol.request) : string * Protocol.body =
                       jb_deadline = deadline;
                       jb_cancel = Cancel.create ~deadline ();
                       jb_watchdogged = false;
-                      jm = Mutex.create ();
-                      jc = Condition.create ();
                       jb_body = None;
                     }
                   in
@@ -492,11 +490,12 @@ let submit t (rq : Protocol.request) : string * Protocol.body =
   in
   match action with
   | `Recent body -> ("recent", body)
-  | `Join job -> ("inflight", wait_job job)
-  | `Run job -> ("miss", wait_job job)
+  | `Join job -> ("inflight", wait_job t job)
+  | `Run job -> ("miss", wait_job t job)
   | `Shed ms ->
       let kind = Protocol.kind_name rq.Protocol.rq_kind in
-      Log.warn "request.shed" [ ("kind", kind); ("retry_after_ms", string_of_int ms) ];
+      Log.warn t.log "request.shed"
+        [ ("kind", kind); ("retry_after_ms", string_of_int ms) ];
       ( "none",
         {
           (Protocol.error_body ~kind ~err:"overloaded"
@@ -529,7 +528,7 @@ let watchdog_tick t =
           (fun job ->
             if now > job.jb_deadline then begin
               Hashtbl.remove t.inflight job.jb_key;
-              t.ct.c_deadline <- t.ct.c_deadline + 1;
+              t.deadline_exceeded <- t.deadline_exceeded + 1;
               expired := job :: !expired
             end
             else Queue.add job keep)
@@ -541,31 +540,21 @@ let watchdog_tick t =
           | Some job
             when now > job.jb_deadline +. t.grace && not job.jb_watchdogged ->
               job.jb_watchdogged <- true;
-              t.ct.c_watchdog <- t.ct.c_watchdog + 1;
+              t.watchdog_fired <- t.watchdog_fired + 1;
               Some job
           | _ -> None
         in
         (List.rev !expired, wedged))
   in
-  List.iter (fun job -> expire_job job ~where:"queued") expired;
+  List.iter (fun job -> expire_job t job ~where:"queued") expired;
   match wedged with
   | None -> ()
   | Some job ->
       let trace = trace_of_key job.jb_key in
       (* dump first: the record must capture the wedged state, not the
          recovery *)
-      (match t.flight_dir with
-      | Some dir -> (
-          match Flight.dump ~dir ~reason:"watchdog" ~trace () with
-          | Some path ->
-              with_lock t (fun () ->
-                  t.tl.tl_flight_dumps <- t.tl.tl_flight_dumps + 1);
-              Log.warn ~trace "flight.dump"
-                [ ("reason", "watchdog"); ("path", path) ]
-          | None ->
-              Log.warn ~trace "flight.dump_failed" [ ("reason", "watchdog") ])
-      | None -> ());
-      Log.warn ~trace "watchdog.cancel"
+      dump_flight t ~reason:"watchdog" ~trace ();
+      Log.warn t.log ~trace "watchdog.cancel"
         [
           ("kind", Protocol.kind_name job.jb_req.Protocol.rq_kind);
           ("grace_s", Printf.sprintf "%.3f" t.grace);
@@ -614,58 +603,53 @@ type metric_row = {
 (** Every daemon counter, in document order.  Both renderings below walk
     this list, so a counter is named once.  Caller holds the lock. *)
 let metric_rows t : metric_row list =
-  let tl = t.tl and ct = t.ct in
   let row ?prom m_key m_value = { m_key; m_value; m_prom = prom } in
   let n = string_of_int in
   let counter name = ("counter", name) and gauge name = ("gauge", name) in
   [
     row "uptime_s"
-      (Printf.sprintf "%.3f" (Unix.gettimeofday () -. tl.tl_started))
+      (Printf.sprintf "%.3f" (Unix.gettimeofday () -. t.started))
       ~prom:(gauge "overify_uptime_seconds");
     row "queue_depth" (n (Queue.length t.queue))
       ~prom:(gauge "overify_queue_depth");
     row "inflight" (n (Hashtbl.length t.inflight));
     row "recent" (n (Hashtbl.length t.recent));
-    row "requests" (n ct.c_requests) ~prom:(counter "overify_requests_total");
-    row "executed" (n ct.c_executed) ~prom:(counter "overify_executed_total");
-    row "dedup_inflight" (n ct.c_dedup_inflight);
-    row "dedup_recent" (n ct.c_dedup_recent);
+    row "requests" (n t.requests) ~prom:(counter "overify_requests_total");
+    row "executed" (n t.executed) ~prom:(counter "overify_executed_total");
+    row "dedup_inflight" (n t.dedup_inflight);
+    row "dedup_recent" (n t.dedup_recent);
     row "dedup_hits"
-      (n (ct.c_dedup_inflight + ct.c_dedup_recent))
+      (n (t.dedup_inflight + t.dedup_recent))
       ~prom:(counter "overify_dedup_hits_total");
-    row "malformed" (n ct.c_malformed)
-      ~prom:(counter "overify_malformed_total");
-    row "errors" (n ct.c_errors) ~prom:(counter "overify_errors_total");
-    row "requests_shed" (n ct.c_shed)
+    row "malformed" (n t.malformed) ~prom:(counter "overify_malformed_total");
+    row "errors" (n t.errors) ~prom:(counter "overify_errors_total");
+    row "requests_shed" (n t.shed)
       ~prom:(counter "overify_requests_shed_total");
-    row "cancelled" (n ct.c_cancelled)
-      ~prom:(counter "overify_cancelled_total");
-    row "deadline_exceeded" (n ct.c_deadline)
+    row "cancelled" (n t.cancelled) ~prom:(counter "overify_cancelled_total");
+    row "deadline_exceeded" (n t.deadline_exceeded)
       ~prom:(counter "overify_deadline_exceeded_total");
-    row "watchdog_fired" (n ct.c_watchdog)
+    row "watchdog_fired" (n t.watchdog_fired)
       ~prom:(counter "overify_watchdog_fired_total");
-    row "idle_reaped" (n ct.c_reaped)
-      ~prom:(counter "overify_idle_reaped_total");
-    row "degraded" (n tl.tl_degraded) ~prom:(counter "overify_degraded_total");
-    row "flight_dumps" (n tl.tl_flight_dumps)
+    row "idle_reaped" (n t.reaped) ~prom:(counter "overify_idle_reaped_total");
+    row "degraded" (n t.degraded) ~prom:(counter "overify_degraded_total");
+    row "flight_dumps" (n t.flight_dumps)
       ~prom:(counter "overify_flight_dumps_total");
     row "flight_records" (n (Obs.Flight.length ()));
     row "flight_dropped" (n (Obs.Flight.dropped ()));
     row "store_entries" (n (Store.length t.st_store))
       ~prom:(gauge "overify_store_entries");
     row "store_loaded" (n (Store.loaded t.st_store));
-    row "store_hits" (n tl.tl_store_hits)
-      ~prom:(counter "overify_store_hits_total");
-    row "engine_queries" (n tl.tl_engine_queries)
+    row "store_hits" (n t.store_hits) ~prom:(counter "overify_store_hits_total");
+    row "engine_queries" (n t.engine_queries)
       ~prom:(counter "overify_engine_queries_total");
-    row "engine_cache_hits" (n tl.tl_engine_cache_hits)
+    row "engine_cache_hits" (n t.engine_cache_hits)
       ~prom:(counter "overify_engine_cache_hits_total");
-    row "solver_time_s" (Printf.sprintf "%.6f" tl.tl_solver_time)
+    row "solver_time_s" (Printf.sprintf "%.6f" t.solver_time)
       ~prom:(counter "overify_solver_time_seconds_total");
-    row "summary_instantiated" (n tl.tl_sum_instantiated);
-    row "summary_opaque" (n tl.tl_sum_opaque);
-    row "summary_computed" (n tl.tl_sum_computed);
-    row "summary_cached" (n tl.tl_sum_cached);
+    row "summary_instantiated" (n t.sum_instantiated);
+    row "summary_opaque" (n t.sum_opaque);
+    row "summary_computed" (n t.sum_computed);
+    row "summary_cached" (n t.sum_cached);
   ]
 
 (** The metrics document: every row, then the per-kind latency
@@ -674,7 +658,7 @@ let metrics_doc t : string =
   with_lock t (fun () ->
       let field (k, v) = Printf.sprintf "\"%s\": %s" k v in
       let rows = List.map (fun r -> (r.m_key, r.m_value)) (metric_rows t) in
-      let lat = List.map (fun (k, h) -> (k, hist_json h)) t.tl.tl_lat in
+      let lat = List.map (fun (k, h) -> (k, hist_json h)) t.latency in
       Printf.sprintf "{%s, \"latency_ms\": {%s}}"
         (String.concat ", " (List.map field rows))
         (String.concat ", " (List.map field lat)))
@@ -712,7 +696,7 @@ let prometheus t : string =
           Printf.bprintf b
             "overify_request_latency_seconds_count{kind=\"%s\"} %d\n" k
             h.Obs.Hist.count)
-        t.tl.tl_lat);
+        t.latency);
   Buffer.contents b
 
 let metrics_body t ~(format : string) : Protocol.body =
@@ -743,20 +727,19 @@ let initiate_stop t =
 (* ---------------- connection handling ---------------- *)
 
 let bump_malformed t =
-  with_lock t (fun () -> t.ct.c_malformed <- t.ct.c_malformed + 1)
+  with_lock t (fun () -> t.malformed <- t.malformed + 1)
 
-let bump_request t =
-  with_lock t (fun () -> t.ct.c_requests <- t.ct.c_requests + 1)
+let bump_request t = with_lock t (fun () -> t.requests <- t.requests + 1)
 
 let note_status t (body : Protocol.body) =
   if body.Protocol.b_status = "error" then
-    with_lock t (fun () -> t.ct.c_errors <- t.ct.c_errors + 1)
+    with_lock t (fun () -> t.errors <- t.errors + 1)
 
 let handle_conn t fd =
   let respond body_json = ignore (Protocol.write_frame fd body_json) in
   let protocol_error err msg =
     bump_malformed t;
-    Log.warn "request.malformed" [ ("error", err); ("message", msg) ];
+    Log.warn t.log "request.malformed" [ ("error", err); ("message", msg) ];
     let body = Protocol.error_body ~kind:"protocol" ~err ~msg in
     note_status t body;
     respond (Protocol.response ~id:0 ~dedup:"none" ~elapsed_ms:0.0 body)
@@ -770,8 +753,8 @@ let handle_conn t fd =
     | Error Protocol.Idle ->
         (* the reaper: a quiet keep-alive connection owed no answer —
            close it silently to free the handler thread *)
-        with_lock t (fun () -> t.ct.c_reaped <- t.ct.c_reaped + 1);
-        Log.info "conn.idle_reaped" []
+        with_lock t (fun () -> t.reaped <- t.reaped + 1);
+        Log.info t.log "conn.idle_reaped" []
     | Error ((Protocol.Truncated | Protocol.Corrupt | Protocol.Bad_magic
              | Protocol.Bad_version | Protocol.Oversized _
              | Protocol.Timed_out) as e) ->
@@ -800,7 +783,7 @@ let handle_conn t fd =
                     if rq.Protocol.rq_deterministic then 0.0
                     else (Unix.gettimeofday () -. t0) *. 1000.0
                   in
-                  Log.info ~trace "request.done"
+                  Log.info t.log ~trace "request.done"
                     [
                       ("kind", kind);
                       ("dedup", dedup);
@@ -824,10 +807,11 @@ let handle_conn t fd =
                 | _ ->
                     (* request admission: the span every child (queue
                        wait, compile, engine, solver) hangs off *)
-                    let trace = trace_of_key (Protocol.fingerprint rq) in
-                    Log.debug ~trace "request.admit" [ ("kind", kind) ];
+                    let key = Protocol.fingerprint rq in
+                    let trace = trace_of_key key in
+                    Log.debug t.log ~trace "request.admit" [ ("kind", kind) ];
                     let aspan = Obs.Span.start ~trace ("serve." ^ kind) in
-                    let (dedup, body) = submit t rq in
+                    let (dedup, body) = submit t ~key rq in
                     Obs.Span.finish aspan
                       ~counters:
                         [
@@ -840,7 +824,7 @@ let handle_conn t fd =
                        histogram would poison the retry_after_ms hint *)
                     if dedup <> "none" then
                       with_lock t (fun () ->
-                          match List.assoc_opt kind t.tl.tl_lat with
+                          match List.assoc_opt kind t.latency with
                           | Some h ->
                               Obs.Hist.observe h (Unix.gettimeofday () -. t0)
                           | None -> ());
@@ -889,7 +873,6 @@ let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
     =
   (* a dead peer must fail the write, not the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  Log.set_level log_level;
   let sock_path =
     match socket with Some s -> s | None -> default_socket ()
   in
@@ -912,6 +895,7 @@ let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
       listen_fd;
       st_store;
       flight_dir;
+      log = log_level;
       recent_cap = max 1 recent_cap;
       save_every = max 1 save_every;
       queue_cap = (match queue_cap with Some c -> max 0 c | None -> max_int);
@@ -919,46 +903,41 @@ let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
       idle_timeout = (if idle_timeout <= 0.0 then None else Some idle_timeout);
       frame_timeout =
         (if frame_timeout <= 0.0 then None else Some frame_timeout);
-      tl =
-        {
-          tl_started = Unix.gettimeofday ();
-          tl_lat =
-            [
-              ("verify", Obs.Hist.create ());
-              ("compile", Obs.Hist.create ());
-              ("tv", Obs.Hist.create ());
-            ];
-          tl_degraded = 0;
-          tl_flight_dumps = 0;
-          tl_store_hits = 0;
-          tl_engine_queries = 0;
-          tl_engine_cache_hits = 0;
-          tl_solver_time = 0.0;
-          tl_sum_instantiated = 0;
-          tl_sum_opaque = 0;
-          tl_sum_computed = 0;
-          tl_sum_cached = 0;
-        };
       lock = Mutex.create ();
       work = Condition.create ();
+      answered = Condition.create ();
       queue = Queue.create ();
       inflight = Hashtbl.create 16;
       recent = Hashtbl.create 64;
       recent_order = Queue.create ();
-      ct =
-        {
-          c_requests = 0;
-          c_executed = 0;
-          c_dedup_inflight = 0;
-          c_dedup_recent = 0;
-          c_malformed = 0;
-          c_errors = 0;
-          c_shed = 0;
-          c_cancelled = 0;
-          c_deadline = 0;
-          c_watchdog = 0;
-          c_reaped = 0;
-        };
+      started = Unix.gettimeofday ();
+      latency =
+        [
+          ("verify", Obs.Hist.create ());
+          ("compile", Obs.Hist.create ());
+          ("tv", Obs.Hist.create ());
+        ];
+      requests = 0;
+      executed = 0;
+      dedup_inflight = 0;
+      dedup_recent = 0;
+      malformed = 0;
+      errors = 0;
+      shed = 0;
+      cancelled = 0;
+      deadline_exceeded = 0;
+      watchdog_fired = 0;
+      reaped = 0;
+      degraded = 0;
+      flight_dumps = 0;
+      store_hits = 0;
+      engine_queries = 0;
+      engine_cache_hits = 0;
+      solver_time = 0.0;
+      sum_instantiated = 0;
+      sum_opaque = 0;
+      sum_computed = 0;
+      sum_cached = 0;
       running = None;
       stopping = false;
       finished = false;
@@ -972,7 +951,7 @@ let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
   t.exec_thread <- Some (Thread.create executor_loop t);
   t.watchdog_thread <- Some (Thread.create watchdog_loop t);
   t.accept_thread <- Some (Thread.create accept_loop t);
-  Log.info "daemon.start"
+  Log.info t.log "daemon.start"
     ([ ("socket", sock_path) ]
     @ (match cache_dir with Some d -> [ ("cache_dir", d) ] | None -> [])
     @ match flight_dir with Some d -> [ ("flight_dir", d) ] | None -> []);
@@ -1011,14 +990,8 @@ let wait t =
     Store.save t.st_store;
     (* the daemon is going away: cut a final flight record so a
        post-mortem sees the last requests even on a clean shutdown *)
-    (match t.flight_dir with
-    | Some dir -> (
-        match Flight.dump ~dir ~reason:"shutdown" ~trace:"" () with
-        | Some path -> Log.info "flight.dump" [ ("reason", "shutdown"); ("path", path) ]
-        | None -> Log.warn "flight.dump_failed" [ ("reason", "shutdown") ])
-    | None -> ());
-    Log.info "daemon.stop"
-      [ ("executed", string_of_int t.ct.c_executed) ];
+    dump_flight t ~logged:Log.info ~reason:"shutdown" ~trace:"" ();
+    Log.info t.log "daemon.stop" [ ("executed", string_of_int t.executed) ];
     try Unix.unlink t.sock_path with Unix.Unix_error _ -> ()
   end
 

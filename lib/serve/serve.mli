@@ -11,8 +11,10 @@
     frame, parse, deduplicate and wait.
 
     Deduplication: requests are keyed by {!Protocol.fingerprint} (every
-    semantic field).  A request whose key is already executing joins the
-    in-flight job's waiters; a key completed recently is answered from a
+    field but the id), computed once per request.  A request whose key
+    is already executing waits for the in-flight job's answer, which is
+    published under the daemon's one lock and signalled on one
+    daemon-wide condition; a key completed recently is answered from a
     bounded FIFO cache.  Either way the response body is byte-identical
     to the first computation's — only the envelope's [id] and [dedup]
     fields differ.
@@ -113,8 +115,9 @@ val start :
     until the repository benchmark is next revised.
     [flight_dir] enables the flight recorder: post-mortem dumps are
     written there (created if missing) on degraded requests, contained
-    kills/crashes, internal errors and shutdown.  [log_level] is the
-    stderr log threshold (default [Warn]). *)
+    kills/crashes, internal errors and shutdown.  [log_level] is this
+    daemon's stderr log threshold (default [Warn]); other daemons in the
+    process keep their own. *)
 
 val socket_path : t -> string
 

@@ -228,9 +228,6 @@ let sort_lits (c : clause) =
   done
 
 let add_clause s (c : clause) =
-  (* clause addition reasons about root-level truth only: drop any
-     assignment left over from a previous solve *)
-  if decision_level s > 0 then cancel_until s 0;
   if s.ok then begin
     sort_lits c;
     (* sorted, a duplicate sits next to its copy and l next to ¬l (2v and
@@ -417,12 +414,9 @@ exception Unsat_found
 (** Raised when [solve] exceeds its wall-clock deadline. *)
 exception Timeout
 
-let solve ?(assumptions = []) ?deadline (s : t) : bool =
-  if decision_level s > 0 then cancel_until s 0;
+let solve ?deadline (s : t) : bool =
   if not s.ok then false
   else begin
-    let assumptions = Array.of_list assumptions in
-    let nassumed = Array.length assumptions in
     let check_deadline () =
       match deadline with
       | Some d when s.conflicts land 255 = 0 && Unix.gettimeofday () > d ->
@@ -444,14 +438,12 @@ let solve ?(assumptions = []) ?deadline (s : t) : bool =
                 s.conflicts <- s.conflicts + 1;
                 incr conflicts_here;
                 check_deadline ();
-                if decision_level s <= nassumed then
-                  (* conflict under assumptions (or at root) *)
-                  raise Unsat_found;
+                if decision_level s = 0 then raise Unsat_found;
                 let (learnt, bl) = analyze s confl in
-                cancel_until s (max bl nassumed);
+                cancel_until s bl;
                 let l = learnt.(0) in
                 if Array.length learnt = 1 then begin
-                  cancel_until s nassumed;
+                  cancel_until s 0;
                   if lit_value s l = 0 then raise Unsat_found
                   else if lit_value s l < 0 then enqueue s l no_reason
                 end
@@ -471,28 +463,15 @@ let solve ?(assumptions = []) ?deadline (s : t) : bool =
                 end;
                 decay s;
                 if !conflicts_here > budget then begin
-                  cancel_until s nassumed;
+                  cancel_until s 0;
                   raise Exit
                 end
               end
               else begin
-                (* extend assignment: assumptions first, then decide *)
-                let dl = decision_level s in
-                if dl < nassumed then begin
-                  let a = assumptions.(dl) in
-                  match lit_value s a with
-                  | 1 -> new_level s (* already true: an empty decision level *)
-                  | 0 -> raise Unsat_found
-                  | _ ->
-                      new_level s;
-                      enqueue s a no_reason
-                end
-                else begin
-                  let v = pick_branch s in
-                  if v < 0 then raise Sat_found;
-                  new_level s;
-                  enqueue s (lit_of_var v s.phase.(v)) no_reason
-                end
+                let v = pick_branch s in
+                if v < 0 then raise Sat_found;
+                new_level s;
+                enqueue s (lit_of_var v s.phase.(v)) no_reason
               end
             done
           with Exit -> ());
@@ -501,7 +480,6 @@ let solve ?(assumptions = []) ?deadline (s : t) : bool =
      with
     | Sat_found -> result := true
     | Unsat_found -> result := false);
-    if not !result then cancel_until s 0;
     !result
   end
 

@@ -5,6 +5,9 @@
     Literal encoding: variable [v] (0-based) has positive literal [2v] and
     negative literal [2v+1].
 
+    An instance is solved once: add every clause, then call {!solve}
+    ([Solver] blasts a fresh instance per component).
+
     The search is deterministic: the same clauses added in the same order
     give the same model.  Models are answers of the whole tool (exit-code
     witnesses, solver store entries), and test/solver_digests.tsv pins
@@ -32,16 +35,14 @@ val add_clause : t -> int array -> unit
     literals in place, drops duplicates and literals false at the root,
     and may keep the array as the stored clause, so the caller must not
     use it again.  A tautology or a clause already true at the root is
-    skipped.  May be called between [solve]s; resets any leftover
-    non-root assignment first.  An empty or root-falsified clause makes
-    the instance permanently unsatisfiable. *)
+    skipped.  An empty or root-falsified clause makes the instance
+    unsatisfiable. *)
 
 exception Timeout
 (** Raised by {!solve} when the wall-clock [deadline] passes. *)
 
-val solve : ?assumptions:int list -> ?deadline:float -> t -> bool
-(** Decide satisfiability under the given assumption literals.  Learned
-    clauses persist across calls (incremental use). *)
+val solve : ?deadline:float -> t -> bool
+(** Decide satisfiability of the clauses added so far. *)
 
 val model_value : t -> int -> bool
 (** Value of a variable after a [true] answer from {!solve}. *)

@@ -102,6 +102,16 @@ let unprefix f =
   then String.sub f 6 (String.length f - 6)
   else f
 
+(** How two runs' observable behaviour differs: the exit code first,
+    then the output; [None] when both agree. *)
+let disagreement (pre : behavior) (post : behavior) : string option =
+  if pre.exit_code <> post.exit_code then
+    Some
+      (Printf.sprintf "exit code differs: %Ld vs %Ld" pre.exit_code
+         post.exit_code)
+  else if pre.output <> post.output then Some "output trace differs"
+  else None
+
 (** Build the witness record for a refuting input by replaying both
     versions through the concrete interpreter. *)
 let make_witness ~input_size ~pre ~post ~(bug : Engine.bug) : witness =
@@ -113,11 +123,10 @@ let make_witness ~input_size ~pre ~post ~(bug : Engine.bug) : witness =
     if is_b_side bug.Engine.at_function then
       Printf.sprintf "introduced trap: %s in %s" bug.Engine.kind
         (unprefix bug.Engine.at_function)
-    else if pre_behavior.exit_code <> post_behavior.exit_code then
-      Printf.sprintf "exit code differs: %Ld vs %Ld" pre_behavior.exit_code
-        post_behavior.exit_code
-    else if pre_behavior.output <> post_behavior.output then "output trace differs"
-    else "product assertion failed: " ^ bug.Engine.kind
+    else
+      match disagreement pre_behavior post_behavior with
+      | Some d -> d
+      | None -> "product assertion failed: " ^ bug.Engine.kind
   in
   { input; pre_behavior; post_behavior; detail }
 
@@ -164,18 +173,11 @@ let differential_fallback ~input_size ~pre ~post (r : Engine.result) :
                     { input; pre_behavior = bp; post_behavior = bq;
                       detail = "introduced trap: " ^ t }
             | None ->
-                if bp.exit_code <> bq.exit_code then
-                  ce :=
-                    Some
-                      { input; pre_behavior = bp; post_behavior = bq;
-                        detail =
-                          Printf.sprintf "exit code differs: %Ld vs %Ld"
-                            bp.exit_code bq.exit_code }
-                else if bp.output <> bq.output then
-                  ce :=
-                    Some
-                      { input; pre_behavior = bp; post_behavior = bq;
-                        detail = "output trace differs" })
+                ce :=
+                  Option.map
+                    (fun detail ->
+                      { input; pre_behavior = bp; post_behavior = bq; detail })
+                    (disagreement bp bq))
       end)
     inputs;
   match !ce with Some w -> Either.Left w | None -> Either.Right !runs

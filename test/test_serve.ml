@@ -11,6 +11,7 @@ module Serve = Overify_serve.Serve
 module Client = Overify_serve.Client
 module Protocol = Overify_serve.Protocol
 module Json = Overify_serve.Json
+module Log = Overify_serve.Log
 module Binfile = Overify_solver.Binfile
 module Store = Overify_solver.Store
 module Solver = Overify_solver.Solver
@@ -174,15 +175,29 @@ let test_frame_roundtrip =
 
 let test_fingerprint_semantics () =
   let rq = Protocol.default_request in
-  check string "id is not semantic"
-    (Protocol.fingerprint rq)
+  let key = Protocol.fingerprint rq in
+  check string "id is not semantic" key
     (Protocol.fingerprint { rq with Protocol.rq_id = 42 });
-  check bool "kind is semantic" true
-    (Protocol.fingerprint rq
-    <> Protocol.fingerprint { rq with Protocol.rq_kind = Protocol.Compile });
-  check bool "level is semantic" true
-    (Protocol.fingerprint rq
-    <> Protocol.fingerprint { rq with Protocol.rq_level = "O0" })
+  (* one change per other request field; the timeout moves by one ulp *)
+  List.iter
+    (fun (field, changed) ->
+      check bool (field ^ " is semantic") true
+        (Protocol.fingerprint changed <> key))
+    Protocol.
+      [
+        ("kind", { rq with rq_kind = Compile });
+        ("program", { rq with rq_program = "wc" });
+        ("source", { rq with rq_source = "int main() { return 0; }" });
+        ("level", { rq with rq_level = "O0" });
+        ("input_size", { rq with rq_input_size = rq.rq_input_size + 1 });
+        ("timeout", { rq with rq_timeout = Float.succ rq.rq_timeout });
+        ("jobs", { rq with rq_jobs = rq.rq_jobs + 1 });
+        ("link_libc", { rq with rq_link_libc = not rq.rq_link_libc });
+        ("deterministic", { rq with rq_deterministic = not rq.rq_deterministic });
+        ("faults", { rq with rq_faults = "crash@1" });
+        ("summaries", { rq with rq_summaries = not rq.rq_summaries });
+        ("format", { rq with rq_format = "prometheus" });
+      ]
 
 let test_request_rejects () =
   let parse s =
@@ -880,6 +895,63 @@ let test_flight_record_after_fault () =
              && r.Overify_obs.Obs.Flight.fr_trace = trace)
            fd.Flight.fd_records)
 
+let test_log_threshold_per_daemon () =
+  (* daemon A logs at debug; starting daemon B at the default (warn) in
+     the same process must not silence A.  fd 2 goes to a temp file for
+     the duration. *)
+  let path = Filename.temp_file "overify_serve_log" ".jsonl" in
+  let trace_of d program =
+    with_conn d @@ fun c ->
+    match
+      Client.rpc c
+        {
+          Protocol.default_request with
+          Protocol.rq_kind = Protocol.Compile;
+          rq_program = program;
+        }
+    with
+    | Ok json -> get_str json "trace"
+    | Error e -> Alcotest.failf "rpc: %s" (Protocol.frame_error_name e)
+  in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let (trace_a, trace_b) =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      (fun () ->
+        (* one process's default socket path is shared: name both *)
+        Binfile.with_temp_dir "overify_serve_test" @@ fun dir ->
+        let a =
+          Serve.start ~socket:(Filename.concat dir "a.sock")
+            ~log_level:Log.Debug ()
+        in
+        Fun.protect ~finally:(fun () -> Serve.stop a) @@ fun () ->
+        let b = Serve.start ~socket:(Filename.concat dir "b.sock") () in
+        Fun.protect ~finally:(fun () -> Serve.stop b) @@ fun () ->
+        (trace_of a "true", trace_of b "false"))
+  in
+  let log = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let admitted trace =
+    List.exists
+      (fun line ->
+        contains line "\"event\": \"request.admit\""
+        && contains line ("\"trace\": \"" ^ trace ^ "\""))
+      (String.split_on_char '\n' log)
+  in
+  if not (admitted trace_a) then
+    Alcotest.failf "daemon A (debug) logged no request.admit for %s:\n%s"
+      trace_a log;
+  if admitted trace_b then
+    Alcotest.failf "daemon B (warn) logged request.admit for %s:\n%s"
+      trace_b log
+
 (* ------------- store lifecycle under concurrency ------------- *)
 
 let test_write_atomic_race () =
@@ -1417,6 +1489,8 @@ let () =
             test_metrics_renderings_agree;
           Alcotest.test_case "injected fault leaves a flight record" `Quick
             test_flight_record_after_fault;
+          Alcotest.test_case "log threshold is per daemon" `Quick
+            test_log_threshold_per_daemon;
         ] );
       ( "store-lifecycle",
         [

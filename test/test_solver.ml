@@ -125,15 +125,6 @@ let test_sat_pigeonhole () =
   done;
   check bool "pigeonhole unsat" false (Sat.solve s)
 
-let test_sat_assumptions () =
-  let s = Sat.create () in
-  let a = Sat.new_var s and b = Sat.new_var s in
-  Sat.add_clause s [| lit a false; lit b true |];   (* a -> b *)
-  check bool "sat under a" true (Sat.solve ~assumptions:[ lit a true ] s);
-  Sat.add_clause s [| lit b false |];
-  check bool "unsat under a" false (Sat.solve ~assumptions:[ lit a true ] s);
-  check bool "still sat without" true (Sat.solve s)
-
 (* random 3-SAT instances cross-checked against brute force *)
 let test_sat_random_vs_bruteforce () =
   let rng = Random.State.make [| 0xC0FFEE |] in
@@ -833,7 +824,6 @@ let () =
           Alcotest.test_case "unsat" `Quick test_sat_unsat;
           Alcotest.test_case "implication chain" `Quick test_sat_chain;
           Alcotest.test_case "pigeonhole" `Quick test_sat_pigeonhole;
-          Alcotest.test_case "assumptions" `Quick test_sat_assumptions;
           Alcotest.test_case "random vs brute force" `Quick
             test_sat_random_vs_bruteforce;
         ] );
