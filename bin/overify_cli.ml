@@ -192,21 +192,27 @@ let summaries_arg =
            exploration; only the effort counters change.  Defaults to \
            $(b,OVERIFY_SUMMARIES) when set.")
 
-let jobs_conv =
-  let max = O.Serve_protocol.max_jobs in
+(* [--jobs] and [--size] take what a served request may ask for *)
+let int_in_conv lo hi =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 && n <= max -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer in [1, %d]" s max))
+    | Some n when n >= lo && n <= hi -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer in [%d, %d]" s lo hi))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let jobs_conv = int_in_conv 1 O.Serve_protocol.max_jobs
+let size_conv = int_in_conv 0 O.Serve_protocol.max_input_size
 
 (** The engine configuration [verify] and [profile] share. *)
 let engine_config =
   let size =
     Arg.(
-      value & opt int 4
-      & info [ "size"; "n" ] ~docv:"N" ~doc:"Number of symbolic input bytes.")
+      value & opt size_conv 4
+      & info [ "size"; "n" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf "Number of symbolic input bytes (0 to %d)."
+               O.Serve_protocol.max_input_size))
   in
   let timeout =
     Arg.(
@@ -425,9 +431,12 @@ let analyze_cmd =
 let tv_cmd =
   let size =
     Arg.(
-      value & opt int 3
+      value & opt size_conv 3
       & info [ "size"; "n" ] ~docv:"N"
-          ~doc:"Symbolic input bytes per pass-application check.")
+          ~doc:
+            (Printf.sprintf
+               "Symbolic input bytes per pass-application check (0 to %d)."
+               O.Serve_protocol.max_input_size))
   in
   let timeout =
     Arg.(
@@ -513,7 +522,7 @@ let profile_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Emit the machine-readable report (to stdout, or to $(docv) if \
-             given).")
+             given).  Not with $(b,--diff), which prints a table only.")
   in
   let top =
     Arg.(
@@ -532,6 +541,11 @@ let profile_cmd =
   in
   let run level no_libc path config cache_dir diff json top deterministic
       trace =
+    if diff <> None && json <> None then begin
+      Printf.eprintf "profile: --diff prints a table; it cannot write --json\n";
+      2
+    end
+    else
     with_trace trace @@ fun () ->
     let src = read_source path in
     let program = program_name path in

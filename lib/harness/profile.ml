@@ -224,8 +224,8 @@ let print ?(top = 8) ?(out = stdout) t =
                ])
              rollup));
   (match r.Engine.profile with
-  | Some p when p.Obs.Profile.qhist.Obs.Hist.count > 0 ->
-      let h = p.Obs.Profile.qhist in
+  | Some p when (Obs.Profile.qhist p).Obs.Hist.count > 0 ->
+      let h = Obs.Profile.qhist p in
       Printf.fprintf out
         "\nsolver latency: %d real solves, mean=%.3fms p50=%.3fms \
          p90=%.3fms max=%.3fms\n"
@@ -368,7 +368,7 @@ let to_json ?(times = true) (t : t) : string =
   let latency =
     match r.Engine.profile with
     | Some p when times ->
-        let h = p.Obs.Profile.qhist in
+        let h = Obs.Profile.qhist p in
         Printf.sprintf
           ",\n  \"query_latency\": {\"count\": %d, \"mean_ms\": %.3f, \
            \"p50_ms\": %.3f, \"p90_ms\": %.3f, \"max_ms\": %.3f}"

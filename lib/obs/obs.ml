@@ -9,10 +9,10 @@
       is guarded by a per-consumer [option] (the executor's [prof] field,
       the solver's [hist] field, the engine's [span]) or by the
       {!Trace.enabled} flag — one branch, no allocation, no clock read.
-    - {e attribution sums to totals}: profile sites are {!Counters} records
-      receiving the very same increments as the worker's own record, so
-      per-site values sum exactly to [Engine.result] (solver time within
-      float rounding).
+    - {e attribution sums to totals}: costs are counted once, in the
+      worker's {!Counters} record, and a profile is a view of that record
+      cut by site, so per-site values sum exactly to [Engine.result]
+      (solver time within float rounding).
     - {e domain safety}: counter records and profile collectors are
       single-owner (one per worker domain, combined after the join); the
       trace buffer is the one shared sink and takes a mutex per event. *)
@@ -136,8 +136,6 @@ module Counters = struct
       summary_opaque = 0;
     }
 
-  let copy t = { t with instructions = t.instructions }
-
   (* [dst += k * src], field by field *)
   let accumulate k dst src =
     dst.instructions <- dst.instructions + (k * src.instructions);
@@ -156,10 +154,12 @@ module Counters = struct
 
   let add dst src = accumulate 1 dst src
 
-  let diff a b =
-    let d = copy a in
-    accumulate (-1) d b;
-    d
+  (* [into += t - mark], then [mark := t] *)
+  let settle ~into ~mark t =
+    accumulate 1 into t;
+    accumulate (-1) into mark;
+    accumulate (-1) mark mark;  (* zero *)
+    accumulate 1 mark t
 
   let sum ts =
     let t = create () in
@@ -186,52 +186,60 @@ end
 
 (* ---------------- symbolic-execution attribution profile ---------------- *)
 
-(** Per-(function, block) cost attribution for one symbolic-execution run.
-    One collector per worker domain (single-owner, no locking); collectors
-    merge after the join exactly like the workers' counters.
-
-    The executor keys every increment by the {e current} frame's function
-    and block, and a one-entry memo makes the common case (consecutive
-    instructions of one block) a pointer comparison instead of a hashtable
-    lookup. *)
+(** Per-(function, block) cost attribution for one symbolic-execution run:
+    a view of one worker's {!Counters} record, cut by site.  A cut settles
+    the record's growth since the last cut into the current site's cell,
+    so per-site sums equal the record by construction; growth while no
+    site is current (before the first cut, after {!leave}) goes nowhere.
+    One collector per worker domain (single-owner, no locking), merged
+    after the join like the workers' records. *)
 module Profile = struct
   type t = {
     sites : (string * int, Counters.t) Hashtbl.t;
     qhist : Hist.t;               (** per-query blast+SAT latency *)
-    mutable last_fn : string;
-    mutable last_block : int;
-    mutable last_cell : Counters.t;
+    mutable fn : string;
+    mutable block : int;          (** the current site, [nowhere] if none *)
+    mark : Counters.t;            (** the record at the last cut *)
   }
+
+  let nowhere = min_int  (* never a real block id *)
 
   let create () =
     {
       sites = Hashtbl.create 64;
       qhist = Hist.create ();
-      last_fn = "";
-      last_block = min_int;  (* never matches a real block id *)
-      last_cell = Counters.create ();
+      fn = "";
+      block = nowhere;
+      mark = Counters.create ();
     }
 
-  let site t ~fn ~block =
-    if block = t.last_block && fn == t.last_fn then t.last_cell
-    else begin
-      let cell =
-        match Hashtbl.find_opt t.sites (fn, block) with
-        | Some c -> c
-        | None ->
-            let c = Counters.create () in
-            Hashtbl.add t.sites (fn, block) c;
-            c
-      in
-      t.last_fn <- fn;
-      t.last_block <- block;
-      t.last_cell <- cell;
-      cell
+  let cell t ~fn ~block =
+    match Hashtbl.find_opt t.sites (fn, block) with
+    | Some c -> c
+    | None ->
+        let c = Counters.create () in
+        Hashtbl.add t.sites (fn, block) c;
+        c
+
+  (* a site whose record did not grow gets no cell *)
+  let leave t c =
+    if c <> t.mark then
+      Counters.settle ~mark:t.mark c
+        ~into:
+          (if t.block = nowhere then Counters.create ()
+           else cell t ~fn:t.fn ~block:t.block);
+    t.block <- nowhere
+
+  let cut t c ~fn ~block =
+    if block <> t.block || fn != t.fn then begin
+      leave t c;
+      t.fn <- fn;
+      t.block <- block
     end
 
   let merge_into dst src =
     Hashtbl.iter
-      (fun (fn, block) c -> Counters.add (site dst ~fn ~block) c)
+      (fun (fn, block) c -> Counters.add (cell dst ~fn ~block) c)
       src.sites;
     Hist.merge_into dst.qhist src.qhist
 
@@ -239,6 +247,8 @@ module Profile = struct
   let sites t =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sites []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+  let qhist t = t.qhist
 end
 
 (* ---------------- Chrome trace_event export ---------------- *)

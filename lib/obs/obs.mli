@@ -52,9 +52,10 @@ end
 
 (** The cost counters of a symbolic-execution run: one record type for
     every grain the run is accounted at.  Each worker owns one record,
-    shared by its executor context and its solver context; profile sites
-    are records too, and worker spans and [Engine.result] read the same
-    records, so the grains agree by construction. *)
+    shared by its executor context and its solver context, and every cost
+    is counted there once.  Profile sites are cuts of that record, and
+    worker spans and [Engine.result] read it, so the grains agree by
+    construction. *)
 module Counters : sig
   type t = {
     mutable instructions : int;  (** dynamic instructions *)
@@ -76,13 +77,13 @@ module Counters : sig
   val create : unit -> t
   (** All zeros. *)
 
-  val copy : t -> t
-
   val add : t -> t -> unit
   (** [add dst src] adds [src] into [dst], field by field. *)
 
-  val diff : t -> t -> t
-  (** [diff a b] is a fresh [a - b], field by field. *)
+  val settle : into:t -> mark:t -> t -> unit
+  (** [settle ~into ~mark t] adds [t - mark] into [into], then sets [mark]
+      to [t], field by field: how a profile cut moves a record's growth
+      since the last cut into a site. *)
 
   val sum : t list -> t
   (** A fresh record holding the field-wise sum. *)
@@ -92,27 +93,31 @@ module Counters : sig
 end
 
 (** Per-(function, basic block) cost attribution for one symbolic-execution
-    run.  Single-owner: one collector per worker domain, merged after the
-    join.  Every site cell receives the same increments as the worker's
-    {!Counters.t}, so per-site values sum to [Engine.result] totals. *)
+    run: a view of one worker's {!Counters.t}, cut by site, so per-site
+    values sum to the record, and over workers to [Engine.result] totals.
+    Single-owner: one collector per worker domain, merged after the
+    join. *)
 module Profile : sig
-  type t = {
-    sites : (string * int, Counters.t) Hashtbl.t;
-    qhist : Hist.t;   (** per-query blast+SAT latency *)
-    mutable last_fn : string;
-    mutable last_block : int;
-    mutable last_cell : Counters.t;
-  }
+  type t
 
   val create : unit -> t
 
-  val site : t -> fn:string -> block:int -> Counters.t
-  (** The cell for (function, block), memoized for consecutive hits. *)
+  val cut : t -> Counters.t -> fn:string -> block:int -> unit
+  (** [cut t c ~fn ~block] makes (fn, block) the current site; if it was
+      not, [c]'s growth since the last cut goes to the previous one (a
+      site whose record did not grow gets no cell). *)
+
+  val leave : t -> Counters.t -> unit
+  (** Settle [c]'s growth into the current site, and leave no site
+      current: growth before the next {!cut} is attributed nowhere. *)
 
   val merge_into : t -> t -> unit
 
   val sites : t -> ((string * int) * Counters.t) list
   (** Canonical (function, block) order. *)
+
+  val qhist : t -> Hist.t
+  (** Per-query blast+SAT latency. *)
 end
 
 (** Per-pass compile profile: wall time and code-size delta per pass

@@ -36,6 +36,7 @@ type request = {
 }
 
 let max_jobs = 64
+let max_input_size = 64
 
 let default_request =
   {
@@ -121,8 +122,9 @@ let request_of_json (j : Json.t) : (request, string) result =
           let* format = field "format" Json.str default_request.rq_format in
           if not (List.mem format [ ""; "json"; "prometheus" ]) then
             Error (Printf.sprintf "unknown format %S" format)
-          else if input_size < 0 || input_size > 64 then
-            Error (Printf.sprintf "input_size %d out of range [0, 64]" input_size)
+          else if input_size < 0 || input_size > max_input_size then
+            Error (Printf.sprintf "input_size %d out of range [0, %d]"
+                     input_size max_input_size)
           else if jobs < 1 || jobs > max_jobs then
             Error (Printf.sprintf "jobs %d out of range [1, %d]" jobs max_jobs)
           else if not (Float.is_finite timeout) || timeout <= 0.0 then

@@ -68,6 +68,10 @@ val max_jobs : int
 (** Most worker domains one run may ask for (64); the CLI's [--jobs]
     shares the bound. *)
 
+val max_input_size : int
+(** Most symbolic input bytes one run may ask for (64); the CLI's
+    [--size] shares the bound. *)
+
 val default_request : request
 (** [Verify], no program, level OVERIFY, 4 bytes, 30 s, 1 job. *)
 

@@ -862,10 +862,14 @@ let accept_loop t =
 
 (* ---------------- lifecycle ---------------- *)
 
+(* per start, so a second daemon never unlinks the first one's socket *)
+let socket_seq = Atomic.make 0
+
 let default_socket () =
   Filename.concat
     (Filename.get_temp_dir_name ())
-    (Printf.sprintf "overify-serve-%d.sock" (Unix.getpid ()))
+    (Printf.sprintf "overify-serve-%d-%d.sock" (Unix.getpid ())
+       (Atomic.fetch_and_add socket_seq 1))
 
 let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
     ?queue_cap ?(grace = 2.0) ?(idle_timeout = 600.0) ?(frame_timeout = 30.0)

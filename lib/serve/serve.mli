@@ -94,7 +94,9 @@ val start :
   t
 (** Bind, listen and spawn the accept + executor threads; returns once
     the socket accepts connections.  [socket] defaults to a fresh path
-    under the temp directory; [cache_dir] loads the warm store from that
+    under the temp directory, named after the process id and a
+    per-process sequence number, so daemons in one process never share
+    it; [cache_dir] loads the warm store from that
     directory and persists it there, so it survives daemon restarts
     (default: the store lives in memory and is never written);
     [recent_cap] bounds the recently-completed cache (default 128);

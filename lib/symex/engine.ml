@@ -199,15 +199,11 @@ type worker = {
 
 let degrade w kind where npaths = w.degs <- (kind, where, npaths) :: w.degs
 
+(* The path completed at main's returning block, the profile's current
+   site: no step runs between the one that exited and this count. *)
 let record_exit w input_vars (st : State.t) code =
   let c = w.gctx.Executor.counters in
   c.Counters.paths <- c.Counters.paths + 1;
-  (match w.gctx.Executor.prof with
-  | Some p ->
-      (* the path completed at main's returning block *)
-      let cell = Executor.prof_site p st in
-      cell.Counters.paths <- cell.Counters.paths + 1
-  | None -> ());
   let witness = input_of_model input_vars st.State.model in
   let code_v =
     match code with
@@ -555,7 +551,7 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     in
     let solver =
       Solver.create ~counters ~deadline ?cancel:config.cancel
-        ?hist:(Option.map (fun p -> p.Obs.Profile.qhist) prof)
+        ?hist:(Option.map Obs.Profile.qhist prof)
         ?span:wspan ?cache:config.solver_cache ?store:config.store
         ?faults:config.faults ()
     in
@@ -638,6 +634,8 @@ let run ?(config = default_config) (m : Ir.modul) : result =
           (fun k -> Hashtbl.replace w0.gctx.Executor.covered k ())
           s.Checkpoint.ck_covered;
         let c = w0.gctx.Executor.counters in
+        (* the run that saved the snapshot attributed its counts *)
+        Option.iter (fun p -> Obs.Profile.leave p c) w0.gctx.Executor.prof;
         c.Counters.paths <- s.Checkpoint.ck_paths;
         c.Counters.instructions <- s.Checkpoint.ck_insts;
         c.Counters.forks <- s.Checkpoint.ck_forks;
@@ -736,7 +734,10 @@ let run ?(config = default_config) (m : Ir.modul) : result =
       List.iter
         (fun w ->
           match w.gctx.Executor.prof with
-          | Some p -> Obs.Profile.merge_into merged p
+          | Some p ->
+              (* the worker's final cut: its last site's costs *)
+              Obs.Profile.leave p w.gctx.Executor.counters;
+              Obs.Profile.merge_into merged p
           | None -> ())
         workers;
       Some merged

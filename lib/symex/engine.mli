@@ -16,9 +16,11 @@ type config = {
           is therefore [`Dfs], byte for byte. *)
   profile : bool;
       (** attribute cost (instructions, forks, solver queries and time,
-          path completions) to (function, block) sites; the merged
+          path completions) to (function, block) sites by cutting each
+          worker's cost record where the executed site changes; the merged
           attribution is returned in [result.profile].  Off by default —
-          the un-instrumented run pays only a per-site [option] branch. *)
+          the un-instrumented run pays one [option] branch per step and
+          per block entry. *)
   summaries : bool;
       (** compositional mode ([verify --summaries] /
           [OVERIFY_SUMMARIES=1]): before exploring, build per-function

@@ -24,7 +24,8 @@ type gctx = {
   counters : Counters.t;
       (** this worker's cost counters, shared with [solver]: the executor
           adds instructions, forks and summary call outcomes, the solver
-          its query costs, the engine completed paths *)
+          its query costs, the engine completed paths.  Every cost is
+          counted here and only here. *)
   faults : Fault.t option;
       (** injected-fault schedule shared by all workers of a run; scheduled
           crash/kill faults tick per [step], alloc faults per [Alloca] *)
@@ -32,11 +33,11 @@ type gctx = {
       (** basic blocks reached on some path (KLEE-style coverage);
           mutable so the summary builder can swap in per-trace tables *)
   prof : Obs.Profile.t option;
-      (** cost attribution per (function, block); [None] (the default) is
-          the un-instrumented fast path — every profiling site is one
-          branch on this option.  Each site cell receives exactly the
-          increments [counters] does, so attributed values sum to the
-          whole-run totals. *)
+      (** cost attribution per (function, block): a view of [counters],
+          cut at the top of {!step} when the stepped state's site changes
+          and in {!enter_block}, so attributed values sum to the whole-run
+          totals.  [None] (the default) is the un-instrumented fast path:
+          one branch per step and per block entry. *)
   glayout : Summary.layout;
       (** writable-global byte-cell layout (summary variable space) *)
   mutable summaries : (string, Summary.fsum) Hashtbl.t option;
@@ -57,10 +58,12 @@ type gctx = {
           solver spans on it.  [None] (the default) emits nothing. *)
 }
 
-(** The attribution cell for [st]'s current (function, block). *)
-let prof_site (p : Obs.Profile.t) (st : State.t) =
-  let fr = State.top st in
-  Obs.Profile.site p ~fn:fr.State.fn.Ir.fname ~block:fr.State.cur_block
+(** Make [fn]'s [block] the profile's current site: the growth of
+    [counters] since the last cut goes to the site that was current. *)
+let cut gctx (fn : Ir.func) block =
+  match gctx.prof with
+  | Some p -> Obs.Profile.cut p gctx.counters ~fn:fn.Ir.fname ~block
+  | None -> ()
 
 type transition =
   | T_cont of State.t
@@ -94,21 +97,6 @@ let width_of_ty ty = Ir.bits_of_ty ty
 
 type feas = Feasible of (int * int64) list | Infeasible
 
-(** One solver query, its whole counter delta attributed to [st]'s
-    current site.  The delta view keeps the attribution defined as
-    "whatever the solver recorded", so per-site sums cannot drift from the
-    whole-run totals; [Fun.protect] charges partially-spent time even when
-    the solver raises [Timeout]. *)
-let checked_query gctx (st : State.t) (assertions : Bv.t list) : Solver.result =
-  match gctx.prof with
-  | None -> Solver.check gctx.solver assertions
-  | Some p ->
-      let before = Counters.copy gctx.counters in
-      Fun.protect
-        ~finally:(fun () ->
-          Counters.add (prof_site p st) (Counters.diff gctx.counters before))
-        (fun () -> Solver.check gctx.solver assertions)
-
 (** Is [path /\ c] satisfiable?  Fast path: the state's model. *)
 let feasible gctx (st : State.t) (c : Bv.t) : feas =
   match c.Bv.node with
@@ -117,7 +105,7 @@ let feasible gctx (st : State.t) (c : Bv.t) : feas =
   | _ ->
       if State.model_eval st c then Feasible st.State.model
       else begin
-        match checked_query gctx st (c :: st.State.path) with
+        match Solver.check gctx.solver (c :: st.State.path) with
         | Solver.Sat m -> Feasible m
         | Solver.Unsat -> Infeasible
       end
@@ -233,15 +221,10 @@ let enter_block gctx (st : State.t) target : State.t =
         | _ -> assert false)
       phis
   in
+  (* phi evaluation belongs to the block being entered *)
+  cut gctx fr.State.fn target;
   let c = gctx.counters in
   c.Counters.instructions <- c.Counters.instructions + List.length phis;
-  (match gctx.prof with
-  | Some p when phis <> [] ->
-      (* phi evaluation belongs to the block being entered *)
-      let cell = Obs.Profile.site p ~fn:fr.State.fn.Ir.fname ~block:target in
-      cell.Counters.instructions <-
-        cell.Counters.instructions + List.length phis
-  | _ -> ());
   let st = { st with State.steps = st.State.steps + List.length phis } in
   State.with_top
     (List.fold_left
@@ -328,23 +311,12 @@ let input_byte gctx (st : State.t) (idx : Bv.t) : Bv.t =
 let charge gctx st =
   let c = gctx.counters in
   c.Counters.instructions <- c.Counters.instructions + 1;
-  (match gctx.prof with
-  | Some p ->
-      let cell = prof_site p st in
-      cell.Counters.instructions <- cell.Counters.instructions + 1
-  | None -> ());
   { st with State.steps = st.State.steps + 1 }
 
-(** A genuine fork (more than one feasible continuation), attributed to the
-    site that forked. *)
-let record_fork gctx st =
+(** A genuine fork (more than one feasible continuation). *)
+let record_fork gctx =
   let c = gctx.counters in
-  c.Counters.forks <- c.Counters.forks + 1;
-  match gctx.prof with
-  | Some p ->
-      let cell = prof_site p st in
-      cell.Counters.forks <- cell.Counters.forks + 1
-  | None -> ()
+  c.Counters.forks <- c.Counters.forks + 1
 
 (** Execute one instruction or terminator of [st]. *)
 (* Injected per-step faults.  [Worker_crash] raises a containable
@@ -362,6 +334,8 @@ let fault_tick gctx =
 let rec step gctx (st : State.t) : transition list =
   fault_tick gctx;
   let fr = State.top st in
+  (* the step's costs, its queries included, belong to the stepped site *)
+  cut gctx fr.State.fn fr.State.cur_block;
   match fr.State.insts with
   | inst :: rest -> (
       let st = charge gctx st in
@@ -430,7 +404,7 @@ let rec step gctx (st : State.t) : transition list =
               [ T_cont (State.set_reg st d (Sval.SPtr (o1, Bv.ite tc off1 off2))) ]
           | (_, _, _) ->
               (* select over distinct objects: fork on the condition *)
-              record_fork gctx st;
+              record_fork gctx;
               let tside =
                 match feasible gctx st tc with
                 | Feasible m ->
@@ -486,7 +460,7 @@ let rec step gctx (st : State.t) : transition list =
                       | None -> [ T_drop (st, "unsupported symbolic pointer") ]
                       | Some alts ->
                           if List.length alts > 1 then
-                            record_fork gctx st;
+                            record_fork gctx;
                           List.concat_map
                             (fun (guard, raw) ->
                               match feasible gctx st guard with
@@ -545,7 +519,7 @@ let rec step gctx (st : State.t) : transition list =
               let tf = feasible gctx st tc and ff_ = feasible gctx st nc in
               (match (tf, ff_) with
               | (Feasible mt, Feasible mf) ->
-                  record_fork gctx st;
+                  record_fork gctx;
                   if gctx.building then
                     gctx.fork_conds <- nc :: tc :: gctx.fork_conds;
                   [ T_cont (enter_block gctx (constrain st tc mt) t);
@@ -652,12 +626,6 @@ and exec_call gctx (st : State.t) dst name (args : Sval.t list) :
                   let c = gctx.counters in
                   c.Counters.summary_instantiated <-
                     c.Counters.summary_instantiated + 1;
-                  (match gctx.prof with
-                  | Some p ->
-                      let cell = prof_site p st in
-                      cell.Counters.summary_instantiated <-
-                        cell.Counters.summary_instantiated + 1
-                  | None -> ());
                   (match gctx.span with
                   | Some parent ->
                       Obs.Span.event ~parent
@@ -672,12 +640,6 @@ and exec_call gctx (st : State.t) dst name (args : Sval.t list) :
               | Some (Summary.Opaque _) ->
                   let c = gctx.counters in
                   c.Counters.summary_opaque <- c.Counters.summary_opaque + 1;
-                  (match gctx.prof with
-                  | Some p ->
-                      let cell = prof_site p st in
-                      cell.Counters.summary_opaque <-
-                        cell.Counters.summary_opaque + 1
-                  | None -> ());
                   inline ()
               | None -> inline ())
           | _ -> inline ()))

@@ -8,6 +8,8 @@
 module Obs = Overify_obs.Obs
 module Counters = Obs.Counters
 module Engine = Overify_symex.Engine
+module Checkpoint = Overify_symex.Checkpoint
+module Binfile = Overify_solver.Binfile
 module Frontend = Overify_minic.Frontend
 module Costmodel = Overify_opt.Costmodel
 module Pipeline = Overify_opt.Pipeline
@@ -121,35 +123,60 @@ let test_pass_rollup () =
 
 (* ------------- Counters and the profile collector ------------- *)
 
-let test_profile_sites () =
-  let p = Obs.Profile.create () in
-  let s1 = Obs.Profile.site p ~fn:"main" ~block:3 in
-  s1.Counters.instructions <- 10;
-  (* memoized: the same (fn, block) is the same cell *)
-  let s1' = Obs.Profile.site p ~fn:"main" ~block:3 in
-  check bool "memoized cell" true (s1 == s1');
-  let s2 = Obs.Profile.site p ~fn:"main" ~block:7 in
-  s2.Counters.queries <- 2;
-  let s3 = Obs.Profile.site p ~fn:"wc" ~block:3 in
-  s3.Counters.instructions <- 5;
-  check int "three sites" 3 (List.length (Obs.Profile.sites p));
+(* a profile is a view of one record: a cut settles the record's growth
+   since the last cut into the site that was current *)
+let test_profile_cuts () =
+  let c = Counters.create () and p = Obs.Profile.create () in
+  (* growth while no site is current is attributed nowhere *)
+  c.Counters.instructions <- 1;
+  Obs.Profile.cut p c ~fn:"main" ~block:3;
+  c.Counters.instructions <- 11;
+  Obs.Profile.cut p c ~fn:"main" ~block:3;
+  check int "cutting to the current site settles nothing" 0
+    (List.length (Obs.Profile.sites p));
+  Obs.Profile.cut p c ~fn:"main" ~block:7;
+  c.Counters.queries <- 2;
+  Obs.Profile.cut p c ~fn:"wc" ~block:3;
+  c.Counters.instructions <- 16;
+  Obs.Profile.cut p c ~fn:"wc" ~block:9;
+  Obs.Profile.leave p c;
+  (match Obs.Profile.sites p with
+  | [ (("main", 3), m3); (("main", 7), m7); (("wc", 3), w3) ] ->
+      check int "main L3 instructions" 10 m3.Counters.instructions;
+      check int "main L7 queries" 2 m7.Counters.queries;
+      check int "wc L3 instructions" 5 w3.Counters.instructions
+  | sites ->
+      Alcotest.failf "expected three sites in order (wc L9 did not grow), got %d"
+        (List.length sites));
+  (* after a leave, growth up to the next cut is attributed nowhere: how
+     a resumed run's seeded counts stay out of the profile *)
+  c.Counters.forks <- 4;
+  Obs.Profile.cut p c ~fn:"main" ~block:3;
+  c.Counters.forks <- 5;
+  Obs.Profile.leave p c;
   let totals p = Counters.sum (List.map snd (Obs.Profile.sites p)) in
   let t = totals p in
   check int "total insts" 15 t.Counters.instructions;
   check int "total queries" 2 t.Counters.queries;
+  check int "seeded forks attributed nowhere" 1 t.Counters.forks;
   (* merge *)
-  let q = Obs.Profile.create () in
-  (Obs.Profile.site q ~fn:"main" ~block:3).Counters.instructions <- 100;
-  (Obs.Profile.site q ~fn:"new" ~block:0).Counters.forks <- 4;
+  let d = Counters.create () and q = Obs.Profile.create () in
+  Obs.Profile.cut q d ~fn:"main" ~block:3;
+  d.Counters.instructions <- 100;
+  Obs.Profile.cut q d ~fn:"new" ~block:0;
+  d.Counters.forks <- 4;
+  Obs.Profile.leave q d;
   Obs.Profile.merge_into p q;
   let t = totals p in
   check int "merged insts" 115 t.Counters.instructions;
-  check int "merged forks" 4 t.Counters.forks;
+  check int "merged forks" 5 t.Counters.forks;
   check int "four sites after merge" 4 (List.length (Obs.Profile.sites p));
-  (* diff subtracts field by field *)
-  let d = Counters.diff t s1 in
-  check int "diff insts" 5 d.Counters.instructions;
-  check int "diff forks" 4 d.Counters.forks;
+  (* settle moves growth, then the mark *)
+  let into = Counters.create () and mark = Counters.create () in
+  Counters.settle ~into ~mark t;
+  Counters.settle ~into ~mark t;
+  check int "settled once" 115 into.Counters.instructions;
+  check int "mark follows the record" 5 mark.Counters.forks;
   check bool "to_list names every field once, in a fixed order" true
     (List.map fst (Counters.to_list t)
     = [ "instructions"; "forks"; "paths"; "queries"; "cache_hits";
@@ -266,6 +293,95 @@ let test_counters_agree () =
       (compile_program ~level:Costmodel.o0 wc)
   in
   check bool "summaries instantiated" true (r.Engine.summary_instantiated > 0)
+
+(* Per-site attribution is pinned: the agreement test above checks sums
+   only, so a count that moved to another block would pass it.  Each of
+   its cells is one row of test/profile_digests.tsv: whether the run
+   completed, and the MD5 of its sorted sites with the counters that do
+   not depend on reuse state (hits, fresh solves and solver time do). *)
+let profile_digests_header = "# cell\tcomplete\tsites_md5"
+
+let sites_md5 (p : Obs.Profile.t) =
+  Obs.Profile.sites p
+  |> List.map (fun ((fn, block), (c : Counters.t)) ->
+         Printf.sprintf "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n" fn block
+           c.Counters.instructions c.Counters.forks c.Counters.paths
+           c.Counters.queries c.Counters.components
+           c.Counters.summary_instantiated c.Counters.summary_opaque)
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
+let test_profile_digests () =
+  let wc = Option.get (Programs.find "wc") in
+  let cells =
+    List.map
+      (fun (p : Programs.t) ->
+        (p.Programs.name, fun () -> run_profiled ~input_size:2 (compile_program p)))
+      Programs.programs
+    @ [
+        ( "wc@parallel2",
+          fun () -> run_profiled ~searcher:(`Parallel 2) (compile_program wc) );
+        ( "wc@O0+summaries",
+          fun () ->
+            run_profiled ~summaries:true
+              (compile_program ~level:Costmodel.o0 wc) );
+      ]
+  in
+  let rows =
+    List.map
+      (fun (name, run) ->
+        let r = run () in
+        Printf.sprintf "%s\t%b\t%s" name r.Engine.complete
+          (sites_md5 (Option.get r.Engine.profile)))
+      cells
+  in
+  Pinned.check ~name:"profile_digests" ~header:profile_digests_header ~keys:1
+    ~what:"per-site attribution" rows
+
+(* a resumed run's seeded counts stay unattributed: the engine settles
+   the summary build's costs and leaves no site current before seeding
+   the record from the snapshot *)
+let test_resumed_profile () =
+  let m = compile_program ~level:Costmodel.o0 (Option.get (Programs.find "wc")) in
+  Binfile.with_temp_dir "overify_obs_ck" @@ fun dir ->
+  let config =
+    {
+      Engine.default_config with
+      input_size = 2;
+      timeout = 30.0;
+      summaries = true;
+      max_paths = 6;
+      checkpoint_dir = Some dir;
+      checkpoint_every = 2;
+    }
+  in
+  check bool "budget run degraded" false (Engine.run ~config m).Engine.complete;
+  let snap =
+    match
+      Checkpoint.load ~dir ~digest:(Checkpoint.fingerprint m ~input_size:2)
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "snapshot did not load"
+  in
+  check bool "snapshot holds paths" true (snap.Checkpoint.ck_paths > 0);
+  let r =
+    Engine.run
+      ~config:
+        {
+          config with
+          max_paths = Engine.default_config.Engine.max_paths;
+          resume = true;
+          profile = true;
+        }
+      m
+  in
+  check bool "resumed" true r.Engine.resumed;
+  let sites =
+    Counters.sum (List.map snd (Obs.Profile.sites (Option.get r.Engine.profile)))
+  in
+  check int "seeded paths unattributed"
+    (r.Engine.paths - snap.Checkpoint.ck_paths)
+    sites.Counters.paths;
+  check int "every query attributed" r.Engine.queries sites.Counters.queries
 
 (* unoptimized wc has multiple active functions — attribution must span
    them *)
@@ -693,12 +809,16 @@ let () =
       ( "pass",
         [ Alcotest.test_case "record and rollup" `Quick test_pass_rollup ] );
       ( "profile collector",
-        [ Alcotest.test_case "sites, memo, merge, totals" `Quick
-            test_profile_sites ] );
+        [ Alcotest.test_case "cuts, merge, totals" `Quick test_profile_cuts ]
+      );
       ( "attribution",
         [
           Alcotest.test_case "corpus sums to totals" `Slow
             test_counters_agree;
+          Alcotest.test_case "sites pinned by profile_digests.tsv" `Slow
+            test_profile_digests;
+          Alcotest.test_case "resumed run leaves seeded counts out" `Quick
+            test_resumed_profile;
           Alcotest.test_case "multi-function (wc@O0)" `Quick
             test_attribution_multi_function;
           Alcotest.test_case "off by default" `Quick test_profile_off_is_none;

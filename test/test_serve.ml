@@ -925,7 +925,6 @@ let test_log_threshold_per_daemon () =
         Unix.dup2 saved Unix.stderr;
         Unix.close saved)
       (fun () ->
-        (* one process's default socket path is shared: name both *)
         Binfile.with_temp_dir "overify_serve_test" @@ fun dir ->
         let a =
           Serve.start ~socket:(Filename.concat dir "a.sock")
@@ -951,6 +950,22 @@ let test_log_threshold_per_daemon () =
   if admitted trace_b then
     Alcotest.failf "daemon B (warn) logged request.admit for %s:\n%s"
       trace_b log
+
+(* two daemons in one process, neither given a socket: each listens on
+   its own path, and a request sent to one is executed by that one *)
+let test_default_sockets_distinct () =
+  let a = Serve.start () in
+  Fun.protect ~finally:(fun () -> Serve.stop a) @@ fun () ->
+  let b = Serve.start () in
+  Fun.protect ~finally:(fun () -> Serve.stop b) @@ fun () ->
+  check bool "distinct default sockets" true
+    (Serve.socket_path a <> Serve.socket_path b);
+  (with_conn a @@ fun c ->
+   match Client.rpc c wc_request with
+   | Ok json -> check string "verify ok" "ok" (get_str json "status")
+   | Error e -> Alcotest.failf "rpc: %s" (Protocol.frame_error_name e));
+  check int "A executed the verify" 1 (daemon_stat a "executed");
+  check int "B executed nothing" 0 (daemon_stat b "executed")
 
 (* ------------- store lifecycle under concurrency ------------- *)
 
@@ -1491,6 +1506,8 @@ let () =
             test_flight_record_after_fault;
           Alcotest.test_case "log threshold is per daemon" `Quick
             test_log_threshold_per_daemon;
+          Alcotest.test_case "default sockets are per daemon" `Quick
+            test_default_sockets_distinct;
         ] );
       ( "store-lifecycle",
         [
