@@ -679,10 +679,15 @@ let serve_cmd =
   let run socket cache_dir recent_cap save_every queue_cap grace idle_timeout
       frame_timeout flight_dir log_level =
     let daemon =
-      O.Serve.start
-        ?socket:(if socket = "" then None else Some socket)
-        ?cache_dir ~recent_cap ~save_every ?queue_cap ~grace ~idle_timeout
-        ~frame_timeout ?flight_dir ~log_level ()
+      try
+        O.Serve.start
+          ?socket:(if socket = "" then None else Some socket)
+          ?cache_dir ~recent_cap ~save_every ?queue_cap ~grace ~idle_timeout
+          ~frame_timeout ?flight_dir ~log_level ()
+      with Unix.Unix_error (Unix.EADDRINUSE, "Serve.start", path) ->
+        Printf.eprintf "serve: %s: a daemon is already listening there\n"
+          path;
+        exit 2
     in
     Printf.printf "listening on %s\n%!" (O.Serve.socket_path daemon);
     O.Serve.wait daemon;
@@ -766,8 +771,11 @@ let client_cmd =
   in
   let size =
     Arg.(
-      value & opt int 4
-      & info [ "size"; "n" ] ~docv:"N" ~doc:"Symbolic input bytes.")
+      value & opt size_conv 4
+      & info [ "size"; "n" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf "Symbolic input bytes (0 to %d)."
+               O.Serve_protocol.max_input_size))
   in
   let timeout =
     Arg.(
@@ -776,9 +784,12 @@ let client_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt jobs_conv 1
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for this request's exploration.")
+          ~doc:
+            (Printf.sprintf
+               "Worker domains for this request's exploration (1 to %d)."
+               O.Serve_protocol.max_jobs))
   in
   let deterministic =
     Arg.(

@@ -246,7 +246,7 @@ let rec exec_func st (fn : Ir.func) (args : value list) : value option =
     match inst with
     | Ir.Bin (d, op, ty, a, b) -> (
         let va = as_int (eval a) and vb = as_int (eval b) in
-        match Ir.eval_binop op ty va vb with
+        match Ir.eval_binop op (Ir.bits_of_ty ty) va vb with
         | Some v -> set d (VInt v)
         | None -> raise (Trap Div_by_zero))
     | Ir.Cmp (d, op, ty, a, b) ->
@@ -259,7 +259,9 @@ let rec exec_func st (fn : Ir.func) (args : value list) : value option =
               | Ir.Eq -> eq
               | Ir.Ne -> not eq
               | _ -> raise (Trap (Invalid "ordered pointer comparison")))
-          | _ -> Ir.eval_cmp op ty (as_int (eval a)) (as_int (eval b))
+          | _ ->
+              Ir.eval_cmp op (Ir.bits_of_ty ty) (as_int (eval a))
+                (as_int (eval b))
         in
         set d (VInt (if r then 1L else 0L))
     | Ir.Select (d, ty, c, a, b) ->
@@ -275,14 +277,8 @@ let rec exec_func st (fn : Ir.func) (args : value list) : value option =
     | Ir.Load (d, ty, p) ->
         let (o, off) = as_ptr (eval p) in
         if ty = Ir.Ptr then begin
-          (* pointers in memory are stored as (obj << 32 | off+1); 0 = null *)
           let raw = read_scalar st (o, off) 8 in
-          if raw = 0L then set d vnull
-          else
-            set d
-              (VPtr
-                 ( Int64.to_int (Int64.shift_right_logical raw 32),
-                   Int64.to_int (Int64.logand raw 0xFFFFFFFFL) - 1 ))
+          set d (VPtr (Ir.ptr_obj raw, Ir.ptr_off raw))
         end
         else set d (VInt (read_scalar st (o, off) (Ir.size_of_ty ty)))
     | Ir.Store (ty, v, p) ->
@@ -290,11 +286,7 @@ let rec exec_func st (fn : Ir.func) (args : value list) : value option =
         if ty = Ir.Ptr then begin
           let raw =
             match eval v with
-            | VPtr (0, 0) -> 0L
-            | VPtr (po, poff) ->
-                Int64.logor
-                  (Int64.shift_left (Int64.of_int po) 32)
-                  (Int64.of_int (poff + 1))
+            | VPtr (po, poff) -> Ir.encode_ptr po poff
             | VInt 0L -> 0L
             | VInt _ -> raise (Trap (Invalid "storing integer as pointer"))
           in

@@ -122,21 +122,22 @@ let is_int_ty = function
   | I1 | I8 | I16 | I32 | I64 -> true
   | Ptr | Void | Arr _ -> false
 
-(** Bit mask covering the width of [ty] (all ones for 64-bit types). *)
-let mask_of_ty ty =
-  let bits = bits_of_ty ty in
+(** Bit mask covering [bits] bits (all ones from 64 up). *)
+let mask bits =
   if bits >= 64 then -1L else Int64.sub (Int64.shift_left 1L bits) 1L
 
-(** Normalize a constant to the canonical zero-extended representation. *)
-let norm ty v = Int64.logand v (mask_of_ty ty)
-
-(** Signed interpretation of a normalized constant of type [ty]. *)
-let signed_of ty v =
-  let bits = bits_of_ty ty in
+(** Signed interpretation of a normalized [bits]-bit constant. *)
+let to_signed bits v =
   if bits >= 64 then v
   else
     let shift = 64 - bits in
     Int64.shift_right (Int64.shift_left v shift) shift
+
+(** Normalize a constant to the canonical zero-extended representation. *)
+let norm ty v = Int64.logand v (mask (bits_of_ty ty))
+
+(** Signed interpretation of a normalized constant of type [ty]. *)
+let signed_of ty v = to_signed (bits_of_ty ty) v
 
 let imm ty v = Imm (norm ty v, ty)
 let imm_bool b = Imm ((if b then 1L else 0L), I1)
@@ -319,14 +320,13 @@ module Fresh = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Constant evaluation (shared by folding, the interpreter and symex) *)
+(* Constant evaluation: the operators' one definition, at any width *)
 
-(** Evaluate a binary operation over normalized constants of type [ty].
+(** Evaluate a binary operation over normalized [bits]-bit constants.
     Returns [None] for division by zero. *)
-let eval_binop op ty a b =
-  let sa = signed_of ty a and sb = signed_of ty b in
-  let bits = bits_of_ty ty in
-  let ok v = Some (norm ty v) in
+let eval_binop op bits a b =
+  let sa = to_signed bits a and sb = to_signed bits b in
+  let ok v = Some (Int64.logand v (mask bits)) in
   match op with
   | Add -> ok (Int64.add a b)
   | Sub -> ok (Int64.sub a b)
@@ -346,10 +346,10 @@ let eval_binop op ty a b =
       ok (Int64.shift_right_logical a s)
   | Ashr ->
       let s = Int64.to_int (Int64.unsigned_rem b (Int64.of_int bits)) in
-      ok (norm ty (Int64.shift_right sa s))
+      ok (Int64.shift_right sa s)
 
-let eval_cmp op ty a b =
-  let sa = signed_of ty a and sb = signed_of ty b in
+let eval_cmp op bits a b =
+  let sa = to_signed bits a and sb = to_signed bits b in
   match op with
   | Eq -> a = b
   | Ne -> a <> b
@@ -366,3 +366,16 @@ let eval_cast op to_ty v from_ty =
   match op with
   | Zext | Trunc -> norm to_ty v
   | Sext -> norm to_ty (signed_of from_ty v)
+
+(* ------------------------------------------------------------------ *)
+(* Pointers in memory: (obj << 32) | (off + 1); null = 0 *)
+
+let encode_ptr obj off =
+  if obj = 0 && off = 0 then 0L
+  else
+    Int64.logor (Int64.shift_left (Int64.of_int obj) 32) (Int64.of_int (off + 1))
+
+let ptr_obj raw = Int64.to_int (Int64.shift_right_logical raw 32)
+
+let ptr_off raw =
+  if raw = 0L then 0 else Int64.to_int (Int64.logand raw 0xFFFFFFFFL) - 1

@@ -105,7 +105,12 @@ val bits_of_ty : ty -> int
 (** Bit width of a scalar type; raises [Invalid_argument] on [Void]/[Arr]. *)
 
 val is_int_ty : ty -> bool
-val mask_of_ty : ty -> int64
+val mask : int -> int64
+(** [mask bits]: the low [bits] bits set (all ones from 64 up). *)
+
+val to_signed : int -> int64 -> int64
+(** [to_signed bits v]: the signed value of a normalized [bits]-bit one. *)
+
 val norm : ty -> int64 -> int64
 (** Normalize a constant to the canonical zero-extended representation. *)
 
@@ -178,11 +183,26 @@ module Fresh : sig
   (** Write the final counter back into the function. *)
 end
 
-(** {2 Constant evaluation} (shared by folding, the interpreter and symex) *)
+(** {2 Constant evaluation} The operators' one definition: folding, the
+    loop passes and the interpreter pass [bits_of_ty ty]; [Bv]'s terms,
+    and so the symbolic executor, pass any width from 1 to 64. *)
 
-val eval_binop : binop -> ty -> int64 -> int64 -> int64 option
-(** Over normalized constants; [None] for division by zero. *)
+val eval_binop : binop -> int -> int64 -> int64 -> int64 option
+(** [eval_binop op bits a b] over normalized [bits]-bit constants; [None]
+    for division by zero. *)
 
-val eval_cmp : cmp -> ty -> int64 -> int64 -> bool
+val eval_cmp : cmp -> int -> int64 -> int64 -> bool
+
 val eval_cast : castop -> ty -> int64 -> ty -> int64
 (** [eval_cast op to_ty v from_ty]. *)
+
+(** {2 Pointers in memory} The word the interpreter and the symbolic
+    executor store: [(obj << 32) | (off + 1)], and 0 for null (object 0,
+    offset 0).  Decoding is two functions, not one returning a pair, so
+    that a pointer load allocates nothing. *)
+
+val encode_ptr : int -> int -> int64
+(** [encode_ptr obj off]. *)
+
+val ptr_obj : int64 -> int
+val ptr_off : int64 -> int

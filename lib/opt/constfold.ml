@@ -27,7 +27,7 @@ let simplify_inst deftbl (inst : Ir.inst) : action =
   | Ir.Bin (d, op, ty, a, b) -> (
       match (a, b) with
       | (Ir.Imm (va, _), Ir.Imm (vb, _)) -> (
-          match Ir.eval_binop op ty va vb with
+          match Ir.eval_binop op (Ir.bits_of_ty ty) va vb with
           | Some v -> Replace (Ir.Imm (v, ty))
           | None -> Keep (* division by zero: preserve the trap *))
       | _ -> (
@@ -72,7 +72,7 @@ let simplify_inst deftbl (inst : Ir.inst) : action =
   | Ir.Cmp (d, op, ty, a, b) -> (
       match (a, b) with
       | (Ir.Imm (va, _), Ir.Imm (vb, _)) when ty <> Ir.Ptr ->
-          Replace (Ir.imm_bool (Ir.eval_cmp op ty va vb))
+          Replace (Ir.imm_bool (Ir.eval_cmp op (Ir.bits_of_ty ty) va vb))
       | _ when a = b && ty <> Ir.Ptr -> (
           match op with
           | Ir.Eq | Ir.Sle | Ir.Sge | Ir.Ule | Ir.Uge ->

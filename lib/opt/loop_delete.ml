@@ -42,7 +42,7 @@ let eval_chain (h : Ir.block) (phi_env : (int, Ir.value) Hashtbl.t) (reg : int)
       | Ir.Bin (d, op, ty, a, b) -> (
           match (resolve a, resolve b) with
           | (Some (va, _), Some (vb, _)) -> (
-              match Ir.eval_binop op ty va vb with
+              match Ir.eval_binop op (Ir.bits_of_ty ty) va vb with
               | Some v -> Hashtbl.replace env d (v, ty)
               | None -> ())
           | _ -> ())
@@ -50,7 +50,8 @@ let eval_chain (h : Ir.block) (phi_env : (int, Ir.value) Hashtbl.t) (reg : int)
           match (resolve a, resolve b) with
           | (Some (va, _), Some (vb, _)) when ty <> Ir.Ptr ->
               Hashtbl.replace env d
-                ((if Ir.eval_cmp op ty va vb then 1L else 0L), Ir.I1)
+                ((if Ir.eval_cmp op (Ir.bits_of_ty ty) va vb then 1L else 0L),
+                 Ir.I1)
           | _ -> ())
       | Ir.Cast (d, op, to_ty, v, from_ty) -> (
           match resolve v with

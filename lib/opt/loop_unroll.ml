@@ -25,13 +25,14 @@ type counted = {
 (** Simulate the counted loop to get the exact trip count (handles any
     predicate/step combination, including wrap-around), bounded by [limit]. *)
 let simulate ~ty ~init ~bound ~pred ~continue_on ~step ~stepop ~limit =
+  let bits = Ir.bits_of_ty ty in
   let rec go i count =
     if count > limit then None
     else
-      let cont = Ir.eval_cmp pred ty i bound = continue_on in
+      let cont = Ir.eval_cmp pred bits i bound = continue_on in
       if not cont then Some count
       else
-        match Ir.eval_binop stepop ty i step with
+        match Ir.eval_binop stepop bits i step with
         | Some i' -> go i' (count + 1)
         | None -> None
   in

@@ -880,13 +880,24 @@ let start ?socket ?cache_dir ?(recent_cap = 128) ?(save_every = 32)
   let sock_path =
     match socket with Some s -> s | None -> default_socket ()
   in
+  (* a live daemon's socket answers a connect and is not ours to take; a
+     file nobody accepts on is stale and is replaced *)
+  if Sys.file_exists sock_path then begin
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let live =
+      try Unix.connect probe (Unix.ADDR_UNIX sock_path); true
+      with Unix.Unix_error _ -> false
+    in
+    Unix.close probe;
+    if live then
+      raise (Unix.Unix_error (Unix.EADDRINUSE, "Serve.start", sock_path));
+    try Unix.unlink sock_path with Unix.Unix_error _ -> ()
+  end;
   let st_store =
     match cache_dir with
     | Some dir -> Store.load ~dir ()
     | None -> Store.in_memory ()
   in
-  (if Sys.file_exists sock_path then
-     try Unix.unlink sock_path with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.bind listen_fd (Unix.ADDR_UNIX sock_path)
    with e ->

@@ -96,7 +96,11 @@ val start :
     the socket accepts connections.  [socket] defaults to a fresh path
     under the temp directory, named after the process id and a
     per-process sequence number, so daemons in one process never share
-    it; [cache_dir] loads the warm store from that
+    it.  A file already at [socket] is tried first: if a daemon accepts a
+    connection there, [start] raises
+    [Unix.Unix_error (EADDRINUSE, "Serve.start", socket)] and leaves it
+    alone; otherwise the file is stale and is replaced.  [cache_dir]
+    loads the warm store from that
     directory and persists it there, so it survives daemon restarts
     (default: the store lives in memory and is never written);
     [recent_cap] bounds the recently-completed cache (default 128);

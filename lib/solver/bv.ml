@@ -5,15 +5,17 @@
     Widths are 1..64 bits; constants are stored normalized (zero-extended
     into the [int64]).  Smart constructors perform local simplification so
     that the executor's common patterns (flag tests, arithmetic on
-    constants) never reach the SAT solver. *)
+    constants) never reach the SAT solver.  The operator types and the
+    constant arithmetic are the IR's, so the interpreter, the optimizer's
+    folding and this term language give an operator one meaning. *)
 
-type binop =
-  | Add | Sub | Mul
-  | Sdiv | Udiv | Srem | Urem
-  | And | Or | Xor
-  | Shl | Lshr | Ashr
+module Ir = Overify_ir.Ir
 
-type cmpop = Eq | Ne | Slt | Sle | Sgt | Sge | Ult | Ule | Ugt | Uge
+type binop = Ir.binop =
+  | Add | Sub | Mul | Sdiv | Udiv | Srem | Urem
+  | And | Or | Xor | Shl | Lshr | Ashr
+
+type cmpop = Ir.cmp = Eq | Ne | Slt | Sle | Sgt | Sge | Ult | Ule | Ugt | Uge
 
 type t = { id : int; node : node; width : int }
 
@@ -28,14 +30,7 @@ and node =
 
 let width t = t.width
 
-let mask w = if w >= 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L
-let norm w v = Int64.logand v (mask w)
-
-let to_signed w v =
-  if w >= 64 then v
-  else
-    let s = 64 - w in
-    Int64.shift_right (Int64.shift_left v s) s
+let norm w v = Int64.logand v (Ir.mask w)
 
 (* ---------------- hash consing ---------------- *)
 
@@ -79,8 +74,9 @@ let counter = ref 0
    table accesses go through this lock.  Everything downstream (blasting,
    SAT) is per-context and needs no synchronization.  Term [id]s depend on
    allocation order and therefore on scheduling, but ids are only names:
-   structurally equal terms get the same id within a run, and nothing
-   user-visible depends on the numeric values. *)
+   structurally equal terms built since the last [reset] are one term with
+   one id, no id is handed out twice, and nothing user-visible depends on
+   the numeric values. *)
 let lock = Mutex.create ()
 
 let mk node width =
@@ -130,66 +126,27 @@ let var w id = mk (Var id) w
 let tt = const 1 1L
 let ff = const 1 0L
 
-(** Drop all hash-consed terms.  Only safe when no term values are retained
-    by the caller (each engine run is self-contained); keeps long benchmark
-    sessions from accumulating GC pressure.  The persistent boolean
-    constants keep their identities. *)
+(** Drop all hash-consed terms; keeps long benchmark sessions from
+    accumulating GC pressure.  The counter is kept, so a term that outlives
+    the reset (a module-level constant, a caller's value) can never share
+    an id with a term built after it.  The persistent boolean constants
+    keep their identities. *)
 let reset () =
   Mutex.protect lock (fun () ->
       NTbl.reset table;
-      counter := 0;
       NTbl.replace table (tt.node, tt.width) tt;
-      NTbl.replace table (ff.node, ff.width) ff;
-      counter := max tt.id ff.id)
+      NTbl.replace table (ff.node, ff.width) ff)
 let bool_ b = if b then tt else ff
 
 let is_const t = match t.node with Const _ -> true | _ -> false
 let const_val t = match t.node with Const v -> Some v | _ -> None
-
-let eval_binop (op : binop) w a b =
-  let sa = to_signed w a and sb = to_signed w b in
-  let ok v = Some (norm w v) in
-  match op with
-  | Add -> ok (Int64.add a b)
-  | Sub -> ok (Int64.sub a b)
-  | Mul -> ok (Int64.mul a b)
-  | Sdiv -> if sb = 0L then None else ok (Int64.div sa sb)
-  | Srem -> if sb = 0L then None else ok (Int64.rem sa sb)
-  | Udiv -> if b = 0L then None else ok (Int64.unsigned_div a b)
-  | Urem -> if b = 0L then None else ok (Int64.unsigned_rem a b)
-  | And -> ok (Int64.logand a b)
-  | Or -> ok (Int64.logor a b)
-  | Xor -> ok (Int64.logxor a b)
-  | Shl ->
-      let s = Int64.to_int (Int64.unsigned_rem b (Int64.of_int w)) in
-      ok (Int64.shift_left a s)
-  | Lshr ->
-      let s = Int64.to_int (Int64.unsigned_rem b (Int64.of_int w)) in
-      ok (Int64.shift_right_logical a s)
-  | Ashr ->
-      let s = Int64.to_int (Int64.unsigned_rem b (Int64.of_int w)) in
-      ok (norm w (Int64.shift_right sa s))
-
-let eval_cmp (op : cmpop) w a b =
-  let sa = to_signed w a and sb = to_signed w b in
-  match op with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Slt -> sa < sb
-  | Sle -> sa <= sb
-  | Sgt -> sa > sb
-  | Sge -> sa >= sb
-  | Ult -> Int64.unsigned_compare a b < 0
-  | Ule -> Int64.unsigned_compare a b <= 0
-  | Ugt -> Int64.unsigned_compare a b > 0
-  | Uge -> Int64.unsigned_compare a b >= 0
 
 let rec binop (op : binop) a b =
   let w = a.width in
   assert (b.width = w);
   match (a.node, b.node, op) with
   | (Const x, Const y, _) -> (
-      match eval_binop op w x y with
+      match Ir.eval_binop op w x y with
       | Some v -> const w v
       | None -> mk (Bin (op, a, b)) w)
   | (_, Const 0L, (Add | Sub | Or | Xor | Shl | Lshr | Ashr)) -> a
@@ -212,9 +169,9 @@ let rec binop (op : binop) a b =
       let k = ref 0 and x = ref c in
       while !x > 1L do incr k; x := Int64.shift_right_logical !x 1 done;
       binop Shl a (const w (Int64.of_int !k))
-  | (_, Const c, And) when c = mask w -> a
-  | (Const c, _, And) when c = mask w -> b
-  | (_, Const c, Or) when c = mask w -> const w c
+  | (_, Const c, And) when c = Ir.mask w -> a
+  | (Const c, _, And) when c = Ir.mask w -> b
+  | (_, Const c, Or) when c = Ir.mask w -> const w c
   | (_, _, Sub) when a.id = b.id -> const w 0L
   | (_, _, Xor) when a.id = b.id -> const w 0L
   | (_, _, (And | Or)) when a.id = b.id -> a
@@ -231,7 +188,7 @@ and cmp (op : cmpop) a b =
   let w = a.width in
   assert (b.width = w);
   match (a.node, b.node) with
-  | (Const x, Const y) -> bool_ (eval_cmp op w x y)
+  | (Const x, Const y) -> bool_ (Ir.eval_cmp op w x y)
   | _ when a.id = b.id -> (
       match op with
       | Eq | Sle | Sge | Ule | Uge -> tt
@@ -322,7 +279,7 @@ let sext w t =
   if w = t.width then t
   else
     match t.node with
-    | Const v -> const w (to_signed t.width v)
+    | Const v -> const w (Ir.to_signed t.width v)
     | _ ->
         let sign = extract ~hi:(t.width - 1) ~lo:(t.width - 1) t in
         let ext = ite sign (const (w - t.width) (-1L)) (const (w - t.width) 0L) in
@@ -348,10 +305,11 @@ let eval (lookup : int -> int64) (t : t) : int64 =
           | Const v -> v
           | Var id -> norm t.width (lookup id)
           | Bin (op, a, b) -> (
-              match eval_binop op t.width (go a) (go b) with
+              match Ir.eval_binop op t.width (go a) (go b) with
               | Some v -> v
               | None -> 0L)
-          | Cmp (op, a, b) -> if eval_cmp op a.width (go a) (go b) then 1L else 0L
+          | Cmp (op, a, b) ->
+              if Ir.eval_cmp op a.width (go a) (go b) then 1L else 0L
           | Ite (c, a, b) -> if go c = 1L then go a else go b
           | Concat (h, l) ->
               Int64.logor (Int64.shift_left (go h) l.width) (go l)

@@ -2,15 +2,17 @@
     the symbolic executor and the solver (the role STP's expressions play
     for KLEE).  Widths are 1..64 bits; constants are stored normalized
     (zero-extended into the [int64]).  Smart constructors simplify locally
-    so the executor's common patterns never reach the SAT solver. *)
+    so the executor's common patterns never reach the SAT solver.  The
+    operators are the IR's, and constants fold and terms evaluate with
+    [Ir.eval_binop]/[Ir.eval_cmp]: a term means what the interpreter
+    computes. *)
 
-type binop =
-  | Add | Sub | Mul
-  | Sdiv | Udiv | Srem | Urem
-  | And | Or | Xor
-  | Shl | Lshr | Ashr
+type binop = Overify_ir.Ir.binop =
+  | Add | Sub | Mul | Sdiv | Udiv | Srem | Urem
+  | And | Or | Xor | Shl | Lshr | Ashr
 
-type cmpop = Eq | Ne | Slt | Sle | Sgt | Sge | Ult | Ule | Ugt | Uge
+type cmpop = Overify_ir.Ir.cmp =
+  | Eq | Ne | Slt | Sle | Sgt | Sge | Ult | Ule | Ugt | Uge
 
 type t = private { id : int; node : node; width : int }
 
@@ -24,9 +26,6 @@ and node =
   | Extract of int * int * t  (** [hi..lo] inclusive *)
 
 val width : t -> int
-val mask : int -> int64
-val norm : int -> int64 -> int64
-val to_signed : int -> int64 -> int64
 
 val rebuilder : unit -> t -> t
 (** Memoizing re-interner for terms that bypassed the hash-cons table —
@@ -36,9 +35,10 @@ val rebuilder : unit -> t -> t
     batch. *)
 
 val reset : unit -> unit
-(** Drop all hash-consed terms.  Only safe when no term values are retained
-    by the caller and no other domain is constructing terms; each engine run
-    calls this (before spawning workers) to bound GC pressure.
+(** Drop all hash-consed terms, to bound GC pressure; each engine run calls
+    this before spawning workers.  Not safe while another domain builds
+    terms.  Ids are never handed out twice: a term that outlives a reset
+    stays distinct from every term built after it.
 
     Term construction itself is thread-safe: the hash-cons table is guarded
     by a lock, so parallel exploration workers may build terms
@@ -76,9 +76,6 @@ val sext : int -> t -> t
 val trunc : int -> t -> t
 
 (** {2 Evaluation and queries} *)
-
-val eval_binop : binop -> int -> int64 -> int64 -> int64 option
-val eval_cmp : cmpop -> int -> int64 -> int64 -> bool
 
 val eval : (int -> int64) -> t -> int64
 (** Evaluate under a variable assignment (memoized over the DAG); division

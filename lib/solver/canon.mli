@@ -17,9 +17,9 @@
       the actual one.
 
     The digest and variable-set computations are memoized per hash-consed
-    term id in a {!ctx}; a context is only valid for one [Bv] hash-cons
-    generation (ids are recycled by [Bv.reset]) and is not thread-safe —
-    exactly the ownership discipline of [Solver.ctx], which embeds one. *)
+    term id in a {!ctx} ([Bv] never hands an id out twice, so a memo entry
+    never goes stale); a context is not thread-safe — exactly the
+    ownership discipline of [Solver.ctx], which embeds one. *)
 
 type ctx
 

@@ -43,12 +43,11 @@
     renaming, which is the fresh answer because bit-blasting is
     equivariant under α-renaming (identical CNF, identical deterministic
     SAT run).  The id table stores exactly what the canonical path
-    returned, and a term id names one term within a [Bv] generation
-    (which a context never outlives: the engine creates its contexts
-    after [Bv.reset]), so it is memoization too.  Consequently caching
-    may be disabled ([OVERIFY_SOLVER_CACHE=0] or [create ~cache:false])
-    without changing any result: only the hit counters and solve counts
-    move. *)
+    returned, and a term id names one term for the life of the process
+    ([Bv] never hands an id out twice), so it is memoization too.
+    Consequently caching may be disabled ([OVERIFY_SOLVER_CACHE=0] or
+    [create ~cache:false]) without changing any result: only the hit
+    counters and solve counts move. *)
 
 type result =
   | Unsat

@@ -20,9 +20,7 @@
     Determinism contract: query answers — including the satisfying model —
     are a pure function of the assertion {e set}, never of cache history
     or assertion order, which is what lets parallel and sequential
-    exploration agree exactly on path witnesses, with caching on or off.
-    Term ids name terms only within one [Bv] generation, so a context must
-    not outlive a [Bv.reset]. *)
+    exploration agree exactly on path witnesses, with caching on or off. *)
 
 type result =
   | Unsat

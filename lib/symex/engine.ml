@@ -208,7 +208,7 @@ let record_exit w input_vars (st : State.t) code =
   let code_v =
     match code with
     | Some t ->
-        Bv.to_signed 32
+        Ir.to_signed 32
           (Bv.eval
              (fun id ->
                match List.assoc_opt id st.State.model with

@@ -91,8 +91,6 @@ let block_tbl gctx (fn : Ir.func) =
       Hashtbl.replace gctx.block_tbls fn.Ir.fname t;
       t
 
-let width_of_ty ty = Ir.bits_of_ty ty
-
 (* ---------------- feasibility ---------------- *)
 
 type feas = Feasible of (int * int64) list | Infeasible
@@ -119,7 +117,7 @@ let eval_value gctx (st : State.t) (v : Ir.value) : Sval.t =
   match v with
   | Ir.Imm (x, Ir.Ptr) ->
       if x = 0L then Sval.null else err "non-null pointer constant"
-  | Ir.Imm (x, ty) -> Sval.SInt (Bv.const (width_of_ty ty) x)
+  | Ir.Imm (x, ty) -> Sval.SInt (Bv.const (Ir.bits_of_ty ty) x)
   | Ir.Reg r -> State.get_reg st r
   | Ir.Glob g -> (
       match List.assoc_opt g gctx.globals with
@@ -136,36 +134,15 @@ let as_ptr_exn what v =
   | Some p -> p
   | None -> err "%s: integer where pointer expected" what
 
-let bv_binop (op : Ir.binop) : Bv.binop =
-  match op with
-  | Ir.Add -> Bv.Add | Ir.Sub -> Bv.Sub | Ir.Mul -> Bv.Mul
-  | Ir.Sdiv -> Bv.Sdiv | Ir.Udiv -> Bv.Udiv
-  | Ir.Srem -> Bv.Srem | Ir.Urem -> Bv.Urem
-  | Ir.And -> Bv.And | Ir.Or -> Bv.Or | Ir.Xor -> Bv.Xor
-  | Ir.Shl -> Bv.Shl | Ir.Lshr -> Bv.Lshr | Ir.Ashr -> Bv.Ashr
-
-let bv_cmp (op : Ir.cmp) : Bv.cmpop =
-  match op with
-  | Ir.Eq -> Bv.Eq | Ir.Ne -> Bv.Ne
-  | Ir.Slt -> Bv.Slt | Ir.Sle -> Bv.Sle | Ir.Sgt -> Bv.Sgt | Ir.Sge -> Bv.Sge
-  | Ir.Ult -> Bv.Ult | Ir.Ule -> Bv.Ule | Ir.Ugt -> Bv.Ugt | Ir.Uge -> Bv.Uge
-
-(* pointers stored in memory: (obj << 32) | (offset + 1); null = 0 *)
 let encode_ptr obj (off : Bv.t) : Bv.t =
   match off.Bv.node with
-  | Bv.Const c ->
-      if obj = 0 && c = 0L then Bv.const 64 0L
-      else
-        Bv.const 64
-          (Int64.logor (Int64.shift_left (Int64.of_int obj) 32) (Int64.add c 1L))
+  | Bv.Const c -> Bv.const 64 (Ir.encode_ptr obj (Int64.to_int c))
   | _ -> err "storing a pointer with symbolic offset"
 
 let decode_raw raw : Sval.t =
-  if raw = 0L then Sval.null
-  else
-    Sval.SPtr
-      ( Int64.to_int (Int64.shift_right_logical raw 32),
-        Bv.const 64 (Int64.sub (Int64.logand raw 0xFFFFFFFFL) 1L) )
+  match (Ir.ptr_obj raw, Ir.ptr_off raw) with
+  | (0, 0) -> Sval.null
+  | (obj, off) -> Sval.SPtr (obj, Bv.const 64 (Int64.of_int off))
 
 let decode_ptr (t : Bv.t) : Sval.t =
   match t.Bv.node with
@@ -291,7 +268,7 @@ let input_byte gctx (st : State.t) (idx : Bv.t) : Bv.t =
   let n = Array.length gctx.input_vars in
   match idx.Bv.node with
   | Bv.Const c ->
-      let i = Int64.to_int (Bv.to_signed 32 c) in
+      let i = Int64.to_int (Ir.to_signed 32 c) in
       if i >= 0 && i < n then Bv.zext 32 (Bv.var 8 gctx.input_vars.(i))
       else Bv.const 32 0L
   | _ ->
@@ -343,7 +320,7 @@ let rec step gctx (st : State.t) : transition list =
       let ev v = eval_value gctx st v in
       match inst with
       | Ir.Bin (d, op, ty, a, b) -> (
-          let w = width_of_ty ty in
+          let w = Ir.bits_of_ty ty in
           let ta = as_int_exn "binop" (ev a) and tb = as_int_exn "binop" (ev b) in
           assert (ta.Bv.width = w && tb.Bv.width = w);
           match op with
@@ -352,7 +329,7 @@ let rec step gctx (st : State.t) : transition list =
               let is_zero = Bv.cmp Bv.Eq tb zero in
               match is_zero.Bv.node with
               | Bv.Const 0L ->
-                  [ T_cont (State.set_reg st d (Sval.SInt (Bv.binop (bv_binop op) ta tb))) ]
+                  [ T_cont (State.set_reg st d (Sval.SInt (Bv.binop op ta tb))) ]
               | Bv.Const 1L -> [ T_bug (st, "division by zero") ]
               | _ ->
                   let bugs =
@@ -368,18 +345,18 @@ let rec step gctx (st : State.t) : transition list =
                         let st = constrain st nz m in
                         [ T_cont
                             (State.set_reg st d
-                               (Sval.SInt (Bv.binop (bv_binop op) ta tb))) ]
+                               (Sval.SInt (Bv.binop op ta tb))) ]
                     | Infeasible -> []
                   in
                   bugs @ conts)
           | _ ->
-              [ T_cont (State.set_reg st d (Sval.SInt (Bv.binop (bv_binop op) ta tb))) ])
+              [ T_cont (State.set_reg st d (Sval.SInt (Bv.binop op ta tb))) ])
       | Ir.Cmp (d, op, ty, a, b) ->
           let res =
             if ty = Ir.Ptr then begin
               let (o1, off1) = as_ptr_exn "cmp" (ev a) in
               let (o2, off2) = as_ptr_exn "cmp" (ev b) in
-              if o1 = o2 then Bv.cmp (bv_cmp op) off1 off2
+              if o1 = o2 then Bv.cmp op off1 off2
               else
                 match op with
                 | Ir.Eq -> Bv.ff
@@ -387,7 +364,7 @@ let rec step gctx (st : State.t) : transition list =
                 | _ -> err "ordered comparison of unrelated pointers"
             end
             else
-              Bv.cmp (bv_cmp op)
+              Bv.cmp op
                 (as_int_exn "cmp" (ev a))
                 (as_int_exn "cmp" (ev b))
           in
@@ -421,7 +398,7 @@ let rec step gctx (st : State.t) : transition list =
               tside @ fside)
       | Ir.Cast (d, op, to_ty, v, from_ty) ->
           let t = as_int_exn "cast" (ev v) in
-          let wf = width_of_ty from_ty and wt = width_of_ty to_ty in
+          let wf = Ir.bits_of_ty from_ty and wt = Ir.bits_of_ty to_ty in
           assert (t.Bv.width = wf);
           let res =
             match op with
@@ -447,9 +424,8 @@ let rec step gctx (st : State.t) : transition list =
           with_bounds gctx st ~what:"load" ~obj ~off ~width (fun st ->
               match Memory.read st.State.mem ~obj ~off ~width with
               | Ok t when ty <> Ir.Ptr ->
-                  [ T_cont
-                      (State.set_reg st d
-                         (Sval.SInt (Bv.trunc (width_of_ty ty) (pad_to_width t width)))) ]
+                  let v = Bv.trunc (Ir.bits_of_ty ty) (pad_to_width t width) in
+                  [ T_cont (State.set_reg st d (Sval.SInt v)) ]
               | Ok t -> (
                   (* pointer load: a symbolic result is an ITE over constant
                      raw encodings — fork per feasible alternative *)

@@ -25,36 +25,89 @@ let test_signed_of () =
   check i64 "i32 min" (Int64.of_int32 Int32.min_int)
     (I.signed_of I.I32 0x80000000L)
 
+(* the evaluators take a bit width: the IR's types pass 1/8/16/32/64, and
+   Bv's terms reach every width from 1 to 64 through concat/extract, so
+   24 and 40 stand for the widths only the solver's terms have *)
+let norm bits v = Int64.logand v (I.mask bits)
+
 let test_eval_binop () =
-  let eval op ty a b = I.eval_binop op ty (I.norm ty a) (I.norm ty b) in
-  check (Alcotest.option i64) "add wrap i8" (Some 0L) (eval I.Add I.I8 255L 1L);
-  check (Alcotest.option i64) "sub wrap i8" (Some 255L) (eval I.Sub I.I8 0L 1L);
-  check (Alcotest.option i64) "mul i8" (Some 0xE8L) (eval I.Mul I.I8 100L 10L);
-  check (Alcotest.option i64) "sdiv -7/2" (Some (I.norm I.I32 (-3L)))
-    (eval I.Sdiv I.I32 (-7L) 2L);
-  check (Alcotest.option i64) "srem -7%2" (Some (I.norm I.I32 (-1L)))
-    (eval I.Srem I.I32 (-7L) 2L);
-  check (Alcotest.option i64) "udiv 0xFF/2" (Some 127L) (eval I.Udiv I.I8 255L 2L);
-  check (Alcotest.option i64) "div by zero" None (eval I.Sdiv I.I32 5L 0L);
-  check (Alcotest.option i64) "urem by zero" None (eval I.Urem I.I32 5L 0L);
-  check (Alcotest.option i64) "shl" (Some 0x80L) (eval I.Shl I.I8 1L 7L);
-  check (Alcotest.option i64) "shl masks amount" (Some 1L) (eval I.Shl I.I8 1L 8L);
-  check (Alcotest.option i64) "lshr i8" (Some 0x7FL) (eval I.Lshr I.I8 255L 1L);
-  check (Alcotest.option i64) "ashr i8 neg" (Some 0xFFL) (eval I.Ashr I.I8 255L 1L);
-  check (Alcotest.option i64) "xor" (Some 0L) (eval I.Xor I.I32 42L 42L)
+  let eval op bits a b = I.eval_binop op bits (norm bits a) (norm bits b) in
+  let chk name want got = check (Alcotest.option i64) name want got in
+  chk "add wrap i8" (Some 0L) (eval I.Add 8 255L 1L);
+  chk "sub wrap i8" (Some 255L) (eval I.Sub 8 0L 1L);
+  chk "mul i8" (Some 0xE8L) (eval I.Mul 8 100L 10L);
+  chk "sdiv -7/2" (Some (I.norm I.I32 (-3L))) (eval I.Sdiv 32 (-7L) 2L);
+  chk "srem -7%2" (Some (I.norm I.I32 (-1L))) (eval I.Srem 32 (-7L) 2L);
+  chk "udiv 0xFF/2" (Some 127L) (eval I.Udiv 8 255L 2L);
+  chk "div by zero" None (eval I.Sdiv 32 5L 0L);
+  chk "urem by zero" None (eval I.Urem 32 5L 0L);
+  chk "shl" (Some 0x80L) (eval I.Shl 8 1L 7L);
+  chk "shl masks amount" (Some 1L) (eval I.Shl 8 1L 8L);
+  chk "lshr i8" (Some 0x7FL) (eval I.Lshr 8 255L 1L);
+  chk "ashr i8 neg" (Some 0xFFL) (eval I.Ashr 8 255L 1L);
+  chk "xor" (Some 0L) (eval I.Xor 32 42L 42L);
+  List.iter
+    (fun bits ->
+      let name s = Printf.sprintf "%s @%d" s bits in
+      let min_s = Int64.shift_left 1L (bits - 1) in
+      chk (name "ashr keeps the sign bit")
+        (Some (norm bits (Int64.shift_right (Int64.neg min_s) 4)))
+        (eval I.Ashr bits min_s 4L);
+      chk (name "lshr does not") (Some (Int64.shift_right_logical min_s 4))
+        (eval I.Lshr bits min_s 4L);
+      chk (name "sdiv -7/2") (Some (norm bits (-3L)))
+        (eval I.Sdiv bits (-7L) 2L);
+      chk (name "sdiv min/-1 wraps") (Some min_s)
+        (eval I.Sdiv bits min_s (-1L));
+      chk (name "srem -7%2") (Some (norm bits (-1L)))
+        (eval I.Srem bits (-7L) 2L);
+      chk (name "srem 7%-2") (Some 1L) (eval I.Srem bits 7L (-2L));
+      chk (name "sdiv by zero") None (eval I.Sdiv bits 1L 0L);
+      chk (name "shl by width") (Some 1L)
+        (eval I.Shl bits 1L (Int64.of_int bits));
+      chk (name "shl by width+1") (Some 2L)
+        (eval I.Shl bits 1L (Int64.of_int (bits + 1)));
+      chk (name "shl drops the top bit") (Some 0L) (eval I.Shl bits min_s 1L);
+      chk (name "add wraps") (Some 0L) (eval I.Add bits (-1L) 1L))
+    [ 24; 40 ]
 
 let test_eval_cmp () =
-  check bool "slt signed" true (I.eval_cmp I.Slt I.I8 (I.norm I.I8 (-1L)) 1L);
-  check bool "ult unsigned" false (I.eval_cmp I.Ult I.I8 (I.norm I.I8 (-1L)) 1L);
-  check bool "sge" true (I.eval_cmp I.Sge I.I32 5L 5L);
-  check bool "ne" false (I.eval_cmp I.Ne I.I32 5L 5L);
-  check bool "ugt 64" true
-    (I.eval_cmp I.Ugt I.I64 (I.norm I.I64 (-1L)) 1L)
+  check bool "slt signed" true (I.eval_cmp I.Slt 8 (norm 8 (-1L)) 1L);
+  check bool "ult unsigned" false (I.eval_cmp I.Ult 8 (norm 8 (-1L)) 1L);
+  check bool "sge" true (I.eval_cmp I.Sge 32 5L 5L);
+  check bool "ne" false (I.eval_cmp I.Ne 32 5L 5L);
+  check bool "ugt 64" true (I.eval_cmp I.Ugt 64 (norm 64 (-1L)) 1L);
+  List.iter
+    (fun bits ->
+      let name s = Printf.sprintf "%s @%d" s bits in
+      let m1 = norm bits (-1L) and min_s = Int64.shift_left 1L (bits - 1) in
+      check bool (name "slt -1 < 1") true (I.eval_cmp I.Slt bits m1 1L);
+      check bool (name "ult -1 < 1") false (I.eval_cmp I.Ult bits m1 1L);
+      check bool (name "sgt 1 > -1") true (I.eval_cmp I.Sgt bits 1L m1);
+      check bool (name "slt min < max") true
+        (I.eval_cmp I.Slt bits min_s (Int64.sub min_s 1L));
+      check bool (name "ugt min > max") true
+        (I.eval_cmp I.Ugt bits min_s (Int64.sub min_s 1L));
+      check bool (name "sle -1 <= -1") true (I.eval_cmp I.Sle bits m1 m1))
+    [ 24; 40 ];
+  check i64 "to_signed 24" (-1L) (I.to_signed 24 0xFFFFFFL);
+  check i64 "to_signed 40" (Int64.neg 0x8000000000L)
+    (I.to_signed 40 0x8000000000L)
 
 let test_eval_cast () =
   check i64 "zext i8->i32" 0xFFL (I.eval_cast I.Zext I.I32 0xFFL I.I8);
   check i64 "sext i8->i32" 0xFFFFFFFFL (I.eval_cast I.Sext I.I32 0xFFL I.I8);
   check i64 "trunc i32->i8" 0x34L (I.eval_cast I.Trunc I.I8 0x1234L I.I32)
+
+let test_ptr_layout () =
+  check i64 "null is 0" 0L (I.encode_ptr 0 0);
+  check i64 "obj 3 off 5" 0x3_0000_0006L (I.encode_ptr 3 5);
+  List.iter
+    (fun (o, off) ->
+      let raw = I.encode_ptr o off in
+      check int "obj round trip" o (I.ptr_obj raw);
+      check int "off round trip" off (I.ptr_off raw))
+    [ (0, 0); (1, 0); (2, 7); (0x7FFF, 0xFFFF_FFFE); (5, -1) ]
 
 let test_sizes () =
   check int "i8" 1 (I.size_of_ty I.I8);
@@ -615,6 +668,7 @@ let () =
           Alcotest.test_case "eval_binop" `Quick test_eval_binop;
           Alcotest.test_case "eval_cmp" `Quick test_eval_cmp;
           Alcotest.test_case "eval_cast" `Quick test_eval_cast;
+          Alcotest.test_case "pointer layout" `Quick test_ptr_layout;
           Alcotest.test_case "sizes" `Quick test_sizes;
         ] );
       ( "builder",

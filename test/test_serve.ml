@@ -967,6 +967,34 @@ let test_default_sockets_distinct () =
   check int "A executed the verify" 1 (daemon_stat a "executed");
   check int "B executed nothing" 0 (daemon_stat b "executed")
 
+(* a second daemon on a path where a live daemon accepts is refused and
+   the first keeps its socket; a socket file nobody accepts on is stale
+   and is replaced *)
+let test_live_socket_refused () =
+  Binfile.with_temp_dir "overify_serve_test" @@ fun dir ->
+  let sock = Filename.concat dir "live.sock" in
+  let a = Serve.start ~socket:sock () in
+  (Fun.protect ~finally:(fun () -> Serve.stop a) @@ fun () ->
+   (match Serve.start ~socket:sock () with
+   | b ->
+       Serve.stop b;
+       Alcotest.fail "a second daemon took a live daemon's socket"
+   | exception Unix.Unix_error (Unix.EADDRINUSE, "Serve.start", p) ->
+       check string "refusal names the path" sock p);
+   check bool "socket file kept" true (Sys.file_exists sock);
+   with_conn a @@ fun c ->
+   match Client.rpc c wc_request with
+   | Ok json ->
+       check string "first daemon still answers" "ok" (get_str json "status")
+   | Error e -> Alcotest.failf "rpc: %s" (Protocol.frame_error_name e));
+  let stale = Filename.concat dir "stale.sock" in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX stale);
+  Unix.close fd;
+  let c = Serve.start ~socket:stale () in
+  Fun.protect ~finally:(fun () -> Serve.stop c) @@ fun () ->
+  check int "stale socket replaced" 0 (daemon_stat c "executed")
+
 (* ------------- store lifecycle under concurrency ------------- *)
 
 let test_write_atomic_race () =
@@ -1508,6 +1536,8 @@ let () =
             test_log_threshold_per_daemon;
           Alcotest.test_case "default sockets are per daemon" `Quick
             test_default_sockets_distinct;
+          Alcotest.test_case "a live socket is not taken over" `Quick
+            test_live_socket_refused;
         ] );
       ( "store-lifecycle",
         [

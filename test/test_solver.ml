@@ -73,6 +73,25 @@ let test_eval () =
   let lookup2 = function 1 -> 10L | 2 -> 3L | _ -> 0L in
   check Alcotest.int64 "ite-sub" 7L (Bv.eval lookup2 t)
 
+(* [Bv.reset] drops the table but never rewinds the id counter: a term
+   that outlives a reset (Sval.null's offset is one, built once at module
+   initialisation) must not share an id with a term built after it, or the
+   id-keyed layers (hash-consing, Canon's memos, the solver's id table)
+   take one for the other *)
+let test_reset_keeps_ids () =
+  Bv.reset ();
+  let s = Bv.const 64 5L in
+  Bv.reset ();
+  let v = Bv.var 64 77 and x = Bv.var 64 78 in
+  check bool "no id handed out twice" true
+    (s.Bv.id <> v.Bv.id && s.Bv.id <> x.Bv.id);
+  let live = Bv.binop Bv.Sub v x in
+  let stale = Bv.binop Bv.Sub s x in
+  check bool "5 - x is not v - x" true (stale != live);
+  check Alcotest.int64 "5 - x at x = 0" 5L (Bv.eval (fun _ -> 0L) stale);
+  check bool "booleans survive" true
+    (Bv.const 1 1L == Bv.tt && Bv.const 1 0L == Bv.ff)
+
 let test_vars () =
   let x = Bv.var 8 1 and y = Bv.var 16 2 in
   let t = Bv.cmp Bv.Eq (Bv.zext 16 x) y in
@@ -817,6 +836,8 @@ let () =
           Alcotest.test_case "extract/concat" `Quick test_extract_concat;
           Alcotest.test_case "eval" `Quick test_eval;
           Alcotest.test_case "vars" `Quick test_vars;
+          Alcotest.test_case "reset never reuses an id" `Quick
+            test_reset_keeps_ids;
         ] );
       ( "sat",
         [
