@@ -413,9 +413,67 @@ int main(void) { return probe(__input(0)) + probe(__input(1)) * 4; }
       check Alcotest.int64 "replay" code rr.Interp.exit_code)
     r.Engine.exit_codes
 
+(* ------------- verdicts pinned ------------- *)
+
+module Programs = Overify_corpus.Programs
+module Vclib = Overify_vclib.Vclib
+
+(* Each corpus program at -O0, -O3 and -OVERIFY is one row of
+   test/verdict_digests.tsv: whether the run completed, and the MD5 of its
+   [--json --deterministic] line followed by its sorted (witness, exit
+   code) pairs.  n=2, except cksum and factor at n=1; cksum -O0 ends on
+   the wall clock, so it is left out.  The config is built from
+   [Engine.default_config], so the @ci reruns with reuse off and with
+   summaries on check the same table. *)
+let verdict_digests_header = "# program\tlevel\tcomplete\tverdict_md5"
+
+let test_verdict_digests () =
+  let rows =
+    List.concat_map
+      (fun (p : Programs.t) ->
+        let name = p.Programs.name in
+        let n = if name = "cksum" || name = "factor" then 1 else 2 in
+        List.filter_map
+          (fun (level : Costmodel.t) ->
+            if name = "cksum" && level == Costmodel.o0 then None
+            else begin
+              let m =
+                (Pipeline.optimize level
+                   (Vclib.frontend level p.Programs.source))
+                  .Pipeline.modul
+              in
+              let r =
+                Engine.run
+                  ~config:{ Engine.default_config with Engine.input_size = n }
+                  m
+              in
+              let exits =
+                List.sort compare r.Engine.exit_codes
+                |> List.map (fun (w, c) -> Printf.sprintf "%S %Ld\n" w c)
+              in
+              let doc =
+                String.concat ""
+                  (Engine.result_to_json ~deterministic:true r :: "\n" :: exits)
+              in
+              Some
+                (Printf.sprintf "%s\t%s\t%b\t%s" name level.Costmodel.name
+                   r.Engine.complete
+                   (Digest.to_hex (Digest.string doc)))
+            end)
+          [ Costmodel.o0; Costmodel.o3; Costmodel.overify ])
+      Programs.programs
+  in
+  Pinned.check ~name:"verdict_digests" ~header:verdict_digests_header ~keys:2
+    ~what:"verdicts" rows
+
 let () =
   Alcotest.run "symex"
     [
+      ( "verdicts",
+        [
+          Alcotest.test_case "pinned by verdict_digests.tsv" `Quick
+            test_verdict_digests;
+        ] );
       ( "paths",
         [
           Alcotest.test_case "single" `Quick test_single_path;
