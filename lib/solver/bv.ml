@@ -30,7 +30,11 @@ and node =
 
 let width t = t.width
 
-let norm w v = Int64.logand v (Ir.mask w)
+(* zero-extend the low [w] bits in place: a cross-module [Ir.mask] call
+   returns its mask boxed *)
+let[@inline] norm w v =
+  let s = 64 - w in
+  Int64.shift_right_logical (Int64.shift_left v s) s
 
 (* ---------------- hash consing ---------------- *)
 
@@ -121,7 +125,27 @@ let rebuilder () =
 
 (* ---------------- constructors with simplification ---------------- *)
 
-let const w v = mk (Const (norm w v)) w
+(* The terms of the constants 0-255 at every width, filled as [const]
+   builds them and emptied with the table by [reset]: a hit takes no lock.
+   The executor builds a constant's term wherever a concrete value meets
+   a symbolic one, and most of those constants are small. *)
+let no_term = { id = -1; node = Var (-1); width = 0 }
+let small = Array.make (65 * 256) no_term
+
+let const w v =
+  let v = norm w v in
+  if v >= 0L && v < 256L then begin
+    let i = (w lsl 8) lor Int64.to_int v in
+    let t = small.(i) in
+    if t != no_term then t
+    else begin
+      let t = mk (Const v) w in
+      small.(i) <- t;
+      t
+    end
+  end
+  else mk (Const v) w
+
 let var w id = mk (Var id) w
 let tt = const 1 1L
 let ff = const 1 0L
@@ -135,7 +159,10 @@ let reset () =
   Mutex.protect lock (fun () ->
       NTbl.reset table;
       NTbl.replace table (tt.node, tt.width) tt;
-      NTbl.replace table (ff.node, ff.width) ff)
+      NTbl.replace table (ff.node, ff.width) ff;
+      Array.fill small 0 (Array.length small) no_term;
+      small.((1 lsl 8) lor 1) <- tt;
+      small.(1 lsl 8) <- ff)
 let bool_ b = if b then tt else ff
 
 let is_const t = match t.node with Const _ -> true | _ -> false
@@ -169,9 +196,9 @@ let rec binop (op : binop) a b =
       let k = ref 0 and x = ref c in
       while !x > 1L do incr k; x := Int64.shift_right_logical !x 1 done;
       binop Shl a (const w (Int64.of_int !k))
-  | (_, Const c, And) when c = Ir.mask w -> a
-  | (Const c, _, And) when c = Ir.mask w -> b
-  | (_, Const c, Or) when c = Ir.mask w -> const w c
+  | (_, Const c, And) when c = norm w (-1L) -> a
+  | (Const c, _, And) when c = norm w (-1L) -> b
+  | (_, Const c, Or) when c = norm w (-1L) -> const w c
   | (_, _, Sub) when a.id = b.id -> const w 0L
   | (_, _, Xor) when a.id = b.id -> const w 0L
   | (_, _, (And | Or)) when a.id = b.id -> a
@@ -295,29 +322,33 @@ let trunc w t =
     (matching the blasted circuit's conventional value is unnecessary — the
     executor always guards divisions). *)
 let eval (lookup : int -> int64) (t : t) : int64 =
-  let memo = Hashtbl.create 64 in
+  (* only inner nodes are memoized, in a table that starts at the smallest
+     size and grows with the term *)
+  let memo = Hashtbl.create 1 in
   let rec go t =
-    match Hashtbl.find_opt memo t.id with
-    | Some v -> v
-    | None ->
-        let v =
-          match t.node with
-          | Const v -> v
-          | Var id -> norm t.width (lookup id)
-          | Bin (op, a, b) -> (
-              match Ir.eval_binop op t.width (go a) (go b) with
-              | Some v -> v
-              | None -> 0L)
-          | Cmp (op, a, b) ->
-              if Ir.eval_cmp op a.width (go a) (go b) then 1L else 0L
-          | Ite (c, a, b) -> if go c = 1L then go a else go b
-          | Concat (h, l) ->
-              Int64.logor (Int64.shift_left (go h) l.width) (go l)
-          | Extract (hi, lo, x) ->
-              norm (hi - lo + 1) (Int64.shift_right_logical (go x) lo)
-        in
-        Hashtbl.replace memo t.id v;
-        v
+    match t.node with
+    | Const v -> v
+    | Var id -> norm t.width (lookup id)
+    | Bin _ | Cmp _ | Ite _ | Concat _ | Extract _ -> (
+        match Hashtbl.find_opt memo t.id with
+        | Some v -> v
+        | None ->
+            let v = inner t in
+            Hashtbl.replace memo t.id v;
+            v)
+  and inner t =
+    match t.node with
+    | Const _ | Var _ -> go t
+    | Bin (op, a, b) -> (
+        match Ir.eval_binop op t.width (go a) (go b) with
+        | Some v -> v
+        | None -> 0L)
+    | Cmp (op, a, b) ->
+        if Ir.eval_cmp op a.width (go a) (go b) then 1L else 0L
+    | Ite (c, a, b) -> if go c = 1L then go a else go b
+    | Concat (h, l) -> Int64.logor (Int64.shift_left (go h) l.width) (go l)
+    | Extract (hi, lo, x) ->
+        norm (hi - lo + 1) (Int64.shift_right_logical (go x) lo)
   in
   go t
 

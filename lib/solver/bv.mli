@@ -47,6 +47,9 @@ val reset : unit -> unit
 (** {2 Constructors (simplifying)} *)
 
 val const : int -> int64 -> t
+(** The constants 0–255 of each width are read from an array filled as
+    they are first built and emptied by {!reset}, without the table's
+    lock. *)
 
 val var : int -> int -> t
 (** [var width id]. *)

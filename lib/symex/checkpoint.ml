@@ -18,7 +18,7 @@ type snapshot = {
 type file_body = { fb_digest : string; fb_snapshot : snapshot }
 
 let magic = "OVERIFY-CHECKPOINT"
-let version = 1
+let version = 2
 let file ~dir = Filename.concat dir "checkpoint.bin"
 
 let fingerprint m ~input_size =
@@ -37,21 +37,16 @@ let save ~dir ~digest (s : snapshot) =
 
 (* ---- re-interning: rebuild every Bv term of an unmarshaled state ---- *)
 
-let rehash_sval f = function
-  | Sval.SInt t -> Sval.SInt (f t)
-  | Sval.SPtr (o, off) -> Sval.SPtr (o, f off)
-
 let rehash_state f (st : State.t) =
   {
     st with
     State.frames =
       List.map
         (fun (fr : State.frame) ->
-          { fr with State.regs = IMap.map (rehash_sval f) fr.State.regs })
+          { fr with State.regs = IMap.map (Sval.map_term f) fr.State.regs })
         st.State.frames;
     mem = Memory.map_terms f st.State.mem;
     path = List.map f st.State.path;
-    out_rev = List.map f st.State.out_rev;
   }
 
 let load ~dir ~digest =

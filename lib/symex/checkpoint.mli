@@ -31,6 +31,14 @@ type snapshot = {
   ck_frontier : State.t list;  (** unexplored states, frontier order *)
 }
 
+val magic : string
+
+val version : int
+(** The snapshot frame's magic and format version.  [version] moves with
+    the layout of the marshaled states, so a snapshot written before a
+    change to it loads as [None] instead of being unmarshaled into the
+    new types. *)
+
 val fingerprint : Overify_ir.Ir.modul -> input_size:int -> string
 (** Digest identifying what a checkpoint is a checkpoint {e of}. *)
 

@@ -207,7 +207,8 @@ let record_exit w input_vars (st : State.t) code =
   let witness = input_of_model input_vars st.State.model in
   let code_v =
     match code with
-    | Some t ->
+    | Some (Sval.Con (_, v)) -> Ir.to_signed 32 v
+    | Some (Sval.Sym t) ->
         Ir.to_signed 32
           (Bv.eval
              (fun id ->
@@ -215,7 +216,7 @@ let record_exit w input_vars (st : State.t) code =
                | Some v -> v
                | None -> 0L)
              t)
-    | None -> 0L
+    | Some (Sval.Ptr _ | Sval.Sym_ptr _) | None -> 0L
   in
   w.exits <- (witness, code_v) :: w.exits
 
@@ -517,8 +518,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
       mem = !mem;
       path = [];
       model = [];
-      out_rev = [];
-      steps = 0;
     }
   in
   let njobs =

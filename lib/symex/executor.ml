@@ -67,7 +67,9 @@ let cut gctx (fn : Ir.func) block =
 
 type transition =
   | T_cont of State.t
-  | T_exit of State.t * Bv.t option   (** normal return from main *)
+  | T_exit of State.t * Sval.t option
+      (** normal return from main, with the [Con]/[Sym] integer it
+          returned ([None]: no value, or a pointer) *)
   | T_bug of State.t * string
   | T_drop of State.t * string
       (** path abandoned for an engine limitation (e.g. a symbolic offset
@@ -117,37 +119,33 @@ let eval_value gctx (st : State.t) (v : Ir.value) : Sval.t =
   match v with
   | Ir.Imm (x, Ir.Ptr) ->
       if x = 0L then Sval.null else err "non-null pointer constant"
-  | Ir.Imm (x, ty) -> Sval.SInt (Bv.const (Ir.bits_of_ty ty) x)
+  | Ir.Imm (x, ty) -> Sval.Con (Ir.bits_of_ty ty, Ir.norm ty x)
   | Ir.Reg r -> State.get_reg st r
   | Ir.Glob g -> (
       match List.assoc_opt g gctx.globals with
-      | Some obj -> Sval.SPtr (obj, Bv.const 64 0L)
+      | Some obj -> Sval.Ptr (obj, 0)
       | None -> err "unknown global %s" g)
 
-let as_int_exn what v =
-  match Sval.as_int v with
-  | Some t -> t
-  | None -> err "%s: pointer where integer expected" what
+(* the integer view: null reads as 0 *)
+let as_int_exn what = function
+  | (Sval.Con _ | Sval.Sym _) as v -> v
+  | Sval.Ptr (0, 0) -> Sval.Con (64, 0L)
+  | Sval.Ptr _ | Sval.Sym_ptr _ -> err "%s: pointer where integer expected" what
 
-let as_ptr_exn what v =
-  match Sval.as_ptr v with
-  | Some p -> p
-  | None -> err "%s: integer where pointer expected" what
+(* the pointer view: the integer 0 reads as null *)
+let as_ptr_exn what = function
+  | (Sval.Ptr _ | Sval.Sym_ptr _) as p -> p
+  | Sval.Con (_, 0L) -> Sval.null
+  | Sval.Con _ | Sval.Sym _ -> err "%s: integer where pointer expected" what
 
-let encode_ptr obj (off : Bv.t) : Bv.t =
-  match off.Bv.node with
-  | Bv.Const c -> Bv.const 64 (Ir.encode_ptr obj (Int64.to_int c))
-  | _ -> err "storing a pointer with symbolic offset"
+(* the 64-bit word a pointer is stored as *)
+let encode_ptr = function
+  | Sval.Ptr (obj, off) -> Sval.Con (64, Ir.encode_ptr obj off)
+  | Sval.Con (_, 0L) -> Sval.Con (64, 0L)
+  | Sval.Sym_ptr _ -> err "storing a pointer with symbolic offset"
+  | Sval.Con _ | Sval.Sym _ -> err "storing integer as pointer"
 
-let decode_raw raw : Sval.t =
-  match (Ir.ptr_obj raw, Ir.ptr_off raw) with
-  | (0, 0) -> Sval.null
-  | (obj, off) -> Sval.SPtr (obj, Bv.const 64 (Int64.of_int off))
-
-let decode_ptr (t : Bv.t) : Sval.t =
-  match t.Bv.node with
-  | Bv.Const raw -> decode_raw raw
-  | _ -> err "loading a symbolic pointer"
+let decode_raw raw : Sval.t = Sval.Ptr (Ir.ptr_obj raw, Ir.ptr_off raw)
 
 (** A pointer loaded through a symbolic index is an ITE tree over constant
     raw encodings; enumerate the alternatives with their guards so the
@@ -202,7 +200,6 @@ let enter_block gctx (st : State.t) target : State.t =
   cut gctx fr.State.fn target;
   let c = gctx.counters in
   c.Counters.instructions <- c.Counters.instructions + List.length phis;
-  let st = { st with State.steps = st.State.steps + List.length phis } in
   State.with_top
     (List.fold_left
        (fun st (d, v) -> State.set_reg st d v)
@@ -212,11 +209,12 @@ let enter_block gctx (st : State.t) target : State.t =
 
 (* ---------------- memory access with bug forking ---------------- *)
 
-(** Produce transitions for an access at [SPtr (obj, off)] of [width] bytes:
+(** Produce transitions for an access at pointer [p] of [width] bytes:
     a possible out-of-bounds bug branch plus the in-bounds continuation
     (through [k]). *)
-let with_bounds gctx (st : State.t) ~what ~obj ~(off : Bv.t) ~width
+let with_bounds gctx (st : State.t) ~what (p : Sval.t) ~width
     (k : State.t -> transition list) : transition list =
+  let obj = Sval.obj p in
   if obj = 0 then [ T_bug (st, "null pointer dereference") ]
   else
     match Memory.find st.State.mem obj with
@@ -224,15 +222,14 @@ let with_bounds gctx (st : State.t) ~what ~obj ~(off : Bv.t) ~width
     | Some o ->
         if not o.Memory.live then [ T_bug (st, what ^ ": use after scope exit") ]
         else begin
-          match off.Bv.node with
-          | Bv.Const c ->
-              let c64 = Int64.to_int c in
-              if c64 < 0 || c64 + width > o.Memory.size then
+          match p with
+          | Sval.Ptr (_, c) ->
+              if c < 0 || c + width > o.Memory.size then
                 [ T_bug
                     ( st,
                       Printf.sprintf
                         "%s: out-of-bounds (%d bytes at %d of %d-byte object)"
-                        what width c64 o.Memory.size ) ]
+                        what width c o.Memory.size ) ]
               else k st
           | _ ->
               (* the bug message below depends on whether the offset is
@@ -243,7 +240,9 @@ let with_bounds gctx (st : State.t) ~what ~obj ~(off : Bv.t) ~width
               if limit < 0L then
                 [ T_bug (st, what ^ ": access wider than object") ]
               else begin
-                let in_b = Bv.cmp Bv.Ule off (Bv.const 64 limit) in
+                let in_b =
+                  Bv.cmp Bv.Ule (Sval.off_term p) (Bv.const 64 limit)
+                in
                 let oob = Bv.not_ in_b in
                 let bugs =
                   match feasible gctx st oob with
@@ -264,14 +263,16 @@ let with_bounds gctx (st : State.t) ~what ~obj ~(off : Bv.t) ~width
 
 (* ---------------- intrinsic calls ---------------- *)
 
-let input_byte gctx (st : State.t) (idx : Bv.t) : Bv.t =
+let input_byte gctx (idx : Sval.t) : Sval.t =
   let n = Array.length gctx.input_vars in
-  match idx.Bv.node with
-  | Bv.Const c ->
+  match idx with
+  | Sval.Con (_, c) ->
       let i = Int64.to_int (Ir.to_signed 32 c) in
-      if i >= 0 && i < n then Bv.zext 32 (Bv.var 8 gctx.input_vars.(i))
-      else Bv.const 32 0L
+      if i >= 0 && i < n then
+        Sval.of_term (Bv.zext 32 (Bv.var 8 gctx.input_vars.(i)))
+      else Sval.Con (32, 0L)
   | _ ->
+      let idx = Sval.term idx in
       let acc = ref (Bv.const 32 0L) in
       for i = n - 1 downto 0 do
         acc :=
@@ -280,15 +281,13 @@ let input_byte gctx (st : State.t) (idx : Bv.t) : Bv.t =
             (Bv.zext 32 (Bv.var 8 gctx.input_vars.(i)))
             !acc
       done;
-      ignore st;
-      !acc
+      Sval.of_term !acc
 
 (* ---------------- the step function ---------------- *)
 
-let charge gctx st =
+let charge gctx =
   let c = gctx.counters in
-  c.Counters.instructions <- c.Counters.instructions + 1;
-  { st with State.steps = st.State.steps + 1 }
+  c.Counters.instructions <- c.Counters.instructions + 1
 
 (** A genuine fork (more than one feasible continuation). *)
 let record_fork gctx =
@@ -315,23 +314,22 @@ let rec step gctx (st : State.t) : transition list =
   cut gctx fr.State.fn fr.State.cur_block;
   match fr.State.insts with
   | inst :: rest -> (
-      let st = charge gctx st in
+      charge gctx;
       let st = State.with_top st (fun fr -> { fr with State.insts = rest }) in
       let ev v = eval_value gctx st v in
       match inst with
       | Ir.Bin (d, op, ty, a, b) -> (
           let w = Ir.bits_of_ty ty in
-          let ta = as_int_exn "binop" (ev a) and tb = as_int_exn "binop" (ev b) in
-          assert (ta.Bv.width = w && tb.Bv.width = w);
+          let a = as_int_exn "binop" (ev a) and b = as_int_exn "binop" (ev b) in
+          assert (Sval.width a = w && Sval.width b = w);
           match op with
           | Ir.Sdiv | Ir.Udiv | Ir.Srem | Ir.Urem -> (
-              let zero = Bv.const w 0L in
-              let is_zero = Bv.cmp Bv.Eq tb zero in
-              match is_zero.Bv.node with
-              | Bv.Const 0L ->
-                  [ T_cont (State.set_reg st d (Sval.SInt (Bv.binop op ta tb))) ]
-              | Bv.Const 1L -> [ T_bug (st, "division by zero") ]
-              | _ ->
+              match Sval.cmp Bv.Eq b (Sval.Con (w, 0L)) with
+              | Sval.Con (_, 0L) ->
+                  [ T_cont (State.set_reg st d (Sval.binop op a b)) ]
+              | Sval.Con _ -> [ T_bug (st, "division by zero") ]
+              | is_zero ->
+                  let is_zero = Sval.term is_zero in
                   let bugs =
                     match feasible gctx st is_zero with
                     | Feasible m ->
@@ -343,45 +341,54 @@ let rec step gctx (st : State.t) : transition list =
                     match feasible gctx st nz with
                     | Feasible m ->
                         let st = constrain st nz m in
-                        [ T_cont
-                            (State.set_reg st d
-                               (Sval.SInt (Bv.binop op ta tb))) ]
+                        [ T_cont (State.set_reg st d (Sval.binop op a b)) ]
                     | Infeasible -> []
                   in
                   bugs @ conts)
-          | _ ->
-              [ T_cont (State.set_reg st d (Sval.SInt (Bv.binop op ta tb))) ])
+          | _ -> [ T_cont (State.set_reg st d (Sval.binop op a b)) ])
       | Ir.Cmp (d, op, ty, a, b) ->
           let res =
             if ty = Ir.Ptr then begin
-              let (o1, off1) = as_ptr_exn "cmp" (ev a) in
-              let (o2, off2) = as_ptr_exn "cmp" (ev b) in
-              if o1 = o2 then Bv.cmp op off1 off2
+              let p1 = as_ptr_exn "cmp" (ev a)
+              and p2 = as_ptr_exn "cmp" (ev b) in
+              if Sval.obj p1 = Sval.obj p2 then
+                match (p1, p2) with
+                | (Sval.Ptr (_, x), Sval.Ptr (_, y)) ->
+                    Sval.cmp op
+                      (Sval.Con (64, Int64.of_int x))
+                      (Sval.Con (64, Int64.of_int y))
+                | _ ->
+                    Sval.of_term
+                      (Bv.cmp op (Sval.off_term p1) (Sval.off_term p2))
               else
                 match op with
-                | Ir.Eq -> Bv.ff
-                | Ir.Ne -> Bv.tt
+                | Ir.Eq -> Sval.Con (1, 0L)
+                | Ir.Ne -> Sval.Con (1, 1L)
                 | _ -> err "ordered comparison of unrelated pointers"
             end
-            else
-              Bv.cmp op
-                (as_int_exn "cmp" (ev a))
-                (as_int_exn "cmp" (ev b))
+            else Sval.cmp op (as_int_exn "cmp" (ev a)) (as_int_exn "cmp" (ev b))
           in
-          [ T_cont (State.set_reg st d (Sval.SInt res)) ]
+          [ T_cont (State.set_reg st d res) ]
       | Ir.Select (d, _ty, c, a, b) -> (
-          let tc = as_int_exn "select" (ev c) in
+          let c = as_int_exn "select" (ev c) in
           let va = ev a and vb = ev b in
-          match (tc.Bv.node, va, vb) with
-          | (Bv.Const 1L, _, _) -> [ T_cont (State.set_reg st d va) ]
-          | (Bv.Const 0L, _, _) -> [ T_cont (State.set_reg st d vb) ]
-          | (_, Sval.SInt ta, Sval.SInt tb) ->
-              [ T_cont (State.set_reg st d (Sval.SInt (Bv.ite tc ta tb))) ]
-          | (_, Sval.SPtr (o1, off1), Sval.SPtr (o2, off2)) when o1 = o2 ->
-              [ T_cont (State.set_reg st d (Sval.SPtr (o1, Bv.ite tc off1 off2))) ]
+          match (c, va, vb) with
+          | (Sval.Con (_, 1L), _, _) -> [ T_cont (State.set_reg st d va) ]
+          | (Sval.Con (_, 0L), _, _) -> [ T_cont (State.set_reg st d vb) ]
+          | (_, (Sval.Con _ | Sval.Sym _), (Sval.Con _ | Sval.Sym _)) ->
+              let v = Bv.ite (Sval.term c) (Sval.term va) (Sval.term vb) in
+              [ T_cont (State.set_reg st d (Sval.of_term v)) ]
+          | (_, (Sval.Ptr _ | Sval.Sym_ptr _), (Sval.Ptr _ | Sval.Sym_ptr _))
+            when Sval.obj va = Sval.obj vb ->
+              let off =
+                Bv.ite (Sval.term c) (Sval.off_term va) (Sval.off_term vb)
+              in
+              let p = Sval.ptr_of_term (Sval.obj va) off in
+              [ T_cont (State.set_reg st d p) ]
           | (_, _, _) ->
               (* select over distinct objects: fork on the condition *)
               record_fork gctx;
+              let tc = Sval.term c in
               let tside =
                 match feasible gctx st tc with
                 | Feasible m ->
@@ -397,16 +404,9 @@ let rec step gctx (st : State.t) : transition list =
               in
               tside @ fside)
       | Ir.Cast (d, op, to_ty, v, from_ty) ->
-          let t = as_int_exn "cast" (ev v) in
-          let wf = Ir.bits_of_ty from_ty and wt = Ir.bits_of_ty to_ty in
-          assert (t.Bv.width = wf);
-          let res =
-            match op with
-            | Ir.Zext -> Bv.zext wt t
-            | Ir.Sext -> Bv.sext wt t
-            | Ir.Trunc -> Bv.trunc wt t
-          in
-          [ T_cont (State.set_reg st d (Sval.SInt res)) ]
+          let v = as_int_exn "cast" (ev v) in
+          assert (Sval.width v = Ir.bits_of_ty from_ty);
+          [ T_cont (State.set_reg st d (Sval.cast op ~to_ty ~from_ty v)) ]
       | Ir.Alloca (d, ty, n) when Fault.fire gctx.faults Fault.Alloc_fail ->
           ignore (d, ty, n);
           [ T_drop (st, "allocation budget exhausted (injected)") ]
@@ -417,80 +417,86 @@ let rec step gctx (st : State.t) : transition list =
             State.with_top st (fun fr ->
                 { fr with State.frame_objs = obj :: fr.State.frame_objs })
           in
-          [ T_cont (State.set_reg st d (Sval.SPtr (obj, Bv.const 64 0L))) ]
+          [ T_cont (State.set_reg st d (Sval.Ptr (obj, 0))) ]
       | Ir.Load (d, ty, p) ->
-          let (obj, off) = as_ptr_exn "load" (ev p) in
+          let p = as_ptr_exn "load" (ev p) in
           let width = Ir.size_of_ty ty in
-          with_bounds gctx st ~what:"load" ~obj ~off ~width (fun st ->
-              match Memory.read st.State.mem ~obj ~off ~width with
-              | Ok t when ty <> Ir.Ptr ->
-                  let v = Bv.trunc (Ir.bits_of_ty ty) (pad_to_width t width) in
-                  [ T_cont (State.set_reg st d (Sval.SInt v)) ]
-              | Ok t -> (
+          with_bounds gctx st ~what:"load" p ~width (fun st ->
+              match Memory.read st.State.mem p ~width with
+              | Ok v when ty <> Ir.Ptr ->
+                  (* an i1 occupies a byte *)
+                  let v =
+                    if ty = Ir.I1 then
+                      Sval.cast Ir.Trunc ~to_ty:Ir.I1 ~from_ty:Ir.I8 v
+                    else v
+                  in
+                  [ T_cont (State.set_reg st d v) ]
+              | Ok (Sval.Con (_, raw)) ->
+                  [ T_cont (State.set_reg st d (decode_raw raw)) ]
+              | Ok v -> (
                   (* pointer load: a symbolic result is an ITE over constant
                      raw encodings — fork per feasible alternative *)
-                  match t.Bv.node with
-                  | Bv.Const raw -> [ T_cont (State.set_reg st d (decode_raw raw)) ]
-                  | _ -> (
-                      match decode_ptr_alternatives t with
-                      | None -> [ T_drop (st, "unsupported symbolic pointer") ]
-                      | Some alts ->
-                          if List.length alts > 1 then
-                            record_fork gctx;
-                          List.concat_map
-                            (fun (guard, raw) ->
-                              match feasible gctx st guard with
-                              | Feasible m ->
-                                  [ T_cont
-                                      (State.set_reg (constrain st guard m) d
-                                         (decode_raw raw)) ]
-                              | Infeasible -> [])
-                            alts))
+                  match decode_ptr_alternatives (Sval.term v) with
+                  | None -> [ T_drop (st, "unsupported symbolic pointer") ]
+                  | Some alts ->
+                      if List.length alts > 1 then
+                        record_fork gctx;
+                      List.concat_map
+                        (fun (guard, raw) ->
+                          match feasible gctx st guard with
+                          | Feasible m ->
+                              [ T_cont
+                                  (State.set_reg (constrain st guard m) d
+                                     (decode_raw raw)) ]
+                          | Infeasible -> [])
+                        alts)
               | Error Memory.Too_wide_ite ->
                   [ T_drop (st, "symbolic offset over too-large object") ]
               | Error e -> [ T_bug (st, Memory.string_of_error e) ])
       | Ir.Store (ty, v, p) ->
-          let (obj, off) = as_ptr_exn "store" (ev p) in
+          let p = as_ptr_exn "store" (ev p) in
           let width = Ir.size_of_ty ty in
-          let tv =
-            if ty = Ir.Ptr then
-              match ev v with
-              | Sval.SPtr (o, po) -> encode_ptr o po
-              | Sval.SInt t when t.Bv.node = Bv.Const 0L -> Bv.const 64 0L
-              | Sval.SInt _ -> err "storing integer as pointer"
-            else Bv.zext (8 * width) (as_int_exn "store" (ev v))
+          let v =
+            if ty = Ir.Ptr then encode_ptr (ev v) else as_int_exn "store" (ev v)
           in
-          with_bounds gctx st ~what:"store" ~obj ~off ~width (fun st ->
-              match Memory.write st.State.mem ~obj ~off ~width ~v:tv with
+          with_bounds gctx st ~what:"store" p ~width (fun st ->
+              match Memory.write st.State.mem p ~width ~v with
               | Ok mem -> [ T_cont { st with State.mem = mem } ]
               | Error Memory.Too_wide_ite ->
                   [ T_drop (st, "symbolic offset over too-large object") ]
               | Error e -> [ T_bug (st, Memory.string_of_error e) ])
       | Ir.Gep (d, base, scale, idx) ->
-          let (obj, off) = as_ptr_exn "gep" (ev base) in
-          let ti = as_int_exn "gep" (ev idx) in
-          let ti64 = if ti.Bv.width = 64 then ti else Bv.sext 64 ti in
-          let off' =
-            Bv.binop Bv.Add off
-              (Bv.binop Bv.Mul ti64 (Bv.const 64 (Int64.of_int scale)))
+          let p = as_ptr_exn "gep" (ev base) in
+          let i = as_int_exn "gep" (ev idx) in
+          let p' =
+            match (p, i) with
+            | (Sval.Ptr (obj, off), Sval.Con (w, x)) ->
+                (* native arithmetic is the 64-bit offset modulo 2^63 *)
+                Sval.Ptr (obj, off + (Int64.to_int (Ir.to_signed w x) * scale))
+            | _ ->
+                let ti = Sval.term i in
+                let ti64 = if ti.Bv.width = 64 then ti else Bv.sext 64 ti in
+                Sval.ptr_of_term (Sval.obj p)
+                  (Bv.binop Bv.Add (Sval.off_term p)
+                     (Bv.binop Bv.Mul ti64 (Bv.const 64 (Int64.of_int scale))))
           in
-          [ T_cont (State.set_reg st d (Sval.SPtr (obj, off'))) ]
+          [ T_cont (State.set_reg st d p') ]
       | Ir.Call (d, _ty, name, args) -> exec_call gctx st d name (List.map ev args)
       | Ir.Phi _ -> err "phi in the middle of a block")
   | [] -> (
       (* terminator *)
-      let st = charge gctx st in
+      charge gctx;
       let blk =
         Hashtbl.find (block_tbl gctx fr.State.fn) fr.State.cur_block
       in
       match blk.Ir.term with
       | Ir.Br l -> [ T_cont (enter_block gctx st l) ]
       | Ir.Cbr (c, t, e) -> (
-          let tc = as_int_exn "cbr" (eval_value gctx st c) in
-          match tc.Bv.node with
-          | Bv.Const 1L -> [ T_cont (enter_block gctx st t) ]
-          | Bv.Const 0L -> [ T_cont (enter_block gctx st e) ]
-          | _ ->
+          match as_int_exn "cbr" (eval_value gctx st c) with
+          | Sval.Con (_, 1L) -> [ T_cont (enter_block gctx st t) ]
+          | Sval.Con (_, 0L) -> [ T_cont (enter_block gctx st e) ]
+          | c ->
+              let tc = Sval.term c in
               let nc = Bv.not_ tc in
               let tf = feasible gctx st tc and ff_ = feasible gctx st nc in
               (match (tf, ff_) with
@@ -514,23 +520,23 @@ let rec step gctx (st : State.t) : transition list =
           let st = { st with State.mem = mem } in
           match st.State.frames with
           | [ _ ] ->
-              let code = match rv with Some (Sval.SInt t) -> Some t | _ -> None in
+              let code =
+                match rv with
+                | Some ((Sval.Con _ | Sval.Sym _) as c) -> Some c
+                | Some (Sval.Ptr _ | Sval.Sym_ptr _) | None -> None
+              in
               [ T_exit (st, code) ]
           | frame :: caller :: rest ->
               let st = { st with State.frames = caller :: rest } in
               let st =
                 match (frame.State.ret_dst, rv) with
                 | (Some d, Some v) -> State.set_reg st d v
-                | (Some d, None) ->
-                    State.set_reg st d (Sval.SInt (Bv.const 32 0L))
+                | (Some d, None) -> State.set_reg st d (Sval.Con (32, 0L))
                 | (None, _) -> st
               in
               [ T_cont st ]
           | [] -> err "return with no frame")
       | Ir.Unreachable -> [ T_bug (st, "reached unreachable code") ])
-
-and pad_to_width (t : Bv.t) width =
-  if t.Bv.width = 8 * width then t else Bv.zext (8 * width) t
 
 and exec_call gctx (st : State.t) dst name (args : Sval.t list) :
     transition list =
@@ -538,21 +544,21 @@ and exec_call gctx (st : State.t) dst name (args : Sval.t list) :
   match name with
   | "__input" ->
       let idx = as_int_exn "__input" (List.nth args 0) in
-      [ T_cont (set (Sval.SInt (input_byte gctx st idx))) ]
+      [ T_cont (set (input_byte gctx idx)) ]
   | "__input_size" ->
       [ T_cont
-          (set (Sval.SInt (Bv.const 32 (Int64.of_int (Array.length gctx.input_vars))))) ]
+          (set (Sval.Con (32, Int64.of_int (Array.length gctx.input_vars)))) ]
   | "__output" ->
-      let c = as_int_exn "__output" (List.nth args 0) in
-      [ T_cont { st with State.out_rev = Bv.trunc 8 c :: st.State.out_rev } ]
+      ignore (as_int_exn "__output" (List.nth args 0));
+      [ T_cont st ]
   | "__abort" -> [ T_bug (st, "abort called") ]
   | "__assert" -> (
       let c = as_int_exn "__assert" (List.nth args 0) in
-      let fail = Bv.cmp Bv.Eq c (Bv.const c.Bv.width 0L) in
-      match fail.Bv.node with
-      | Bv.Const 1L -> [ T_bug (st, "assertion failure") ]
-      | Bv.Const 0L -> [ T_cont st ]
-      | _ ->
+      match Sval.cmp Bv.Eq c (Sval.Con (Sval.width c, 0L)) with
+      | Sval.Con (_, 1L) -> [ T_bug (st, "assertion failure") ]
+      | Sval.Con _ -> [ T_cont st ]
+      | fail ->
+          let fail = Sval.term fail in
           let bugs =
             match feasible gctx st fail with
             | Feasible m -> [ T_bug (constrain st fail m, "assertion failure") ]
@@ -612,7 +618,9 @@ and exec_call gctx (st : State.t) dst name (args : Sval.t list) :
                     (fn.Ir.fname, (Ir.entry fn).Ir.bid) ();
                   apply_summary gctx st dst fn traces
                     (Array.of_list
-                       (List.map (as_int_exn "summary arg") args))
+                       (List.map
+                          (fun a -> Sval.term (as_int_exn "summary arg" a))
+                          args))
               | Some (Summary.Opaque _) ->
                   let c = gctx.counters in
                   c.Counters.summary_opaque <- c.Counters.summary_opaque + 1;
@@ -638,7 +646,7 @@ and apply_summary gctx (st : State.t) dst (fn : Ir.func)
           match List.assoc_opt gname gctx.globals with
           | Some obj -> (
               match Memory.find st.State.mem obj with
-              | Some o -> o.Memory.cells.(off)
+              | Some o -> Sval.term o.Memory.cells.(off)
               | None -> err "summary: global %s has no object" gname)
           | None -> err "summary: unknown global %s" gname)
       | None -> err "summary: cell variable %d outside layout" v
@@ -706,9 +714,8 @@ and apply_summary gctx (st : State.t) dst (fn : Ir.func)
               match List.assoc_opt gname gctx.globals with
               | Some obj -> (
                   match
-                    Memory.write mem ~obj
-                      ~off:(Bv.const 64 (Int64.of_int off))
-                      ~width:1 ~v:(sub v8)
+                    Memory.write mem (Sval.Ptr (obj, off)) ~width:1
+                      ~v:(Sval.of_term (sub v8))
                   with
                   | Ok mem' -> mem'
                   | Error _ -> err "summary: global write to %s failed" gname)
@@ -718,8 +725,8 @@ and apply_summary gctx (st : State.t) dst (fn : Ir.func)
         let st = { st with State.mem = mem } in
         let st =
           match (dst, rv) with
-          | (Some d, Some t) -> State.set_reg st d (Sval.SInt (sub t))
-          | (Some d, None) -> State.set_reg st d (Sval.SInt (Bv.const 32 0L))
+          | (Some d, Some t) -> State.set_reg st d (Sval.of_term (sub t))
+          | (Some d, None) -> State.set_reg st d (Sval.Con (32, 0L))
           | (None, _) -> st
         in
         T_cont st

@@ -20,8 +20,6 @@ type t = {
   mem : Memory.t;
   path : Bv.t list;            (** path condition (conjunction) *)
   model : (int * int64) list;  (** an assignment satisfying [path] *)
-  out_rev : Bv.t list;         (** bytes written via [__output], reversed *)
-  steps : int;                 (** instructions executed on this path *)
 }
 
 let top (st : t) =

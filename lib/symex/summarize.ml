@@ -103,7 +103,7 @@ let build_one (gctx : Executor.gctx) (fn : Ir.func) :
     List.fold_left
       (fun (rmap, i) ((r, ty) : int * Ir.ty) ->
         ( State.IMap.add r
-            (Sval.SInt (Bv.var (Ir.bits_of_ty ty) (Summary.param_base + i)))
+            (Sval.of_term (Bv.var (Ir.bits_of_ty ty) (Summary.param_base + i)))
             rmap,
           i + 1 ))
       (State.IMap.empty, 0) fn.Ir.params
@@ -126,8 +126,6 @@ let build_one (gctx : Executor.gctx) (fn : Ir.func) :
       mem;
       path = [];
       model = [];
-      out_rev = [];
-      steps = 0;
     }
   in
   let insts0 = gctx.Executor.counters.Counters.instructions in
@@ -166,9 +164,9 @@ let build_one (gctx : Executor.gctx) (fn : Ir.func) :
             | Some o ->
                 let out = ref [] in
                 for i = size - 1 downto 0 do
-                  let cell = o.Memory.cells.(i) in
-                  if not (cell == Bv.var 8 (base + i)) then
-                    out := (gname, i, cell) :: !out
+                  match o.Memory.cells.(i) with
+                  | Sval.Sym t when t == Bv.var 8 (base + i) -> ()
+                  | cell -> out := (gname, i, Sval.term cell) :: !out
                 done;
                 !out))
       gctx.Executor.glayout
@@ -251,7 +249,9 @@ let build_one (gctx : Executor.gctx) (fn : Ir.func) :
               (* the summarized function returning: single-frame states
                  exit instead of popping *)
               let cov' = child_cov st' ~terminal:true in
-              leaf cov' (child_conjs st') (Summary.O_ret code) (writes_of st')
+              leaf cov' (child_conjs st')
+                (Summary.O_ret (Option.map Sval.term code))
+                (writes_of st')
           | Executor.T_bug (st', kind) ->
               let cov' = child_cov st' ~terminal:true in
               let fr = State.top st' in

@@ -358,6 +358,65 @@ let fuzz_symex_differential =
           else true)
         (seq.exit_codes @ par.exit_codes))
 
+(* with no input every value is concrete, so the engine explores exactly
+   one path and must end it as the interpreter does: the same exit code, or
+   a bug of the kind the interpreter traps with.  At -O0 every value goes
+   through alloca/load/store, so this runs the executor's concrete memory
+   path end to end against the interpreter *)
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+let same_bug kind (trap : Interp.trap) =
+  match trap with
+  | Interp.Out_of_bounds _ -> contains kind "out-of-bounds"
+  | Interp.Use_after_free -> contains kind "use after scope exit"
+  | t -> kind = Interp.string_of_trap t
+
+let fuzz_symex_concrete =
+  QCheck2.Test.make
+    ~name:"random programs, no input: one path, as the interpreter runs it"
+    ~count:20
+    QCheck2.Gen.(int_range 300_001 400_000)
+    (fun seed ->
+      let src = gen_program seed in
+      let m0 = Frontend.compile_source src in
+      List.for_all
+        (fun (cm : Costmodel.t) ->
+          let m = (Pipeline.optimize cm m0).Pipeline.modul in
+          let r =
+            Overify_symex.Engine.run
+              ~config:
+                { Overify_symex.Engine.default_config with
+                  input_size = 0; timeout = 10.0 }
+              m
+          in
+          let rr = Interp.run ~fuel:2_000_000 m ~input:"" in
+          let open Overify_symex.Engine in
+          let one_path =
+            r.complete && r.forks = 0 && r.queries = 0
+            && r.paths + List.length r.bugs = 1
+          in
+          match (r.exit_codes, r.bugs, rr.Interp.trap) with
+          | ([ ("", code) ], [], None) when one_path && code = rr.Interp.exit_code
+            ->
+              true
+          | ([], [ b ], Some trap) when one_path && same_bug b.kind trap -> true
+          | _ ->
+              QCheck2.Test.fail_reportf
+                "seed %d @ %s: engine %s, interpreter exit %Ld%s\n%s" seed
+                cm.Costmodel.name
+                (result_to_json ~deterministic:true r)
+                rr.Interp.exit_code
+                (match rr.Interp.trap with
+                | Some t -> " trap " ^ Interp.string_of_trap t
+                | None -> "")
+                src)
+        [ Costmodel.o0; Costmodel.overify ])
+
 (* translation-validation mode: every pass application on a generated
    program is proved (or differentially cross-checked) against its input
    with lib/tv's product construction.  The default run keeps a small slice
@@ -413,6 +472,8 @@ let () =
         [ QCheck_alcotest.to_alcotest fuzz_symex_soundness ] );
       ( "symex differential",
         [ QCheck_alcotest.to_alcotest fuzz_symex_differential ] );
+      ( "symex concrete",
+        [ QCheck_alcotest.to_alcotest fuzz_symex_concrete ] );
       ( "shrinker",
         [
           Alcotest.test_case "minimizes a sabotaged counterexample" `Quick

@@ -347,6 +347,39 @@ let test_torn_checkpoint_ignored () =
   check bool "fresh start, not resumed" false resumed.Engine.resumed;
   check bool "completes" true resumed.Engine.complete
 
+(* a snapshot framed with the previous format version holds states of the
+   previous layout: it loads as none, and resume starts fresh *)
+let test_old_version_checkpoint_ignored () =
+  let c = compile "wc" in
+  Binfile.with_temp_dir "overify_ck_old" @@ fun dir ->
+  let r = Engine.run ~config:(budget_config ~max_paths:6 ~dir) c.H.Experiment.modul in
+  check bool "budget run degraded" false r.Engine.complete;
+  let path = Checkpoint.file ~dir in
+  let frame = In_channel.with_open_bin path In_channel.input_all in
+  let payload =
+    match
+      Binfile.parse ~magic:Checkpoint.magic ~version:Checkpoint.version frame
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "snapshot is not a current frame"
+  in
+  check bool "reframed" true
+    (Binfile.write ~path ~magic:Checkpoint.magic
+       ~version:(Checkpoint.version - 1) payload);
+  let digest = Checkpoint.fingerprint c.H.Experiment.modul ~input_size:2 in
+  check bool "previous version loads as none" true
+    (Checkpoint.load ~dir ~digest = None);
+  let resumed =
+    Engine.run
+      ~config:
+        { (budget_config ~max_paths:Engine.default_config.Engine.max_paths
+             ~dir)
+          with Engine.resume = true }
+      c.H.Experiment.modul
+  in
+  check bool "fresh start, not resumed" false resumed.Engine.resumed;
+  check bool "completes" true resumed.Engine.complete
+
 (* a resumed run's instruction budget includes the snapshot's
    instructions whatever the worker count.  Given room for one more
    instruction, `Parallel 1 stops exactly where `Dfs does, and
@@ -475,6 +508,8 @@ let () =
             test_checkpoint_left_by_budget_run;
           Alcotest.test_case "torn snapshot ignored" `Quick
             test_torn_checkpoint_ignored;
+          Alcotest.test_case "previous version ignored" `Quick
+            test_old_version_checkpoint_ignored;
           Alcotest.test_case "resumed runs count snapshot instructions"
             `Quick test_resumed_inst_budget;
         ] );

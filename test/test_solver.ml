@@ -74,8 +74,8 @@ let test_eval () =
   check Alcotest.int64 "ite-sub" 7L (Bv.eval lookup2 t)
 
 (* [Bv.reset] drops the table but never rewinds the id counter: a term
-   that outlives a reset (Sval.null's offset is one, built once at module
-   initialisation) must not share an id with a term built after it, or the
+   that outlives a reset (one a caller kept from an earlier run) must not
+   share an id with a term built after it, or the
    id-keyed layers (hash-consing, Canon's memos, the solver's id table)
    take one for the other *)
 let test_reset_keeps_ids () =

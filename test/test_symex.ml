@@ -238,31 +238,34 @@ int main(void) {
 (* ------------- symbolic memory unit tests ------------- *)
 
 module Memory = Overify_symex.Memory
+module Sval = Overify_symex.Sval
 module Bv = Overify_solver.Bv
+
+let at obj off = Sval.Ptr (obj, off)
 
 let test_memory_concrete_rw () =
   let (m, obj) = Memory.alloc Memory.empty ~size:8 in
-  let v = Bv.const 32 0xAABBCCDDL in
-  (match Memory.write m ~obj ~off:(Bv.const 64 2L) ~width:4 ~v with
+  let v = Sval.Con (32, 0xAABBCCDDL) in
+  (match Memory.write m (at obj 2) ~width:4 ~v with
   | Ok m -> (
-      match Memory.read m ~obj ~off:(Bv.const 64 2L) ~width:4 with
-      | Ok t -> check bool "round trip" true (t = v)
+      match Memory.read m (at obj 2) ~width:4 with
+      | Ok t -> check bool "round trip, concrete" true (t = v)
       | Error _ -> Alcotest.fail "read failed")
   | Error _ -> Alcotest.fail "write failed");
   (* little-endian byte order *)
-  match Memory.write m ~obj ~off:(Bv.const 64 0L) ~width:4 ~v with
+  match Memory.write m (at obj 0) ~width:4 ~v with
   | Ok m -> (
-      match Memory.read m ~obj ~off:(Bv.const 64 0L) ~width:1 with
-      | Ok b -> check bool "LSB first" true (b = Bv.const 8 0xDDL)
+      match Memory.read m (at obj 0) ~width:1 with
+      | Ok b -> check bool "LSB first" true (b = Sval.Con (8, 0xDDL))
       | Error _ -> Alcotest.fail "byte read failed")
   | Error _ -> Alcotest.fail "write failed"
 
 let test_memory_bounds () =
   let (m, obj) = Memory.alloc Memory.empty ~size:4 in
-  (match Memory.read m ~obj ~off:(Bv.const 64 1L) ~width:4 with
+  (match Memory.read m (at obj 1) ~width:4 with
   | Error (Memory.Out_of_bounds _) -> ()
   | _ -> Alcotest.fail "straddling read must fail");
-  match Memory.write m ~obj ~off:(Bv.const 64 (-1L)) ~width:1 ~v:(Bv.const 8 0L) with
+  match Memory.write m (at obj (-1)) ~width:1 ~v:(Sval.Con (8, 0L)) with
   | Error (Memory.Out_of_bounds _) -> ()
   | _ -> Alcotest.fail "negative offset must fail"
 
@@ -270,15 +273,15 @@ let test_memory_cow_isolation () =
   (* a write in a forked state must not leak into the original *)
   let (m0, obj) = Memory.alloc Memory.empty ~size:1 in
   let m1 =
-    match Memory.write m0 ~obj ~off:(Bv.const 64 0L) ~width:1 ~v:(Bv.const 8 42L) with
+    match Memory.write m0 (at obj 0) ~width:1 ~v:(Sval.Con (8, 42L)) with
     | Ok m -> m
     | Error _ -> Alcotest.fail "write failed"
   in
-  (match Memory.read m0 ~obj ~off:(Bv.const 64 0L) ~width:1 with
-  | Ok t -> check bool "original unchanged" true (t = Bv.const 8 0L)
+  (match Memory.read m0 (at obj 0) ~width:1 with
+  | Ok t -> check bool "original unchanged" true (t = Sval.Con (8, 0L))
   | Error _ -> Alcotest.fail "read failed");
-  match Memory.read m1 ~obj ~off:(Bv.const 64 0L) ~width:1 with
-  | Ok t -> check bool "copy updated" true (t = Bv.const 8 42L)
+  match Memory.read m1 (at obj 0) ~width:1 with
+  | Ok t -> check bool "copy updated" true (t = Sval.Con (8, 42L))
   | Error _ -> Alcotest.fail "read failed"
 
 let test_memory_symbolic_ite () =
@@ -286,19 +289,39 @@ let test_memory_symbolic_ite () =
      every concrete position *)
   let (m, obj) = Memory.alloc_bytes Memory.empty "\x10\x20\x30\x40" ~size:4 in
   let off = Bv.zext 64 (Bv.var 8 4242) in
-  match Memory.read m ~obj ~off ~width:1 with
-  | Ok t ->
+  match Memory.read m (Sval.Sym_ptr (obj, off)) ~width:1 with
+  | Ok (Sval.Sym t) ->
       List.iter
         (fun (pos, expect) ->
           let v = Bv.eval (fun _ -> Int64.of_int pos) t in
           check Alcotest.int64 (Printf.sprintf "byte %d" pos) expect v)
         [ (0, 0x10L); (1, 0x20L); (2, 0x30L); (3, 0x40L) ]
+  | Ok _ -> Alcotest.fail "symbolic read gave a concrete value"
   | Error _ -> Alcotest.fail "symbolic read failed"
+
+(* a value stored partly symbolic reads back as a term over its bytes, and
+   a byte of it that folds to a constant reads back concrete *)
+let test_memory_mixed_bytes () =
+  let (m, obj) = Memory.alloc Memory.empty ~size:4 in
+  let x = Bv.var 8 4243 in
+  let v = Sval.of_term (Bv.zext 32 x) in
+  match Memory.write m (at obj 0) ~width:4 ~v with
+  | Error _ -> Alcotest.fail "write failed"
+  | Ok m -> (
+      (match Memory.read m (at obj 1) ~width:1 with
+      | Ok b -> check bool "high byte concrete" true (b = Sval.Con (8, 0L))
+      | Error _ -> Alcotest.fail "byte read failed");
+      match Memory.read m (at obj 0) ~width:4 with
+      | Ok (Sval.Sym t) ->
+          check Alcotest.int64 "value at x = 200" 200L
+            (Bv.eval (fun _ -> 200L) t)
+      | Ok _ -> Alcotest.fail "symbolic bytes read back concrete"
+      | Error _ -> Alcotest.fail "read failed")
 
 let test_memory_kill () =
   let (m, obj) = Memory.alloc Memory.empty ~size:4 in
   let m = Memory.kill m obj in
-  match Memory.read m ~obj ~off:(Bv.const 64 0L) ~width:1 with
+  match Memory.read m (at obj 0) ~width:1 with
   | Error Memory.Dead_object -> ()
   | _ -> Alcotest.fail "dead object must not be readable"
 
@@ -521,6 +544,7 @@ let () =
           Alcotest.test_case "copy-on-write isolation" `Quick
             test_memory_cow_isolation;
           Alcotest.test_case "symbolic ITE read" `Quick test_memory_symbolic_ite;
+          Alcotest.test_case "mixed bytes" `Quick test_memory_mixed_bytes;
           Alcotest.test_case "kill" `Quick test_memory_kill;
         ] );
     ]
