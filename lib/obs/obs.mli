@@ -66,7 +66,9 @@ module Counters : sig
     mutable solver_time : float; (** seconds in queries that blasted *)
     mutable components : int;    (** independent components queried *)
     mutable component_solves : int;  (** fresh blast + SAT runs *)
-    mutable hits_canon : int;    (** per-component id-table hits *)
+    mutable hits_canon : int;
+        (** components answered without a solve above the store: id-table
+            hits, and clean path-condition components a query skips *)
     mutable hits_store : int;    (** persistent store hits *)
     mutable summary_instantiated : int;
         (** calls answered by a function summary *)

@@ -1,6 +1,6 @@
 (** Canonicalization of assertion sets: structural digests for sorting,
-    independence partitioning over shared variables, and α-renaming
-    serialization for cache keys.  See canon.mli for the contracts. *)
+    variable sets for independence, and α-renaming serialization for
+    cache keys.  See canon.mli for the contracts. *)
 
 type ctx = {
   digests : (int, int64 * int64) Hashtbl.t;  (* term id -> 128-bit digest *)
@@ -157,55 +157,6 @@ let normalize ctx (assertions : Bv.t list) : Bv.t list =
     | [] -> []
   in
   dedup sorted
-
-(* ---------------- independence partitioning ---------------- *)
-
-(* union-find over variable ids, local to one partition call *)
-let partition ctx (assertions : Bv.t list) : Bv.t list list =
-  let parent = Hashtbl.create 16 in
-  let rec find v =
-    match Hashtbl.find_opt parent v with
-    | None ->
-        Hashtbl.replace parent v v;
-        v
-    | Some p when p = v -> v
-    | Some p ->
-        let r = find p in
-        Hashtbl.replace parent v r;
-        r
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then Hashtbl.replace parent ra rb
-  in
-  List.iter
-    (fun t ->
-      match term_vars ctx t with
-      | [] -> ()
-      | v0 :: rest -> List.iter (union v0) rest)
-    assertions;
-  (* group assertions by their variables' root; component order = first
-     member's position, members keep input order.  Variable-free assertions
-     get unique negative keys (singleton components). *)
-  let groups : (int, Bv.t list ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let fresh = ref 0 in
-  List.iter
-    (fun t ->
-      let key =
-        match term_vars ctx t with
-        | [] ->
-            decr fresh;
-            !fresh
-        | v :: _ -> find v
-      in
-      match Hashtbl.find_opt groups key with
-      | Some cell -> cell := t :: !cell
-      | None ->
-          Hashtbl.replace groups key (ref [ t ]);
-          order := key :: !order)
-    assertions;
-  List.rev_map (fun key -> List.rev !(Hashtbl.find groups key)) !order
 
 (* ---------------- α-renaming serialization ---------------- *)
 

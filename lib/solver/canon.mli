@@ -1,15 +1,14 @@
 (** Canonicalization of assertion sets — the front half of the solver
     acceleration chain (DESIGN.md, "Solver acceleration").
 
-    Three jobs, all deterministic and independent of term allocation order:
+    Two jobs, both deterministic and independent of term allocation order
+    (independence partitioning is the path condition's, {!Solver.Pc}, over
+    the variable sets {!term_vars} gives):
 
     - {b normalize}: sort an assertion list by a structural digest (with a
       full structural compare as tie-break) and drop duplicates, so every
       permutation/duplication of the same assertion set maps to one
       canonical list;
-    - {b partition}: split the canonical list into connected components
-      over shared symbolic variables — independent subproblems that can be
-      solved (and cached) separately;
     - {b rename}: serialize a component with variables renumbered by first
       occurrence, yielding a key under which α-equivalent components (same
       structure, different variable ids) collide, plus the positional map
@@ -42,13 +41,6 @@ val term_vars : ctx -> Bv.t -> int list
 val normalize : ctx -> Bv.t list -> Bv.t list
 (** Canonical form of an assertion list: sorted by {!compare_terms},
     duplicates removed.  A pure function of the assertion {e set}. *)
-
-val partition : ctx -> Bv.t list -> Bv.t list list
-(** Split a canonical list into connected components of the "shares a
-    variable" relation.  Component order follows the first member's
-    position in the input; members keep their input order, so partitioning
-    a normalized list yields normalized components.  Variable-free
-    assertions form singleton components. *)
 
 type renamed = {
   key : string;

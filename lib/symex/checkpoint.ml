@@ -1,6 +1,7 @@
 module Ir = Overify_ir.Ir
 module Bv = Overify_solver.Bv
 module Binfile = Overify_solver.Binfile
+module Solver = Overify_solver.Solver
 module IMap = State.IMap
 
 type snapshot = {
@@ -18,7 +19,7 @@ type snapshot = {
 type file_body = { fb_digest : string; fb_snapshot : snapshot }
 
 let magic = "OVERIFY-CHECKPOINT"
-let version = 2
+let version = 3
 let file ~dir = Filename.concat dir "checkpoint.bin"
 
 let fingerprint m ~input_size =
@@ -39,14 +40,13 @@ let save ~dir ~digest (s : snapshot) =
 
 let rehash_state f (st : State.t) =
   {
-    st with
     State.frames =
       List.map
         (fun (fr : State.frame) ->
           { fr with State.regs = IMap.map (Sval.map_term f) fr.State.regs })
         st.State.frames;
     mem = Memory.map_terms f st.State.mem;
-    path = List.map f st.State.path;
+    pc = Solver.Pc.rebuild f st.State.pc;
   }
 
 let load ~dir ~digest =

@@ -15,8 +15,11 @@
     starts fresh rather than merging unrelated verdicts.
 
     States contain hash-consed {!Bv} terms, which [Marshal] flattens into
-    stale copies; [load] re-interns every term through {!Bv.rebuilder},
-    so resumed states are indistinguishable from ones built natively. *)
+    stale copies; [load] re-interns every term through {!Bv.rebuilder}
+    and rebuilds each path condition from its re-interned conjuncts
+    ({!Overify_solver.Solver.Pc.rebuild}: same conjuncts and model, every
+    component dirty), so a resumed state's next query answers what the
+    uninterrupted run's would. *)
 
 type snapshot = {
   ck_paths : int;  (** completed paths at snapshot time *)

@@ -169,14 +169,10 @@ type result = {
 }
 
 (** Extract a concrete input string from a state's model. *)
-let input_of_model (input_vars : int array) model =
+let input_of_model (input_vars : int array) (st : State.t) =
   String.init (Array.length input_vars) (fun i ->
-      let v =
-        match List.assoc_opt input_vars.(i) model with
-        | Some v -> Int64.to_int (Int64.logand v 0xFFL)
-        | None -> 0
-      in
-      Char.chr v)
+      let v = Solver.Pc.value st.State.pc input_vars.(i) in
+      Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
 
 (* ---------------- per-worker accumulation ---------------- *)
 
@@ -204,18 +200,12 @@ let degrade w kind where npaths = w.degs <- (kind, where, npaths) :: w.degs
 let record_exit w input_vars (st : State.t) code =
   let c = w.gctx.Executor.counters in
   c.Counters.paths <- c.Counters.paths + 1;
-  let witness = input_of_model input_vars st.State.model in
+  let witness = input_of_model input_vars st in
   let code_v =
     match code with
     | Some (Sval.Con (_, v)) -> Ir.to_signed 32 v
     | Some (Sval.Sym t) ->
-        Ir.to_signed 32
-          (Bv.eval
-             (fun id ->
-               match List.assoc_opt id st.State.model with
-               | Some v -> v
-               | None -> 0L)
-             t)
+        Ir.to_signed 32 (Bv.eval (Solver.Pc.value st.State.pc) t)
     | Some (Sval.Ptr _ | Sval.Sym_ptr _) | None -> 0L
   in
   w.exits <- (witness, code_v) :: w.exits
@@ -226,7 +216,7 @@ let record_exit w input_vars (st : State.t) code =
     extends to [bugs]. *)
 let record_bug w input_vars (st : State.t) kind =
   let fname = (State.top st).State.fn.Ir.fname in
-  let witness = input_of_model input_vars st.State.model in
+  let witness = input_of_model input_vars st in
   match Hashtbl.find_opt w.bug_tbl (kind, fname) with
   | Some old when old <= witness -> ()
   | _ -> Hashtbl.replace w.bug_tbl (kind, fname) witness
@@ -511,13 +501,13 @@ let run ?(config = default_config) (m : Ir.modul) : result =
             cur_block = entry.Ir.bid;
             prev_block = -1;
             insts = entry.Ir.insts;
+            term = entry.Ir.term;
             ret_dst = None;
             frame_objs = [];
           };
         ];
       mem = !mem;
-      path = [];
-      model = [];
+      pc = Solver.Pc.empty;
     }
   in
   let njobs =

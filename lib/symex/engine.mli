@@ -142,7 +142,8 @@ type result = {
   component_solves : int;
       (** raw blast+SAT invocations — what the acceleration chain saves *)
   hits_canon : int;
-      (** solver cache hits per layer: the per-component id table, *)
+      (** solver cache hits per layer: the per-component id table (with
+          the clean path-condition components a query skips), *)
   hits_store : int;      (** and the persistent cross-run store *)
   summary_instantiated : int;
       (** call sites answered by instantiating a function summary *)

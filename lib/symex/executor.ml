@@ -1,10 +1,14 @@
 (** The symbolic-execution step function: KLEE-style per-path interpretation
     of the IR, forking at feasible branches.
 
-    Feasibility uses a counterexample-model fast path: every state carries a
-    concrete assignment satisfying its path condition; the branch side that
-    assignment takes is feasible for free, so typically {e one} solver query
-    is spent per symbolic branch. *)
+    Every state carries its path condition as a {!Solver.Pc.t}: the
+    conjuncts, kept partitioned into variable-disjoint components, and a
+    model satisfying them.  {!Solver.assume} is the executor's only solver
+    call.  The branch side the model takes is feasible for free, so
+    typically {e one} query is spent per symbolic branch, and that query
+    answers only the components that changed since the state's last one.
+    A frame keeps its block's terminator, so stepping one looks nothing
+    up. *)
 
 module Ir = Overify_ir.Ir
 module Bv = Overify_solver.Bv
@@ -95,23 +99,12 @@ let block_tbl gctx (fn : Ir.func) =
 
 (* ---------------- feasibility ---------------- *)
 
-type feas = Feasible of (int * int64) list | Infeasible
-
-(** Is [path /\ c] satisfiable?  Fast path: the state's model. *)
-let feasible gctx (st : State.t) (c : Bv.t) : feas =
-  match c.Bv.node with
-  | Bv.Const 1L -> Feasible st.State.model
-  | Bv.Const 0L -> Infeasible
-  | _ ->
-      if State.model_eval st c then Feasible st.State.model
-      else begin
-        match Solver.check gctx.solver (c :: st.State.path) with
-        | Solver.Sat m -> Feasible m
-        | Solver.Unsat -> Infeasible
-      end
-
-let constrain (st : State.t) c model =
-  { st with State.path = c :: st.State.path; model }
+(** [st] constrained by [c], or [None] when its path condition and [c]
+    are unsatisfiable together. *)
+let assume gctx (st : State.t) (c : Bv.t) : State.t option =
+  Option.map
+    (fun pc -> { st with State.pc })
+    (Solver.assume gctx.solver st.State.pc c)
 
 (* ---------------- value evaluation ---------------- *)
 
@@ -205,7 +198,11 @@ let enter_block gctx (st : State.t) target : State.t =
        (fun st (d, v) -> State.set_reg st d v)
        st phi_vals)
     (fun fr ->
-      { fr with State.cur_block = target; prev_block = prev; insts = rest })
+      { fr with
+        State.cur_block = target;
+        prev_block = prev;
+        insts = rest;
+        term = blk.Ir.term })
 
 (* ---------------- memory access with bug forking ---------------- *)
 
@@ -245,17 +242,13 @@ let with_bounds gctx (st : State.t) ~what (p : Sval.t) ~width
                 in
                 let oob = Bv.not_ in_b in
                 let bugs =
-                  match feasible gctx st oob with
-                  | Feasible m ->
-                      [ T_bug
-                          ( constrain st oob m,
-                            what ^ ": out-of-bounds (symbolic offset)" ) ]
-                  | Infeasible -> []
+                  match assume gctx st oob with
+                  | Some st ->
+                      [ T_bug (st, what ^ ": out-of-bounds (symbolic offset)") ]
+                  | None -> []
                 in
                 let conts =
-                  match feasible gctx st in_b with
-                  | Feasible m -> k (constrain st in_b m)
-                  | Infeasible -> []
+                  match assume gctx st in_b with Some st -> k st | None -> []
                 in
                 bugs @ conts
               end
@@ -331,18 +324,15 @@ let rec step gctx (st : State.t) : transition list =
               | is_zero ->
                   let is_zero = Sval.term is_zero in
                   let bugs =
-                    match feasible gctx st is_zero with
-                    | Feasible m ->
-                        [ T_bug (constrain st is_zero m, "division by zero") ]
-                    | Infeasible -> []
+                    match assume gctx st is_zero with
+                    | Some st -> [ T_bug (st, "division by zero") ]
+                    | None -> []
                   in
-                  let nz = Bv.not_ is_zero in
                   let conts =
-                    match feasible gctx st nz with
-                    | Feasible m ->
-                        let st = constrain st nz m in
+                    match assume gctx st (Bv.not_ is_zero) with
+                    | Some st ->
                         [ T_cont (State.set_reg st d (Sval.binop op a b)) ]
-                    | Infeasible -> []
+                    | None -> []
                   in
                   bugs @ conts)
           | _ -> [ T_cont (State.set_reg st d (Sval.binop op a b)) ])
@@ -390,17 +380,14 @@ let rec step gctx (st : State.t) : transition list =
               record_fork gctx;
               let tc = Sval.term c in
               let tside =
-                match feasible gctx st tc with
-                | Feasible m ->
-                    [ T_cont (State.set_reg (constrain st tc m) d va) ]
-                | Infeasible -> []
+                match assume gctx st tc with
+                | Some st -> [ T_cont (State.set_reg st d va) ]
+                | None -> []
               in
-              let nc = Bv.not_ tc in
               let fside =
-                match feasible gctx st nc with
-                | Feasible m ->
-                    [ T_cont (State.set_reg (constrain st nc m) d vb) ]
-                | Infeasible -> []
+                match assume gctx st (Bv.not_ tc) with
+                | Some st -> [ T_cont (State.set_reg st d vb) ]
+                | None -> []
               in
               tside @ fside)
       | Ir.Cast (d, op, to_ty, v, from_ty) ->
@@ -443,12 +430,10 @@ let rec step gctx (st : State.t) : transition list =
                         record_fork gctx;
                       List.concat_map
                         (fun (guard, raw) ->
-                          match feasible gctx st guard with
-                          | Feasible m ->
-                              [ T_cont
-                                  (State.set_reg (constrain st guard m) d
-                                     (decode_raw raw)) ]
-                          | Infeasible -> [])
+                          match assume gctx st guard with
+                          | Some st ->
+                              [ T_cont (State.set_reg st d (decode_raw raw)) ]
+                          | None -> [])
                         alts)
               | Error Memory.Too_wide_ite ->
                   [ T_drop (st, "symbolic offset over too-large object") ]
@@ -486,10 +471,7 @@ let rec step gctx (st : State.t) : transition list =
   | [] -> (
       (* terminator *)
       charge gctx;
-      let blk =
-        Hashtbl.find (block_tbl gctx fr.State.fn) fr.State.cur_block
-      in
-      match blk.Ir.term with
+      match fr.State.term with
       | Ir.Br l -> [ T_cont (enter_block gctx st l) ]
       | Ir.Cbr (c, t, e) -> (
           match as_int_exn "cbr" (eval_value gctx st c) with
@@ -498,17 +480,18 @@ let rec step gctx (st : State.t) : transition list =
           | c ->
               let tc = Sval.term c in
               let nc = Bv.not_ tc in
-              let tf = feasible gctx st tc and ff_ = feasible gctx st nc in
-              (match (tf, ff_) with
-              | (Feasible mt, Feasible mf) ->
+              let st_t = assume gctx st tc in
+              let st_e = assume gctx st nc in
+              (match (st_t, st_e) with
+              | (Some st_t, Some st_e) ->
                   record_fork gctx;
                   if gctx.building then
                     gctx.fork_conds <- nc :: tc :: gctx.fork_conds;
-                  [ T_cont (enter_block gctx (constrain st tc mt) t);
-                    T_cont (enter_block gctx (constrain st nc mf) e) ]
-              | (Feasible _, Infeasible) -> [ T_cont (enter_block gctx st t) ]
-              | (Infeasible, Feasible _) -> [ T_cont (enter_block gctx st e) ]
-              | (Infeasible, Infeasible) ->
+                  [ T_cont (enter_block gctx st_t t);
+                    T_cont (enter_block gctx st_e e) ]
+              | (Some _, None) -> [ T_cont (enter_block gctx st t) ]
+              | (None, Some _) -> [ T_cont (enter_block gctx st e) ]
+              | (None, None) ->
                   (* the path condition itself became unsatisfiable *)
                   []))
       | Ir.Ret v -> (
@@ -560,15 +543,14 @@ and exec_call gctx (st : State.t) dst name (args : Sval.t list) :
       | fail ->
           let fail = Sval.term fail in
           let bugs =
-            match feasible gctx st fail with
-            | Feasible m -> [ T_bug (constrain st fail m, "assertion failure") ]
-            | Infeasible -> []
+            match assume gctx st fail with
+            | Some st -> [ T_bug (st, "assertion failure") ]
+            | None -> []
           in
-          let ok = Bv.not_ fail in
           let conts =
-            match feasible gctx st ok with
-            | Feasible m -> [ T_cont (constrain st ok m) ]
-            | Infeasible -> []
+            match assume gctx st (Bv.not_ fail) with
+            | Some st -> [ T_cont st ]
+            | None -> []
           in
           bugs @ conts)
   | _ -> (
@@ -593,6 +575,7 @@ and exec_call gctx (st : State.t) dst name (args : Sval.t list) :
                 cur_block = entry.Ir.bid;
                 prev_block = -1;
                 insts = entry.Ir.insts;
+                term = entry.Ir.term;
                 ret_dst = dst;
                 frame_objs = [];
               }
@@ -669,22 +652,22 @@ and apply_summary gctx (st : State.t) dst (fn : Ir.func)
         | Bv.Const 0L -> None
         | _ ->
             if not c_fork then (
-              match feasible gctx st c with
-              | Infeasible -> None
-              | Feasible m -> replay (constrain st c m) rest)
+              match assume gctx st c with
+              | None -> None
+              | Some st -> replay st rest)
             else (
-              match feasible gctx st c with
-              | Infeasible -> None
-              | Feasible m -> (
-                  match feasible gctx st (Bv.not_ c) with
-                  | Infeasible ->
+              match assume gctx st c with
+              | None -> None
+              | Some st_c -> (
+                  match assume gctx st (Bv.not_ c) with
+                  | None ->
                       (* one-sided branch: inline would not constrain and
-                         would keep the old model *)
+                         would keep the old path condition *)
                       replay st rest
-                  | Feasible _ ->
+                  | Some _ ->
                       if gctx.building then
                         gctx.fork_conds <- c :: gctx.fork_conds;
-                      replay (constrain st c m) rest)))
+                      replay st_c rest)))
   in
   let finish (st : State.t) (tr : Summary.trace) : transition =
     List.iter (fun k -> Hashtbl.replace gctx.covered k ()) tr.Summary.t_covered;
@@ -695,6 +678,11 @@ and apply_summary gctx (st : State.t) dst (fn : Ir.func)
         let bfn =
           match Ir.find_func gctx.modul bg_fn with Some f -> f | None -> fn
         in
+        let term =
+          match Hashtbl.find_opt (block_tbl gctx bfn) bg_block with
+          | Some b -> b.Ir.term
+          | None -> Ir.Unreachable
+        in
         let frame =
           {
             State.fn = bfn;
@@ -702,6 +690,7 @@ and apply_summary gctx (st : State.t) dst (fn : Ir.func)
             cur_block = bg_block;
             prev_block = -1;
             insts = [];
+            term;
             ret_dst = None;
             frame_objs = [];
           }

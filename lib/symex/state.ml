@@ -2,7 +2,7 @@
     values: forking shares everything structurally. *)
 
 module Ir = Overify_ir.Ir
-module Bv = Overify_solver.Bv
+module Solver = Overify_solver.Solver
 module IMap = Map.Make (Int)
 
 type frame = {
@@ -11,6 +11,7 @@ type frame = {
   cur_block : int;
   prev_block : int;
   insts : Ir.inst list;        (** remaining instructions of the block *)
+  term : Ir.term;              (** the terminator of [cur_block] *)
   ret_dst : int option;        (** caller register receiving the result *)
   frame_objs : int list;       (** allocas to kill on return *)
 }
@@ -18,8 +19,7 @@ type frame = {
 type t = {
   frames : frame list;         (** top of the stack first *)
   mem : Memory.t;
-  path : Bv.t list;            (** path condition (conjunction) *)
-  model : (int * int64) list;  (** an assignment satisfying [path] *)
+  pc : Solver.Pc.t;            (** path condition, with a model satisfying it *)
 }
 
 let top (st : t) =
@@ -41,10 +41,3 @@ let get_reg (st : t) r =
   | None ->
       failwith (Printf.sprintf "symex: undefined register %%%d in %s" r
                   (top st).fn.Ir.fname)
-
-(** Evaluate the model on a term (for the solver-free feasibility check). *)
-let model_eval (st : t) (c : Bv.t) : bool =
-  let lookup id =
-    match List.assoc_opt id st.model with Some v -> v | None -> 0L
-  in
-  Bv.eval lookup c = 1L

@@ -119,13 +119,13 @@ let build_one (gctx : Executor.gctx) (fn : Ir.func) :
             cur_block = entry.Ir.bid;
             prev_block = -1;
             insts = entry.Ir.insts;
+            term = entry.Ir.term;
             ret_dst = None;
             frame_objs = [];
           };
         ];
       mem;
-      path = [];
-      model = [];
+      pc = Solver.Pc.empty;
     }
   in
   let insts0 = gctx.Executor.counters.Counters.instructions in
@@ -196,7 +196,9 @@ let build_one (gctx : Executor.gctx) (fn : Ir.func) :
           (fun acc c ->
             { Summary.c_fork = List.memq c fork_conds; c_term = c } :: acc)
           conjs
-          (path_delta ~parent:st.State.path ~child:st'.State.path)
+          (path_delta
+             ~parent:(Solver.Pc.conjuncts st.State.pc)
+             ~child:(Solver.Pc.conjuncts st'.State.pc))
       in
       let child_cov (st' : State.t) ~terminal =
         if not multi then begin

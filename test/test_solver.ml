@@ -520,14 +520,125 @@ let test_path_shaped_differential () =
   check bool "some queries answered entirely by reuse" true
     (s.Counters.cache_hits > 0)
 
+(* ------------- acceleration chain: assume vs check -------------
+
+   Path conditions grown the way the executor grows them: a satisfiable
+   parent from a pool is extended by both polarities of a branch
+   condition (one of them is a step the model already satisfies, with no
+   query), by one of its own conjuncts again, or by a constant.  After
+   every [Solver.assume]: [None] iff blast+SAT of the conjunction says
+   UNSAT; the model satisfies every conjunct; after a query, the model
+   equals [Solver.check]'s for the same conjuncts with reuse off, and the
+   query and component counts are [check]'s (a step the model satisfies
+   counts nothing).  A path condition rebuilt from its conjuncts, every
+   component dirty, answers the next query identically.  Runs with reuse
+   on and off. *)
+
+let test_assume_differential () =
+  let module Pc = Solver.Pc in
+  let run reuse =
+    let rng = Random.State.make [| 0xa55e |] in
+    let ctx, s = counted ~cache:reuse () in
+    let pool = Array.make 128 Pc.empty and pooled = ref 1 in
+    let steps = ref 0 and unsat = ref 0 and free = ref 0 in
+    let fail fmt =
+      Alcotest.failf ("reuse %b, step %d: " ^^ fmt) reuse !steps
+    in
+    let extend pc c =
+      incr steps;
+      let conjs = c :: Pc.conjuncts pc in
+      let queried =
+        (not (Bv.is_const c)) && Bv.eval (Pc.value pc) c <> 1L
+      in
+      let q0 = s.Counters.queries and k0 = s.Counters.components in
+      let r = Solver.assume ctx pc c in
+      if (r <> None) <> reference_is_sat conjs then
+        fail "assume and blast+SAT disagree on %s"
+          (String.concat " && " (List.map Bv.to_string conjs));
+      if queried then begin
+        let ref_ctx, rs = counted ~cache:false () in
+        let expected = Solver.check ref_ctx conjs in
+        if s.Counters.queries - q0 <> 1 then
+          fail "a query counted %d times" (s.Counters.queries - q0);
+        if s.Counters.components - k0 <> rs.Counters.components then
+          fail "%d components counted, check counts %d"
+            (s.Counters.components - k0) rs.Counters.components;
+        match (r, expected) with
+        | (Some pc', Solver.Sat m) ->
+            if Pc.model pc' <> List.sort compare m then
+              fail "the model differs from check's"
+        | (None, Solver.Unsat) -> incr unsat
+        | _ -> fail "assume and check disagree"
+      end
+      else begin
+        if not (Bv.is_const c) then incr free;
+        if s.Counters.queries <> q0 || s.Counters.components <> k0 then
+          fail "a step the model satisfies was counted"
+      end;
+      Option.iter
+        (fun pc' ->
+          if not (List.tl (Pc.conjuncts pc') == Pc.conjuncts pc) then
+            fail "the parent's conjuncts are not the child's tail";
+          if not (List.for_all (fun a -> Bv.eval (Pc.value pc') a = 1L) conjs)
+          then fail "the model does not satisfy the conjuncts")
+        r;
+      r
+    in
+    let view = Option.map Pc.model in
+    for _ = 1 to 400 do
+      let parent = pool.(Random.State.int rng (min !pooled 128)) in
+      let parent =
+        if List.length (Pc.conjuncts parent) >= 12 then Pc.empty else parent
+      in
+      let conjs = Pc.conjuncts parent in
+      let cs =
+        match Random.State.int rng 8 with
+        | 0 when conjs <> [] ->
+            [ List.nth conjs (Random.State.int rng (List.length conjs)) ]
+        | 1 -> [ (if Random.State.bool rng then Bv.tt else Bv.ff) ]
+        | _ ->
+            let c = gen_branch rng in
+            [ c; Bv.not_ c ]
+      in
+      List.iter
+        (fun c ->
+          match extend parent c with
+          | Some pc ->
+              pool.(!pooled mod 128) <- pc;
+              incr pooled
+          | None -> ())
+        cs;
+      (* the same parent rebuilt with every component dirty, in a fresh
+         context: the next query's answer must not move *)
+      if Random.State.int rng 4 = 0 then begin
+        let rebuilt = Pc.rebuild Fun.id parent in
+        let c = gen_branch rng in
+        List.iter
+          (fun c ->
+            let fresh = Solver.create ~cache:reuse () in
+            if view (Solver.assume ctx parent c)
+               <> view (Solver.assume fresh rebuilt c)
+            then fail "a rebuilt path condition answers differently")
+          [ c; Bv.not_ c ]
+      end
+    done;
+    check bool "some steps were UNSAT" true (!unsat > 0);
+    check bool "some steps needed no query" true (!free > 0)
+  in
+  run true;
+  run false
+
 (* ------------- independence partitioning: properties ------------- *)
 
 let sorted_uniq_vars cctx terms =
   List.sort_uniq compare (List.concat_map (Canon.term_vars cctx) terms)
 
-(* components partition both the assertion set and the variable set:
-   every normalized assertion lands in exactly one component, and no
-   variable occurs in two components *)
+let not_true (t : Bv.t) = t.Bv.node <> Bv.Const 1L
+
+(* the path condition's components partition both the assertion set and
+   the variable set: every normalized assertion (constant true pruned)
+   lands in exactly one component, and no variable occurs in two
+   components *)
 let prop_partition_is_partition =
   QCheck2.Test.make
     ~name:"partition: components partition assertions and variables"
@@ -537,8 +648,8 @@ let prop_partition_is_partition =
       let rng = Random.State.make [| seed; 77 |] in
       let assertions = gen_assertions rng in
       let cctx = Canon.create () in
-      let norm = Canon.normalize cctx assertions in
-      let comps = Canon.partition cctx norm in
+      let norm = Canon.normalize cctx (List.filter not_true assertions) in
+      let comps = Solver.components assertions in
       let ids l = List.sort compare (List.map (fun (t : Bv.t) -> t.Bv.id) l) in
       if ids (List.concat comps) <> ids norm then
         QCheck2.Test.fail_reportf
@@ -558,9 +669,9 @@ let prop_partition_is_partition =
 let test_partition_vs_conjunction () =
   let mismatch assertions =
     let whole = reference_is_sat assertions in
-    let cctx = Canon.create () in
-    let comps = Canon.partition cctx (Canon.normalize cctx assertions) in
-    let piecewise = List.for_all reference_is_sat comps in
+    let piecewise =
+      List.for_all reference_is_sat (Solver.components assertions)
+    in
     whole <> piecewise
   in
   let shrink assertions =
@@ -759,17 +870,11 @@ let component_keys queries =
   String.concat "\n"
     (List.map
        (fun q ->
-         let q =
-           List.filter (fun (t : Bv.t) -> t.Bv.node <> Bv.Const 1L) q
-         in
          if List.exists (fun (t : Bv.t) -> t.Bv.node = Bv.Const 0L) q then
            "-"
          else
            let cctx = Canon.create () in
-           Canon.partition cctx
-             (List.sort_uniq
-                (fun (a : Bv.t) (b : Bv.t) -> Int.compare a.Bv.id b.Bv.id)
-                q)
+           Solver.components q
            |> List.map (fun comp ->
                   (Canon.rename cctx (Canon.normalize cctx comp)).Canon.key)
            |> List.sort compare |> String.concat " ")
@@ -870,6 +975,8 @@ let () =
             test_differential_oracle;
           Alcotest.test_case "path-shaped differential" `Quick
             test_path_shaped_differential;
+          Alcotest.test_case "assume vs check differential" `Quick
+            test_assume_differential;
           QCheck_alcotest.to_alcotest prop_partition_is_partition;
           Alcotest.test_case "partition vs conjunction (with shrinker)"
             `Quick test_partition_vs_conjunction;
