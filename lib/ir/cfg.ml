@@ -85,22 +85,38 @@ let postorder (fn : func) : int list = List.rev (rpo fn)
 (** Blocks reachable from the entry. *)
 let reachable (fn : func) : IntSet.t = IntSet.of_list (rpo fn)
 
-(** Drop blocks not reachable from the entry, and prune phi incoming entries
-    coming from removed blocks. *)
-let remove_unreachable (fn : func) : func * bool =
-  let live = reachable fn in
-  if IntSet.cardinal live = List.length fn.blocks then (fn, false)
+(** Drop the blocks missing from [order], the labels [rpo fn] reaches, and
+    prune phi incoming entries coming from dropped blocks; only a block with
+    such an entry is rebuilt. *)
+let sweep (fn : func) (order : int list) : func * bool =
+  if List.length order = List.length fn.blocks then (fn, false)
   else
-    let blocks = List.filter (fun b -> IntSet.mem b.bid live) fn.blocks in
+    let live = Bytes.make (label_bound fn) '\000' in
+    List.iter (fun l -> Bytes.set live l '\001') order;
+    let live l = Bytes.get live l <> '\000' in
+    let stale = function
+      | Phi (_, _, incoming) -> List.exists (fun (p, _) -> not (live p)) incoming
+      | _ -> false
+    in
     let prune_phi = function
       | Phi (d, ty, incoming) ->
-          Phi (d, ty, List.filter (fun (p, _) -> IntSet.mem p live) incoming)
+          Phi (d, ty, List.filter (fun (p, _) -> live p) incoming)
       | i -> i
     in
     let blocks =
-      List.map (fun b -> { b with insts = List.map prune_phi b.insts }) blocks
+      List.filter_map
+        (fun b ->
+          if not (live b.bid) then None
+          else if List.exists stale b.insts then
+            Some { b with insts = List.map prune_phi b.insts }
+          else Some b)
+        fn.blocks
     in
     ({ fn with blocks }, true)
+
+(** Drop blocks not reachable from the entry, and prune phi incoming entries
+    coming from removed blocks. *)
+let remove_unreachable (fn : func) : func * bool = sweep fn (rpo fn)
 
 (** Replace successor [from_l] with [to_l] in a terminator. *)
 let redirect_term from_l to_l = function

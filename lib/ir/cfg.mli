@@ -36,6 +36,10 @@ val rpo : Ir.func -> int list
 val remove_unreachable : Ir.func -> Ir.func * bool
 (** Drop unreachable blocks and prune phi entries from removed edges. *)
 
+val sweep : Ir.func -> int list -> Ir.func * bool
+(** [sweep fn (rpo fn)] is [remove_unreachable fn], for a caller that needs
+    the reverse postorder too: it is also the order of the result. *)
+
 val redirect_term : int -> int -> Ir.term -> Ir.term
 (** [redirect_term from_l to_l t] retargets branches to [from_l]. *)
 

@@ -102,6 +102,41 @@ let find (fn : Ir.func) : t list =
   let idx l = Option.get (Dom.rpo_index dom l.header) in
   List.sort (fun a b -> compare (idx a) (idx b)) loops
 
+(* called in paranoid mode by unroll, licm and loop_delete *)
+let check_current what view (fn : Ir.func) (preds : int list array)
+    (loops : t list) =
+  let show l =
+    Printf.sprintf "L%d {%s} latches [%s] preheader %s" l.header
+      (String.concat " " (List.map string_of_int (IntSet.elements l.blocks)))
+      (String.concat " " (List.map string_of_int l.latches))
+      (match l.preheader with Some p -> string_of_int p | None -> "-")
+  in
+  let fail fmt =
+    Printf.ksprintf
+      (fun s ->
+        failwith (Printf.sprintf "%s: kept analysis of %s is stale: %s" what
+                    fn.Ir.fname s))
+      fmt
+  in
+  let fresh = find fn in
+  if List.length fresh <> List.length loops then
+    fail "%d loops kept, %d found:\nkept  %s\nfound %s" (List.length loops)
+      (List.length fresh)
+      (String.concat ", " (List.map show loops))
+      (String.concat ", " (List.map show fresh));
+  List.iteri
+    (fun i (k, f) ->
+      if view k <> view f then
+        fail "loop %d differs:\nkept  %s\nfound %s" i (show k) (show f))
+    (List.combine loops fresh);
+  let fresh_preds = Cfg.preds fn in
+  for l = 0 to max (Array.length preds) (Array.length fresh_preds) - 1 do
+    if Cfg.preds_of preds l <> Cfg.preds_of fresh_preds l then
+      fail "predecessors of L%d: kept [%s], found [%s]" l
+        (String.concat " " (List.map string_of_int (Cfg.preds_of preds l)))
+        (String.concat " " (List.map string_of_int (Cfg.preds_of fresh_preds l)))
+  done
+
 (** Loop-nesting depth of each block (0 = not in any loop). *)
 let depth_map (fn : Ir.func) : (int, int) Hashtbl.t =
   let loops = find fn in

@@ -18,5 +18,14 @@ val mem : t -> int -> bool
 val find : Ir.func -> t list
 (** All natural loops, ordered by header RPO index. *)
 
+val check_current :
+  string -> (t -> 'a) -> Ir.func -> int list array -> t list -> unit
+(** [check_current what view fn preds loops] is paranoid mode's check on a
+    pass that finds the loops once per application and keeps the list and
+    the predecessor table current across its own transformations: it fails,
+    naming [what] and the first difference, unless [loops] has the order of
+    [find fn] and agrees with it through [view] (the fields the pass reads),
+    and [preds] is [Cfg.preds fn]. *)
+
 val depth_map : Ir.func -> (int, int) Hashtbl.t
 (** Loop-nesting depth of each block (0 = not in any loop). *)

@@ -14,6 +14,12 @@ open Ir
 
 module IntSet = Cfg.IntSet
 
+let paranoid =
+  ref
+    (match Sys.getenv_opt "OVERIFY_PARANOID" with
+    | Some ("1" | "true") -> true
+    | _ -> false)
+
 let check ?(ssa = false) ?(memform = false) (fn : func) :
     (unit, string list) result =
   let errs = ref [] in

@@ -36,15 +36,16 @@ let run (cm : Costmodel.t) (stats : Stats.t) (fn : Ir.func) : Ir.func * bool =
                  (Int64.sub (Int64.shift_left 1L (Ir.bits_of_ty from_ty)) 1L))
       | _ -> ())
     fn;
-  let safe = Loop_unswitch.non_escaping_slots fn in
+  let safe = Loop_unswitch.non_escaping_slots fn.Ir.blocks in
   add "noalias_slots"
     (string_of_int (Overify_ir.Cfg.IntSet.cardinal safe));
   (* constant trip counts that survived (residual loops have none) *)
+  let blocks = Overify_ir.Cfg.block_array fn in
   let preds = Overify_ir.Cfg.preds fn in
   List.iter
     (fun l ->
-      match Loop_unroll.analyze cm fn preds safe l with
-      | Some (_, trip) ->
+      match Loop_unroll.analyze cm blocks preds safe l with
+      | Some trip ->
           add (Printf.sprintf "max_trip:L%d" l.Loop.header) (string_of_int trip)
       | None -> ())
     loops;

@@ -7,11 +7,18 @@
     straight to the exit, and CFG simplification sweeps the body away.
 
     This is what completes the paper's "removes loops from the program
-    whenever possible": peeling + this pass deletes counted loops outright. *)
+    whenever possible": peeling + this pass deletes counted loops outright.
+
+    One application finds the loops once.  A deletion keeps the loop list
+    and the predecessor table current: the loops it swept away leave the
+    list, the survivors lose swept blocks and are sorted by header RPO
+    again, and only deleting a loop that sits inside another (whose blocks
+    and latches that changes) finds the loops again. *)
 
 module Ir = Overify_ir.Ir
 module Cfg = Overify_ir.Cfg
 module Loop = Overify_ir.Loop
+module Verify = Overify_ir.Verify
 
 (** Evaluate block [h]'s pure instruction results under an environment that
     maps header phis to the values flowing in from one predecessor; returns
@@ -73,60 +80,108 @@ let eval_chain (h : Ir.block) (phi_env : (int, Ir.value) Hashtbl.t) (reg : int)
     h.Ir.insts;
   Option.map fst (Hashtbl.find_opt env reg)
 
-let delete_one (fn : Ir.func) : Ir.func option =
-  let loops = Loop.find fn in
-  let preds = Cfg.preds fn in
-  let try_loop (l : Loop.t) =
-    let h = Ir.find_block fn l.Loop.header in
-    match h.Ir.term with
-    | Ir.Cbr (Ir.Reg c, t, e) -> (
-        let t_in = Loop.mem l t and e_in = Loop.mem l e in
-        match (t_in, e_in) with
-        | (true, false) | (false, true) ->
-            let exit_target = if t_in then e else t in
-            let exit_const = if t_in then 0L else 1L in
-            let outside =
-              List.filter (fun p -> not (Loop.mem l p))
-                (Cfg.preds_of preds l.Loop.header)
+(** The exit [l]'s header takes on every entry from outside, when all of
+    them take it: then the body never runs. *)
+let dead_exit (fn : Ir.func) preds (l : Loop.t) : int option =
+  let h = Ir.find_block fn l.Loop.header in
+  match h.Ir.term with
+  | Ir.Cbr (Ir.Reg c, t, e) -> (
+      let t_in = Loop.mem l t and e_in = Loop.mem l e in
+      match (t_in, e_in) with
+      | (true, false) | (false, true) ->
+          let exit_target = if t_in then e else t in
+          let exit_const = if t_in then 0L else 1L in
+          let outside =
+            List.filter (fun p -> not (Loop.mem l p))
+              (Cfg.preds_of preds l.Loop.header)
+          in
+          if outside = [] then None
+          else begin
+            let all_exit =
+              List.for_all
+                (fun p ->
+                  let phi_env = Hashtbl.create 8 in
+                  List.iter
+                    (fun i ->
+                      match i with
+                      | Ir.Phi (d, _, incoming) -> (
+                          match List.assoc_opt p incoming with
+                          | Some v -> Hashtbl.replace phi_env d v
+                          | None -> ())
+                      | _ -> ())
+                    h.Ir.insts;
+                  eval_chain h phi_env c = Some exit_const)
+                outside
             in
-            if outside = [] then None
-            else begin
-              let all_exit =
-                List.for_all
-                  (fun p ->
-                    let phi_env = Hashtbl.create 8 in
-                    List.iter
-                      (fun i ->
-                        match i with
-                        | Ir.Phi (d, _, incoming) -> (
-                            match List.assoc_opt p incoming with
-                            | Some v -> Hashtbl.replace phi_env d v
-                            | None -> ())
-                        | _ -> ())
-                      h.Ir.insts;
-                    eval_chain h phi_env c = Some exit_const)
-                  outside
-              in
-              if all_exit then
-                Some (Ir.update_block fn { h with Ir.term = Ir.Br exit_target })
-              else None
-            end
-        | _ -> None)
-    | _ -> None
+            if all_exit then Some exit_target else None
+          end
+      | _ -> None)
+  | _ -> None
+
+(* the fields [dead_exit] reads *)
+let view (l : Loop.t) = (l.Loop.header, Loop.IntSet.elements l.Loop.blocks)
+
+(** Send [d]'s header straight to [exit_target] and sweep the unreachable
+    body (and stale phi entries) away, keeping [preds] and the loop list
+    current. *)
+let delete (fn : Ir.func) preds loops (d : Loop.t) exit_target =
+  let h = Ir.find_block fn d.Loop.header in
+  let fn1 = Ir.update_block fn { h with Ir.term = Ir.Br exit_target } in
+  (* one DFS gives what survives and the survivors' order *)
+  let order = Cfg.rpo fn1 in
+  let (fn2, _) = Cfg.sweep fn1 order in
+  let rpo = Array.make (Array.length preds) (-1) in
+  List.iteri (fun i l -> if l < Array.length rpo then rpo.(l) <- i) order;
+  let live l = rpo.(l) >= 0 in
+  let swept =
+    List.filter (fun (b : Ir.block) -> not (live b.Ir.bid)) fn1.Ir.blocks
   in
-  List.find_map try_loop loops
+  let drop p s = preds.(s) <- List.filter (fun q -> q <> p) preds.(s) in
+  List.iter (fun s -> if s <> exit_target then drop h.Ir.bid s) (Cfg.succs h);
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter (drop b.Ir.bid) (Cfg.succs b);
+      preds.(b.Ir.bid) <- [])
+    swept;
+  let nested =
+    List.exists
+      (fun (m : Loop.t) ->
+        m.Loop.header <> d.Loop.header && Loop.mem m d.Loop.header)
+      loops
+  in
+  let loops =
+    if nested then Loop.find fn2
+    else
+      List.filter
+        (fun (m : Loop.t) -> m.Loop.header <> d.Loop.header && live m.Loop.header)
+        loops
+      |> List.map (fun (m : Loop.t) ->
+             if List.exists (fun (b : Ir.block) -> Loop.mem m b.Ir.bid) swept
+             then { m with Loop.blocks = Loop.IntSet.filter live m.Loop.blocks }
+             else m)
+      |> List.sort (fun (a : Loop.t) (b : Loop.t) ->
+             compare rpo.(a.Loop.header) rpo.(b.Loop.header))
+  in
+  if !Verify.paranoid then
+    Loop.check_current "loop_delete" view fn2 preds loops;
+  (fn2, loops)
 
 let run (stats : Stats.t) (fn : Ir.func) : Ir.func * bool =
-  let rec go fn n any =
+  let preds = Cfg.preds fn in
+  let rec go fn loops n any =
     if n = 0 then (fn, any)
     else
-      match delete_one fn with
-      | Some fn' ->
+      (* from the first loop again: a deletion can sweep away an entry of
+         an earlier loop and so make it deletable *)
+      match
+        List.find_map
+          (fun l -> Option.map (fun e -> (l, e)) (dead_exit fn preds l))
+          loops
+      with
+      | Some (d, exit_target) ->
           stats.Stats.loops_deleted <- stats.Stats.loops_deleted + 1;
-          (* the body is now unreachable; prune it (and stale phi entries)
-             before re-running the loop analysis *)
-          let (fn', _) = Cfg.remove_unreachable fn' in
-          go fn' (n - 1) true
+          let (fn, loops) = delete fn preds loops d exit_target in
+          go fn loops (n - 1) true
       | None -> (fn, any)
   in
-  go fn 8 false
+  go fn (Loop.find fn) 8 false

@@ -10,12 +10,12 @@ val run :
 (**/**)
 
 (* exposed for the annotation pass, which records surviving trip counts *)
-type counted = { islot : int; trip : int }
-
 val analyze :
   Costmodel.t ->
-  Overify_ir.Ir.func ->
+  Overify_ir.Ir.block option array ->
   int list array ->
   Overify_ir.Cfg.IntSet.t ->
   Overify_ir.Loop.t ->
-  (counted * int) option
+  int option
+(** The trip count of a loop that peeling would copy out in full, given the
+    function's [Cfg.block_array], [Cfg.preds] and non-escaping slots. *)

@@ -15,9 +15,10 @@ module Cfg = Overify_ir.Cfg
 module Loop = Overify_ir.Loop
 module IntSet = Cfg.IntSet
 
-(** Slots (alloca registers) whose address never escapes: used only as the
-    direct pointer operand of loads and stores. *)
-let non_escaping_slots (fn : Ir.func) : IntSet.t =
+(** Slots (alloca registers) defined in [blocks] whose address never
+    escapes there: used only as the direct pointer operand of loads and
+    stores. *)
+let non_escaping_slots (blocks : Ir.block list) : IntSet.t =
   let allocas = ref [] in
   let escaped = Hashtbl.create 64 in
   let esc v =
@@ -25,17 +26,18 @@ let non_escaping_slots (fn : Ir.func) : IntSet.t =
     | Ir.Reg r -> Hashtbl.replace escaped r ()
     | _ -> ()
   in
-  Ir.iter_insts
-    (fun _ i ->
-      match i with
-      | Ir.Load (_, _, _) -> ()  (* pointer operand use is fine *)
-      | Ir.Store (_, v, _) -> esc v
-      | Ir.Alloca (d, _, _) -> allocas := d :: !allocas
-      | i -> List.iter esc (Ir.uses_of_inst i))
-    fn;
   List.iter
-    (fun (b : Ir.block) -> List.iter esc (Ir.uses_of_term b.Ir.term))
-    fn.blocks;
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun i ->
+          match i with
+          | Ir.Load (_, _, _) -> ()  (* pointer operand use is fine *)
+          | Ir.Store (_, v, _) -> esc v
+          | Ir.Alloca (d, _, _) -> allocas := d :: !allocas
+          | i -> List.iter esc (Ir.uses_of_inst i))
+        b.Ir.insts;
+      List.iter esc (Ir.uses_of_term b.Ir.term))
+    blocks;
   IntSet.of_list (List.filter (fun d -> not (Hashtbl.mem escaped d)) !allocas)
 
 (** Instructions allowed in a hoistable condition chain: pure, non-trapping,
@@ -113,7 +115,7 @@ let loop_stores (fn : Ir.func) (l : Loop.t) =
     on success. *)
 let unswitch_one (cm : Costmodel.t) (fn : Ir.func) : Ir.func option =
   let loops = Loop.find fn in
-  let safe = non_escaping_slots fn in
+  let safe = non_escaping_slots fn.Ir.blocks in
   let entry_bid = (Ir.entry fn).bid in
   let preds = Cfg.preds fn in
   let try_loop (l : Loop.t) : Ir.func option =

@@ -3,8 +3,9 @@
     specialized copies of the loop — the transformation behind the paper's
     motivating example. *)
 
-val non_escaping_slots : Overify_ir.Ir.func -> Overify_ir.Cfg.IntSet.t
-(** Allocas used only as direct load/store addresses. *)
+val non_escaping_slots : Overify_ir.Ir.block list -> Overify_ir.Cfg.IntSet.t
+(** Allocas defined in the blocks and used there only as direct load/store
+    addresses; a function's slots are those of [fn.blocks]. *)
 
 val has_phis : Overify_ir.Ir.func -> bool
 

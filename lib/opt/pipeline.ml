@@ -31,20 +31,6 @@ type result = {
 type observer =
   pass:string -> fn:string -> before:Ir.modul -> after:Ir.modul -> unit
 
-(** When true, every pass application that changes code is followed by an
-    IR verification of what it produced: structure, typing and SSA
-    dominance always, plus the absence of phis after the memory-form passes
-    ([runtime_checks], [inline], [unswitch], [unroll], [sroa]); after
-    [inline] every function of the module is checked.  Defaults to the
-    [OVERIFY_PARANOID] environment variable, which the test profile sets
-    (test/dune) — test_opt asserts it is on, so silently losing the
-    paranoid re-verification from [dune runtest] fails the suite. *)
-let paranoid =
-  ref
-    (match Sys.getenv_opt "OVERIFY_PARANOID" with
-    | Some ("1" | "true") -> true
-    | _ -> false)
-
 (** Test-only fault injection: [Some (pass, corrupt)] applies [corrupt] to
     the result of every application of [pass].  Used to check that
     translation validation detects a miscompilation and that pass bisection
@@ -54,8 +40,15 @@ let sabotage : (string * (Ir.func -> Ir.func)) option ref = ref None
 (* passes that run before [mem2reg], on IR that must not contain phis *)
 let memform_passes = [ "runtime_checks"; "inline"; "unswitch"; "unroll"; "sroa" ]
 
+(* In paranoid mode ([Verify.paranoid], from the [OVERIFY_PARANOID]
+   environment variable, which the test profile sets in test/dune; test_opt
+   asserts it is on, so silently losing it from [dune runtest] fails the
+   suite), every pass application that changes code is followed by an IR
+   verification of what it produced: structure, typing and SSA dominance
+   always, plus the absence of phis after the memory-form passes; after
+   [inline] every function of the module is checked. *)
 let check_fn what fn =
-  if !paranoid then
+  if !Verify.paranoid then
     match
       Verify.check ~ssa:true ~memform:(List.mem what memform_passes) fn
     with

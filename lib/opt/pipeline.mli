@@ -23,13 +23,6 @@ type observer =
     Applications are reported in order, so consecutive [after]/[before]
     modules coincide and the chain composes to the whole compilation. *)
 
-val paranoid : bool ref
-(** When true, every pass application that changes code is followed by an
-    IR verification with SSA dominance, plus phi absence after the
-    memory-form passes; after [inline], every function is verified.
-    Initialized from the [OVERIFY_PARANOID] environment variable (set by
-    the test profile in [test/dune]). *)
-
 val sabotage : (string * (Overify_ir.Ir.func -> Overify_ir.Ir.func)) option ref
 (** Test-only fault injection: [Some (pass, corrupt)] corrupts the output
     of every application of [pass].  Used to prove that translation

@@ -577,6 +577,288 @@ int main(void) {
     (List.length (Overify_ir.Loop.find fn) >= 1);
   same_behaviour ~input:"xyz" src
 
+(* ------------- loop passes on hand-built loops ------------- *)
+
+(* These run one loop pass directly on IR the corpus does not produce.  The
+   suite runs in paranoid mode, so every peel, deletion and inserted
+   preheader is also checked against a fresh Loop.find. *)
+
+module Licm = Overify_opt.Licm
+module Loop_unroll = Overify_opt.Loop_unroll
+module Loop_delete = Overify_opt.Loop_delete
+module Loop = Overify_ir.Loop
+
+let exit_codes (fn : I.func) inputs =
+  let m = { I.globals = []; funcs = [ fn ] } in
+  List.map (fun input -> (Interp.run m ~input).Interp.exit_code) inputs
+
+let imm32 v = I.imm I.I32 v
+
+(** [phi b ty incoming]: a phi appended to the current block. *)
+let phi b ty incoming =
+  let d = Builder.fresh b in
+  Builder.add_inst b (I.Phi (d, ty, incoming));
+  I.Reg d
+
+(** Enter a new block [h] from two blocks that branch only to it, so [h]
+    has two outside predecessors and no preheader; returns them. *)
+let two_entries b h =
+  let x = Option.get (Builder.call b I.I32 "__input" [ imm32 0L ]) in
+  let ea = Builder.new_block b and eb = Builder.new_block b in
+  Builder.term b (I.Cbr (Builder.cmp b I.Sgt I.I32 x (imm32 0L), ea, eb));
+  Builder.switch_to b ea;
+  Builder.term b (I.Br h);
+  Builder.switch_to b eb;
+  Builder.term b (I.Br h);
+  (x, ea, eb)
+
+(* sum = 0; for (i = x > 0 ? 0 : 1; i < 4; i++) sum += x * 3; the header
+   has two outside entries, and x * 3 is invariant *)
+let test_licm_hoists_into_new_preheader () =
+  let b = Builder.create ~name:"main" ~params:[] ~ret:I.I32 in
+  let h = Builder.new_block b and body = Builder.new_block b in
+  let out = Builder.new_block b in
+  let (x, ea, eb) = two_entries b h in
+  Builder.switch_to b h;
+  let i1 = Builder.fresh b and s1 = Builder.fresh b in
+  let i = phi b I.I32 [ (ea, imm32 0L); (eb, imm32 1L); (body, I.Reg i1) ] in
+  let s = phi b I.I32 [ (ea, imm32 0L); (eb, imm32 0L); (body, I.Reg s1) ] in
+  Builder.term b (I.Cbr (Builder.cmp b I.Slt I.I32 i (imm32 4L), body, out));
+  Builder.switch_to b body;
+  let k = Builder.bin b I.Mul I.I32 x (imm32 3L) in
+  Builder.add_inst b (I.Bin (s1, I.Add, I.I32, s, k));
+  Builder.add_inst b (I.Bin (i1, I.Add, I.I32, i, imm32 1L));
+  Builder.term b (I.Br h);
+  Builder.switch_to b out;
+  Builder.term b (I.Ret (Some s));
+  let fn = Builder.finish b in
+  let stats = Stats.create () in
+  let (fn', changed) = Licm.run stats fn in
+  Overify_ir.Verify.check_exn ~ssa:true fn';
+  check bool "changed" true changed;
+  check int "one instruction hoisted" 1 stats.Stats.insts_hoisted;
+  check int "one block added" (I.num_blocks fn + 1) (I.num_blocks fn');
+  (match Loop.find fn' with
+  | [ { Loop.preheader = Some p; _ } ] ->
+      check bool "the preheader is new" true (p <> ea && p <> eb);
+      check bool "x * 3 sits in it" true
+        (List.exists
+           (function I.Bin (_, I.Mul, _, _, _) -> true | _ -> false)
+           (I.find_block fn' p).I.insts)
+  | _ -> Alcotest.fail "expected one loop with a preheader");
+  let inputs = [ "\000"; "\005" ] in
+  check (Alcotest.list Alcotest.int64) "same exit codes" (exit_codes fn inputs)
+    (exit_codes fn' inputs)
+
+(* the entry block is its own loop: no block can precede it, so the loop
+   gets no preheader and nothing is hoisted *)
+let test_licm_entry_header () =
+  let b = Builder.create ~name:"main" ~params:[] ~ret:I.I32 in
+  let entry = Builder.current b and out = Builder.new_block b in
+  let x = Option.get (Builder.call b I.I32 "__input" [ imm32 0L ]) in
+  let k = Builder.bin b I.Mul I.I32 x (imm32 3L) in
+  Builder.term b (I.Cbr (Builder.cmp b I.Slt I.I32 k (imm32 0L), entry, out));
+  Builder.switch_to b out;
+  Builder.term b (I.Ret (Some k));
+  let fn = Builder.finish b in
+  let (fn', changed) = Licm.run (Stats.create ()) fn in
+  check bool "unchanged" false changed;
+  check bool "same function" true (fn = fn');
+  check bool "the loop has no preheader" true
+    (List.map (fun l -> l.Loop.preheader) (Loop.find fn') = [ None ])
+
+(* an outer loop and an inner one, each entered from two blocks: one
+   application gives both a preheader, the inner one inside the outer loop *)
+let test_licm_nested_preheaders () =
+  let b = Builder.create ~name:"main" ~params:[] ~ret:I.I32 in
+  let h1 = Builder.new_block b and q = Builder.new_block b in
+  let qa = Builder.new_block b and qb = Builder.new_block b in
+  let h2 = Builder.new_block b and body2 = Builder.new_block b in
+  let latch1 = Builder.new_block b and out = Builder.new_block b in
+  let (x, ea, eb) = two_entries b h1 in
+  Builder.switch_to b h1;
+  let i1 = Builder.fresh b and t = Builder.fresh b in
+  let i = phi b I.I32 [ (ea, imm32 0L); (eb, imm32 1L); (latch1, I.Reg i1) ] in
+  let s = phi b I.I32 [ (ea, imm32 0L); (eb, imm32 0L); (latch1, I.Reg t) ] in
+  Builder.term b (I.Cbr (Builder.cmp b I.Slt I.I32 i (imm32 3L), q, out));
+  Builder.switch_to b q;
+  Builder.term b (I.Cbr (Builder.cmp b I.Sgt I.I32 x (imm32 5L), qa, qb));
+  Builder.switch_to b qa;
+  Builder.term b (I.Br h2);
+  Builder.switch_to b qb;
+  Builder.term b (I.Br h2);
+  Builder.switch_to b h2;
+  let j1 = Builder.fresh b and t1 = Builder.fresh b in
+  let j = phi b I.I32 [ (qa, imm32 0L); (qb, imm32 0L); (body2, I.Reg j1) ] in
+  Builder.add_inst b (I.Phi (t, I.I32, [ (qa, s); (qb, s); (body2, I.Reg t1) ]));
+  Builder.term b (I.Cbr (Builder.cmp b I.Slt I.I32 j (imm32 2L), body2, latch1));
+  Builder.switch_to b body2;
+  let k = Builder.bin b I.Mul I.I32 x (imm32 7L) in
+  Builder.add_inst b (I.Bin (t1, I.Add, I.I32, I.Reg t, k));
+  Builder.add_inst b (I.Bin (j1, I.Add, I.I32, j, imm32 1L));
+  Builder.term b (I.Br h2);
+  Builder.switch_to b latch1;
+  Builder.add_inst b (I.Bin (i1, I.Add, I.I32, i, imm32 1L));
+  Builder.term b (I.Br h1);
+  Builder.switch_to b out;
+  Builder.term b (I.Ret (Some s));
+  let fn = Builder.finish b in
+  let (fn', _) = Licm.run (Stats.create ()) fn in
+  Overify_ir.Verify.check_exn ~ssa:true fn';
+  check int "two blocks added" (I.num_blocks fn + 2) (I.num_blocks fn');
+  check (Alcotest.list bool) "both loops have a preheader" [ true; true ]
+    (List.map (fun l -> l.Loop.preheader <> None) (Loop.find fn'));
+  let inputs = [ "\000"; "\003"; "\010" ] in
+  check (Alcotest.list Alcotest.int64) "same exit codes" (exit_codes fn inputs)
+    (exit_codes fn' inputs)
+
+(** Run [Loop_unroll.run] at -OVERIFY on [fn] alone; returns the loops it
+    peeled and the exit codes before and after on a few inputs. *)
+let unroll_direct fn =
+  let stats = Stats.create () in
+  let (fn', _) = Loop_unroll.run Costmodel.overify stats fn in
+  Overify_ir.Verify.check_exn ~memform:true fn';
+  let inputs = [ ""; "\007" ] in
+  (stats.Stats.loops_unrolled, exit_codes fn inputs, exit_codes fn' inputs)
+
+(* the outer loop comes first and is peeled first; its copies hold copies
+   of the inner loop, so the loops are found again, and the inner loops of
+   the two copies and of the residual outer loop are peeled in turn *)
+let test_unroll_nested_refind () =
+  let src = {|
+int main(void) {
+  int sum = 0;
+  for (int i = 0; i < 2; i++)
+    for (int j = 0; j < 3; j++)
+      sum += i * 4 + j;
+  return sum;
+}
+|} in
+  let fn = main_fn (Frontend.compile_source src) in
+  let (peeled, before, after) = unroll_direct fn in
+  check int "outer loop, then three inner loops" 4 peeled;
+  check (Alcotest.list Alcotest.int64) "18" [ 18L; 18L ] before;
+  check (Alcotest.list Alcotest.int64) "same exit codes" before after
+
+(* for (i = 0; i < 3; i++) sum += i; for (j = 0; j < 2; j++) sum += 10;
+   where the first header exits straight into the second and stores j = 0:
+   once the first loop is peeled, each copy of its header enters the second
+   loop too, so the second has four outside predecessors and is not peeled *)
+let test_unroll_exit_into_counted_loop () =
+  let b = Builder.create ~name:"main" ~params:[] ~ret:I.I32 in
+  let h1 = Builder.new_block b and b1 = Builder.new_block b in
+  let h2 = Builder.new_block b and b2 = Builder.new_block b in
+  let out = Builder.new_block b in
+  let ai = Builder.entry_alloca b I.I32 1 in
+  let aj = Builder.entry_alloca b I.I32 1 in
+  let asum = Builder.entry_alloca b I.I32 1 in
+  Builder.store b I.I32 (imm32 0L) ai;
+  Builder.store b I.I32 (imm32 0L) asum;
+  Builder.term b (I.Br h1);
+  let add_to slot v =
+    Builder.store b I.I32 (Builder.bin b I.Add I.I32 (Builder.load b I.I32 slot) v) slot
+  in
+  let counted h body next slot bound =
+    Builder.switch_to b h;
+    let c = Builder.cmp b I.Slt I.I32 (Builder.load b I.I32 slot) (imm32 bound) in
+    Builder.term b (I.Cbr (c, body, next));
+    Builder.switch_to b body
+  in
+  (* the first header stores j = 0 before its test *)
+  Builder.switch_to b h1;
+  Builder.store b I.I32 (imm32 0L) aj;
+  counted h1 b1 h2 ai 3L;
+  add_to asum (Builder.load b I.I32 ai);
+  add_to ai (imm32 1L);
+  Builder.term b (I.Br h1);
+  counted h2 b2 out aj 2L;
+  add_to asum (imm32 10L);
+  add_to aj (imm32 1L);
+  Builder.term b (I.Br h2);
+  Builder.switch_to b out;
+  Builder.term b (I.Ret (Some (Builder.load b I.I32 asum)));
+  let (peeled, before, after) = unroll_direct (Builder.finish b) in
+  check int "only the first loop" 1 peeled;
+  check (Alcotest.list Alcotest.int64) "23" [ 23L; 23L ] before;
+  check (Alcotest.list Alcotest.int64) "same exit codes" before after
+
+(* loop A (i from 10, or from 0 on an edge from an unreachable block) comes
+   before loop B (j from 20); only B's entries all exit at first.  Deleting
+   B sweeps the unreachable block away, which leaves A deletable too *)
+let test_loop_delete_exposes_earlier_loop () =
+  let b = Builder.create ~name:"main" ~params:[] ~ret:I.I32 in
+  let entry = Builder.current b in
+  let ha = Builder.new_block b and la = Builder.new_block b in
+  let hb = Builder.new_block b and lb = Builder.new_block b in
+  let out = Builder.new_block b and dead = Builder.new_block b in
+  Builder.term b (I.Br ha);
+  Builder.switch_to b ha;
+  let i1 = Builder.fresh b in
+  let i = phi b I.I32 [ (entry, imm32 10L); (dead, imm32 0L); (la, I.Reg i1) ] in
+  Builder.term b (I.Cbr (Builder.cmp b I.Slt I.I32 i (imm32 3L), la, hb));
+  Builder.switch_to b la;
+  Builder.add_inst b (I.Bin (i1, I.Add, I.I32, i, imm32 1L));
+  Builder.term b (I.Br ha);
+  Builder.switch_to b hb;
+  let j1 = Builder.fresh b in
+  let j = phi b I.I32 [ (ha, imm32 20L); (lb, I.Reg j1) ] in
+  Builder.term b (I.Cbr (Builder.cmp b I.Slt I.I32 j (imm32 5L), lb, out));
+  Builder.switch_to b lb;
+  Builder.add_inst b (I.Bin (j1, I.Add, I.I32, j, imm32 1L));
+  Builder.term b (I.Br hb);
+  Builder.switch_to b out;
+  Builder.term b (I.Ret (Some i));
+  Builder.switch_to b dead;
+  Builder.term b (I.Br ha);
+  let fn = Builder.finish b in
+  let stats = Stats.create () in
+  let (fn', changed) = Loop_delete.run stats fn in
+  check bool "changed" true changed;
+  check int "B, then A" 2 stats.Stats.loops_deleted;
+  check int "no loops left" 0 (List.length (Loop.find fn'));
+  check (Alcotest.list Alcotest.int64) "same exit codes" (exit_codes fn [ "" ])
+    (exit_codes fn' [ "" ])
+
+(* loop D (j from 10, never runs) sits in loop X, whose only latch is D's
+   latch: deleting D sweeps that latch away, so X is no loop any more and
+   the loops are found again *)
+let test_loop_delete_sweeps_outer_latch () =
+  let b = Builder.create ~name:"main" ~params:[] ~ret:I.I32 in
+  let entry = Builder.current b in
+  let hx = Builder.new_block b and pd = Builder.new_block b in
+  let hd = Builder.new_block b and ld = Builder.new_block b in
+  let exit_d = Builder.new_block b and out = Builder.new_block b in
+  let x = Option.get (Builder.call b I.I32 "__input" [ imm32 0L ]) in
+  Builder.term b (I.Br hx);
+  Builder.switch_to b hx;
+  let j1 = Builder.fresh b in
+  let i = phi b I.I32 [ (entry, x); (ld, I.Reg j1) ] in
+  Builder.term b (I.Cbr (Builder.cmp b I.Sgt I.I32 i (imm32 0L), pd, out));
+  Builder.switch_to b pd;
+  Builder.term b (I.Br hd);
+  Builder.switch_to b hd;
+  let j = phi b I.I32 [ (pd, imm32 10L); (ld, I.Reg j1) ] in
+  Builder.term b (I.Cbr (Builder.cmp b I.Slt I.I32 j (imm32 3L), ld, exit_d));
+  Builder.switch_to b ld;
+  Builder.add_inst b (I.Bin (j1, I.Add, I.I32, j, imm32 1L));
+  Builder.term b
+    (I.Cbr (Builder.cmp b I.Slt I.I32 (I.Reg j1) (imm32 5L), hd, hx));
+  Builder.switch_to b exit_d;
+  Builder.term b (I.Br out);
+  Builder.switch_to b out;
+  let r = phi b I.I32 [ (hx, imm32 1L); (exit_d, imm32 2L) ] in
+  Builder.term b (I.Ret (Some r));
+  let fn = Builder.finish b in
+  check int "two loops, one inside the other" 2 (List.length (Loop.find fn));
+  let stats = Stats.create () in
+  let (fn', _) = Loop_delete.run stats fn in
+  Overify_ir.Verify.check_exn ~ssa:true fn';
+  check int "D deleted" 1 stats.Stats.loops_deleted;
+  check int "no loops left" 0 (List.length (Loop.find fn'));
+  let inputs = [ "\000"; "\005" ] in
+  check (Alcotest.list Alcotest.int64) "same exit codes" (exit_codes fn inputs)
+    (exit_codes fn' inputs)
+
 (* ------------- runtime checks ------------- *)
 
 let test_runtime_checks_insert_and_catch () =
@@ -663,7 +945,7 @@ let test_paranoid_profile_on () =
      wiring is lost the pipeline silently stops verifying IR after each pass,
      so fail the run loudly *)
   check bool "test profile runs the pipeline in paranoid mode" true
-    !Pipeline.paranoid
+    !Overify_ir.Verify.paranoid
 
 let test_code_growth_direction () =
   (* -OVERIFY may grow code (paper: "even if this increases program size") *)
@@ -965,6 +1247,10 @@ let () =
           Alcotest.test_case "constant loop" `Quick test_unroll_constant_loop;
           Alcotest.test_case "trip limit" `Quick test_unroll_respects_trip_limit;
           Alcotest.test_case "downward loop" `Quick test_unroll_downward_loop;
+          Alcotest.test_case "outer peel finds loops again" `Quick
+            test_unroll_nested_refind;
+          Alcotest.test_case "IR: exit into a counted loop" `Quick
+            test_unroll_exit_into_counted_loop;
         ] );
       ( "inline",
         [
@@ -987,6 +1273,19 @@ let () =
             test_loop_delete_keeps_live_loops;
           Alcotest.test_case "counts every deleted loop" `Quick
             test_loop_delete_counts_loops;
+          Alcotest.test_case "IR: exposes an earlier loop" `Quick
+            test_loop_delete_exposes_earlier_loop;
+          Alcotest.test_case "IR: sweeps the outer's latch" `Quick
+            test_loop_delete_sweeps_outer_latch;
+        ] );
+      ( "licm",
+        [
+          Alcotest.test_case "IR: hoists into a preheader" `Quick
+            test_licm_hoists_into_new_preheader;
+          Alcotest.test_case "IR: no preheader for entry" `Quick
+            test_licm_entry_header;
+          Alcotest.test_case "IR: outer and inner get one" `Quick
+            test_licm_nested_preheaders;
         ] );
       ( "runtime checks",
         [ Alcotest.test_case "insert and catch" `Quick
